@@ -55,13 +55,12 @@ from .galerkin import (
     MODEL_II,
     BvpSpec,
     SemiDiscreteSystem,
+    SteadySolution,
     assemble_semi_discrete,
     assemble_steady,
     evolve,
     forcing_projection,
-    ldlt_factor,
     model_ii_semi_discrete,
-    solve_model_I,
     solve_steady,
 )
 
@@ -76,9 +75,8 @@ __all__ = [
     "QuadratureRule", "VerificationReport", "adjointness_defect", "gram_matrix",
     "inner_product", "integrate", "make_rule", "projection_l2_error",
     "psi_reference", "quadrature_tables", "residual_scan", "verify_formula",
-    "MODEL_I", "MODEL_II", "BvpSpec", "SemiDiscreteSystem",
+    "MODEL_I", "MODEL_II", "BvpSpec", "SemiDiscreteSystem", "SteadySolution",
     "assemble_semi_discrete", "assemble_steady", "evolve",
-    "forcing_projection", "ldlt_factor", "model_ii_semi_discrete",
-    "solve_model_I", "solve_steady",
+    "forcing_projection", "model_ii_semi_discrete", "solve_steady",
     "__version__",
 ]

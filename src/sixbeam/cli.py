@@ -302,22 +302,6 @@ def cmd_solve(cfg: RunConfig) -> int:
     coef_header = ["n", "u_even", "abs_u_even"]
     coef_rows = [[0, sol.u0c, abs(sol.u0c)]]
     coef_rows += [[n, sol.uc[n], abs(sol.uc[n])] for n in range(1, cfg.M + 1)]
-    dense = not (spec.a4 == 0.0 and spec.a2 == 0.0)
-    ldlt_info: dict = {"used": False}
-    if dense:
-        A, _, _ = galerkin.assemble_steady(spec, basis)
-        if float(np.max(np.abs(A - A.T))) <= 1e-9 * float(np.max(np.abs(A))):
-            try:
-                _, D = galerkin.ldlt_factor(A)
-            except ArithmeticError:
-                ldlt_info = {"used": False, "reason": "zero pivot"}
-            else:
-                ldlt_info = {"used": True,
-                             "pivots_all_negative": bool(np.all(D < 0.0)),
-                             "pivot_min": float(np.min(D)),
-                             "pivot_max": float(np.max(D))}
-        else:
-            ldlt_info = {"used": False, "reason": "matrix not symmetric"}
     t3 = time.perf_counter()
     tier = None
     if max_error is not None:
@@ -337,7 +321,7 @@ def cmd_solve(cfg: RunConfig) -> int:
         "max_error": max_error,
         "error_tier": tier,
         "decay_fit": _decay_fit(sol.uc, 50),
-        "ldlt": ldlt_info,
+        "ldlt": sol.record,
         "files": files,
         "timings_ms": {
             "build_basis": 1e3 * (t1 - t0),
@@ -524,7 +508,9 @@ def cmd_evolve(cfg: RunConfig) -> int:
     final = traj[-1]
     steady_dev = None
     if preset == "model-II":
-        steady = galerkin.solve_steady(galerkin.MODEL_II, basis)
+        steady = galerkin.solve_steady(galerkin.BvpSpec(
+            a6=1.0, a4=-system.T, a2=system.B, a0=system.reaction,
+            forcing=galerkin.MODEL_II.forcing), basis)
         steady_dev = float(max(abs(final.u0c - steady.u0c),
                                np.max(np.abs(final.uc - steady.uc)),
                                np.max(np.abs(final.us - steady.us))))

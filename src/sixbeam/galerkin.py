@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -40,10 +40,9 @@ __all__ = [
     "MODEL_I",
     "MODEL_II",
     "SemiDiscreteSystem",
+    "SteadySolution",
     "forcing_projection",
     "assemble_steady",
-    "ldlt_factor",
-    "solve_model_I",
     "solve_steady",
     "assemble_semi_discrete",
     "model_ii_semi_discrete",
@@ -51,7 +50,6 @@ __all__ = [
 ]
 
 _RESONANCE_GUARD = 1e-6
-_PIVOT_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -148,6 +146,19 @@ def forcing_projection(spec: BvpSpec, basis: Basis):
 # Steady solves
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class SteadySolution(CoefficientSet):
+    """Coefficients of a steady solve plus the solver's record of its path.
+
+    ``record`` is ``{"used": True, "pivots_all_negative", "pivot_min",
+    "pivot_max"}`` when the Cholesky path ran (pivots of A = L diag(D) L^T),
+    ``{"used": False, "reason": ...}`` when a dense LU solve ran, and
+    ``{"used": False}`` for the diagonal path.
+    """
+
+    record: dict = field(default_factory=lambda: {"used": False})
+
+
 def _u0c_from_row0(spec: BvpSpec, f0: float, corr: float) -> float:
     """Solve the constant-mode balance a0 u0c + corr = f0."""
     if spec.a0 != 0.0:
@@ -173,110 +184,86 @@ def _resonance_check(spec: BvpSpec, lam: np.ndarray, denom: np.ndarray) -> None:
             f"mode {m} is below {_RESONANCE_GUARD:g} x a6 lam^6")
 
 
-def _solve_diagonal(spec: BvpSpec, basis: Basis) -> CoefficientSet:
+def _solve_diagonal(spec: BvpSpec, basis: Basis) -> SteadySolution:
     lam = basis.lam_even[1:]
     denom = spec.a0 - spec.a6 * lam ** 6
     _resonance_check(spec, lam, denom)
     f0, fc = forcing_projection(spec, basis)
     uc = np.concatenate(([0.0], fc / denom))
     u0c = _u0c_from_row0(spec, f0, 0.0)
-    return CoefficientSet(basis=basis, u0c=u0c, uc=uc,
+    return SteadySolution(basis=basis, u0c=u0c, uc=uc,
                           us=np.zeros(basis.M + 1))
 
 
-def solve_model_I(basis: Basis) -> CoefficientSet:
-    """Solve u'''''' + 14400 u = f (exact solution (x^2-1)^6); diagonal system."""
-    if basis.M < 1:
-        raise ValueError("basis must carry at least one mode")
-    return _solve_diagonal(MODEL_I, basis)
-
-
-def assemble_steady(spec: BvpSpec, basis: Basis):
-    """(A, fc, f0): dense even-mode system A u = fc plus the row-0 data.
+def _steady_matrix(spec: BvpSpec, basis: Basis):
+    """(A, gamma0): the even-mode matrix and, when a4 != 0, Gamma's mean row.
 
     A[l-1, n-1] multiplies u_n in the equation projected onto psi_l:
     A = a4 Gamma^T + a2 Beta^T + diag(a0 - a6 lam^6).
     """
     lam = basis.lam_even[1:]
     A = np.diag(spec.a0 - spec.a6 * lam ** 6)
+    gamma0 = None
     if spec.a2 != 0.0:
-        A = A + spec.a2 * operator_matrix(basis, "even", "second_derivative").entries.T
+        A += spec.a2 * operator_matrix(basis, "even", "second_derivative").entries.T
     if spec.a4 != 0.0:
-        A = A + spec.a4 * operator_matrix(basis, "even", "fourth_derivative").entries.T
+        gamma = operator_matrix(basis, "even", "fourth_derivative")
+        A += spec.a4 * gamma.entries.T
+        gamma0 = gamma.mean_row
+    return A, gamma0
+
+
+def assemble_steady(spec: BvpSpec, basis: Basis):
+    """(A, fc, f0): dense even-mode system A u = fc plus the row-0 data."""
+    A, _ = _steady_matrix(spec, basis)
     f0, fc = forcing_projection(spec, basis)
     return A, fc, f0
 
 
-def ldlt_factor(A: np.ndarray):
-    """LDL^T factorization without pivoting: A = L diag(D) L^T.
+def _solve_dense(spec: BvpSpec, A: np.ndarray, fc: np.ndarray):
+    """(uc_body, record): Cholesky when a4 = 0, otherwise (or on failure) LU.
 
-    Raises ArithmeticError on an exactly zero pivot.  The caller is
-    responsible for checking that A is symmetric and that the pivots D are
-    one-signed and well-scaled before trusting the factorization.
+    With a4 = 0 the matrix is symmetric and, for a well-posed spec, definite
+    with the sign of -a6, so Cholesky of s A (s = -sign a6) both solves the
+    system and tests definiteness; no pivot threshold is involved.
     """
-    A = np.asarray(A, dtype=float)
-    n = A.shape[0]
-    if A.shape != (n, n):
-        raise ValueError(f"A must be square, got shape {A.shape}")
-    L = np.eye(n)
-    D = np.zeros(n)
-    for j in range(n):
-        Lj = L[j, :j]
-        D[j] = A[j, j] - np.dot(Lj * D[:j], Lj)
-        if D[j] == 0.0:
-            raise ArithmeticError(f"zero pivot at position {j} in LDL^T")
-        L[j + 1:, j] = (A[j + 1:, j] - L[j + 1:, :j] @ (D[:j] * Lj)) / D[j]
-    return L, D
+    if spec.a4 != 0.0:
+        return np.linalg.solve(A, fc), {"used": False, "reason": "matrix not symmetric"}
+    s = -math.copysign(1.0, spec.a6)
+    try:
+        # (s A)^T is Fortran-ordered, so LAPACK factors it without a copy.
+        factor = scipy.linalg.cho_factor((s * A).T, overwrite_a=True)
+    except np.linalg.LinAlgError:
+        warnings.warn("Cholesky factorization failed (matrix not definite); "
+                      "falling back to a pivoted dense solve",
+                      RuntimeWarning, stacklevel=3)
+        return np.linalg.solve(A, fc), {"used": False, "reason": "not definite"}
+    D = s * np.diag(factor[0]) ** 2
+    record = {"used": True, "pivots_all_negative": bool(np.all(D < 0.0)),
+              "pivot_min": float(np.min(D)), "pivot_max": float(np.max(D))}
+    return s * scipy.linalg.cho_solve(factor, fc), record
 
 
-def _ldlt_solve(L: np.ndarray, D: np.ndarray, b: np.ndarray) -> np.ndarray:
-    y = scipy.linalg.solve_triangular(L, b, lower=True, unit_diagonal=True)
-    z = y / D
-    return scipy.linalg.solve_triangular(L.T, z, lower=False, unit_diagonal=True)
-
-
-def solve_steady(spec: BvpSpec, basis: Basis) -> CoefficientSet:
+def solve_steady(spec: BvpSpec, basis: Basis) -> SteadySolution:
     """Solve the steady BVP by Galerkin projection onto the even modes.
 
-    Diagonal fast path when a4 = a2 = 0; otherwise a dense solve by
-    unpivoted LDL^T when the matrix is symmetric with one-signed,
-    well-scaled pivots, falling back to a pivoted dense solve (with a
-    warning) when the definiteness checks fail.
+    The spec picks the path: a diagonal solve when a4 = a2 = 0, Cholesky
+    when a4 = 0 (falling back to LU, with a warning, if the matrix is not
+    definite), and LU when a4 != 0 (Gamma is genuinely asymmetric).  The
+    result's ``record`` says which path ran.
     """
     if basis.M < 1:
         raise ValueError("basis must carry at least one mode")
     if spec.a4 == 0.0 and spec.a2 == 0.0:
         return _solve_diagonal(spec, basis)
-    A, fc, f0 = assemble_steady(spec, basis)
-    norm = float(np.max(np.abs(A)))
-    asym = float(np.max(np.abs(A - A.T)))
-    use_ldlt = asym <= 1e-9 * norm
-    uc_body = None
-    if use_ldlt:
-        try:
-            L, D = ldlt_factor(A)
-        except ArithmeticError:
-            use_ldlt = False
-        else:
-            one_signed = bool(np.all(D > 0.0) or np.all(D < 0.0))
-            well_scaled = bool(np.min(np.abs(D)) >= _PIVOT_FLOOR * norm)
-            if one_signed and well_scaled:
-                uc_body = _ldlt_solve(L, D, fc)
-            else:
-                use_ldlt = False
-        if not use_ldlt:
-            warnings.warn(
-                "LDL^T definiteness check failed (zero, mixed-sign, or "
-                "ill-scaled pivots); falling back to a pivoted dense solve",
-                RuntimeWarning, stacklevel=2)
-    if uc_body is None:
-        uc_body = np.linalg.solve(A, fc)
-    gamma0 = operator_matrix(basis, "even", "fourth_derivative").mean_row
-    corr = spec.a4 * float(gamma0 @ uc_body) if spec.a4 != 0.0 else 0.0
+    A, gamma0 = _steady_matrix(spec, basis)
+    f0, fc = forcing_projection(spec, basis)
+    uc_body, record = _solve_dense(spec, A, fc)
+    corr = spec.a4 * float(gamma0 @ uc_body) if gamma0 is not None else 0.0
     u0c = _u0c_from_row0(spec, f0, corr)
     uc = np.concatenate(([0.0], uc_body))
-    return CoefficientSet(basis=basis, u0c=u0c, uc=uc,
-                          us=np.zeros(basis.M + 1))
+    return SteadySolution(basis=basis, u0c=u0c, uc=uc,
+                          us=np.zeros(basis.M + 1), record=record)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, output formats, determinism."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -89,6 +90,21 @@ def test_solve_model_ii_summary(capsys):
     assert doc["ldlt"]["used"] and doc["ldlt"]["pivots_all_negative"]
     assert -8.3 < doc["decay_fit"]["exponent"] < -7.6
     assert doc["decay_fit"]["window"] == [50, 100]
+
+
+def test_solve_summary_reports_the_path_the_solver_took(capsys):
+    # A warning would mean the solver fell back to LU behind the summary.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, ["solve", "--model", "II", "--M", "300"])
+    assert code == 0 and err == ""
+    ldlt = json.loads(out)["ldlt"]
+    assert ldlt["used"] and ldlt["pivots_all_negative"]
+    code, out, err = run(capsys, ["solve", "--model", "II", "--a4", "10",
+                                  "--M", "100"])
+    assert code == 0 and err == ""
+    assert json.loads(out)["ldlt"] == {"used": False,
+                                       "reason": "matrix not symmetric"}
 
 
 def test_solve_outputs_are_byte_identical(tmp_path, capsys):
@@ -217,6 +233,16 @@ def test_evolve_reaches_steady_state_of_forced_system(capsys):
     doc = json.loads(out)
     assert doc["B"] == gk.MODEL_II.a2 and doc["reaction"] == gk.MODEL_II.a0
     assert doc["steady_deviation"] < 1e-8
+
+
+def test_evolve_steady_deviation_uses_the_evolved_spec(capsys):
+    # With --T the long-time limit solves a6=1, a4=-T, a2=B, a0=reaction,
+    # not model II itself.
+    code, out, _ = run(capsys, ["evolve", "--M", "60", "--forcing", "model-II",
+                                "--theta", "1", "--dt", "1e-4",
+                                "--steps", "400", "--T", "20"])
+    assert code == 0
+    assert json.loads(out)["steady_deviation"] < 1e-8
 
 
 def test_evolve_zero_steps(capsys):
