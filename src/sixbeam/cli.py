@@ -27,14 +27,12 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import coefficients, galerkin, oracle
-from .eigenbasis import Basis, Parity, build_basis, eigenvalue_asymptotic, solve_eigenvalue
+from .eigenbasis import Basis, build_basis, eigenvalue_asymptotic, solve_eigenvalue
 
 __all__ = ["RunConfig", "UsageError", "main",
            "cmd_eigenvalues", "cmd_solve", "cmd_verify", "cmd_evolve"]
 
-_VERIFY_TOL = 1e-8
 _MAX_VERIFY_INDEX = 50
-_CHI_POWERS = coefficients.CHI_POWERS
 
 
 class UsageError(Exception):
@@ -63,9 +61,9 @@ class RunConfig:
     # verify
     max_index: int = 20
     # evolve
-    B: float = 0.0
+    B: float | None = None      # None: the preset's value (0 without one)
     T: float = 0.0
-    reaction: float = 0.0
+    reaction: float | None = None
     dt: float = 1e-4
     steps: int = 200
     theta: float = 0.5
@@ -338,49 +336,26 @@ def cmd_solve(cfg: RunConfig) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-_CORRECTED_NOTE = ("corrected closed form; a superseded variant is documented "
-                   "in the misprint notes")
-
-
 def _verify_reports(basis: Basis, K: int) -> list:
     tabs = oracle.quadrature_tables(basis, K, tol=1e-10)
+    compare = oracle.VerificationReport.compare
+    indices = [(n, m) for n in range(1, K + 1) for m in range(1, K + 1)]
     reports = []
-
-    def add(kind, parity, n, m_or_p, closed, quad, note=""):
-        rel = abs(closed - quad) / max(abs(quad), 1e-30)
-        reports.append({
-            "kind": kind, "parity": parity, "n": n, "m_or_p": m_or_p,
-            "closed": float(closed), "quadrature": float(quad),
-            "rel_error": float(rel), "passed": bool(rel < _VERIFY_TOL),
-            "note": note,
-        })
-
     for parity in ("even", "odd"):
-        beta_q = tabs[f"beta_{parity}"]
-        gamma_q = tabs[f"gamma_{parity}"]
-        beta_c = coefficients.operator_matrix(basis, parity, "second_derivative").entries
-        gamma_m = coefficients.operator_matrix(basis, parity, "fourth_derivative")
-        for n in range(1, K + 1):
-            for m in range(1, K + 1):
-                note = ""
-                if parity == "odd" or (parity == "even" and n == m):
-                    note = _CORRECTED_NOTE
-                add("beta", parity, n, m, beta_c[n - 1, m - 1],
-                    beta_q[n - 1, m - 1], note)
-        for n in range(1, K + 1):
-            for m in range(1, K + 1):
-                add("gamma", parity, n, m, gamma_m.entries[n - 1, m - 1],
-                    gamma_q[n - 1, m - 1])
-        if parity == "even":
-            for n in range(1, K + 1):
-                add("gamma", parity, n, 0, gamma_m.mean_row[n - 1],
-                    tabs["gamma0_even"][n - 1])
-    for p in _CHI_POWERS:
-        chi_c = coefficients.chi_vector(basis, p)
-        chi_q = tabs["chi"][p]
-        for m in range(1, K + 1):
-            add("chi", "even", m, p, chi_c[m - 1], chi_q[m - 1],
-                _CORRECTED_NOTE if p == 12 else "")
+        for kind, table in (("beta", "second_derivative"),
+                            ("gamma", "fourth_derivative")):
+            closed = coefficients.operator_matrix(basis, parity, table)
+            quad = tabs[f"{kind}_{parity}"]
+            reports += [compare(kind, parity, n, m, closed.entries[n - 1, m - 1],
+                                quad[n - 1, m - 1]) for n, m in indices]
+        if parity == "even":  # closed is the fourth-derivative table here
+            reports += [compare("gamma", parity, n, 0, closed.mean_row[n - 1],
+                                tabs["gamma0_even"][n - 1])
+                        for n in range(1, K + 1)]
+    for p, quad in tabs["chi"].items():
+        closed = coefficients.chi_vector(basis, p)
+        reports += [compare("chi", "even", m, p, closed[m - 1], quad[m - 1])
+                    for m in range(1, K + 1)]
     return reports
 
 
@@ -395,30 +370,31 @@ def cmd_verify(cfg: RunConfig) -> int:
         basis = build_basis(max(K, 2))
         reports = _verify_reports(basis, K)
         notes = coefficients.superseded_variant_notes(basis)
-    failed = [r for r in reports if not r["passed"]]
-    worst = max(reports, key=lambda r: r["rel_error"]) if reports else None
+    failed = [r for r in reports if not r.passed]
+    worst = max(reports, key=lambda r: r.rel_error) if reports else None
     summary = {
         "command": "verify",
         "max_index": K,
-        "tolerance": _VERIFY_TOL,
+        "tolerance": oracle.REL_THRESHOLD,
         "total": len(reports),
         "passed": len(reports) - len(failed),
         "failed": len(failed),
-        "worst": worst,
+        "worst": worst.to_dict() if worst is not None else None,
         "misprint_notes": notes,
         "files": files,
         "timings_ms": {"total": 1e3 * (time.perf_counter() - t0)},
     }
-    header = ["kind", "parity", "n", "m_or_p", "closed", "quadrature",
-              "rel_error", "passed", "note"]
-    rows = [[r[k] for k in header] for r in reports]
+    rows = [r.to_dict() for r in reports]
     if cfg.out is None:
         doc = dict(summary)
         doc.pop("files")
-        doc["reports"] = reports
+        doc["reports"] = rows
         sys.stdout.write(json.dumps(_jsonable(doc), indent=2) + "\n")
     else:
-        _emit_table(cfg, "report", header, rows, files)
+        header = ["kind", "parity", "n", "m_or_p", "closed", "quadrature",
+                  "rel_error", "passed", "note"]
+        _emit_table(cfg, "report", header,
+                    [[r[k] for k in header] for r in rows], files)
         summary["timings_ms"]["total"] = 1e3 * (time.perf_counter() - t0)
         _emit_summary(cfg, summary, files)
     return 2 if failed else 0
@@ -473,20 +449,12 @@ def cmd_evolve(cfg: RunConfig) -> int:
     if preset not in ("none", "model-II"):
         raise UsageError(f"--forcing must be none or model-II, got {cfg.forcing!r}")
     basis = build_basis(cfg.M)
-    if preset == "model-II":
-        B = cfg.B if cfg.B != 0.0 else galerkin.MODEL_II.a2
-        reaction = cfg.reaction if cfg.reaction != 0.0 else galerkin.MODEL_II.a0
-        f0, fc = galerkin.forcing_projection(galerkin.MODEL_II, basis)
-        forcing = coefficients.CoefficientSet(
-            basis=basis, u0c=-f0, uc=np.concatenate(([0.0], -fc)),
-            us=np.zeros(basis.M + 1))
-        system = galerkin.assemble_semi_discrete(basis, B=B, T=cfg.T,
-                                                 forcing=forcing,
-                                                 reaction=reaction)
-    else:
-        system = galerkin.assemble_semi_discrete(basis, B=cfg.B, T=cfg.T,
-                                                 forcing=None,
-                                                 reaction=cfg.reaction)
+    # An unset --B/--reaction takes the assembler's default; 0 is kept as 0.
+    given = {k: v for k, v in (("B", cfg.B), ("reaction", cfg.reaction))
+             if v is not None}
+    assemble = (galerkin.model_ii_semi_discrete if preset == "model-II"
+                else galerkin.assemble_semi_discrete)
+    system = assemble(basis, T=cfg.T, **given)
     initial = (coefficients.CoefficientSet.zeros(basis) if cfg.initial is None
                else _parse_initial(cfg.initial, basis))
     t1 = time.perf_counter()

@@ -183,6 +183,63 @@ def _gamma_diagonal(parity: Parity, lam, c, q, e1):
 
 
 # ---------------------------------------------------------------------------
+# Off-diagonal closed forms and the even gamma mean row
+# ---------------------------------------------------------------------------
+#
+# The kernels take broadcastable n-side and m-side operands: scalars for one
+# entry, or a column (n) and a row (m) of a family's arrays for a whole table.
+# ``rn``/``rm`` are the table's T/U/V/W ratio (see ``_ratio``).
+
+def _ratio(kind: str, parity: Parity):
+    """The scaled ratio that enters one table's off-diagonal closed form."""
+    if kind == "second_derivative":
+        return _ratio_T if parity is Parity.EVEN else _ratio_U
+    return _ratio_V if parity is Parity.EVEN else _ratio_W
+
+
+def _gap6(a, b):
+    """a^6 - b^6, with a unit diagonal when the operands span a square table
+    (that diagonal is overwritten by the diagonal closed form)."""
+    gap = a ** 6 - b ** 6
+    if np.ndim(gap) == 2:
+        np.fill_diagonal(gap, 1.0)
+    return gap
+
+
+def _beta_offdiag(parity: Parity, ln, cn, rn, lm, cm, rm):
+    """<psi_n'', psi_m> for n != m."""
+    pref = 6.0 * cn * cm * (lm * ln) ** 3 / _gap6(lm, ln)
+    if parity is Parity.EVEN:
+        bracket = lm * np.sin(ln) * rm - ln * np.sin(lm) * rn
+    else:
+        bracket = -lm * np.cos(ln) * rm + ln * np.cos(lm) * rn
+    return pref * bracket
+
+
+def _gamma_offdiag(parity: Parity, ln, cn, rn, lm, cm, rm):
+    """<psi_n'''', psi_m> for n != m."""
+    if parity is Parity.EVEN:
+        pref = 3.0 * cn * cm * ln ** 6 / _gap6(lm, ln)
+        bracket = -lm ** 3 * np.sin(lm) * rn + ln ** 3 * np.sin(ln) * rm
+    else:
+        pref = 6.0 * cn * cm * ln ** 6 / _gap6(ln, lm)
+        bracket = (lm ** 3 * np.cos(lm) * np.sin(ln) * rn
+                   - ln ** 3 * np.sin(lm) * np.cos(ln) * rm)
+    return pref * bracket
+
+
+def _gamma_mean(lam, c):
+    """<psi_n'''', 1> for even modes."""
+    return 6.0 * c * lam ** 3 * np.sin(lam)
+
+
+_OFFDIAG = {"second_derivative": _beta_offdiag,
+            "fourth_derivative": _gamma_offdiag}
+_DIAG = {"second_derivative": _beta_diagonal,
+         "fourth_derivative": _gamma_diagonal}
+
+
+# ---------------------------------------------------------------------------
 # chi bracket decomposition: bracket = A + B cosh s + C sinh s
 # ---------------------------------------------------------------------------
 
@@ -261,33 +318,30 @@ def _mode_data(basis: Basis, parity: Parity, m: int):
     return lam[i], c[i], q[i], e1[i]
 
 
+def _entry(basis: Basis, parity: Parity, kind: str, n: int, m: int) -> float:
+    """One beta/gamma entry for modes n, m >= 1 from the shared closed forms."""
+    ln, cn, qn, e1n = _mode_data(basis, parity, n)
+    if n == m:
+        return float(_DIAG[kind](parity, ln, cn, qn, e1n))
+    lm, cm, qm, e1m = _mode_data(basis, parity, m)
+    ratio = _ratio(kind, parity)
+    return float(_OFFDIAG[kind](parity, ln, cn, ratio(ln, qn, e1n),
+                                lm, cm, ratio(lm, qm, e1m)))
+
+
 def beta(basis: Basis, parity, n: int, m: int) -> float:
     """<psi_n'', psi_m> within one parity family.
 
     Index 0 (the even constant mode) gives 0 in either slot: psi_0'' = 0 and
-    <psi_n'', psi_0> vanishes because psi_n'(+-1) = 0.
+    <psi_n'', psi_0> vanishes because psi_n'(+-1) = 0.  The odd family has no
+    mode 0; index 0 gives 0 there by convention.
     """
     parity = _parity(parity)
     n = _check_index(basis, parity, n, allow_zero=True)
     m = _check_index(basis, parity, m, allow_zero=True)
-    if parity is Parity.ODD and (n == 0 or m == 0):
-        return 0.0  # no odd mode 0; the coefficient is 0 by convention
     if n == 0 or m == 0:
         return 0.0
-    ln, cn, qn, e1n = _mode_data(basis, parity, n)
-    if n == m:
-        return float(_beta_diagonal(parity, ln, cn, qn, e1n))
-    lm, cm, qm, e1m = _mode_data(basis, parity, m)
-    pref = 6.0 * cn * cm * (lm * ln) ** 3 / (lm ** 6 - ln ** 6)
-    if parity is Parity.EVEN:
-        tm = float(_ratio_T(lm, qm, e1m))
-        tn = float(_ratio_T(ln, qn, e1n))
-        bracket = lm * math.sin(ln) * tm - ln * math.sin(lm) * tn
-    else:
-        um = float(_ratio_U(lm, qm, e1m))
-        un = float(_ratio_U(ln, qn, e1n))
-        bracket = -lm * math.cos(ln) * um + ln * math.cos(lm) * un
-    return float(pref * bracket)
+    return _entry(basis, parity, "second_derivative", n, m)
 
 
 def gamma(basis: Basis, parity, n: int, m: int) -> float:
@@ -302,26 +356,11 @@ def gamma(basis: Basis, parity, n: int, m: int) -> float:
         if n == 0:
             return 0.0
         ln, cn, _, _ = _mode_data(basis, parity, n)
-        return float(6.0 * cn * ln ** 3 * math.sin(ln))
+        return float(_gamma_mean(ln, cn))
     m = _check_index(basis, parity, m, allow_zero=False)
     if n == 0:
         return 0.0  # psi_0'''' = 0
-    ln, cn, qn, e1n = _mode_data(basis, parity, n)
-    if n == m:
-        return float(_gamma_diagonal(parity, ln, cn, qn, e1n))
-    lm, cm, qm, e1m = _mode_data(basis, parity, m)
-    if parity is Parity.EVEN:
-        pref = 3.0 * cn * cm * ln ** 6 / (lm ** 6 - ln ** 6)
-        vn = float(_ratio_V(ln, qn, e1n))
-        vm = float(_ratio_V(lm, qm, e1m))
-        bracket = -lm ** 3 * math.sin(lm) * vn + ln ** 3 * math.sin(ln) * vm
-    else:
-        pref = 6.0 * cn * cm * ln ** 6 / (ln ** 6 - lm ** 6)
-        wn = float(_ratio_W(ln, qn, e1n))
-        wm = float(_ratio_W(lm, qm, e1m))
-        bracket = (lm ** 3 * math.cos(lm) * math.sin(ln) * wn
-                   - ln ** 3 * math.sin(lm) * math.cos(ln) * wm)
-    return float(pref * bracket)
+    return _entry(basis, parity, "fourth_derivative", n, m)
 
 
 def chi(basis: Basis, p: int, m: int) -> float:
@@ -371,42 +410,13 @@ def operator_matrix(basis: Basis, parity, kind: str) -> OperatorMatrix:
     if kind == "sixth_derivative":
         return OperatorMatrix(parity=parity, kind=kind,
                               entries=np.diag(-lam ** 6))
-    ln, lm = lam[:, None], lam[None, :]
-    cn, cm = c[:, None], c[None, :]
-    sin_n, sin_m = np.sin(lam)[:, None], np.sin(lam)[None, :]
-    cos_n, cos_m = np.cos(lam)[:, None], np.cos(lam)[None, :]
-    if kind == "second_derivative":
-        den = lm ** 6 - ln ** 6
-        np.fill_diagonal(den, 1.0)
-        pref = 6.0 * cn * cm * (lm * ln) ** 3 / den
-        if parity is Parity.EVEN:
-            tt = _ratio_T(lam, q, e1)
-            bracket = lm * sin_n * tt[None, :] - ln * sin_m * tt[:, None]
-        else:
-            uu = _ratio_U(lam, q, e1)
-            bracket = -lm * cos_n * uu[None, :] + ln * cos_m * uu[:, None]
-        entries = pref * bracket
-        np.fill_diagonal(entries, _beta_diagonal(parity, lam, c, q, e1))
-        return OperatorMatrix(parity=parity, kind=kind, entries=entries)
-    # fourth derivative
+    r = _ratio(kind, parity)(lam, q, e1)
+    entries = _OFFDIAG[kind](parity, lam[:, None], c[:, None], r[:, None],
+                             lam[None, :], c[None, :], r[None, :])
+    np.fill_diagonal(entries, _DIAG[kind](parity, lam, c, q, e1))
     mean_row = None
-    if parity is Parity.EVEN:
-        den = lm ** 6 - ln ** 6
-        np.fill_diagonal(den, 1.0)
-        pref = 3.0 * cn * cm * ln ** 6 / den
-        vv = _ratio_V(lam, q, e1)
-        bracket = (-lm ** 3 * sin_m * vv[:, None]
-                   + ln ** 3 * sin_n * vv[None, :])
-        mean_row = 6.0 * c * lam ** 3 * np.sin(lam)
-    else:
-        den = ln ** 6 - lm ** 6
-        np.fill_diagonal(den, 1.0)
-        pref = 6.0 * cn * cm * ln ** 6 / den
-        ww = _ratio_W(lam, q, e1)
-        bracket = (lm ** 3 * cos_m * sin_n * ww[:, None]
-                   - ln ** 3 * sin_m * cos_n * ww[None, :])
-    entries = pref * bracket
-    np.fill_diagonal(entries, _gamma_diagonal(parity, lam, c, q, e1))
+    if kind == "fourth_derivative" and parity is Parity.EVEN:
+        mean_row = _gamma_mean(lam, c)
     return OperatorMatrix(parity=parity, kind=kind, entries=entries,
                           mean_row=mean_row)
 

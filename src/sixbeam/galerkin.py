@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-import scipy.linalg
 
 from .coefficients import CoefficientSet, chi_vector, operator_matrix
 from .eigenbasis import Basis
@@ -229,6 +228,8 @@ def _solve_dense(spec: BvpSpec, A: np.ndarray, fc: np.ndarray):
     """
     if spec.a4 != 0.0:
         return np.linalg.solve(A, fc), {"used": False, "reason": "matrix not symmetric"}
+    import scipy.linalg  # here, so commands that never solve skip its import
+
     s = -math.copysign(1.0, spec.a6)
     try:
         # (s A)^T is Fortran-ordered, so LAPACK factors it without a copy.
@@ -297,20 +298,8 @@ class SemiDiscreteSystem:
         if self.A_odd.shape != (M, M) or self.f_odd.shape != (M,):
             raise ValueError("odd block must have size M")
 
-    @property
-    def f0c(self) -> float:
-        return float(self.f_even[0])
 
-    @property
-    def fc(self) -> np.ndarray:
-        return self.f_even[1:]
-
-    @property
-    def fs(self) -> np.ndarray:
-        return self.f_odd
-
-
-def assemble_semi_discrete(basis: Basis, B: float, T: float,
+def assemble_semi_discrete(basis: Basis, B: float = 0.0, T: float = 0.0,
                            forcing: CoefficientSet | None = None,
                            reaction: float = 0.0) -> SemiDiscreteSystem:
     """Assemble du_l/dt = sum_n [B beta_nl - T gamma_nl] u_n + (reaction - lam_l^6) u_l + f_l.
@@ -351,18 +340,21 @@ def assemble_semi_discrete(basis: Basis, B: float, T: float,
                               f_even=f_even, f_odd=f_odd)
 
 
-def model_ii_semi_discrete(basis: Basis) -> SemiDiscreteSystem:
-    """Semi-discrete system whose steady state is the model-II solution.
+def model_ii_semi_discrete(basis: Basis, B: float = MODEL_II.a2, T: float = 0.0,
+                           reaction: float = MODEL_II.a0) -> SemiDiscreteSystem:
+    """Semi-discrete system driven by the negated model-II forcing.
 
-    du/dt = u'''''' + B u'' + reaction u - f with B, reaction, f taken from
-    the model-II spec; at steady state this is exactly the model-II BVP.
+    du/dt = u'''''' - T u'''' + B u'' + reaction u - f with f the model-II
+    forcing.  Its steady state solves a6 = 1, a4 = -T, a2 = B, a0 = reaction;
+    with the defaults (taken from the model-II spec) that is exactly the
+    model-II BVP.
     """
     f0, fc = forcing_projection(MODEL_II, basis)
     forcing = CoefficientSet(basis=basis, u0c=-f0,
                              uc=np.concatenate(([0.0], -fc)),
                              us=np.zeros(basis.M + 1))
-    return assemble_semi_discrete(basis, B=MODEL_II.a2, T=0.0,
-                                  forcing=forcing, reaction=MODEL_II.a0)
+    return assemble_semi_discrete(basis, B=B, T=T, forcing=forcing,
+                                  reaction=reaction)
 
 
 def evolve(system: SemiDiscreteSystem, initial: CoefficientSet, dt: float,
@@ -373,6 +365,8 @@ def evolve(system: SemiDiscreteSystem, initial: CoefficientSet, dt: float,
     a single LU factorization per parity block.  Returns the trajectory as a
     list of steps + 1 coefficient sets (initial state included).
     """
+    import scipy.linalg  # here, so commands that never solve skip its import
+
     if not (dt > 0.0) or not math.isfinite(dt):
         raise ValueError(f"dt must be positive and finite, got {dt!r}")
     if not isinstance(steps, (int, np.integer)) or steps < 0:

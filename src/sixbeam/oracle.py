@@ -31,6 +31,7 @@ from .eigenbasis import SQRT3, Basis, Parity, _parity
 __all__ = [
     "QuadratureRule",
     "VerificationReport",
+    "REL_THRESHOLD",
     "make_rule",
     "integrate",
     "inner_product",
@@ -49,7 +50,11 @@ PANEL_ORDER = 16
 #: Refinement cap for adaptive integration (total nodes).
 _MAX_POINTS = 4_000_000
 
-_REL_THRESHOLD = 1e-8  # closed-form vs quadrature pass threshold
+#: Relative error below which a closed form passes verification.
+REL_THRESHOLD = 1e-8
+
+_CORRECTED_NOTE = ("corrected closed form; a superseded variant is documented "
+                   "in the misprint notes")
 
 
 # ---------------------------------------------------------------------------
@@ -301,9 +306,10 @@ def quadrature_tables(basis: Basis, max_index: int, tol: float = 1e-10) -> dict:
     """
     if not isinstance(max_index, (int, np.integer)) or not (1 <= max_index <= basis.M):
         raise ValueError(f"max_index must be in [1, M={basis.M}], got {max_index!r}")
+    from .coefficients import CHI_POWERS  # local import: avoids a cycle
+
     K = int(max_index)
     out: dict = {}
-    powers = (2, 4, 6, 8, 10, 12)
     eps_floor = 500.0 * np.finfo(float).eps
     for parity in (Parity.EVEN, Parity.ODD):
         key = parity.value
@@ -316,43 +322,35 @@ def quadrature_tables(basis: Basis, max_index: int, tol: float = 1e-10) -> dict:
             "chi": eps_floor,
         }
         for (rc, bc), (rf, bf) in _shared_grid(basis, parity, K, tol, (0, 2, 4, 6)):
-            tables_c = {
-                f"beta_{key}": _pairwise_table(rc, bc, 2, 0),
-                f"gamma_{key}": _pairwise_table(rc, bc, 4, 0),
-                f"sixth_{key}": _pairwise_table(rc, bc, 6, 0),
-            }
-            tables_f = {
-                f"beta_{key}": _pairwise_table(rf, bf, 2, 0),
-                f"gamma_{key}": _pairwise_table(rf, bf, 4, 0),
-                f"sixth_{key}": _pairwise_table(rf, bf, 6, 0),
-            }
-            if parity is Parity.EVEN:
-                tables_c["gamma0_even"] = bc[4] @ rc.weights
-                tables_f["gamma0_even"] = bf[4] @ rf.weights
-                tables_c["chi"] = {p: bc[0] @ (rc.weights * rc.nodes ** p)
-                                   for p in powers}
-                tables_f["chi"] = {p: bf[0] @ (rf.weights * rf.nodes ** p)
-                                   for p in powers}
-            ok = True
-            for name, fine in tables_f.items():
-                coarse = tables_c[name]
-                if name == "chi":
-                    for p in powers:
-                        d = np.abs(fine[p] - coarse[p])
-                        gate = tol * np.maximum(1.0, np.abs(fine[p])) + floors["chi"]
-                        if np.any(d >= gate):
-                            ok = False
-                else:
-                    d = np.abs(fine - coarse)
-                    gate = tol * np.maximum(1.0, np.abs(fine)) + floors[name]
-                    if np.any(d >= gate):
-                        ok = False
-            if ok:
-                out.update(tables_f)
+            coarse = _sweep_tables(parity, rc, bc, CHI_POWERS)
+            fine = _sweep_tables(parity, rf, bf, CHI_POWERS)
+            if not any(np.any(np.abs(fine[name] - coarse[name])
+                              >= tol * np.maximum(1.0, np.abs(fine[name]))
+                              + floors[name]) for name in fine):
+                out.update(fine)
                 break
         else:
             raise RuntimeError("quadrature tables failed to converge")
+    out["chi"] = dict(zip(CHI_POWERS, out["chi"]))
     return out
+
+
+def _sweep_tables(parity: Parity, rule, blocks, powers) -> dict:
+    """One grid's quadrature tables for ``quadrature_tables``.
+
+    ``chi`` is stacked one row per power so it converges like the others.
+    """
+    key = parity.value
+    tables = {
+        f"beta_{key}": _pairwise_table(rule, blocks, 2, 0),
+        f"gamma_{key}": _pairwise_table(rule, blocks, 4, 0),
+        f"sixth_{key}": _pairwise_table(rule, blocks, 6, 0),
+    }
+    if parity is Parity.EVEN:
+        tables["gamma0_even"] = blocks[4] @ rule.weights
+        tables["chi"] = np.stack([blocks[0] @ (rule.weights * rule.nodes ** p)
+                                  for p in powers])
+    return tables
 
 
 # ---------------------------------------------------------------------------
@@ -381,6 +379,24 @@ class VerificationReport:
             "passed": self.passed, "note": self.note,
         }
 
+    @classmethod
+    def compare(cls, kind: str, parity, n: int, m_or_p: int, closed: float,
+                quad: float) -> "VerificationReport":
+        """The record for one entry: relative error, pass flag and note.
+
+        Entries whose closed form replaces a superseded variant (every beta
+        of the odd family, the even beta diagonal, chi at p = 12) carry the
+        corrected-form note.
+        """
+        parity = _parity(parity)
+        rel = _relative(closed, quad)
+        corrected = ((kind == "beta" and (parity is Parity.ODD or n == m_or_p))
+                     or (kind == "chi" and m_or_p == 12))
+        return cls(kind=kind, parity=parity.value, n=int(n), m_or_p=int(m_or_p),
+                   closed=float(closed), quadrature=float(quad),
+                   rel_error=float(rel), passed=bool(rel < REL_THRESHOLD),
+                   note=_CORRECTED_NOTE if corrected else "")
+
 
 def _relative(closed: float, quad: float) -> float:
     return abs(closed - quad) / max(abs(quad), 1e-30)
@@ -396,7 +412,6 @@ def verify_formula(basis: Basis, kind: str, parity, n: int, m_or_p: int,
     from . import coefficients  # local import: keeps this module independent
 
     parity = _parity(parity)
-    note = ""
     if kind == "beta":
         closed = coefficients.beta(basis, parity, n, m_or_p)
         lam_n = basis.eigenvalue(parity, n).lam
@@ -404,9 +419,6 @@ def verify_formula(basis: Basis, kind: str, parity, n: int, m_or_p: int,
         quad = inner_product(lambda x: psi_reference(basis, parity, n, x, 2),
                              lambda x: psi_reference(basis, parity, m_or_p, x, 0),
                              tol=tol, lam_hint=max(lam_n, lam_m))
-        if parity is Parity.ODD or n == m_or_p:
-            note = ("corrected closed form; a superseded variant is documented "
-                    "in the verify command's misprint notes")
     elif kind == "gamma":
         closed = coefficients.gamma(basis, parity, n, m_or_p)
         lam_n = basis.eigenvalue(parity, n).lam
@@ -427,16 +439,9 @@ def verify_formula(basis: Basis, kind: str, parity, n: int, m_or_p: int,
         quad = inner_product(lambda x: x ** m_or_p,
                              lambda x: psi_reference(basis, parity, n, x, 0),
                              tol=tol, lam_hint=lam_m)
-        if m_or_p == 12:
-            note = ("corrected closed form; a superseded variant is documented "
-                    "in the verify command's misprint notes")
     else:
         raise ValueError(f"kind must be 'beta', 'gamma' or 'chi', got {kind!r}")
-    rel = _relative(closed, quad)
-    return VerificationReport(kind=kind, parity=parity.value, n=int(n),
-                              m_or_p=int(m_or_p), closed=float(closed),
-                              quadrature=float(quad), rel_error=float(rel),
-                              passed=bool(rel < _REL_THRESHOLD), note=note)
+    return VerificationReport.compare(kind, parity, n, m_or_p, closed, quad)
 
 
 # ---------------------------------------------------------------------------

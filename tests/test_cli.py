@@ -1,7 +1,11 @@
 """Command-line interface: exit codes, output formats, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +13,8 @@ import pytest
 import frozen_reference as ref
 from sixbeam.cli import main
 from sixbeam import galerkin as gk
+from sixbeam import oracle as oc
+from sixbeam.eigenbasis import build_basis
 
 
 def run(capsys, argv):
@@ -207,6 +213,20 @@ def test_verify_file_output(tmp_path, capsys):
     assert summary["failed"] == 0
 
 
+def test_verify_rows_agree_with_verify_formula(capsys):
+    code, out, _ = run(capsys, ["verify", "--max-index", "3"])
+    assert code == 0
+    rows = {(r["kind"], r["parity"], r["n"], r["m_or_p"]): r
+            for r in json.loads(out)["reports"]}
+    basis = build_basis(3)
+    for key in [("beta", "odd", 1, 2),     # corrected off-diagonal form
+                ("beta", "even", 2, 2),    # corrected diagonal form
+                ("chi", "even", 1, 12),    # corrected p = 12 form
+                ("gamma", "even", 1, 3)]:  # shipped as published
+        rep = oc.verify_formula(basis, *key)
+        assert (rows[key]["note"], rows[key]["passed"]) == (rep.note, rep.passed)
+
+
 # ---------------------------------------------------------------------------
 # evolve
 # ---------------------------------------------------------------------------
@@ -243,6 +263,25 @@ def test_evolve_steady_deviation_uses_the_evolved_spec(capsys):
                                 "--steps", "400", "--T", "20"])
     assert code == 0
     assert json.loads(out)["steady_deviation"] < 1e-8
+
+
+def test_evolve_honours_an_explicit_zero_B(capsys):
+    code, out, _ = run(capsys, ["evolve", "--M", "20", "--forcing", "model-II",
+                                "--theta", "1", "--steps", "50", "--B", "0"])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["B"] == 0.0 and doc["reaction"] == gk.MODEL_II.a0
+    # The deviation is measured against the a2 = 0 steady problem.
+    assert doc["steady_deviation"] < 1e-8
+
+
+def test_evolve_with_zero_reaction_fails_instead_of_substituting(capsys):
+    # With B = reaction = 0 the constant mode has no steady state under the
+    # model-II forcing; the command must fail, not fall back to model II.
+    code, out, err = run(capsys, ["evolve", "--M", "10", "--forcing", "model-II",
+                                  "--steps", "5", "--B", "0", "--reaction", "0"])
+    assert code == 2
+    assert "constant-mode balance" in err and out == ""
 
 
 def test_evolve_zero_steps(capsys):
@@ -309,6 +348,23 @@ def test_config_file_errors(tmp_path, capsys):
     bad.write_text(json.dumps([1, 2]))
     assert run(capsys, ["solve", "--config", str(bad)])[0] == 1
     assert run(capsys, ["solve", "--config", str(tmp_path / "absent.json")])[0] == 1
+
+
+def test_eigenvalues_and_verify_do_not_import_scipy(tmp_path):
+    code = f"""
+import sys
+from sixbeam.cli import main
+assert main(["eigenvalues", "--m-max", "6", "--out", {str(tmp_path / "e")!r}]) == 0
+assert main(["verify", "--max-index", "2", "--out", {str(tmp_path / "v")!r}]) == 0
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_csv_floats_use_17_significant_digits(tmp_path, capsys):
