@@ -460,40 +460,37 @@ def cmd_evolve(cfg: RunConfig) -> int:
     t1 = time.perf_counter()
     traj = galerkin.evolve(system, initial, cfg.dt, cfg.steps, cfg.theta)
     t2 = time.perf_counter()
-    k_track = min(basis.M, _TRACK_MODES)
-    header = (["t", "u0c"]
-              + [f"uc_{n}" for n in range(1, k_track + 1)]
-              + [f"us_{n}" for n in range(1, k_track + 1)]
-              + [f"u_at_{x:g}" for x in _SAMPLE_X])
-    rows = []
-    xs = np.asarray(_SAMPLE_X)
-    for k, state in enumerate(traj):
-        vals = coefficients.synthesize(state, xs)
-        rows.append([k * cfg.dt, state.u0c]
-                    + [state.uc[n] for n in range(1, k_track + 1)]
-                    + [state.us[n] for n in range(1, k_track + 1)]
-                    + list(vals))
-    final = traj[-1]
+    n_states = len(traj.u0c)
+    final_u0c, final_uc, final_us = traj.u0c[-1], traj.uc[-1], traj.us[-1]
     steady_dev = None
     if preset == "model-II":
         steady = galerkin.solve_steady(galerkin.BvpSpec(
             a6=1.0, a4=-system.T, a2=system.B, a0=system.reaction,
             forcing=galerkin.MODEL_II.forcing), basis)
-        steady_dev = float(max(abs(final.u0c - steady.u0c),
-                               np.max(np.abs(final.uc - steady.uc)),
-                               np.max(np.abs(final.us - steady.us))))
+        steady_dev = float(max(abs(final_u0c - steady.u0c),
+                               np.max(np.abs(final_uc - steady.uc)),
+                               np.max(np.abs(final_us - steady.us))))
     files: dict = {}
     if cfg.out is not None:
+        k_track = min(basis.M, _TRACK_MODES)
+        header = (["t", "u0c"]
+                  + [f"uc_{n}" for n in range(1, k_track + 1)]
+                  + [f"us_{n}" for n in range(1, k_track + 1)]
+                  + [f"u_at_{x:g}" for x in _SAMPLE_X])
+        rows = np.column_stack((
+            np.arange(n_states) * cfg.dt, traj.u0c,
+            traj.uc[:, 1:k_track + 1], traj.us[:, 1:k_track + 1],
+            coefficients.synthesize(traj, np.asarray(_SAMPLE_X)))).tolist()
         _emit_table(cfg, "trajectory", header, rows, files)
-    final_norm = float(max(abs(final.u0c),
-                           np.max(np.abs(final.uc)), np.max(np.abs(final.us))))
+    final_norm = float(max(abs(final_u0c),
+                           np.max(np.abs(final_uc)), np.max(np.abs(final_us))))
     summary = {
         "command": "evolve",
         "M": cfg.M,
         "B": system.B, "T": system.T, "reaction": system.reaction,
         "dt": cfg.dt, "steps": cfg.steps, "theta": cfg.theta,
         "initial": cfg.initial, "forcing": preset,
-        "state_count": len(traj),
+        "state_count": n_states,
         "final_max_abs": final_norm,
         "steady_deviation": steady_dev,
         "files": files,

@@ -432,6 +432,8 @@ class CoefficientSet:
     ``uc``/``us`` have length M + 1 and are indexed by mode number; slot 0 is
     unused (fixed to 0) — the constant-mode coefficient lives in ``u0c`` and
     enters synthesis with weight 1/2 because psi_0 = 1 is not unit-normalized.
+    A stacked set (``galerkin.evolve``'s trajectory) has an array ``u0c``,
+    and ``uc``/``us`` of shape u0c.shape + (M + 1,).
     """
 
     basis: Basis
@@ -440,14 +442,15 @@ class CoefficientSet:
     us: np.ndarray
 
     def __post_init__(self):
+        u0c = np.asarray(self.u0c, dtype=float)
         uc = np.asarray(self.uc, dtype=float)
         us = np.asarray(self.us, dtype=float)
-        if uc.shape != (self.basis.M + 1,) or us.shape != (self.basis.M + 1,):
-            raise ValueError(
-                f"coefficient arrays must have shape ({self.basis.M + 1},)")
-        if uc[0] != 0.0 or us[0] != 0.0:
+        shape = u0c.shape + (self.basis.M + 1,)
+        if uc.shape != shape or us.shape != shape:
+            raise ValueError(f"coefficient arrays must have shape {shape}")
+        if np.any(uc[..., 0] != 0.0) or np.any(us[..., 0] != 0.0):
             raise ValueError("slot 0 of uc/us is unused and must be 0")
-        object.__setattr__(self, "u0c", float(self.u0c))
+        object.__setattr__(self, "u0c", float(u0c) if u0c.ndim == 0 else u0c)
         object.__setattr__(self, "uc", uc)
         object.__setattr__(self, "us", us)
 
@@ -458,7 +461,7 @@ class CoefficientSet:
 
 
 def synthesize(coeffs: CoefficientSet, x, k: int = 0):
-    """Evaluate the k-th derivative of the expansion at x (scalar or array)."""
+    """Evaluate the k-th derivative at x (scalar or array), one row per stacked state."""
     if not isinstance(k, (int, np.integer)) or not (0 <= k <= 6):
         raise ValueError(f"derivative order k must be an integer in [0, 6], got {k!r}")
     xa = np.asarray(x, dtype=float)
@@ -466,14 +469,14 @@ def synthesize(coeffs: CoefficientSet, x, k: int = 0):
     xa = np.atleast_1d(xa)
     if np.any(np.abs(xa) > 1.0):
         raise ValueError("evaluation points must satisfy |x| <= 1")
-    vals = np.zeros_like(xa)
+    vals = np.zeros(np.shape(coeffs.u0c) + xa.shape)
     if k == 0:
-        vals += 0.5 * coeffs.u0c
-    if np.any(coeffs.uc[1:]):
-        vals = vals + coeffs.uc[1:] @ psi_block(coeffs.basis, Parity.EVEN, xa, int(k))
-    if np.any(coeffs.us[1:]):
-        vals = vals + coeffs.us[1:] @ psi_block(coeffs.basis, Parity.ODD, xa, int(k))
-    return float(vals[0]) if scalar else vals
+        vals += 0.5 * np.expand_dims(coeffs.u0c, -1)
+    for parity, u in ((Parity.EVEN, coeffs.uc), (Parity.ODD, coeffs.us)):
+        if np.any(u[..., 1:]):  # an all-zero parity needs no psi_block
+            vals = vals + u[..., 1:] @ psi_block(coeffs.basis, parity, xa, int(k))
+    vals = vals[..., 0] if scalar else vals
+    return float(vals) if vals.ndim == 0 else vals
 
 
 def _projection_at(f, basis: Basis, rule) -> tuple:

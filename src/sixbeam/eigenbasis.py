@@ -113,10 +113,10 @@ def _residual_and_derivative(parity, lam):
     return r, dr
 
 
-def _residual_gate(lam: float) -> float:
+def _residual_gate(lam):
     # Hard 1e-12 is unattainable near the double-precision rounding floor of
     # lam itself once lam ~ 5e3 (half an ulp of lam maps to ~eps*lam residual).
-    return max(1e-12, 50.0 * _EPS * abs(lam))
+    return np.maximum(1e-12, 50.0 * _EPS * np.abs(lam))
 
 
 def _solve_bracketed(parity, m: int) -> float:
@@ -251,8 +251,7 @@ def _check_mode(basis: Basis, parity: Parity, m) -> None:
 def _solve_family(parity: Parity, M: int):
     lam = np.zeros(M + 1)
     res = np.zeros(M + 1)
-    m_lo = 1
-    for m in range(m_lo, min(M, 6) + 1):
+    for m in range(1, min(M, 6) + 1):
         ev = solve_eigenvalue(parity, m)
         lam[m], res[m] = ev.lam, ev.residual
     if M >= 7:
@@ -262,7 +261,7 @@ def _solve_family(parity: Parity, M: int):
         roots = guess - r / dr
         lam[7:] = roots
         res[7:] = np.abs(characteristic_residual(parity, roots))
-        gates = np.maximum(1e-12, 50.0 * _EPS * roots)
+        gates = _residual_gate(roots)
         if np.any(res[7:] > gates):
             bad = int(ms[np.argmax(res[7:] - gates)])
             raise ArithmeticError(f"residual gate failed at {parity.value} m={bad}")

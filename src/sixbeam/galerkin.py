@@ -194,27 +194,27 @@ def _solve_diagonal(spec: BvpSpec, basis: Basis) -> SteadySolution:
                           us=np.zeros(basis.M + 1))
 
 
-def _steady_matrix(spec: BvpSpec, basis: Basis):
-    """(A, gamma0): the even-mode matrix and, when a4 != 0, Gamma's mean row.
+def _mode_block(spec: BvpSpec, basis: Basis, parity: str):
+    """(block, mean_row): one parity's block; Gamma's mean row for even a4 != 0, else None.
 
-    A[l-1, n-1] multiplies u_n in the equation projected onto psi_l:
-    A = a4 Gamma^T + a2 Beta^T + diag(a0 - a6 lam^6).
+    block[l-1, n-1] multiplies u_n in the equation projected onto psi_l:
+    block = a4 Gamma^T + a2 Beta^T + diag(a0 - a6 lam^6).
     """
-    lam = basis.lam_even[1:]
-    A = np.diag(spec.a0 - spec.a6 * lam ** 6)
-    gamma0 = None
+    lam = basis.lam(parity)[1:]
+    block = np.diag(spec.a0 - spec.a6 * lam ** 6)
+    mean_row = None
     if spec.a2 != 0.0:
-        A += spec.a2 * operator_matrix(basis, "even", "second_derivative").entries.T
+        block += spec.a2 * operator_matrix(basis, parity, "second_derivative").entries.T
     if spec.a4 != 0.0:
-        gamma = operator_matrix(basis, "even", "fourth_derivative")
-        A += spec.a4 * gamma.entries.T
-        gamma0 = gamma.mean_row
-    return A, gamma0
+        gamma = operator_matrix(basis, parity, "fourth_derivative")
+        block += spec.a4 * gamma.entries.T
+        mean_row = gamma.mean_row
+    return block, mean_row
 
 
 def assemble_steady(spec: BvpSpec, basis: Basis):
     """(A, fc, f0): dense even-mode system A u = fc plus the row-0 data."""
-    A, _ = _steady_matrix(spec, basis)
+    A, _ = _mode_block(spec, basis, "even")
     f0, fc = forcing_projection(spec, basis)
     return A, fc, f0
 
@@ -257,11 +257,14 @@ def solve_steady(spec: BvpSpec, basis: Basis) -> SteadySolution:
         raise ValueError("basis must carry at least one mode")
     if spec.a4 == 0.0 and spec.a2 == 0.0:
         return _solve_diagonal(spec, basis)
-    A, gamma0 = _steady_matrix(spec, basis)
     f0, fc = forcing_projection(spec, basis)
+    # With a4 = 0 the constant-mode balance needs no mode coefficients, so an
+    # unsatisfiable one fails before the dense solve.
+    u0c = _u0c_from_row0(spec, f0, 0.0) if spec.a4 == 0.0 else None
+    A, gamma0 = _mode_block(spec, basis, "even")
     uc_body, record = _solve_dense(spec, A, fc)
-    corr = spec.a4 * float(gamma0 @ uc_body) if gamma0 is not None else 0.0
-    u0c = _u0c_from_row0(spec, f0, corr)
+    if u0c is None:
+        u0c = _u0c_from_row0(spec, f0, spec.a4 * float(gamma0 @ uc_body))
     uc = np.concatenate(([0.0], uc_body))
     return SteadySolution(basis=basis, u0c=u0c, uc=uc,
                           us=np.zeros(basis.M + 1), record=record)
@@ -311,22 +314,13 @@ def assemble_semi_discrete(basis: Basis, B: float = 0.0, T: float = 0.0,
     """
     B, T, reaction = float(B), float(T), float(reaction)
     M = basis.M
+    spec = BvpSpec(a6=1.0, a4=-T, a2=B, a0=reaction)
     A_even = np.zeros((M + 1, M + 1))
     A_even[0, 0] = reaction
-    diag_even = reaction - basis.lam_even[1:] ** 6
-    block = np.diag(diag_even)
-    if B != 0.0:
-        block = block + B * operator_matrix(basis, "even", "second_derivative").entries.T
-    if T != 0.0:
-        gamma_even = operator_matrix(basis, "even", "fourth_derivative")
-        block = block - T * gamma_even.entries.T
-        A_even[0, 1:] = -T * gamma_even.mean_row
-    A_even[1:, 1:] = block
-    A_odd = np.diag(reaction - basis.lam_odd[1:] ** 6)
-    if B != 0.0:
-        A_odd = A_odd + B * operator_matrix(basis, "odd", "second_derivative").entries.T
-    if T != 0.0:
-        A_odd = A_odd - T * operator_matrix(basis, "odd", "fourth_derivative").entries.T
+    A_even[1:, 1:], mean_row = _mode_block(spec, basis, "even")
+    if mean_row is not None:
+        A_even[0, 1:] = spec.a4 * mean_row
+    A_odd, _ = _mode_block(spec, basis, "odd")
     if forcing is None:
         f_even = np.zeros(M + 1)
         f_odd = np.zeros(M)
@@ -358,15 +352,14 @@ def model_ii_semi_discrete(basis: Basis, B: float = MODEL_II.a2, T: float = 0.0,
 
 
 def evolve(system: SemiDiscreteSystem, initial: CoefficientSet, dt: float,
-           steps: int, theta: float = 0.5) -> list:
+           steps: int, theta: float = 0.5) -> CoefficientSet:
     """Integrate the semi-discrete system by the theta scheme.
 
-    Applies (I - theta dt A) u^{k+1} = (I + (1-theta) dt A) u^k + dt f with
-    a single LU factorization per parity block.  Returns the trajectory as a
-    list of steps + 1 coefficient sets (initial state included).
+    (I - theta dt A) u^{k+1} = (I + (1-theta) dt A) u^k + dt f is solved once
+    per parity block for the step map u <- P u + g.  Returns the trajectory as
+    one coefficient set with a leading step axis of length steps + 1 (initial
+    state included): ``u0c[k]``, ``uc[k]``, ``us[k]``.
     """
-    import scipy.linalg  # here, so commands that never solve skip its import
-
     if not (dt > 0.0) or not math.isfinite(dt):
         raise ValueError(f"dt must be positive and finite, got {dt!r}")
     if not isinstance(steps, (int, np.integer)) or steps < 0:
@@ -377,33 +370,38 @@ def evolve(system: SemiDiscreteSystem, initial: CoefficientSet, dt: float,
     if initial.basis.M != basis.M or not np.array_equal(
             initial.basis.lam_even, basis.lam_even):
         raise ValueError("initial coefficients built for a different basis")
-    u_even = np.concatenate(([initial.u0c], initial.uc[1:]))
-    u_odd = initial.us[1:].copy()
-    traj = [initial]
-    if steps == 0:
-        return traj
-    dt, theta = float(dt), float(theta)
-    n_even = basis.M + 1
-    n_odd = basis.M
-    lhs_even = np.eye(n_even) - theta * dt * system.A_even
-    lhs_odd = np.eye(n_odd) - theta * dt * system.A_odd
-    rhs_even = np.eye(n_even) + (1.0 - theta) * dt * system.A_even
-    rhs_odd = np.eye(n_odd) + (1.0 - theta) * dt * system.A_odd
-    lu_even = scipy.linalg.lu_factor(lhs_even)
-    lu_odd = scipy.linalg.lu_factor(lhs_odd)
-    scale0 = 1.0 + max(float(np.max(np.abs(u_even))),
-                       float(np.max(np.abs(u_odd), initial=0.0)))
-    for _ in range(int(steps)):
-        u_even = scipy.linalg.lu_solve(lu_even, rhs_even @ u_even + dt * system.f_even)
-        u_odd = scipy.linalg.lu_solve(lu_odd, rhs_odd @ u_odd + dt * system.f_odd)
-        norm = max(float(np.max(np.abs(u_even))),
-                   float(np.max(np.abs(u_odd), initial=0.0)))
+    if np.ndim(initial.u0c) != 0:
+        raise ValueError("initial coefficients must be a single state")
+    dt, theta, steps = float(dt), float(theta), int(steps)
+    # Column 0 of the even stack holds u0c (A_even's constant mode) until the end.
+    even = np.zeros((steps + 1, basis.M + 1))
+    odd = np.zeros((steps + 1, basis.M + 1))
+    even[0, 0], even[0, 1:] = initial.u0c, initial.uc[1:]
+    odd[0, 1:] = initial.us[1:]
+    # (P, g, stack) per parity.  One solve gives [P | g]; its operands are
+    # built in place, because transient M x M copies set a run's peak memory.
+    maps = []
+    for A, f, u in ((system.A_even, system.f_even, even),
+                    (system.A_odd, system.f_odd, odd[:, 1:])) if steps else ():
+        n, d = len(f), np.arange(len(f))
+        lhs = (-theta * dt) * A  # I - theta dt A
+        lhs[d, d] += 1.0
+        rhs = np.empty((n, n + 1))  # [I + (1 - theta) dt A | dt f]
+        np.multiply((1.0 - theta) * dt, A, out=rhs[:, :n])
+        rhs[d, d] += 1.0
+        rhs[:, n] = dt * f
+        Pg = np.linalg.solve(lhs, rhs)
+        maps.append((Pg[:, :-1], Pg[:, -1], u))
+    scale0 = 1.0 + max(float(np.max(np.abs(even[0]))), float(np.max(np.abs(odd[0]))))
+    for k in range(steps):
+        for P, g, u in maps:
+            np.matmul(P, u[k], out=u[k + 1])
+            u[k + 1] += g
+        norm = float(max(np.max(np.abs(even[k + 1])), np.max(np.abs(odd[k + 1]))))
         if not math.isfinite(norm) or norm > 1e12 * scale0:
             raise ArithmeticError(
                 f"time integration diverged (state norm {norm:.3e}); "
                 "reduce dt or use theta >= 1/2")
-        traj.append(CoefficientSet(
-            basis=basis, u0c=float(u_even[0]),
-            uc=np.concatenate(([0.0], u_even[1:])),
-            us=np.concatenate(([0.0], u_odd))))
-    return traj
+    u0c = even[:, 0].copy()
+    even[:, 0] = 0.0
+    return CoefficientSet(basis=basis, u0c=u0c, uc=even, us=odd)

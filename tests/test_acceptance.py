@@ -189,7 +189,7 @@ def test_criterion_9_time_integration(basis100):
         traj = gk.evolve(sys_, init, dt, steps, theta)
         g = (1.0 - (1.0 - theta) * dt * lam1 ** 6) / (1.0 + theta * dt * lam1 ** 6)
         worst_factor = max(worst_factor,
-                           abs(traj[-1].uc[1] - g ** steps) / abs(g) ** steps)
+                           abs(traj.uc[-1, 1] - g ** steps) / abs(g) ** steps)
     # (b) Crank-Nicolson converges at O(dt^2) to the exact decay
     t_final = 2.0 / lam1 ** 6
     exact = float(np.exp(-lam1 ** 6 * t_final))
@@ -199,7 +199,7 @@ def test_criterion_9_time_integration(basis100):
         uc[1] = 1.0
         init = cf.CoefficientSet(basis=basis, u0c=0.0, uc=uc, us=np.zeros(21))
         traj = gk.evolve(sys_, init, t_final / steps, steps, 0.5)
-        errs.append(abs(traj[-1].uc[1] - exact))
+        errs.append(abs(traj.uc[-1, 1] - exact))
     ratios = (errs[0] / errs[1], errs[1] / errs[2])
     second_order = all(abs(r - 4.0) < 0.8 for r in ratios)
     # (c) the forced model-II system relaxes to the steady Galerkin solution
@@ -207,10 +207,9 @@ def test_criterion_9_time_integration(basis100):
     traj = gk.evolve(sys2, cf.CoefficientSet.zeros(basis100),
                      dt=1e-4, steps=200, theta=1.0)
     steady = gk.solve_steady(gk.MODEL_II, basis100)
-    final = traj[-1]
-    dev = max(abs(final.u0c - steady.u0c),
-              float(np.max(np.abs(final.uc - steady.uc))),
-              float(np.max(np.abs(final.us - steady.us))))
+    dev = max(abs(traj.u0c[-1] - steady.u0c),
+              float(np.max(np.abs(traj.uc[-1] - steady.uc))),
+              float(np.max(np.abs(traj.us[-1] - steady.us))))
     ok = worst_factor < 1e-14 and second_order and dev < 1e-8
     _report(9, ok, f"decay factor deviation {worst_factor:.2e} < 1e-14; "
                    f"Crank-Nicolson dt-halving ratios {ratios[0]:.2f}, "

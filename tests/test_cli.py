@@ -12,6 +12,7 @@ import pytest
 
 import frozen_reference as ref
 from sixbeam.cli import main
+from sixbeam import coefficients as cf
 from sixbeam import galerkin as gk
 from sixbeam import oracle as oc
 from sixbeam.eigenbasis import build_basis
@@ -245,6 +246,30 @@ def test_evolve_trajectory_shape(tmp_path, capsys):
     assert float(first[2]) == 1.0  # initial amplitude to the requested mode
 
 
+def test_evolve_sample_columns_equal_single_state_synthesis(tmp_path, capsys):
+    stem = str(tmp_path / "odd")
+    code, _, _ = run(capsys, ["evolve", "--M", "10", "--initial", "odd:2:0.5",
+                              "--dt", "1e-5", "--steps", "6", "--out", stem])
+    assert code == 0
+    lines = (tmp_path / "odd.trajectory.csv").read_text().strip().split("\n")
+    header = lines[0].split(",")
+    table = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+    cols = [header.index(f"u_at_{x:g}") for x in (-0.5, 0.0, 0.5)]
+    basis = build_basis(10)
+    us = np.zeros(11)
+    us[2] = 0.5
+    traj = gk.evolve(gk.assemble_semi_discrete(basis),
+                     cf.CoefficientSet(basis=basis, u0c=0.0, uc=np.zeros(11), us=us),
+                     dt=1e-5, steps=6)
+    assert len(table) == len(traj.us) == 7
+    for k, row in enumerate(table):
+        state = cf.CoefficientSet(basis=basis, u0c=float(traj.u0c[k]),
+                                  uc=traj.uc[k], us=traj.us[k])
+        np.testing.assert_allclose(row[cols], cf.synthesize(state, [-0.5, 0.0, 0.5]),
+                                   rtol=1e-14, atol=1e-16)
+    assert np.max(np.abs(table[:, cols[1]])) < 1e-15  # odd modes vanish at x = 0
+
+
 def test_evolve_reaches_steady_state_of_forced_system(capsys):
     code, out, _ = run(capsys, ["evolve", "--M", "60", "--forcing", "model-II",
                                 "--theta", "1", "--dt", "1e-4",
@@ -356,6 +381,7 @@ import sys
 from sixbeam.cli import main
 assert main(["eigenvalues", "--m-max", "6", "--out", {str(tmp_path / "e")!r}]) == 0
 assert main(["verify", "--max-index", "2", "--out", {str(tmp_path / "v")!r}]) == 0
+assert main(["evolve", "--initial", "odd:2", "--out", {str(tmp_path / "ev")!r}]) == 0
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
     src = str(Path(__file__).resolve().parents[1] / "src")

@@ -236,6 +236,39 @@ def test_coefficient_set_rejects_nonzero_slot_zero(basis60):
         cf.CoefficientSet(basis=basis60, u0c=0.0, uc=bad, us=np.zeros(61))
 
 
+def test_stacked_set_synthesizes_each_state(projected, basis60):
+    odd = np.zeros(61)
+    odd[3] = 0.25
+    states = [projected,
+              cf.CoefficientSet(basis=basis60, u0c=0.0, uc=np.zeros(61), us=odd),
+              cf.CoefficientSet(basis=basis60, u0c=-1.0, uc=2.0 * projected.uc, us=odd)]
+    stack = cf.CoefficientSet(basis=basis60,
+                              u0c=np.array([s.u0c for s in states]),
+                              uc=np.stack([s.uc for s in states]),
+                              us=np.stack([s.us for s in states]))
+    xs = np.linspace(-1.0, 1.0, 7)
+    for k in (0, 2):
+        vals = cf.synthesize(stack, xs, k=k)
+        assert vals.shape == (3, 7)
+        for row, state in zip(vals, states):
+            np.testing.assert_allclose(row, cf.synthesize(state, xs, k=k),
+                                       rtol=1e-13, atol=1e-12)
+    at = cf.synthesize(stack, 0.25)
+    assert at.shape == (3,)
+    assert at[1] == pytest.approx(cf.synthesize(states[1], 0.25), rel=1e-13)
+
+
+def test_stacked_set_validation(basis60):
+    with pytest.raises(ValueError):  # uc/us must carry u0c's leading axes
+        cf.CoefficientSet(basis=basis60, u0c=np.zeros(2),
+                          uc=np.zeros(61), us=np.zeros(61))
+    bad = np.zeros((2, 61))
+    bad[1, 0] = 1.0
+    with pytest.raises(ValueError):  # slot 0 is checked in every state
+        cf.CoefficientSet(basis=basis60, u0c=np.zeros(2),
+                          uc=np.zeros((2, 61)), us=bad)
+
+
 def test_constant_only_series(basis60):
     only_mean = cf.CoefficientSet(basis=basis60, u0c=3.0,
                                   uc=np.zeros(61), us=np.zeros(61))

@@ -141,6 +141,16 @@ def test_lu_paths_record_their_reason(basis30):
     assert sol.record == {"used": False, "reason": "not definite"}
 
 
+def test_unsatisfiable_constant_mode_balance_fails_before_the_dense_solve():
+    # a0 = 0 with a nonzero forcing mean has no steady state; with a4 = 0 the
+    # balance is known before assembly, so no factorization (and none of its
+    # fallback warnings) runs first.
+    spec = gk.BvpSpec(a6=1.0, a4=0.0, a2=-5544.0, a0=0.0,
+                      forcing=gk.MODEL_II.forcing)
+    with pytest.raises(ArithmeticError, match="constant-mode balance"):
+        gk.solve_steady(spec, build_basis(10))
+
+
 def test_indefinite_system_falls_back_with_warning(basis30):
     # A reaction term large enough to flip some diagonal signs makes the
     # matrix indefinite; the solver must warn and use a pivoted factorization.
@@ -258,6 +268,9 @@ def test_evolve_validation(basis30):
     other = cf.CoefficientSet.zeros(build_basis(5))
     with pytest.raises(ValueError):
         gk.evolve(sys_, other, dt=1e-3, steps=1)
+    stacked = gk.evolve(sys_, z, dt=1e-3, steps=2)
+    with pytest.raises(ValueError):
+        gk.evolve(sys_, stacked, dt=1e-3, steps=1)
 
 
 def test_evolve_zero_steps_echoes_initial(basis30):
@@ -266,8 +279,8 @@ def test_evolve_zero_steps_echoes_initial(basis30):
     uc[2] = 0.7
     init = cf.CoefficientSet(basis=basis30, u0c=0.0, uc=uc, us=np.zeros(31))
     traj = gk.evolve(sys_, init, dt=1e-3, steps=0)
-    assert len(traj) == 1
-    np.testing.assert_array_equal(traj[0].uc, uc)
+    assert len(traj.uc) == 1
+    np.testing.assert_array_equal(traj.uc[0], uc)
 
 
 def test_theta_scheme_exact_decay_factor(basis30):
@@ -283,7 +296,7 @@ def test_theta_scheme_exact_decay_factor(basis30):
         traj = gk.evolve(sys_, init, dt, steps, theta)
         g = (1.0 - (1.0 - theta) * dt * lam1 ** 6) / (1.0 + theta * dt * lam1 ** 6)
         expected = g ** steps
-        assert traj[-1].uc[1] == pytest.approx(expected, rel=1e-13)
+        assert traj.uc[-1, 1] == pytest.approx(expected, rel=1e-13)
 
 
 def test_no_cross_mode_coupling_without_gradient_terms(basis30):
@@ -292,12 +305,11 @@ def test_no_cross_mode_coupling_without_gradient_terms(basis30):
     uc[4] = 1.0
     init = cf.CoefficientSet(basis=basis30, u0c=0.0, uc=uc, us=np.zeros(31))
     traj = gk.evolve(sys_, init, 1e-5, 10, 0.5)
-    final = traj[-1]
-    assert final.u0c == 0.0
-    assert np.max(np.abs(final.us)) == 0.0
+    assert traj.u0c[-1] == 0.0
+    assert np.max(np.abs(traj.us[-1])) == 0.0
     mask = np.ones(31, dtype=bool)
     mask[4] = False
-    assert np.max(np.abs(final.uc[mask])) == 0.0
+    assert np.max(np.abs(traj.uc[-1][mask])) == 0.0
 
 
 def test_crank_nicolson_is_second_order(basis30):
@@ -313,7 +325,7 @@ def test_crank_nicolson_is_second_order(basis30):
         uc[1] = 1.0
         init = cf.CoefficientSet(basis=basis30, u0c=0.0, uc=uc, us=np.zeros(31))
         traj = gk.evolve(sys_, init, t_final / steps, steps, 0.5)
-        errors.append(abs(traj[-1].uc[1] - exact))
+        errors.append(abs(traj.uc[-1, 1] - exact))
     assert errors[0] / errors[1] == pytest.approx(4.0, rel=0.2)
     assert errors[1] / errors[2] == pytest.approx(4.0, rel=0.2)
 
@@ -325,9 +337,8 @@ def test_forced_evolution_converges_to_steady_solution(basis60):
     init = cf.CoefficientSet.zeros(basis60)
     traj = gk.evolve(sys_, init, dt=1e-4, steps=200, theta=1.0)
     steady = gk.solve_steady(gk.MODEL_II, basis60)
-    final = traj[-1]
-    dev = max(abs(final.u0c - steady.u0c), np.max(np.abs(final.uc - steady.uc)),
-              np.max(np.abs(final.us - steady.us)))
+    dev = max(abs(traj.u0c[-1] - steady.u0c), np.max(np.abs(traj.uc[-1] - steady.uc)),
+              np.max(np.abs(traj.us[-1] - steady.us)))
     assert dev < 1e-8
 
 
@@ -338,9 +349,37 @@ def test_steady_state_is_scheme_fixed_point(basis30):
     steady = gk.solve_steady(gk.MODEL_II, basis30)
     for theta in (0.0, 0.5, 1.0):
         traj = gk.evolve(sys_, steady, dt=1e-5, steps=1, theta=theta)
-        final = traj[-1]
-        assert abs(final.u0c - steady.u0c) < 1e-12
-        assert np.max(np.abs(final.uc - steady.uc)) < 1e-12
+        assert abs(traj.u0c[-1] - steady.u0c) < 1e-12
+        assert np.max(np.abs(traj.uc[-1] - steady.uc)) < 1e-12
+
+
+@pytest.mark.parametrize("theta", [0.5, 1.0])
+def test_evolve_matches_step_by_step_solves_for_a_coupled_forced_system(basis30, theta):
+    # B, T and reaction all nonzero: both blocks are dense and nonsymmetric,
+    # the constant mode couples to the even modes, and the forcing is model II's.
+    sys_ = gk.model_ii_semi_discrete(basis30, B=-300.0, T=20.0, reaction=-5000.0)
+    assert not np.array_equal(sys_.A_odd, sys_.A_odd.T)
+    rng = np.random.default_rng(3)
+    decay = np.arange(1, 31) ** 2.0
+    uc = np.concatenate(([0.0], rng.standard_normal(30) / decay))
+    us = np.concatenate(([0.0], rng.standard_normal(30) / decay))
+    init = cf.CoefficientSet(basis=basis30, u0c=0.4, uc=uc, us=us)
+    dt, steps = 1e-4, 50
+    traj = gk.evolve(sys_, init, dt, steps, theta)
+    assert traj.u0c.shape == (steps + 1,)
+    assert traj.uc.shape == traj.us.shape == (steps + 1, 31)
+    for A, f, u, got in (
+            (sys_.A_even, sys_.f_even, np.concatenate(([0.4], uc[1:])),
+             np.column_stack((traj.u0c, traj.uc[:, 1:]))),
+            (sys_.A_odd, sys_.f_odd, us[1:], traj.us[:, 1:])):
+        eye = np.eye(len(f))
+        lhs, rhs = eye - theta * dt * A, eye + (1.0 - theta) * dt * A
+        ref = [u]
+        for _ in range(steps):
+            u = np.linalg.solve(lhs, rhs @ u + dt * f)
+            ref.append(u)
+        ref = np.array(ref)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_unstable_integration_aborts(basis30):
@@ -384,7 +423,7 @@ def test_decay_factor_property(m, theta, steps):
     init = cf.CoefficientSet(basis=_B20, u0c=0.0, uc=uc, us=np.zeros(21))
     traj = gk.evolve(_SYS20, init, dt, steps, theta)
     g = (1.0 - (1.0 - theta) * dt * lam ** 6) / (1.0 + theta * dt * lam ** 6)
-    assert traj[-1].uc[m] == pytest.approx(g ** steps, rel=1e-12, abs=1e-300)
+    assert traj.uc[-1, m] == pytest.approx(g ** steps, rel=1e-12, abs=1e-300)
 
 
 @settings(max_examples=30, deadline=None)
