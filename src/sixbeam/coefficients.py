@@ -502,13 +502,13 @@ def project(f, basis: Basis, tol: float = 1e-12) -> CoefficientSet:
         raise ValueError(f"tol must be >= 1e-14, got {tol!r}")
     lam_max = max(float(basis.lam_even[basis.M]), float(basis.lam_odd[basis.M]))
     panels = max(8, int(math.ceil(4.0 * lam_max / math.pi)))
-    prev = _projection_at(f, basis, oracle.make_rule(panels, tol))
+    prev = _projection_at(f, basis, oracle.make_rule(panels))
     eps_floor = 500.0 * np.finfo(float).eps
     for _ in range(8):
         panels *= 2
         if panels * oracle.PANEL_ORDER > 4_000_000:
             break
-        cur = _projection_at(f, basis, oracle.make_rule(panels, tol))
+        cur = _projection_at(f, basis, oracle.make_rule(panels))
         floor = eps_floor * max(1.0, cur[3])
         ok0 = abs(cur[0] - prev[0]) < tol * max(1.0, abs(cur[0])) + floor
         okc = bool(np.all(np.abs(cur[1] - prev[1])

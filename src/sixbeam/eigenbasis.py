@@ -89,12 +89,7 @@ def characteristic_residual(parity, lam):
     The raw relations are divided through by cosh(sqrt(3)*lam), keeping every
     term O(1) for arbitrarily large lam.  Vectorized over lam.
     """
-    parity = _parity(parity)
-    lam = np.asarray(lam, dtype=float)
-    sech, tanh = _sech_tanh(SQRT3 * lam)
-    if parity is Parity.EVEN:
-        return np.cos(2.0 * lam) * sech + SQRT3 * np.sin(lam) * tanh - np.cos(lam)
-    return np.sin(2.0 * lam) * sech + SQRT3 * np.cos(lam) * tanh + np.sin(lam)
+    return _residual_and_derivative(_parity(parity), lam)[0]
 
 
 def _residual_and_derivative(parity, lam):
@@ -117,6 +112,26 @@ def _residual_gate(lam):
     # Hard 1e-12 is unattainable near the double-precision rounding floor of
     # lam itself once lam ~ 5e3 (half an ulp of lam maps to ~eps*lam residual).
     return np.maximum(1e-12, 50.0 * _EPS * np.abs(lam))
+
+
+def _gated(parity: Parity, ms, lam):
+    """|residual| at roots lam of modes ms (scalars or arrays), gated."""
+    res = np.abs(characteristic_residual(parity, lam))
+    over = res - _residual_gate(lam)
+    if (over > 0.0).any():
+        m, lam, r = (np.ravel(v)[np.argmax(over)] for v in (ms, lam, res))
+        raise ArithmeticError(
+            f"eigenvalue solve did not meet residual gate: parity={parity.value} "
+            f"m={m} lam={float(lam)!r} residual={r:.3e}")
+    return res
+
+
+def _polish(parity: Parity, ms):
+    """Modes ms >= 7: one Newton step from the asymptotic guess, gated."""
+    guess = (ms + (1.0 / 6.0 if parity is Parity.EVEN else -1.0 / 3.0)) * np.pi
+    r, dr = _residual_and_derivative(parity, guess)
+    lam = guess - r / dr
+    return lam, _gated(parity, ms, lam)
 
 
 def _solve_bracketed(parity, m: int) -> float:
@@ -176,17 +191,11 @@ def solve_eigenvalue(parity, m: int) -> Eigenvalue:
             return Eigenvalue(Parity.EVEN, 0, 0.0, 0.0)
         raise ValueError("the odd family has no m = 0 mode")
     if m >= 7:
-        guess = eigenvalue_asymptotic(parity, m)
-        r, dr = _residual_and_derivative(parity, guess)
-        lam = float(guess - r / dr)
+        lam, res = _polish(parity, m)
     else:
         lam = _solve_bracketed(parity, m)
-    res = abs(float(characteristic_residual(parity, lam)))
-    if res > _residual_gate(lam):
-        raise ArithmeticError(
-            f"eigenvalue solve did not meet residual gate: parity={parity.value} "
-            f"m={m} lam={lam!r} residual={res:.3e}")
-    return Eigenvalue(parity, int(m), lam, res)
+        res = _gated(parity, m, lam)
+    return Eigenvalue(parity, int(m), float(lam), float(res))
 
 
 # ---------------------------------------------------------------------------
@@ -255,16 +264,7 @@ def _solve_family(parity: Parity, M: int):
         ev = solve_eigenvalue(parity, m)
         lam[m], res[m] = ev.lam, ev.residual
     if M >= 7:
-        ms = np.arange(7, M + 1)
-        guess = (ms + (1.0 / 6.0 if parity is Parity.EVEN else -1.0 / 3.0)) * np.pi
-        r, dr = _residual_and_derivative(parity, guess)
-        roots = guess - r / dr
-        lam[7:] = roots
-        res[7:] = np.abs(characteristic_residual(parity, roots))
-        gates = _residual_gate(roots)
-        if np.any(res[7:] > gates):
-            bad = int(ms[np.argmax(res[7:] - gates)])
-            raise ArithmeticError(f"residual gate failed at {parity.value} m={bad}")
+        lam[7:], res[7:] = _polish(parity, np.arange(7, M + 1))
     return lam, res
 
 

@@ -68,7 +68,6 @@ class QuadratureRule:
     panels: int
     nodes: np.ndarray
     weights: np.ndarray
-    tol: float
 
 
 @lru_cache(maxsize=4)
@@ -77,7 +76,7 @@ def _gauss_legendre(order: int):
     return x, w
 
 
-def make_rule(panels: int, tol: float = 1e-12) -> QuadratureRule:
+def make_rule(panels: int) -> QuadratureRule:
     """Build a composite rule and verify its basic integration invariants."""
     if not isinstance(panels, (int, np.integer)) or panels < 1:
         raise ValueError(f"panel count must be a positive integer, got {panels!r}")
@@ -97,7 +96,7 @@ def make_rule(panels: int, tol: float = 1e-12) -> QuadratureRule:
     hi = math.fsum(weights * nodes ** PANEL_ORDER)
     if abs(hi - 2.0 / (PANEL_ORDER + 1)) > 1e-14 * (2.0 / (PANEL_ORDER + 1)):
         raise ArithmeticError("quadrature rule failed polynomial exactness check")
-    return QuadratureRule(panels=int(panels), nodes=nodes, weights=weights, tol=tol)
+    return QuadratureRule(panels=int(panels), nodes=nodes, weights=weights)
 
 
 def integrate(f: Callable[[np.ndarray], np.ndarray], rule: QuadratureRule) -> float:
@@ -121,7 +120,7 @@ def inner_product(f, g, tol: float = 1e-12, lam_hint: float = 0.0) -> float:
         raise ValueError(f"tol must be >= 1e-14, got {tol!r}")
     panels = _initial_panels(lam_hint)
     prev = integrate(lambda x: np.asarray(f(x), float) * np.asarray(g(x), float),
-                     make_rule(panels, tol))
+                     make_rule(panels))
     while True:
         panels *= 2
         if panels * PANEL_ORDER > _MAX_POINTS:
@@ -129,7 +128,7 @@ def inner_product(f, g, tol: float = 1e-12, lam_hint: float = 0.0) -> float:
                 f"quadrature did not converge to tol={tol:g} within "
                 f"{_MAX_POINTS} nodes")
         cur = integrate(lambda x: np.asarray(f(x), float) * np.asarray(g(x), float),
-                        make_rule(panels, tol))
+                        make_rule(panels))
         if abs(cur - prev) < tol * max(1.0, abs(cur)):
             return cur
         prev = cur
@@ -239,10 +238,10 @@ def _shared_grid(basis: Basis, parity: Parity, n_max: int, tol: float,
                   float(np.nanmax(basis.lam_odd[1:n_max + 1]))
                   if n_max >= 1 else 0.0)
     panels = _initial_panels(lam_max)
-    rule = make_rule(panels, tol)
+    rule = make_rule(panels)
     blocks = {k: _reference_block(basis, parity, n_max, rule.nodes, k) for k in ks}
     for _ in range(max_doublings):
-        fine = make_rule(2 * rule.panels, tol)
+        fine = make_rule(2 * rule.panels)
         fine_blocks = {k: _reference_block(basis, parity, n_max, fine.nodes, k)
                        for k in ks}
         yield (rule, blocks), (fine, fine_blocks)

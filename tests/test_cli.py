@@ -375,6 +375,68 @@ def test_config_file_errors(tmp_path, capsys):
     assert run(capsys, ["solve", "--config", str(tmp_path / "absent.json")])[0] == 1
 
 
+def write_config(tmp_path, doc) -> str:
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_config_null_leaves_the_default(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"model": "II", "M": None})
+    code, out, _ = run(capsys, ["solve", "--config", cfg])
+    assert code == 0
+    assert json.loads(out)["M"] == 100
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("solve", {"model": "I", "M": 30.7}),       # not an integer
+    ("solve", {"model": "I", "max_index": 3}),  # verify's flag, not solve's
+    ("solve", {"model": "I", "config": "other.json"}),
+    ("solve", {"model": "I", "samples": "many"}),
+    ("solve", {"model": "I", "M": True}),
+    ("solve", {"model": "III"}),
+    ("solve", {"model": "I", "samples": 1}),
+    ("eigenvalues", {"parity": "sideways"}),
+    ("verify", {"max_index": 51}),
+    ("evolve", {"theta": [0.5]}),
+    ("evolve", {"forcing": "model-I"}),
+])
+def test_bad_config_values_exit_1(tmp_path, capsys, command, doc):
+    code, _, err = run(capsys, [command, "--config", write_config(tmp_path, doc)])
+    assert code == 1
+    assert err.strip() != ""
+
+
+@pytest.mark.parametrize("argv, key, value", [
+    (["eigenvalues", "--M", "5"], "m_max", 3),
+    (["eigenvalues", "--M", "5"], "parity", "odd"),
+    (["solve", "--model", "I", "--M", "20"], "samples", 7),
+    (["solve", "--a6", "1", "--a0", "100", "--forcing", "2:1", "--M", "20"],
+     "a2", 3.5),
+    (["verify"], "max_index", 2),
+    (["evolve", "--M", "10", "--initial", "odd:2", "--steps", "5"], "theta", 0.75),
+    (["evolve", "--M", "10", "--forcing", "model-II", "--theta", "1",
+      "--steps", "5"], "B", 2500.0),
+])
+def test_config_value_equals_flag(tmp_path, capsys, argv, key, value):
+    flag = f"--{key.replace('_', '-')}"
+    cfg = write_config(tmp_path, {key: value})
+    summaries = []
+    for stem, extra in (("flag", [flag, str(value)]), ("file", ["--config", cfg])):
+        code, _, err = run(capsys, argv + extra + ["--out", str(tmp_path / stem)])
+        assert code == 0, err
+        summary = json.loads((tmp_path / f"{stem}.summary.json").read_text())
+        summary.pop("timings_ms")
+        summary.pop("files")
+        summaries.append(summary)
+    assert summaries[0] == summaries[1]
+
+
+def test_abbreviated_flags_are_rejected(capsys):
+    code, _, err = run(capsys, ["solve", "--model", "I", "--sam", "5"])
+    assert code == 1 and err.strip() != ""
+
+
 def test_eigenvalues_and_verify_do_not_import_scipy(tmp_path):
     code = f"""
 import sys
