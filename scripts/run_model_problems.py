@@ -4,7 +4,8 @@
 Both models share the exact solution u(x) = (x^2 - 1)^6, so the script
 reports the max pointwise error on a uniform grid, the achieved accuracy
 tier, the mean-mode coefficient (exactly 2048/3003), and for the dense model
-the LDL^T pivot range from the solver's own record.
+the solver's own record: the LDL^T pivot range, or above the PCG crossover
+the iteration count, residual and condition estimate.
 """
 
 import argparse
@@ -48,6 +49,10 @@ def main() -> int:
             print(f"  LDL^T pivots         [{rec['pivot_min']:.3e}, "
                   f"{rec['pivot_max']:.3e}]  all negative: "
                   f"{rec['pivots_all_negative']}")
+        elif rec.get("path") == "pcg":
+            print(f"  Jacobi-PCG           {rec['iterations']} iterations, "
+                  f"residual {rec['residual']:.2e}, "
+                  f"cond estimate {rec['cond_estimate']:.4f}")
     return 0
 
 

@@ -206,14 +206,36 @@ def _gap6(a, b):
     return gap
 
 
+def _beta_generators(parity: Parity, lam, c, r):
+    """(g1, h1, g2, h2) with beta_nm = (g1_n h1_m - g2_n h2_m) / (lam_m^6 - lam_n^6).
+
+    Off its diagonal the beta table is Cauchy-like with displacement rank 2:
+    g1 = 6 c lam^3 t, h1 = c lam^4 r, g2 = 6 c lam^4 r, h2 = c lam^3 t, with
+    t = sin lam (even) or -cos lam (odd) and r the table's T/U ratio.
+    """
+    t = np.sin(lam) if parity is Parity.EVEN else -np.cos(lam)
+    c3 = c * lam ** 3
+    return 6.0 * c3 * t, c3 * lam * r, 6.0 * c3 * lam * r, c3 * t
+
+
 def _beta_offdiag(parity: Parity, ln, cn, rn, lm, cm, rm):
     """<psi_n'', psi_m> for n != m."""
-    pref = 6.0 * cn * cm * (lm * ln) ** 3 / _gap6(lm, ln)
-    if parity is Parity.EVEN:
-        bracket = lm * np.sin(ln) * rm - ln * np.sin(lm) * rn
-    else:
-        bracket = -lm * np.cos(ln) * rm + ln * np.cos(lm) * rn
-    return pref * bracket
+    g1, _, g2, _ = _beta_generators(parity, ln, cn, rn)
+    _, h1, _, h2 = _beta_generators(parity, lm, cm, rm)
+    return (g1 * h1 - g2 * h2) / _gap6(lm, ln)
+
+
+def _beta_cauchy(basis: Basis, parity):
+    """(lam^6, (g1, h1, g2, h2), diagonal): the beta table in O(M) numbers.
+
+    The full table is ``diag(diagonal)`` plus, off the diagonal,
+    (g1_n h1_m - g2_n h2_m) / (lam_m^6 - lam_n^6); see ``_beta_generators``.
+    """
+    parity = _parity(parity)
+    lam, c, q, e1 = _family(basis, parity)
+    r = _ratio("second_derivative", parity)(lam, q, e1)
+    return (lam ** 6, _beta_generators(parity, lam, c, r),
+            _beta_diagonal(parity, lam, c, q, e1))
 
 
 def _gamma_offdiag(parity: Parity, ln, cn, rn, lm, cm, rm):

@@ -31,7 +31,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .coefficients import CoefficientSet, chi_vector, operator_matrix
+from .coefficients import CoefficientSet, _beta_cauchy, chi_vector, operator_matrix
 from .eigenbasis import Basis
 
 __all__ = [
@@ -49,6 +49,16 @@ __all__ = [
 ]
 
 _RESONANCE_GUARD = 1e-6
+
+# Symmetric solves (a4 = 0) with more than this many modes run matrix-free
+# Jacobi-PCG instead of dense Cholesky.  PCG is already the faster one at
+# M = 200 (ladder in CHANGES.md); Cholesky keeps M <= 301, where its pivot
+# record is part of the documented output (criterion 4 prints it at M = 100).
+_PCG_CROSSOVER = 301
+_PCG_BLOCK = 256            # rows of the Cauchy kernel formed at a time
+_PCG_RTOL = 1e-15           # stop when ||r|| <= _PCG_RTOL ||f||
+_PCG_MAX_ITERATIONS = 100   # definite specs tried need 6-9 (condition ~1.5)
+_SUBSTITUTION_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -151,6 +161,8 @@ class SteadySolution(CoefficientSet):
 
     ``record`` is ``{"used": True, "pivots_all_negative", "pivot_min",
     "pivot_max"}`` when the Cholesky path ran (pivots of A = L diag(D) L^T),
+    ``{"used": False, "path": "pcg", "iterations", "residual",
+    "cond_estimate"}`` when the matrix-free Jacobi-PCG path ran,
     ``{"used": False, "reason": ...}`` when a dense LU solve ran, and
     ``{"used": False}`` for the diagonal path.
     """
@@ -219,38 +231,143 @@ def assemble_steady(spec: BvpSpec, basis: Basis):
     return A, fc, f0
 
 
-def _solve_dense(spec: BvpSpec, A: np.ndarray, fc: np.ndarray):
-    """(uc_body, record): Cholesky when a4 = 0, otherwise (or on failure) LU.
+def _cho_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x with L L^T x = b, by blocked forward then back substitution.
 
-    With a4 = 0 the matrix is symmetric and, for a well-posed spec, definite
-    with the sign of -a6, so Cholesky of s A (s = -sign a6) both solves the
-    system and tests definiteness; no pivot threshold is involved.
+    numpy has no triangular solve, so each diagonal block goes through
+    ``np.linalg.solve`` and the rest is one matrix-vector product per block.
     """
-    if spec.a4 != 0.0:
-        return np.linalg.solve(A, fc), {"used": False, "reason": "matrix not symmetric"}
-    import scipy.linalg  # here, so commands that never solve skip its import
+    x = np.array(b, dtype=float)
+    starts = range(0, len(x), _SUBSTITUTION_BLOCK)
+    for j in starts:
+        k = slice(j, j + _SUBSTITUTION_BLOCK)
+        x[k] = np.linalg.solve(L[k, k], x[k] - L[k, :j] @ x[:j])
+    for j in reversed(starts):
+        k, rest = slice(j, j + _SUBSTITUTION_BLOCK), slice(j + _SUBSTITUTION_BLOCK, None)
+        x[k] = np.linalg.solve(L[k, k].T, x[k] - L[rest, k].T @ x[rest])
+    return x
 
-    s = -math.copysign(1.0, spec.a6)
+
+def _solve_cholesky(s: float, A: np.ndarray, fc: np.ndarray):
+    """(u, record) from the Cholesky factor of s A, or None if s A is not definite."""
     try:
-        # (s A)^T is Fortran-ordered, so LAPACK factors it without a copy.
-        factor = scipy.linalg.cho_factor((s * A).T, overwrite_a=True)
+        L = np.linalg.cholesky(s * A)
     except np.linalg.LinAlgError:
-        warnings.warn("Cholesky factorization failed (matrix not definite); "
-                      "falling back to a pivoted dense solve",
-                      RuntimeWarning, stacklevel=3)
-        return np.linalg.solve(A, fc), {"used": False, "reason": "not definite"}
-    D = s * np.diag(factor[0]) ** 2
+        return None
+    D = s * np.diag(L) ** 2
     record = {"used": True, "pivots_all_negative": bool(np.all(D < 0.0)),
               "pivot_min": float(np.min(D)), "pivot_max": float(np.max(D))}
-    return s * scipy.linalg.cho_solve(factor, fc), record
+    return s * _cho_solve(L, fc), record
+
+
+def _symmetric_operator(spec: BvpSpec, basis: Basis):
+    """(d, matvec): the diagonal of A and v -> A v, for a4 = 0, without forming A.
+
+    Off the diagonal A = a2 Beta^T is Cauchy-like, so A v is
+    d v + a2 (h1 C(g1 v) - h2 C(g2 v)) with C[l, n] = 1/(lam_l^6 - lam_n^6)
+    (zero diagonal), applied a block of rows at a time in O(block M) memory.
+    """
+    lam6, (g1, h1, g2, h2), beta_diag = _beta_cauchy(basis, "even")
+    d = spec.a0 - spec.a6 * lam6 + spec.a2 * beta_diag
+    block = np.empty((min(_PCG_BLOCK, basis.M), basis.M))
+
+    def matvec(v):
+        w = np.stack((g1 * v, g2 * v), axis=1)
+        out = d * v
+        for j in range(0, basis.M, _PCG_BLOCK):
+            k = slice(j, j + _PCG_BLOCK)
+            C = np.subtract.outer(lam6[k], lam6, out=block[:len(lam6[k])])
+            rows = np.arange(len(C))
+            C[rows, j + rows] = np.inf  # 1/inf = 0: the diagonal is in d
+            Cw = np.reciprocal(C, out=C) @ w
+            out[k] += spec.a2 * (h1[k] * Cw[:, 0] - h2[k] * Cw[:, 1])
+        return out
+
+    return d, matvec
+
+
+def _solve_pcg(s: float, spec: BvpSpec, basis: Basis, fc: np.ndarray):
+    """(u, record) by Jacobi-preconditioned CG on s A u = s f, or None if s A
+    shows it is not definite (a diagonal entry, a breakdown p^T s A p <= 0, or
+    no convergence within the iteration cap).
+
+    ``cond_estimate`` is the ratio of the extreme Ritz values of the Lanczos
+    tridiagonal that the CG coefficients define (no extra matvec);
+    ``residual`` is the final ||A u - f|| / ||f||.
+    """
+    d, matvec = _symmetric_operator(spec, basis)
+    sd = s * d
+    if not np.all(sd > 0.0):
+        return None
+    u = np.zeros(basis.M)
+    fnorm = float(np.linalg.norm(fc))
+    if fnorm == 0.0:
+        return u, {"used": False, "path": "pcg", "iterations": 0,
+                   "residual": 0.0, "cond_estimate": None}
+    r = s * fc
+    z = r / sd
+    p, rz = z, float(r @ z)
+    alphas, betas = [], []
+    for _ in range(_PCG_MAX_ITERATIONS):
+        q = s * matvec(p)
+        pq = float(p @ q)
+        if not pq > 0.0:
+            return None
+        alphas.append(rz / pq)
+        u += alphas[-1] * p
+        r -= alphas[-1] * q
+        if np.linalg.norm(r) <= _PCG_RTOL * fnorm:
+            break
+        z = r / sd
+        rz, rz_old = float(r @ z), rz
+        betas.append(rz / rz_old)
+        p = z + betas[-1] * p
+    else:
+        return None
+    a, b = np.array(alphas), np.array(betas)
+    off = np.sqrt(b) / a[:-1]
+    lanczos = (np.diag(1.0 / a + np.concatenate(([0.0], b / a[:-1])))
+               + np.diag(off, 1) + np.diag(off, -1))
+    ritz = np.linalg.eigvalsh(lanczos)
+    residual = float(np.linalg.norm(matvec(u) - fc)) / fnorm
+    return u, {"used": False, "path": "pcg", "iterations": len(alphas),
+               "residual": residual, "cond_estimate": float(ritz[-1] / ritz[0])}
+
+
+def _solve_symmetric(spec: BvpSpec, basis: Basis, fc: np.ndarray):
+    """(uc_body, record) for a4 = 0.
+
+    The matrix is then symmetric and, for a well-posed spec, definite with
+    the sign of -a6, so with s = -sign a6 Cholesky of s A (up to the
+    crossover) or Jacobi-PCG on s A (above it) both solves the system and
+    tests definiteness; when that test fails a dense LU solve runs, with a
+    warning.
+    """
+    s = -math.copysign(1.0, spec.a6)
+    A = None
+    if basis.M > _PCG_CROSSOVER:
+        solved = _solve_pcg(s, spec, basis, fc)
+    else:
+        A, _ = _mode_block(spec, basis, "even")
+        solved = _solve_cholesky(s, A, fc)
+    if solved is not None:
+        return solved
+    method = "Jacobi-PCG" if A is None else "Cholesky factorization"
+    warnings.warn(f"{method} failed (matrix not definite); "
+                  "falling back to a pivoted dense solve",
+                  RuntimeWarning, stacklevel=3)
+    if A is None:
+        A, _ = _mode_block(spec, basis, "even")
+    return np.linalg.solve(A, fc), {"used": False, "reason": "not definite"}
 
 
 def solve_steady(spec: BvpSpec, basis: Basis) -> SteadySolution:
     """Solve the steady BVP by Galerkin projection onto the even modes.
 
-    The spec picks the path: a diagonal solve when a4 = a2 = 0, Cholesky
-    when a4 = 0 (falling back to LU, with a warning, if the matrix is not
-    definite), and LU when a4 != 0 (Gamma is genuinely asymmetric).  The
+    The spec picks the path: a diagonal solve when a4 = a2 = 0; when a4 = 0,
+    Cholesky up to ``_PCG_CROSSOVER`` modes and matrix-free Jacobi-PCG
+    above it (either falling back to LU, with a warning, if the matrix is not
+    definite); and LU when a4 != 0 (Gamma is genuinely asymmetric).  The
     result's ``record`` says which path ran.
     """
     if basis.M < 1:
@@ -258,13 +375,16 @@ def solve_steady(spec: BvpSpec, basis: Basis) -> SteadySolution:
     if spec.a4 == 0.0 and spec.a2 == 0.0:
         return _solve_diagonal(spec, basis)
     f0, fc = forcing_projection(spec, basis)
-    # With a4 = 0 the constant-mode balance needs no mode coefficients, so an
-    # unsatisfiable one fails before the dense solve.
-    u0c = _u0c_from_row0(spec, f0, 0.0) if spec.a4 == 0.0 else None
-    A, gamma0 = _mode_block(spec, basis, "even")
-    uc_body, record = _solve_dense(spec, A, fc)
-    if u0c is None:
+    if spec.a4 != 0.0:
+        A, gamma0 = _mode_block(spec, basis, "even")
+        uc_body = np.linalg.solve(A, fc)
+        record = {"used": False, "reason": "matrix not symmetric"}
         u0c = _u0c_from_row0(spec, f0, spec.a4 * float(gamma0 @ uc_body))
+    else:
+        # The constant-mode balance needs no mode coefficients here, so an
+        # unsatisfiable one fails before the mode solve.
+        u0c = _u0c_from_row0(spec, f0, 0.0)
+        uc_body, record = _solve_symmetric(spec, basis, fc)
     uc = np.concatenate(([0.0], uc_body))
     return SteadySolution(basis=basis, u0c=u0c, uc=uc,
                           us=np.zeros(basis.M + 1), record=record)

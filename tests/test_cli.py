@@ -114,6 +114,19 @@ def test_solve_summary_reports_the_path_the_solver_took(capsys):
                                        "reason": "matrix not symmetric"}
 
 
+def test_solve_summary_reports_the_pcg_record(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, ["solve", "--model", "II", "--M", "600"])
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    ldlt = doc["ldlt"]
+    assert set(ldlt) == {"used", "path", "iterations", "residual", "cond_estimate"}
+    assert ldlt["path"] == "pcg" and not ldlt["used"]
+    assert ldlt["iterations"] > 0 and ldlt["residual"] <= 1e-14
+    assert doc["error_tier"] == "stretch"
+
+
 def test_solve_outputs_are_byte_identical(tmp_path, capsys):
     stems = []
     for rep in (1, 2):
@@ -444,6 +457,12 @@ from sixbeam.cli import main
 assert main(["eigenvalues", "--m-max", "6", "--out", {str(tmp_path / "e")!r}]) == 0
 assert main(["verify", "--max-index", "2", "--out", {str(tmp_path / "v")!r}]) == 0
 assert main(["evolve", "--initial", "odd:2", "--out", {str(tmp_path / "ev")!r}]) == 0
+assert main(["solve", "--model", "II", "--M", "100", "--out", {str(tmp_path / "s1")!r}]) == 0
+assert main(["solve", "--model", "II", "--M", "600", "--out", {str(tmp_path / "s2")!r}]) == 0
+assert main(["solve", "--model", "II", "--a4", "10", "--M", "100",
+             "--out", {str(tmp_path / "s3")!r}]) == 0
+assert main(["evolve", "--forcing", "model-II", "--theta", "1", "--steps", "50",
+             "--out", {str(tmp_path / "ev2")!r}]) == 0
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
     src = str(Path(__file__).resolve().parents[1] / "src")

@@ -1,5 +1,6 @@
 """Steady Galerkin solves, their solver paths, and time stepping."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -11,7 +12,7 @@ import frozen_reference as ref
 from sixbeam import coefficients as cf
 from sixbeam import galerkin as gk
 from sixbeam import oracle as oc
-from sixbeam.eigenbasis import build_basis
+from sixbeam.eigenbasis import MAX_MODES, build_basis
 
 
 def _exact_solution(x):
@@ -180,6 +181,95 @@ def test_zero_mean_consistency_without_reaction(basis30):
     bad = gk.BvpSpec(a6=1.0, a4=0.0, a2=0.0, a0=0.0, forcing=((0, 1.0),))
     with pytest.raises(ArithmeticError):
         gk.solve_steady(bad, basis30)
+
+
+# ---------------------------------------------------------------------------
+# Matrix-free Jacobi-PCG (a4 = 0 above the crossover)
+# ---------------------------------------------------------------------------
+
+_ABOVE = gk._PCG_CROSSOVER + 1
+
+
+@pytest.mark.parametrize("M", [_ABOVE, 1000])
+@pytest.mark.parametrize("a2", [-5544.0, 3000.0])
+def test_matrix_free_matvec_matches_the_dense_block(M, a2):
+    basis = build_basis(M)
+    spec = gk.BvpSpec(a6=1.0, a4=0.0, a2=a2, a0=-199584.0)
+    A, _ = gk._mode_block(spec, basis, "even")
+    d, matvec = gk._symmetric_operator(spec, basis)
+    assert np.array_equal(d, np.diag(A))
+    rng = np.random.default_rng(M)
+    # A decaying vector (like a solution) and a flat one, where the
+    # diagonal dominates A v.
+    for v in (rng.standard_normal(M) / np.arange(1, M + 1) ** 4,
+              rng.standard_normal(M)):
+        ref = A @ v
+        assert np.linalg.norm(matvec(v) - ref) <= 1e-15 * np.linalg.norm(ref)
+
+
+def _random_definite_spec(rng):
+    # The ranges of the benchmark's random solves: definite for every draw.
+    return gk.BvpSpec(a6=rng.uniform(0.8, 1.25), a4=0.0,
+                      a2=rng.uniform(-2000.0, 6000.0), a0=-rng.uniform(2.5e5, 4.0e5),
+                      forcing=gk.MODEL_II.forcing)
+
+
+def test_pcg_solve_matches_the_dense_solve_at_m2000():
+    basis = build_basis(2000)
+    rng = np.random.default_rng(2000)
+    for spec in (gk.MODEL_II, _random_definite_spec(rng), _random_definite_spec(rng)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = gk.solve_steady(spec, basis)
+        A, fc, _ = gk.assemble_steady(spec, basis)
+        dense = np.linalg.solve(A, fc)
+        assert np.linalg.norm(sol.uc[1:] - dense) <= 1e-14 * np.linalg.norm(dense)
+        record = sol.record
+        assert record["path"] == "pcg" and not record["used"]
+        assert 1 <= record["iterations"] <= 20
+        assert record["residual"] <= 1e-14
+        assert 1.0 <= record["cond_estimate"] < 2.0
+    # Model II's Jacobi-scaled matrix has condition number ~1.5146 at every M.
+    assert gk.solve_steady(gk.MODEL_II, basis).record["cond_estimate"] == \
+        pytest.approx(1.5146, abs=1e-4)
+
+
+def test_pcg_path_falls_back_to_lu_with_its_reason():
+    # The M = 30 case of test_lu_paths_record_their_reason, above the
+    # crossover: a diagonal entry of -A is negative, so -A is not definite.
+    basis = build_basis(_ABOVE)
+    lam3 = basis.lam_even[3]
+    spec = gk.BvpSpec(a6=1.0, a4=0.0, a2=-10.0, a0=(lam3 + 1.0) ** 6,
+                      forcing=((2, 1.0),))
+    with pytest.warns(RuntimeWarning, match="not definite"):
+        sol = gk.solve_steady(spec, basis)
+    assert sol.record == {"used": False, "reason": "not definite"}
+    A, fc, _ = gk.assemble_steady(spec, basis)
+    assert np.max(np.abs(A @ sol.uc[1:] - fc)) < 1e-9 * np.max(np.abs(fc))
+
+
+def test_pcg_breakdown_falls_back_to_lu():
+    # a0 between the lowest eigenvalue and the lowest diagonal entry of -A
+    # (at a0 = 0) keeps every diagonal entry positive but leaves -A
+    # indefinite, which CG meets as p^T (-A) p <= 0.
+    basis = build_basis(_ABOVE)
+    A0, _, _ = gk.assemble_steady(gk.BvpSpec(a6=1.0, a4=0.0, a2=-5544.0, a0=0.0), basis)
+    a0 = 0.5 * (np.linalg.eigvalsh(-A0)[0] + np.min(np.diag(-A0)))
+    spec = gk.BvpSpec(a6=1.0, a4=0.0, a2=-5544.0, a0=a0, forcing=((2, 1.0),))
+    assert np.all(np.diag(-A0) - a0 > 0.0)
+    with pytest.warns(RuntimeWarning, match="not definite"):
+        sol = gk.solve_steady(spec, basis)
+    assert sol.record == {"used": False, "reason": "not definite"}
+
+
+def test_pcg_iteration_cap_falls_back_to_lu(monkeypatch):
+    basis = build_basis(_ABOVE)
+    monkeypatch.setattr(gk, "_PCG_MAX_ITERATIONS", 2)
+    with pytest.warns(RuntimeWarning, match="not definite"):
+        sol = gk.solve_steady(gk.MODEL_II, basis)
+    assert sol.record == {"used": False, "reason": "not definite"}
+    monkeypatch.undo()
+    assert np.max(np.abs(sol.uc - gk.solve_steady(gk.MODEL_II, basis).uc)) < 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -402,6 +492,24 @@ def test_large_basis_solve_under_overflow_traps():
         xs = np.linspace(-1.0, 1.0, 101)
         err = np.max(np.abs(cf.synthesize(sol, xs) - _exact_solution(xs)))
     assert err < 1e-12
+
+
+def test_model_ii_at_max_modes_solves_in_linear_memory():
+    # Dense A alone would take 800 MB at MAX_MODES; the matrix-free path
+    # keeps one 256-row block of the Cauchy kernel.
+    tracemalloc.start()
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            sol = gk.solve_steady(gk.MODEL_II, build_basis(MAX_MODES))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sol.record["path"] == "pcg"
+    assert peak < 100e6
+    xs = np.linspace(-1.0, 1.0, 201)
+    with np.errstate(over="raise", invalid="raise"):
+        err = np.max(np.abs(cf.synthesize(sol, xs) - _exact_solution(xs)))
+    assert err <= 1e-12
 
 
 # ---------------------------------------------------------------------------
