@@ -56,6 +56,7 @@ from .galerkin import (
     BvpSpec,
     SemiDiscreteSystem,
     SteadySolution,
+    Trajectory,
     assemble_semi_discrete,
     assemble_steady,
     evolve,
@@ -76,7 +77,7 @@ __all__ = [
     "inner_product", "integrate", "make_rule", "projection_l2_error",
     "psi_reference", "quadrature_tables", "residual_scan", "verify_formula",
     "MODEL_I", "MODEL_II", "BvpSpec", "SemiDiscreteSystem", "SteadySolution",
-    "assemble_semi_discrete", "assemble_steady", "evolve",
+    "Trajectory", "assemble_semi_discrete", "assemble_steady", "evolve",
     "forcing_projection", "model_ii_semi_discrete", "solve_steady",
     "__version__",
 ]

@@ -76,16 +76,22 @@ def _write_text(path: str, text: str) -> None:
         fh.write(text)
 
 
-def _table_text(header: list, rows: list, fmt: str) -> str:
+def _table_text(header: list, rows, fmt: str) -> str:
+    """``rows`` is a list of rows or a 2-D float array (one row template per line)."""
     if fmt == "csv":
         lines = [",".join(header)]
-        lines.extend(",".join(_cell(v) for v in row) for row in rows)
+        if isinstance(rows, np.ndarray) and rows.dtype == float:
+            # "%.17g" % x gives the same text as _cell(x) for every float.
+            template = ",".join(["%.17g"] * rows.shape[1])
+            lines.extend(template % tuple(row) for row in rows.tolist())
+        else:
+            lines.extend(",".join(_cell(v) for v in row) for row in rows)
         return "\n".join(lines) + "\n"
     body = [dict(zip(header, (_jsonable(v) for v in row))) for row in rows]
     return json.dumps(body, indent=2) + "\n"
 
 
-def _emit_table(args: argparse.Namespace, stem: str, header: list, rows: list,
+def _emit_table(args: argparse.Namespace, stem: str, header: list, rows,
                 files: dict) -> None:
     text = _table_text(header, rows, args.format)
     if args.out is None:
@@ -233,11 +239,11 @@ def cmd_solve(args: argparse.Namespace) -> int:
         err = u - exact
         max_error = float(np.max(np.abs(err)))
         sol_header = ["x", "u", "exact", "error"]
-        sol_rows = [[x, v, e, d] for x, v, e, d in zip(xs, u, exact, err)]
+        sol_rows = np.column_stack((xs, u, exact, err))
     else:
         max_error = None
         sol_header = ["x", "u"]
-        sol_rows = [[x, v] for x, v in zip(xs, u)]
+        sol_rows = np.column_stack((xs, u))
     coef_header = ["n", "u_even", "abs_u_even"]
     coef_rows = [[0, sol.u0c, abs(sol.u0c)]]
     coef_rows += [[n, sol.uc[n], abs(sol.uc[n])] for n in range(1, args.M + 1)]
@@ -418,7 +424,7 @@ def cmd_evolve(args: argparse.Namespace) -> int:
         rows = np.column_stack((
             np.arange(n_states) * args.dt, traj.u0c,
             traj.uc[:, 1:k_track + 1], traj.us[:, 1:k_track + 1],
-            coefficients.synthesize(traj, np.asarray(_SAMPLE_X)))).tolist()
+            coefficients.synthesize(traj, np.asarray(_SAMPLE_X))))
         _emit_table(args, "trajectory", header, rows, files)
     final_norm = float(max(abs(final_u0c),
                            np.max(np.abs(final_uc)), np.max(np.abs(final_us))))
@@ -431,6 +437,7 @@ def cmd_evolve(args: argparse.Namespace) -> int:
         "state_count": n_states,
         "final_max_abs": final_norm,
         "steady_deviation": steady_dev,
+        "paths": traj.record,
         "files": files,
         "timings_ms": {
             "assemble": 1e3 * (t1 - t0),

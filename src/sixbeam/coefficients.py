@@ -482,8 +482,19 @@ class CoefficientSet:
                    us=np.zeros(basis.M + 1))
 
 
+# synthesize evaluates psi_block on at most this many (mode, point) entries at
+# a time: its complex temporaries, not the result, set the peak memory at
+# large M (161 MB for 201 points at M = 10000 in one block).  Every M <= 2000
+# with <= 262 points is still one block.
+_SYNTHESIS_ENTRIES = 2 ** 19
+
+
 def synthesize(coeffs: CoefficientSet, x, k: int = 0):
-    """Evaluate the k-th derivative at x (scalar or array), one row per stacked state."""
+    """Evaluate the k-th derivative at x (scalar or array), one row per stacked state.
+
+    The points go through ``psi_block`` in chunks of at most
+    ``_SYNTHESIS_ENTRIES // M``, so memory stays O(states x points + 2**19).
+    """
     if not isinstance(k, (int, np.integer)) or not (0 <= k <= 6):
         raise ValueError(f"derivative order k must be an integer in [0, 6], got {k!r}")
     xa = np.asarray(x, dtype=float)
@@ -494,9 +505,13 @@ def synthesize(coeffs: CoefficientSet, x, k: int = 0):
     vals = np.zeros(np.shape(coeffs.u0c) + xa.shape)
     if k == 0:
         vals += 0.5 * np.expand_dims(coeffs.u0c, -1)
+    chunk = _SYNTHESIS_ENTRIES // coeffs.basis.M
     for parity, u in ((Parity.EVEN, coeffs.uc), (Parity.ODD, coeffs.us)):
         if np.any(u[..., 1:]):  # an all-zero parity needs no psi_block
-            vals = vals + u[..., 1:] @ psi_block(coeffs.basis, parity, xa, int(k))
+            for j in range(0, len(xa), chunk):
+                cols = slice(j, j + chunk)
+                vals[..., cols] += u[..., 1:] @ psi_block(coeffs.basis, parity,
+                                                          xa[cols], int(k))
     vals = vals[..., 0] if scalar else vals
     return float(vals) if vals.ndim == 0 else vals
 

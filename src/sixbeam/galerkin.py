@@ -40,6 +40,7 @@ __all__ = [
     "MODEL_II",
     "SemiDiscreteSystem",
     "SteadySolution",
+    "Trajectory",
     "forcing_projection",
     "assemble_steady",
     "solve_steady",
@@ -471,14 +472,64 @@ def model_ii_semi_discrete(basis: Basis, B: float = MODEL_II.a2, T: float = 0.0,
                                   reaction=reaction)
 
 
+@dataclass(frozen=True)
+class Trajectory(CoefficientSet):
+    """The stacked states of ``evolve`` plus the path each parity block took.
+
+    ``record`` is ``{"even": path, "odd": path}``, each path one of
+    ``"zero"`` (zero forcing and zero start: the block stays exactly 0 and is
+    never factored or stepped), ``"diagonal"`` (no off-diagonal entry, as
+    B = T = 0 assembles: each mode steps on its own) or ``"step-map"`` (the
+    dense one-step map).
+    """
+
+    record: dict = field(default_factory=dict)
+
+
+def _block_path(A: np.ndarray, f: np.ndarray, u0: np.ndarray) -> str:
+    """Which ``Trajectory.record`` path a parity block takes, from its own data."""
+    if not np.any(f) and not np.any(u0):
+        return "zero"
+    if np.count_nonzero(A) == np.count_nonzero(A.diagonal()):
+        return "diagonal"
+    return "step-map"
+
+
+def _step_map(path: str, A: np.ndarray, f: np.ndarray, dt: float, theta: float):
+    """(step, P, g) with u^{k+1} = step(P, u^k) + g for a "diagonal" or "step-map" block.
+
+    (I - theta dt A) u^{k+1} = (I + (1-theta) dt A) u^k + dt f.  A diagonal
+    block gives the elementwise factor P = R(dt mu).  It is written with the
+    reciprocal ``inv`` because OpenBLAS's triangular solve multiplies by the
+    pivot's reciprocal, so there it gives the dense solve's bits exactly
+    (``rhs / lhs`` differs in the last place).
+    """
+    if path == "diagonal":
+        mu = A.diagonal()
+        inv = 1.0 / (1.0 + (-theta * dt) * mu)
+        return np.multiply, (1.0 + ((1.0 - theta) * dt) * mu) * inv, (dt * f) * inv
+    # One solve gives [P | g]; its operands are built in place, because
+    # transient M x M copies set a run's peak memory.
+    n, d = len(f), np.arange(len(f))
+    lhs = (-theta * dt) * A  # I - theta dt A
+    lhs[d, d] += 1.0
+    rhs = np.empty((n, n + 1))  # [I + (1 - theta) dt A | dt f]
+    np.multiply((1.0 - theta) * dt, A, out=rhs[:, :n])
+    rhs[d, d] += 1.0
+    rhs[:, n] = dt * f
+    Pg = np.linalg.solve(lhs, rhs)
+    return np.matmul, Pg[:, :-1], Pg[:, -1]
+
+
 def evolve(system: SemiDiscreteSystem, initial: CoefficientSet, dt: float,
-           steps: int, theta: float = 0.5) -> CoefficientSet:
+           steps: int, theta: float = 0.5) -> Trajectory:
     """Integrate the semi-discrete system by the theta scheme.
 
-    (I - theta dt A) u^{k+1} = (I + (1-theta) dt A) u^k + dt f is solved once
-    per parity block for the step map u <- P u + g.  Returns the trajectory as
-    one coefficient set with a leading step axis of length steps + 1 (initial
-    state included): ``u0c[k]``, ``uc[k]``, ``us[k]``.
+    Each parity block moves by its own path (see ``Trajectory``): a zero
+    block is left at 0, a diagonal one steps elementwise in O(M), and any
+    other solves once for the step map u <- P u + g.  Returns the trajectory
+    as one stacked coefficient set with a leading step axis of length
+    steps + 1 (initial state included): ``u0c[k]``, ``uc[k]``, ``us[k]``.
     """
     if not (dt > 0.0) or not math.isfinite(dt):
         raise ValueError(f"dt must be positive and finite, got {dt!r}")
@@ -498,24 +549,16 @@ def evolve(system: SemiDiscreteSystem, initial: CoefficientSet, dt: float,
     odd = np.zeros((steps + 1, basis.M + 1))
     even[0, 0], even[0, 1:] = initial.u0c, initial.uc[1:]
     odd[0, 1:] = initial.us[1:]
-    # (P, g, stack) per parity.  One solve gives [P | g]; its operands are
-    # built in place, because transient M x M copies set a run's peak memory.
-    maps = []
-    for A, f, u in ((system.A_even, system.f_even, even),
-                    (system.A_odd, system.f_odd, odd[:, 1:])) if steps else ():
-        n, d = len(f), np.arange(len(f))
-        lhs = (-theta * dt) * A  # I - theta dt A
-        lhs[d, d] += 1.0
-        rhs = np.empty((n, n + 1))  # [I + (1 - theta) dt A | dt f]
-        np.multiply((1.0 - theta) * dt, A, out=rhs[:, :n])
-        rhs[d, d] += 1.0
-        rhs[:, n] = dt * f
-        Pg = np.linalg.solve(lhs, rhs)
-        maps.append((Pg[:, :-1], Pg[:, -1], u))
+    record, maps = {}, []
+    for parity, A, f, u in (("even", system.A_even, system.f_even, even),
+                            ("odd", system.A_odd, system.f_odd, odd[:, 1:])):
+        record[parity] = _block_path(A, f, u[0])
+        if steps and record[parity] != "zero":
+            maps.append((*_step_map(record[parity], A, f, dt, theta), u))
     scale0 = 1.0 + max(float(np.max(np.abs(even[0]))), float(np.max(np.abs(odd[0]))))
     for k in range(steps):
-        for P, g, u in maps:
-            np.matmul(P, u[k], out=u[k + 1])
+        for step, P, g, u in maps:
+            step(P, u[k], out=u[k + 1])
             u[k + 1] += g
         norm = float(max(np.max(np.abs(even[k + 1])), np.max(np.abs(odd[k + 1]))))
         if not math.isfinite(norm) or norm > 1e12 * scale0:
@@ -524,4 +567,4 @@ def evolve(system: SemiDiscreteSystem, initial: CoefficientSet, dt: float,
                 "reduce dt or use theta >= 1/2")
     u0c = even[:, 0].copy()
     even[:, 0] = 0.0
-    return CoefficientSet(basis=basis, u0c=u0c, uc=even, us=odd)
+    return Trajectory(basis=basis, u0c=u0c, uc=even, us=odd, record=record)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import frozen_reference as ref
-from sixbeam.cli import main
+from sixbeam.cli import _table_text, main
 from sixbeam import coefficients as cf
 from sixbeam import galerkin as gk
 from sixbeam import oracle as oc
@@ -291,6 +291,7 @@ def test_evolve_reaches_steady_state_of_forced_system(capsys):
     doc = json.loads(out)
     assert doc["B"] == gk.MODEL_II.a2 and doc["reaction"] == gk.MODEL_II.a0
     assert doc["steady_deviation"] < 1e-8
+    assert doc["paths"] == {"even": "step-map", "odd": "zero"}
 
 
 def test_evolve_steady_deviation_uses_the_evolved_spec(capsys):
@@ -328,6 +329,7 @@ def test_evolve_zero_steps(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["state_count"] == 1 and doc["final_max_abs"] == 0.25
+    assert doc["paths"] == {"even": "zero", "odd": "diagonal"}
 
 
 def test_evolve_instability_aborts_with_exit_2(capsys):
@@ -482,3 +484,13 @@ def test_csv_floats_use_17_significant_digits(tmp_path, capsys):
     u0c_text = coef[1].split(",")[1]
     assert float(u0c_text) == 2048.0 / 3003.0  # round-trips exactly
     assert len(u0c_text.replace("-", "").replace(".", "").lstrip("0")) >= 16
+
+
+def test_float_table_fast_path_matches_the_per_cell_path():
+    specials = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, np.inf, -np.inf,
+                np.nan, 1.0 / 3.0, 1e22, 12345.0, -7.0]
+    rows = np.array([specials, specials[::-1]])
+    header = [f"c{j}" for j in range(rows.shape[1])]
+    text = _table_text(header, rows, "csv")
+    assert text == _table_text(header, rows.tolist(), "csv")
+    assert text.split("\n")[1].split(",")[:3] == ["0", "-0", "4.9406564584124654e-324"]

@@ -1,5 +1,7 @@
 """Closed-form projection tables, forcing projection, and synthesis."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 
 import frozen_reference as ref
 from sixbeam import coefficients as cf
-from sixbeam.eigenbasis import Parity, build_basis
+from sixbeam.eigenbasis import MAX_MODES, Parity, build_basis, psi_block
 
 EV, OD = Parity.EVEN, Parity.ODD
 
@@ -314,3 +316,23 @@ def test_chi_sign_alternates_property(m, p):
     value = cf.chi(_B40, p, m)
     assert value != 0.0
     assert (value > 0) == (m % 2 == 1)
+
+
+def test_synthesize_at_max_modes_evaluates_in_chunks():
+    # One 201-point psi_block at M = 10000 peaks at ~161 MB; chunking the
+    # points keeps synthesize far below that and changes values at rounding level.
+    basis = build_basis(MAX_MODES)
+    n = np.arange(MAX_MODES + 1, dtype=float)
+    decay = np.concatenate(([0.0], n[1:] ** -8.0))
+    coeffs = cf.CoefficientSet(basis=basis, u0c=0.5, uc=decay, us=-decay)
+    xs = np.linspace(-1.0, 1.0, 201)
+    tracemalloc.start()
+    try:
+        got = cf.synthesize(coeffs, xs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 60e6
+    whole = (0.25 + decay[1:] @ psi_block(basis, EV, xs)
+             - decay[1:] @ psi_block(basis, OD, xs))
+    assert np.max(np.abs(got - whole)) <= 1e-15

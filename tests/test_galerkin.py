@@ -456,6 +456,7 @@ def test_evolve_matches_step_by_step_solves_for_a_coupled_forced_system(basis30,
     init = cf.CoefficientSet(basis=basis30, u0c=0.4, uc=uc, us=us)
     dt, steps = 1e-4, 50
     traj = gk.evolve(sys_, init, dt, steps, theta)
+    assert traj.record == {"even": "step-map", "odd": "step-map"}
     assert traj.u0c.shape == (steps + 1,)
     assert traj.uc.shape == traj.us.shape == (steps + 1, 31)
     for A, f, u, got in (
@@ -470,6 +471,70 @@ def test_evolve_matches_step_by_step_solves_for_a_coupled_forced_system(basis30,
             ref.append(u)
         ref = np.array(ref)
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_zero_parity_block_stays_exactly_zero(basis30):
+    # Even forcing and an even start leave the odd block at exactly 0.0 while
+    # the coupled even block steps.
+    sys_ = gk.model_ii_semi_discrete(basis30, T=20.0)
+    traj = gk.evolve(sys_, cf.CoefficientSet.zeros(basis30), dt=1e-4, steps=20,
+                     theta=1.0)
+    assert traj.record == {"even": "step-map", "odd": "zero"}
+    assert np.all(traj.us == 0.0) and np.any(traj.uc[-1] != 0.0)
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.5, 1.0])
+def test_diagonal_blocks_match_the_dense_step_map(theta):
+    # B = T = 0 with reaction and forcing: both blocks step elementwise and
+    # agree with P = lhs^-1 rhs, g = lhs^-1 dt f from dense solves.
+    basis = build_basis(12)
+    rng = np.random.default_rng(5)
+    forcing = cf.CoefficientSet(basis=basis, u0c=rng.standard_normal(),
+                                uc=np.concatenate(([0.0], rng.standard_normal(12))),
+                                us=np.concatenate(([0.0], rng.standard_normal(12))))
+    sys_ = gk.assemble_semi_discrete(basis, reaction=-50.0, forcing=forcing)
+    init = cf.CoefficientSet(basis=basis, u0c=0.3,
+                             uc=np.concatenate(([0.0], rng.standard_normal(12))),
+                             us=np.concatenate(([0.0], rng.standard_normal(12))))
+    dt, steps = 0.5 / basis.lam_even[12] ** 6, 40
+    traj = gk.evolve(sys_, init, dt, steps, theta)
+    assert traj.record == {"even": "diagonal", "odd": "diagonal"}
+    for A, f, u, got in (
+            (sys_.A_even, sys_.f_even, np.concatenate(([0.3], init.uc[1:])),
+             np.column_stack((traj.u0c, traj.uc[:, 1:]))),
+            (sys_.A_odd, sys_.f_odd, init.us[1:], traj.us[:, 1:])):
+        eye = np.eye(len(f))
+        lhs = eye - theta * dt * A
+        P = np.linalg.solve(lhs, eye + (1.0 - theta) * dt * A)
+        g = np.linalg.solve(lhs, dt * f)
+        for k in range(steps + 1):
+            assert np.linalg.norm(got[k] - u) <= 1e-15 * np.linalg.norm(u)
+            u = P @ u + g
+
+
+@pytest.mark.filterwarnings("error")
+def test_divergence_guard_threshold():
+    # One unit mode at theta = 0 with dt lam^6 = 11 grows by |R| = 10 per
+    # step; the guard fires once the norm passes 1e12 (1 + initial norm).
+    basis = build_basis(10)
+    sys_ = gk.assemble_semi_discrete(basis)
+    uc = np.zeros(11)
+    uc[1] = 1.0
+    init = cf.CoefficientSet(basis=basis, u0c=0.0, uc=uc, us=np.zeros(11))
+    dt = 11.0 / basis.lam_even[1] ** 6
+    traj = gk.evolve(sys_, init, dt, 12, theta=0.0)
+    assert traj.record == {"even": "diagonal", "odd": "zero"}
+    assert abs(traj.uc[-1, 1]) == pytest.approx(1e12, rel=1e-9)
+    with pytest.raises(ArithmeticError, match="diverged"):
+        gk.evolve(sys_, init, dt, 13, theta=0.0)
+
+
+@pytest.mark.filterwarnings("error")
+def test_divergence_guard_on_a_coupled_block(basis30):
+    sys_ = gk.model_ii_semi_discrete(basis30, T=20.0)
+    with pytest.raises(ArithmeticError, match="diverged"):
+        gk.evolve(sys_, cf.CoefficientSet.zeros(basis30), dt=1e-3, steps=50,
+                  theta=0.0)
 
 
 def test_unstable_integration_aborts(basis30):
