@@ -183,12 +183,17 @@ def _gamma_diagonal(parity: Parity, lam, c, q, e1):
 
 
 # ---------------------------------------------------------------------------
-# Off-diagonal closed forms and the even gamma mean row
+# Off-diagonal closed forms: one Cauchy-like generator form
 # ---------------------------------------------------------------------------
 #
-# The kernels take broadcastable n-side and m-side operands: scalars for one
-# entry, or a column (n) and a row (m) of a family's arrays for a whole table.
-# ``rn``/``rm`` are the table's T/U/V/W ratio (see ``_ratio``).
+# Off its diagonal each beta/gamma table is (g1_n h1_m - g2_n h2_m) /
+# (lam_m^6 - lam_n^6): a Cauchy-like matrix of displacement rank 2 built from
+# four O(M) generator vectors.  The kernels take the numerator as stacked
+# generators X, Y and form T a block of rows at a time, densely or applied to
+# a vector; the diagonal comes from the diagonal closed forms.
+
+_CAUCHY_ROWS = 256  # rows of a Cauchy-like table formed at a time
+
 
 def _ratio(kind: str, parity: Parity):
     """The scaled ratio that enters one table's off-diagonal closed form."""
@@ -197,68 +202,70 @@ def _ratio(kind: str, parity: Parity):
     return _ratio_V if parity is Parity.EVEN else _ratio_W
 
 
-def _gap6(a, b):
-    """a^6 - b^6, with a unit diagonal when the operands span a square table
-    (that diagonal is overwritten by the diagonal closed form)."""
-    gap = a ** 6 - b ** 6
-    if np.ndim(gap) == 2:
-        np.fill_diagonal(gap, 1.0)
-    return gap
-
-
-def _beta_generators(parity: Parity, lam, c, r):
-    """(g1, h1, g2, h2) with beta_nm = (g1_n h1_m - g2_n h2_m) / (lam_m^6 - lam_n^6).
-
-    Off its diagonal the beta table is Cauchy-like with displacement rank 2:
-    g1 = 6 c lam^3 t, h1 = c lam^4 r, g2 = 6 c lam^4 r, h2 = c lam^3 t, with
-    t = sin lam (even) or -cos lam (odd) and r the table's T/U ratio.
-    """
-    t = np.sin(lam) if parity is Parity.EVEN else -np.cos(lam)
+def _generators(kind: str, parity: Parity, lam, c, r):
+    """(g1, h1, g2, h2) of one table; r is its T/U/V/W ratio (see ``_ratio``)."""
     c3 = c * lam ** 3
-    return 6.0 * c3 * t, c3 * lam * r, 6.0 * c3 * lam * r, c3 * t
-
-
-def _beta_offdiag(parity: Parity, ln, cn, rn, lm, cm, rm):
-    """<psi_n'', psi_m> for n != m."""
-    g1, _, g2, _ = _beta_generators(parity, ln, cn, rn)
-    _, h1, _, h2 = _beta_generators(parity, lm, cm, rm)
-    return (g1 * h1 - g2 * h2) / _gap6(lm, ln)
-
-
-def _beta_cauchy(basis: Basis, parity):
-    """(lam^6, (g1, h1, g2, h2), diagonal): the beta table in O(M) numbers.
-
-    The full table is ``diag(diagonal)`` plus, off the diagonal,
-    (g1_n h1_m - g2_n h2_m) / (lam_m^6 - lam_n^6); see ``_beta_generators``.
-    """
-    parity = _parity(parity)
-    lam, c, q, e1 = _family(basis, parity)
-    r = _ratio("second_derivative", parity)(lam, q, e1)
-    return (lam ** 6, _beta_generators(parity, lam, c, r),
-            _beta_diagonal(parity, lam, c, q, e1))
-
-
-def _gamma_offdiag(parity: Parity, ln, cn, rn, lm, cm, rm):
-    """<psi_n'''', psi_m> for n != m."""
+    if kind == "second_derivative":
+        t = np.sin(lam) if parity is Parity.EVEN else -np.cos(lam)
+        return 6.0 * c3 * t, c3 * lam * r, 6.0 * c3 * lam * r, c3 * t
+    c6 = c * lam ** 6
     if parity is Parity.EVEN:
-        pref = 3.0 * cn * cm * ln ** 6 / _gap6(lm, ln)
-        bracket = -lm ** 3 * np.sin(lm) * rn + ln ** 3 * np.sin(ln) * rm
-    else:
-        pref = 6.0 * cn * cm * ln ** 6 / _gap6(ln, lm)
-        bracket = (lm ** 3 * np.cos(lm) * np.sin(ln) * rn
-                   - ln ** 3 * np.sin(lm) * np.cos(ln) * rm)
-    return pref * bracket
+        s = np.sin(lam)
+        return -3.0 * c6 * r, c3 * s, -3.0 * c6 * lam ** 3 * s, c * r
+    s, t = np.sin(lam), np.cos(lam)
+    return -6.0 * c6 * s * r, c3 * t, -6.0 * c6 * lam ** 3 * t, c * s * r
 
 
-def _gamma_mean(lam, c):
-    """<psi_n'''', 1> for even modes."""
-    return 6.0 * c * lam ** 3 * np.sin(lam)
-
-
-_OFFDIAG = {"second_derivative": _beta_offdiag,
-            "fourth_derivative": _gamma_offdiag}
 _DIAG = {"second_derivative": _beta_diagonal,
          "fourth_derivative": _gamma_diagonal}
+
+
+def _cauchy_form(basis: Basis, parity, kind: str, modes=slice(None)):
+    """(lam^6, X, Y, diagonal) of one table over ``modes`` (0-based, into 1..M)."""
+    parity = _parity(parity)
+    lam, c, q, e1 = (a[modes] for a in _family(basis, parity))
+    g1, h1, g2, h2 = _generators(kind, parity, lam, c, _ratio(kind, parity)(lam, q, e1))
+    return (lam ** 6, np.stack((g1, -g2)), np.stack((h1, h2)),
+            _DIAG[kind](parity, lam, c, q, e1))
+
+
+def _gap_rows(lam6):
+    """Yield (rows, G), G[i, j] = lam6[j] - lam6[i], for blocks of at most
+    ``_CAUCHY_ROWS`` rows; G is inf on the diagonal, so 1/G vanishes there."""
+    G = np.empty((min(_CAUCHY_ROWS, len(lam6)), len(lam6)))
+    for j in range(0, len(lam6), _CAUCHY_ROWS):
+        rows = slice(j, j + _CAUCHY_ROWS)
+        gap = np.subtract(lam6, lam6[rows, None], out=G[:len(lam6[rows])])
+        i = np.arange(len(gap))
+        gap[i, j + i] = np.inf
+        yield rows, gap
+
+
+def _cauchy_dense(lam6, X, Y, diagonal):
+    """T[i, j] = sum_k X[k, i] Y[k, j] / (lam6[j] - lam6[i]), T[i, i] = diagonal[i]."""
+    if len(X) == 0:  # a rank-0 numerator: nothing off the diagonal
+        return np.diag(diagonal)
+    table = np.empty((len(lam6), len(lam6)))
+    for rows, gap in _gap_rows(lam6):
+        np.matmul(X[:, rows].T, Y, out=table[rows])
+        table[rows] /= gap
+    np.fill_diagonal(table, diagonal)
+    return table
+
+
+def _cauchy_apply(lam6, X, Y, v):
+    """T v for the off-diagonal part of T, in O(_CAUCHY_ROWS M) memory."""
+    W = (Y * v).T
+    out = np.empty(len(v))
+    for rows, gap in _gap_rows(lam6):
+        out[rows] = np.sum(X[:, rows].T * (np.reciprocal(gap, out=gap) @ W), axis=1)
+    return out
+
+
+def _gamma_mean(basis: Basis, modes=slice(None)):
+    """<psi_n'''', 1> for the even modes ``modes`` (0-based, into 1..M)."""
+    lam, c, _, _ = (a[modes] for a in _family(basis, Parity.EVEN))
+    return 6.0 * c * lam ** 3 * np.sin(lam)
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +333,7 @@ def _chi_values(p: int, lam, c, q, e1):
 # ---------------------------------------------------------------------------
 
 def _check_index(basis: Basis, parity: Parity, m, allow_zero: bool) -> int:
-    if not isinstance(m, (int, np.integer)):
+    if isinstance(m, bool) or not isinstance(m, (int, np.integer)):
         raise ValueError(f"mode index must be an integer, got {m!r}")
     lo = 0 if allow_zero else 1
     if not (lo <= m <= basis.M):
@@ -342,13 +349,8 @@ def _mode_data(basis: Basis, parity: Parity, m: int):
 
 def _entry(basis: Basis, parity: Parity, kind: str, n: int, m: int) -> float:
     """One beta/gamma entry for modes n, m >= 1 from the shared closed forms."""
-    ln, cn, qn, e1n = _mode_data(basis, parity, n)
-    if n == m:
-        return float(_DIAG[kind](parity, ln, cn, qn, e1n))
-    lm, cm, qm, e1m = _mode_data(basis, parity, m)
-    ratio = _ratio(kind, parity)
-    return float(_OFFDIAG[kind](parity, ln, cn, ratio(ln, qn, e1n),
-                                lm, cm, ratio(lm, qm, e1m)))
+    modes = [n - 1] if n == m else [n - 1, m - 1]
+    return float(_cauchy_dense(*_cauchy_form(basis, parity, kind, modes))[0, -1])
 
 
 def beta(basis: Basis, parity, n: int, m: int) -> float:
@@ -370,16 +372,13 @@ def gamma(basis: Basis, parity, n: int, m: int) -> float:
     """<psi_n'''', psi_m> within one parity family (m = 0 allowed for even)."""
     parity = _parity(parity)
     n = _check_index(basis, parity, n, allow_zero=True)
+    m = _check_index(basis, parity, m, allow_zero=True)
     if m == 0:
         if parity is Parity.ODD:
             raise ValueError(
                 "gamma(odd, n, 0) is identically zero by parity and is not "
                 "a valid request")
-        if n == 0:
-            return 0.0
-        ln, cn, _, _ = _mode_data(basis, parity, n)
-        return float(_gamma_mean(ln, cn))
-    m = _check_index(basis, parity, m, allow_zero=False)
+        return 0.0 if n == 0 else float(_gamma_mean(basis, n - 1))
     if n == 0:
         return 0.0  # psi_0'''' = 0
     return _entry(basis, parity, "fourth_derivative", n, m)
@@ -428,17 +427,13 @@ def operator_matrix(basis: Basis, parity, kind: str) -> OperatorMatrix:
     parity = _parity(parity)
     if kind not in _KINDS:
         raise ValueError(f"kind must be one of {_KINDS}, got {kind!r}")
-    lam, c, q, e1 = _family(basis, parity)
     if kind == "sixth_derivative":
         return OperatorMatrix(parity=parity, kind=kind,
-                              entries=np.diag(-lam ** 6))
-    r = _ratio(kind, parity)(lam, q, e1)
-    entries = _OFFDIAG[kind](parity, lam[:, None], c[:, None], r[:, None],
-                             lam[None, :], c[None, :], r[None, :])
-    np.fill_diagonal(entries, _DIAG[kind](parity, lam, c, q, e1))
+                              entries=np.diag(-basis.lam(parity)[1:] ** 6))
+    entries = _cauchy_dense(*_cauchy_form(basis, parity, kind))
     mean_row = None
     if kind == "fourth_derivative" and parity is Parity.EVEN:
-        mean_row = _gamma_mean(lam, c)
+        mean_row = _gamma_mean(basis)
     return OperatorMatrix(parity=parity, kind=kind, entries=entries,
                           mean_row=mean_row)
 
@@ -482,11 +477,17 @@ class CoefficientSet:
                    us=np.zeros(basis.M + 1))
 
 
-# synthesize evaluates psi_block on at most this many (mode, point) entries at
-# a time: its complex temporaries, not the result, set the peak memory at
-# large M (161 MB for 201 points at M = 10000 in one block).  Every M <= 2000
-# with <= 262 points is still one block.
+# synthesize and project evaluate psi_block on at most this many (mode, point)
+# entries at a time: its complex temporaries, not the result, set the peak
+# memory at large M (161 MB for 201 points at M = 10000 in one block).  Every
+# synthesis at M <= 2000 with <= 262 points is still one block.
 _SYNTHESIS_ENTRIES = 2 ** 19
+
+
+def _point_chunks(basis: Basis, n: int):
+    """Slices of at most ``_SYNTHESIS_ENTRIES // M`` of n points."""
+    step = _SYNTHESIS_ENTRIES // basis.M
+    return (slice(j, j + step) for j in range(0, n, step))
 
 
 def synthesize(coeffs: CoefficientSet, x, k: int = 0):
@@ -505,11 +506,9 @@ def synthesize(coeffs: CoefficientSet, x, k: int = 0):
     vals = np.zeros(np.shape(coeffs.u0c) + xa.shape)
     if k == 0:
         vals += 0.5 * np.expand_dims(coeffs.u0c, -1)
-    chunk = _SYNTHESIS_ENTRIES // coeffs.basis.M
     for parity, u in ((Parity.EVEN, coeffs.uc), (Parity.ODD, coeffs.us)):
         if np.any(u[..., 1:]):  # an all-zero parity needs no psi_block
-            for j in range(0, len(xa), chunk):
-                cols = slice(j, j + chunk)
+            for cols in _point_chunks(coeffs.basis, len(xa)):
                 vals[..., cols] += u[..., 1:] @ psi_block(coeffs.basis, parity,
                                                           xa[cols], int(k))
     vals = vals[..., 0] if scalar else vals
@@ -517,11 +516,14 @@ def synthesize(coeffs: CoefficientSet, x, k: int = 0):
 
 
 def _projection_at(f, basis: Basis, rule) -> tuple:
+    """(u0c, uc, us, int |f|) from one rule, evaluating the basis in point chunks."""
     fx = np.asarray(f(rule.nodes), dtype=float)
     wf = rule.weights * fx
     u0c = float(np.sum(wf))
-    uc = psi_block(basis, Parity.EVEN, rule.nodes, 0) @ wf
-    us = psi_block(basis, Parity.ODD, rule.nodes, 0) @ wf
+    uc, us = np.zeros(basis.M), np.zeros(basis.M)
+    for cols in _point_chunks(basis, len(wf)):
+        uc += psi_block(basis, Parity.EVEN, rule.nodes[cols], 0) @ wf[cols]
+        us += psi_block(basis, Parity.ODD, rule.nodes[cols], 0) @ wf[cols]
     l1 = float(np.sum(np.abs(wf)))
     return u0c, uc, us, l1
 

@@ -31,7 +31,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .coefficients import CoefficientSet, _beta_cauchy, chi_vector, operator_matrix
+from .coefficients import (CoefficientSet, _cauchy_apply, _cauchy_dense, _cauchy_form,
+                           _gamma_mean, chi_vector)
 from .eigenbasis import Basis
 
 __all__ = [
@@ -56,7 +57,6 @@ _RESONANCE_GUARD = 1e-6
 # M = 200 (ladder in CHANGES.md); Cholesky keeps M <= 301, where its pivot
 # record is part of the documented output (criterion 4 prints it at M = 100).
 _PCG_CROSSOVER = 301
-_PCG_BLOCK = 256            # rows of the Cauchy kernel formed at a time
 _PCG_RTOL = 1e-15           # stop when ||r|| <= _PCG_RTOL ||f||
 _PCG_MAX_ITERATIONS = 100   # definite specs tried need 6-9 (condition ~1.5)
 _SUBSTITUTION_BLOCK = 64
@@ -207,22 +207,31 @@ def _solve_diagonal(spec: BvpSpec, basis: Basis) -> SteadySolution:
                           us=np.zeros(basis.M + 1))
 
 
-def _mode_block(spec: BvpSpec, basis: Basis, parity: str):
-    """(block, mean_row): one parity's block; Gamma's mean row for even a4 != 0, else None.
+def _block_form(spec: BvpSpec, basis: Basis, parity: str):
+    """(lam^6, X, Y, d): one parity's block in the form ``_cauchy_dense`` takes.
 
     block[l-1, n-1] multiplies u_n in the equation projected onto psi_l:
-    block = a4 Gamma^T + a2 Beta^T + diag(a0 - a6 lam^6).
+    block = a4 Gamma^T + a2 Beta^T + diag(a0 - a6 lam^6).  A table's
+    transpose swaps its generators, (X, Y) -> (-Y, X), so the two tables
+    stack into one numerator of rank <= 4.
     """
-    lam = basis.lam(parity)[1:]
-    block = np.diag(spec.a0 - spec.a6 * lam ** 6)
-    mean_row = None
-    if spec.a2 != 0.0:
-        block += spec.a2 * operator_matrix(basis, parity, "second_derivative").entries.T
-    if spec.a4 != 0.0:
-        gamma = operator_matrix(basis, parity, "fourth_derivative")
-        block += spec.a4 * gamma.entries.T
-        mean_row = gamma.mean_row
-    return block, mean_row
+    lam6 = basis.lam(parity)[1:] ** 6
+    d = spec.a0 - spec.a6 * lam6
+    X, Y = [], []
+    for a, kind in ((spec.a2, "second_derivative"), (spec.a4, "fourth_derivative")):
+        if a != 0.0:
+            _, Xk, Yk, diagonal = _cauchy_form(basis, parity, kind)
+            d = d + a * diagonal
+            X.append(-a * Yk)
+            Y.append(Xk)
+    return lam6, np.reshape(X, (-1, basis.M)), np.reshape(Y, (-1, basis.M)), d
+
+
+def _mode_block(spec: BvpSpec, basis: Basis, parity: str):
+    """(block, mean_row): one parity's block (see ``_block_form``); Gamma's
+    mean row for even a4 != 0, else None."""
+    mean_row = _gamma_mean(basis) if spec.a4 != 0.0 and parity == "even" else None
+    return _cauchy_dense(*_block_form(spec, basis, parity)), mean_row
 
 
 def assemble_steady(spec: BvpSpec, basis: Basis):
@@ -264,27 +273,10 @@ def _solve_cholesky(s: float, A: np.ndarray, fc: np.ndarray):
 def _symmetric_operator(spec: BvpSpec, basis: Basis):
     """(d, matvec): the diagonal of A and v -> A v, for a4 = 0, without forming A.
 
-    Off the diagonal A = a2 Beta^T is Cauchy-like, so A v is
-    d v + a2 (h1 C(g1 v) - h2 C(g2 v)) with C[l, n] = 1/(lam_l^6 - lam_n^6)
-    (zero diagonal), applied a block of rows at a time in O(block M) memory.
+    ``_cauchy_apply`` forms A's off-diagonal part a block of rows at a time.
     """
-    lam6, (g1, h1, g2, h2), beta_diag = _beta_cauchy(basis, "even")
-    d = spec.a0 - spec.a6 * lam6 + spec.a2 * beta_diag
-    block = np.empty((min(_PCG_BLOCK, basis.M), basis.M))
-
-    def matvec(v):
-        w = np.stack((g1 * v, g2 * v), axis=1)
-        out = d * v
-        for j in range(0, basis.M, _PCG_BLOCK):
-            k = slice(j, j + _PCG_BLOCK)
-            C = np.subtract.outer(lam6[k], lam6, out=block[:len(lam6[k])])
-            rows = np.arange(len(C))
-            C[rows, j + rows] = np.inf  # 1/inf = 0: the diagonal is in d
-            Cw = np.reciprocal(C, out=C) @ w
-            out[k] += spec.a2 * (h1[k] * Cw[:, 0] - h2[k] * Cw[:, 1])
-        return out
-
-    return d, matvec
+    lam6, X, Y, d = _block_form(spec, basis, "even")
+    return d, lambda v: d * v + _cauchy_apply(lam6, X, Y, v)
 
 
 def _solve_pcg(s: float, spec: BvpSpec, basis: Basis, fc: np.ndarray):

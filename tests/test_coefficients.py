@@ -81,6 +81,44 @@ def test_matrices_match_scalar_entries(basis60):
                     cf.gamma(basis60, parity, n, m), rel=1e-12, abs=1e-15)
 
 
+def _elementwise_offdiag(kind, parity, lam, c, r):
+    """The elementwise off-diagonal forms that preceded the generator form.
+
+    Gamma is pref x bracket and beta is (g1 h1 - g2 h2) / gap, each over the
+    whole square (the diagonal is left to the caller).
+    """
+    ln, cn, rn = lam[:, None], c[:, None], r[:, None]
+    lm, cm, rm = lam[None, :], c[None, :], r[None, :]
+    gap = lm ** 6 - ln ** 6
+    np.fill_diagonal(gap, 1.0)
+    if kind == "second_derivative":
+        t = np.sin if parity is EV else (lambda x: -np.cos(x))
+        g1, h1 = 6.0 * cn * ln ** 3 * t(ln), cm * lm ** 4 * rm
+        g2, h2 = 6.0 * cn * ln ** 4 * rn, cm * lm ** 3 * t(lm)
+        return (g1 * h1 - g2 * h2) / gap
+    if parity is EV:
+        pref = 3.0 * cn * cm * ln ** 6 / gap
+        bracket = -lm ** 3 * np.sin(lm) * rn + ln ** 3 * np.sin(ln) * rm
+    else:
+        pref = 6.0 * cn * cm * ln ** 6 / -gap
+        bracket = (lm ** 3 * np.cos(lm) * np.sin(ln) * rn
+                   - ln ** 3 * np.sin(lm) * np.cos(ln) * rm)
+    return pref * bracket
+
+
+@pytest.mark.parametrize("kind", ["second_derivative", "fourth_derivative"])
+@pytest.mark.parametrize("parity", [EV, OD])
+def test_tables_match_the_elementwise_forms_at_m2000(kind, parity):
+    # Quadrature (K <= 50) and the frozen values (M = 60) do not reach this M.
+    basis = build_basis(2000)
+    table = cf.operator_matrix(basis, parity, kind).entries
+    lam, c, q, e1 = cf._family(basis, parity)
+    reference = _elementwise_offdiag(kind, parity, lam, c,
+                                     cf._ratio(kind, parity)(lam, q, e1))
+    np.fill_diagonal(reference, cf._DIAG[kind](parity, lam, c, q, e1))
+    assert np.max(np.abs(table - reference)) <= 1e-15 * np.max(np.abs(table))
+
+
 def test_even_gamma_mean_row(basis60):
     G = cf.operator_matrix(basis60, EV, "fourth_derivative")
     assert G.mean_row is not None
@@ -143,6 +181,13 @@ def test_invalid_indices_raise(basis30):
         cf.chi(basis30, 2, 0)
     with pytest.raises(ValueError):
         cf.operator_matrix(basis30, EV, "third_derivative")
+    # The index is type-checked before m = 0 selects gamma's mean row.
+    for bad in (0.0, 1.0, False, True):
+        for table in (cf.beta, cf.gamma):
+            with pytest.raises(ValueError):
+                table(basis30, EV, 1, bad)
+            with pytest.raises(ValueError):
+                table(basis30, EV, bad, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -336,3 +381,18 @@ def test_synthesize_at_max_modes_evaluates_in_chunks():
     whole = (0.25 + decay[1:] @ psi_block(basis, EV, xs)
              - decay[1:] @ psi_block(basis, OD, xs))
     assert np.max(np.abs(got - whole)) <= 1e-15
+
+
+def test_project_evaluates_the_basis_in_chunks():
+    # One psi_block over all of a refinement's nodes peaked at ~103 MB here;
+    # chunking the nodes keeps project at the synthesize bound.
+    basis = build_basis(100)
+    tracemalloc.start()
+    try:
+        coeffs = cf.project(lambda x: (x * x - 1.0) ** 6, basis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 60e6
+    assert coeffs.u0c == pytest.approx(2048.0 / 3003.0, rel=1e-14)
+    assert np.max(np.abs(coeffs.us)) < 1e-15

@@ -113,6 +113,35 @@ def test_assembled_matrix_is_symmetric(basis60):
     assert f0 == pytest.approx(gk.MODEL_II.a0 * 2048 / 3003, rel=1e-13)
 
 
+@pytest.mark.parametrize("M", [60, 2000])
+@pytest.mark.parametrize("parity", ["even", "odd"])
+@pytest.mark.parametrize("a4", [0.0, -20.0])
+def test_mode_block_composes_the_tables(M, parity, a4):
+    # block = diag(a0 - a6 lam^6) + a2 Beta^T + a4 Gamma^T, with the diagonal
+    # added in that order.  The lam^6 diagonal dominates the whole block, so
+    # the off-diagonal part is checked on its own too: there the numerators
+    # cancel up to ~100-fold next to the diagonal, which amplifies rounding
+    # to ~1e-14 (measured <= 8.8e-15).
+    basis = build_basis(M)
+    spec = gk.BvpSpec(a6=1.0, a4=a4, a2=-5544.0, a0=-199584.0)
+    block, mean_row = gk._mode_block(spec, basis, parity)
+    lam = basis.lam(parity)[1:]
+    gamma = cf.operator_matrix(basis, parity, "fourth_derivative")
+    beta = cf.operator_matrix(basis, parity, "second_derivative")
+    expected = np.diag(spec.a0 - spec.a6 * lam ** 6) + spec.a2 * beta.entries.T
+    if a4 != 0.0:
+        expected += spec.a4 * gamma.entries.T
+    assert np.linalg.norm(block - expected) <= 1e-15 * np.linalg.norm(expected)
+    assert np.array_equal(np.diag(block), np.diag(expected))
+    off = ~np.eye(M, dtype=bool)
+    assert (np.linalg.norm(block[off] - expected[off])
+            <= 1e-13 * np.linalg.norm(expected[off]))
+    if a4 != 0.0 and parity == "even":
+        np.testing.assert_array_equal(mean_row, gamma.mean_row)
+    else:
+        assert mean_row is None
+
+
 def test_model_ii_record_has_negative_pivots(basis60):
     # The operator is negative definite on the mode space, so the Cholesky
     # path runs and every pivot of A = L diag(D) L^T is negative.
