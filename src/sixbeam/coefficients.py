@@ -30,7 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import oracle
-from .eigenbasis import SQRT3, Basis, Parity, _parity, psi_block
+from .eigenbasis import (SQRT3, Basis, Parity, _check_eval_args, _is_int, _parity,
+                         psi_block)
 
 __all__ = [
     "CoefficientSet",
@@ -333,7 +334,7 @@ def _chi_values(p: int, lam, c, q, e1):
 # ---------------------------------------------------------------------------
 
 def _check_index(basis: Basis, parity: Parity, m, allow_zero: bool) -> int:
-    if isinstance(m, bool) or not isinstance(m, (int, np.integer)):
+    if not _is_int(m):
         raise ValueError(f"mode index must be an integer, got {m!r}")
     lo = 0 if allow_zero else 1
     if not (lo <= m <= basis.M):
@@ -386,7 +387,7 @@ def gamma(basis: Basis, parity, n: int, m: int) -> float:
 
 def chi(basis: Basis, p: int, m: int) -> float:
     """<x^p, psi_m^c> for even p in [2, 12] and even-family mode m >= 1."""
-    if not isinstance(p, (int, np.integer)) or p not in CHI_POWERS:
+    if not _is_int(p) or p not in CHI_POWERS:
         raise ValueError(f"power p must be one of {CHI_POWERS}, got {p!r}")
     m = _check_index(basis, Parity.EVEN, m, allow_zero=False)
     lam, c, q, e1 = _mode_data(basis, Parity.EVEN, m)
@@ -395,7 +396,7 @@ def chi(basis: Basis, p: int, m: int) -> float:
 
 def chi_vector(basis: Basis, p: int) -> np.ndarray:
     """chi values for modes m = 1..M at one power (vectorized)."""
-    if not isinstance(p, (int, np.integer)) or p not in CHI_POWERS:
+    if not _is_int(p) or p not in CHI_POWERS:
         raise ValueError(f"power p must be one of {CHI_POWERS}, got {p!r}")
     lam, c, q, e1 = _family(basis, Parity.EVEN)
     return np.asarray(_chi_values(int(p), lam, c, q, e1), dtype=float)
@@ -496,13 +497,9 @@ def synthesize(coeffs: CoefficientSet, x, k: int = 0):
     The points go through ``psi_block`` in chunks of at most
     ``_SYNTHESIS_ENTRIES // M``, so memory stays O(states x points + 2**19).
     """
-    if not isinstance(k, (int, np.integer)) or not (0 <= k <= 6):
-        raise ValueError(f"derivative order k must be an integer in [0, 6], got {k!r}")
-    xa = np.asarray(x, dtype=float)
+    xa = _check_eval_args(x, k)
     scalar = xa.ndim == 0
     xa = np.atleast_1d(xa)
-    if np.any(np.abs(xa) > 1.0):
-        raise ValueError("evaluation points must satisfy |x| <= 1")
     vals = np.zeros(np.shape(coeffs.u0c) + xa.shape)
     if k == 0:
         vals += 0.5 * np.expand_dims(coeffs.u0c, -1)
@@ -539,28 +536,16 @@ def project(f, basis: Basis, tol: float = 1e-12) -> CoefficientSet:
     """
     if not (tol >= 1e-14):
         raise ValueError(f"tol must be >= 1e-14, got {tol!r}")
-    lam_max = max(float(basis.lam_even[basis.M]), float(basis.lam_odd[basis.M]))
-    panels = max(8, int(math.ceil(4.0 * lam_max / math.pi)))
-    prev = _projection_at(f, basis, oracle.make_rule(panels))
     eps_floor = 500.0 * np.finfo(float).eps
-    for _ in range(8):
-        panels *= 2
-        if panels * oracle.PANEL_ORDER > 4_000_000:
-            break
-        cur = _projection_at(f, basis, oracle.make_rule(panels))
-        floor = eps_floor * max(1.0, cur[3])
-        ok0 = abs(cur[0] - prev[0]) < tol * max(1.0, abs(cur[0])) + floor
-        okc = bool(np.all(np.abs(cur[1] - prev[1])
-                          < tol * np.maximum(1.0, np.abs(cur[1])) + floor))
-        oks = bool(np.all(np.abs(cur[2] - prev[2])
-                          < tol * np.maximum(1.0, np.abs(cur[2])) + floor))
-        if ok0 and okc and oks:
-            u0c, uc_body, us_body = cur[0], cur[1], cur[2]
-            uc = np.concatenate(([0.0], uc_body))
-            us = np.concatenate(([0.0], us_body))
-            return CoefficientSet(basis=basis, u0c=u0c, uc=uc, us=us)
-        prev = cur
-    raise RuntimeError(f"projection quadrature did not converge to tol={tol:g}")
+
+    def converged(coarse, fine) -> bool:
+        floor = eps_floor * max(1.0, fine[3])
+        return all(oracle._agree(a, b, tol, floor) for a, b in zip(coarse[:3], fine[:3]))
+
+    u0c, uc, us, _ = oracle._refine(lambda rule: _projection_at(f, basis, rule),
+                                    oracle._table_panels(basis, basis.M), converged)
+    return CoefficientSet(basis=basis, u0c=u0c, uc=np.concatenate(([0.0], uc)),
+                          us=np.concatenate(([0.0], us)))
 
 
 # ---------------------------------------------------------------------------

@@ -48,6 +48,11 @@ class Parity(str, enum.Enum):
     ODD = "odd"
 
 
+def _is_int(v) -> bool:
+    """True for Python and numpy integers; bool is not an integer here."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 def _parity(parity) -> Parity:
     try:
         return Parity(parity)
@@ -68,7 +73,7 @@ class Eigenvalue:
 def eigenvalue_asymptotic(parity, m: int) -> float:
     """Large-m eigenvalue approximation: (m+1/6)*pi even, (m-1/3)*pi odd."""
     parity = _parity(parity)
-    if not isinstance(m, (int, np.integer)) or m < 1:
+    if not _is_int(m) or m < 1:
         raise ValueError(f"asymptotic formula requires integer m >= 1, got {m!r}")
     if parity is Parity.EVEN:
         return (m + 1.0 / 6.0) * np.pi
@@ -184,7 +189,7 @@ def solve_eigenvalue(parity, m: int) -> Eigenvalue:
     Newton polish suffices; smaller m use the safeguarded bracketed solver.
     """
     parity = _parity(parity)
-    if not isinstance(m, (int, np.integer)) or m < 0:
+    if not _is_int(m) or m < 0:
         raise ValueError(f"mode index must be a nonnegative integer, got {m!r}")
     if m == 0:
         if parity is Parity.EVEN:
@@ -249,7 +254,7 @@ class Basis:
 
 
 def _check_mode(basis: Basis, parity: Parity, m) -> None:
-    if not isinstance(m, (int, np.integer)):
+    if not _is_int(m):
         raise ValueError(f"mode index must be an integer, got {m!r}")
     lo = 0 if parity is Parity.EVEN else 1
     if not (lo <= m <= basis.M):
@@ -306,7 +311,7 @@ def _normalization(parity: Parity, lam: np.ndarray):
 
 def build_basis(M: int) -> Basis:
     """Construct the complete basis data for modes m <= M of both parities."""
-    if not isinstance(M, (int, np.integer)) or not (1 <= M <= MAX_MODES):
+    if not _is_int(M) or not (1 <= M <= MAX_MODES):
         raise ValueError(f"M must be an integer in [1, {MAX_MODES}], got {M!r}")
     M = int(M)
     data = {}
@@ -364,7 +369,7 @@ def _psi_core(parity: Parity, lam, c, w, x, k: int):
 
 
 def _check_eval_args(x, k) -> np.ndarray:
-    if not isinstance(k, (int, np.integer)) or not (0 <= k <= 6):
+    if not _is_int(k) or not (0 <= k <= 6):
         raise ValueError(f"derivative order k must be an integer in [0, 6], got {k!r}")
     xa = np.asarray(x, dtype=float)
     if np.any(np.abs(xa) > 1.0):

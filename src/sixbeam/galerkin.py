@@ -33,7 +33,7 @@ import numpy as np
 
 from .coefficients import (CoefficientSet, _cauchy_apply, _cauchy_dense, _cauchy_form,
                            _gamma_mean, chi_vector)
-from .eigenbasis import Basis
+from .eigenbasis import Basis, _is_int
 
 __all__ = [
     "BvpSpec",
@@ -90,7 +90,7 @@ class BvpSpec:
             except (TypeError, ValueError):
                 raise ValueError(
                     f"forcing entries must be (power, coefficient) pairs, got {item!r}")
-            if not isinstance(p, (int, np.integer)) or p % 2 != 0 or not (0 <= p <= 12):
+            if not _is_int(p) or p % 2 != 0 or not (0 <= p <= 12):
                 raise ValueError(
                     f"forcing powers must be even integers in [0, 12], got {p!r}")
             combined[int(p)] = combined.get(int(p), 0.0) + float(c)
@@ -525,7 +525,7 @@ def evolve(system: SemiDiscreteSystem, initial: CoefficientSet, dt: float,
     """
     if not (dt > 0.0) or not math.isfinite(dt):
         raise ValueError(f"dt must be positive and finite, got {dt!r}")
-    if not isinstance(steps, (int, np.integer)) or steps < 0:
+    if not _is_int(steps) or steps < 0:
         raise ValueError(f"steps must be a nonnegative integer, got {steps!r}")
     if not (0.0 <= theta <= 1.0):
         raise ValueError(f"theta must lie in [0, 1], got {theta!r}")

@@ -26,7 +26,8 @@ from typing import Callable
 
 import numpy as np
 
-from .eigenbasis import SQRT3, Basis, Parity, _parity
+from .eigenbasis import (SQRT3, Basis, Parity, _check_eval_args, _check_mode,
+                         _is_int, _parity)
 
 __all__ = [
     "QuadratureRule",
@@ -49,6 +50,9 @@ PANEL_ORDER = 16
 
 #: Refinement cap for adaptive integration (total nodes).
 _MAX_POINTS = 4_000_000
+
+#: Refinement cap for adaptive integration (panel doublings).
+_MAX_DOUBLINGS = 8
 
 #: Relative error below which a closed form passes verification.
 REL_THRESHOLD = 1e-8
@@ -78,7 +82,7 @@ def _gauss_legendre(order: int):
 
 def make_rule(panels: int) -> QuadratureRule:
     """Build a composite rule and verify its basic integration invariants."""
-    if not isinstance(panels, (int, np.integer)) or panels < 1:
+    if not _is_int(panels) or panels < 1:
         raise ValueError(f"panel count must be a positive integer, got {panels!r}")
     if panels * PANEL_ORDER > _MAX_POINTS:
         raise ValueError(
@@ -109,6 +113,41 @@ def _initial_panels(lam_hint: float) -> int:
     return max(8, int(math.ceil(4.0 * abs(lam_hint) / math.pi)))
 
 
+def _table_panels(basis: Basis, n_max: int) -> int:
+    """Initial panels for integrands up to mode n_max of both parities."""
+    return _initial_panels(max(float(basis.lam_even[n_max]),
+                               float(basis.lam_odd[n_max])))
+
+
+def _refine(evaluate: Callable[[QuadratureRule], object], panels: int,
+            converged: Callable[[object, object], bool]):
+    """Evaluate on ``panels``, 2*panels, ... until two successive rules agree.
+
+    Returns the finer value of the first pair for which
+    ``converged(coarse, fine)`` holds.  Raises RuntimeError after
+    ``_MAX_DOUBLINGS`` doublings or once the next rule would exceed
+    ``_MAX_POINTS`` nodes, whichever comes first.
+    """
+    coarse = evaluate(make_rule(panels))
+    for _ in range(_MAX_DOUBLINGS):
+        panels *= 2
+        if panels * PANEL_ORDER > _MAX_POINTS:
+            break
+        fine = evaluate(make_rule(panels))
+        if converged(coarse, fine):
+            return fine
+        coarse = fine
+    raise RuntimeError(
+        f"quadrature did not converge within {_MAX_DOUBLINGS} panel doublings "
+        f"or {_MAX_POINTS} nodes")
+
+
+def _agree(coarse, fine, tol: float, floor=0.0) -> bool:
+    """Entrywise |fine - coarse| < tol * max(1, |fine|) + floor."""
+    return bool(np.all(np.abs(fine - coarse)
+                       < tol * np.maximum(1.0, np.abs(fine)) + floor))
+
+
 def inner_product(f, g, tol: float = 1e-12, lam_hint: float = 0.0) -> float:
     """L2 inner product on [-1, 1] by adaptive composite quadrature.
 
@@ -118,20 +157,11 @@ def inner_product(f, g, tol: float = 1e-12, lam_hint: float = 0.0) -> float:
     """
     if not (tol >= 1e-14):
         raise ValueError(f"tol must be >= 1e-14, got {tol!r}")
-    panels = _initial_panels(lam_hint)
-    prev = integrate(lambda x: np.asarray(f(x), float) * np.asarray(g(x), float),
-                     make_rule(panels))
-    while True:
-        panels *= 2
-        if panels * PANEL_ORDER > _MAX_POINTS:
-            raise RuntimeError(
-                f"quadrature did not converge to tol={tol:g} within "
-                f"{_MAX_POINTS} nodes")
-        cur = integrate(lambda x: np.asarray(f(x), float) * np.asarray(g(x), float),
-                        make_rule(panels))
-        if abs(cur - prev) < tol * max(1.0, abs(cur)):
-            return cur
-        prev = cur
+    return _refine(
+        lambda rule: integrate(
+            lambda x: np.asarray(f(x), float) * np.asarray(g(x), float), rule),
+        _initial_panels(lam_hint),
+        lambda coarse, fine: _agree(coarse, fine, tol))
 
 
 # ---------------------------------------------------------------------------
@@ -192,16 +222,10 @@ def _reference_values(lam: float, c: float, t, v, x: np.ndarray) -> np.ndarray:
 def psi_reference(basis: Basis, parity, m: int, x, k: int = 0):
     """Reference evaluation of psi_m^{(k)}(x) (independent of the production path)."""
     parity = _parity(parity)
-    if not isinstance(k, (int, np.integer)) or not (0 <= k <= 6):
-        raise ValueError(f"derivative order k must be an integer in [0, 6], got {k!r}")
-    lo = 0 if parity is Parity.EVEN else 1
-    if not isinstance(m, (int, np.integer)) or not (lo <= m <= basis.M):
-        raise ValueError(f"mode ({parity.value}, {m}) not in basis with M={basis.M}")
-    xa = np.asarray(x, dtype=float)
+    xa = _check_eval_args(x, k)
+    _check_mode(basis, parity, m)
     scalar = xa.ndim == 0
     xa = np.atleast_1d(xa)
-    if np.any(np.abs(xa) > 1.0):
-        raise ValueError("evaluation points must satisfy |x| <= 1")
     if parity is Parity.EVEN and m == 0:
         out = np.ones_like(xa) if k == 0 else np.zeros_like(xa)
     else:
@@ -226,42 +250,16 @@ def _reference_block(basis: Basis, parity: Parity, n_max: int,
 # Structural checks: orthonormality, self-adjointness, completeness
 # ---------------------------------------------------------------------------
 
-def _shared_grid(basis: Basis, parity: Parity, n_max: int, tol: float,
-                 ks: tuple, max_doublings: int = 6):
-    """Blocks of psi^{(k)} rows on a doubling grid until entrywise converged.
-
-    Yields converged (rule, {k: rows}) computed at the finer of two successive
-    resolutions; convergence is judged on the Gram-type products by the caller
-    via the returned coarse/fine pair.
-    """
-    lam_max = max(float(np.nanmax(basis.lam_even[:n_max + 1])),
-                  float(np.nanmax(basis.lam_odd[1:n_max + 1]))
-                  if n_max >= 1 else 0.0)
-    panels = _initial_panels(lam_max)
-    rule = make_rule(panels)
-    blocks = {k: _reference_block(basis, parity, n_max, rule.nodes, k) for k in ks}
-    for _ in range(max_doublings):
-        fine = make_rule(2 * rule.panels)
-        fine_blocks = {k: _reference_block(basis, parity, n_max, fine.nodes, k)
-                       for k in ks}
-        yield (rule, blocks), (fine, fine_blocks)
-        rule, blocks = fine, fine_blocks
-    raise RuntimeError("shared-grid quadrature failed to converge")
-
-
-def _pairwise_table(rule, blocks, ka: int, kb: int) -> np.ndarray:
-    return (blocks[ka] * rule.weights) @ blocks[kb].T
-
-
 def gram_matrix(basis: Basis, parity, n_max: int, tol: float = 1e-12) -> np.ndarray:
     """Gram matrix <psi_n, psi_m> for modes 1..n_max by converged quadrature."""
     parity = _parity(parity)
-    for (rc, bc), (rf, bf) in _shared_grid(basis, parity, n_max, tol, (0,)):
-        coarse = _pairwise_table(rc, bc, 0, 0)
-        fine = _pairwise_table(rf, bf, 0, 0)
-        if np.max(np.abs(fine - coarse)) < tol * max(1.0, float(np.max(np.abs(fine)))):
-            return fine
-    raise RuntimeError("unreachable")
+
+    def gram(rule):
+        rows = _reference_block(basis, parity, n_max, rule.nodes, 0)
+        return (rows * rule.weights) @ rows.T
+
+    return _refine(gram, _table_panels(basis, n_max),
+                   lambda coarse, fine: _agree(coarse, fine, tol))
 
 
 def adjointness_defect(basis: Basis, parity, n: int, m: int,
@@ -293,17 +291,16 @@ def quadrature_tables(basis: Basis, max_index: int, tol: float = 1e-10) -> dict:
     Returns arrays indexed [n-1, m-1]:
       - ``beta_even``/``beta_odd``:   <psi_n'', psi_m>
       - ``gamma_even``/``gamma_odd``: <psi_n'''', psi_m>
-      - ``sixth_even``/``sixth_odd``: <psi_n^{(6)}, psi_m>
       - ``gamma0_even``: <psi_n'''', 1>  (vector, index n-1)
       - ``chi``: {p: vector of <x^p, psi_m^c>, index m-1} for p = 2..12 even
 
     Entrywise converged: two successive grid resolutions differ by less than
     tol * max(1, |value|) plus a rounding floor of 500 eps scaled by the row's
-    integrand magnitude lam_n^k (entries like <psi_n^{(6)}, psi_m> for n != m
-    are near-zero results of O(lam^6) cancellation and can never meet an
-    absolute target below that floor).
+    integrand magnitude lam_n^k (off-diagonal entries are near-zero results
+    of O(lam^k) cancellation and can never meet an absolute target below
+    that floor).
     """
-    if not isinstance(max_index, (int, np.integer)) or not (1 <= max_index <= basis.M):
+    if not _is_int(max_index) or not (1 <= max_index <= basis.M):
         raise ValueError(f"max_index must be in [1, M={basis.M}], got {max_index!r}")
     from .coefficients import CHI_POWERS  # local import: avoids a cycle
 
@@ -316,38 +313,32 @@ def quadrature_tables(basis: Basis, max_index: int, tol: float = 1e-10) -> dict:
         floors = {
             f"beta_{key}": eps_floor * np.maximum(1.0, lam_rows ** 2)[:, None],
             f"gamma_{key}": eps_floor * np.maximum(1.0, lam_rows ** 4)[:, None],
-            f"sixth_{key}": eps_floor * np.maximum(1.0, lam_rows ** 6)[:, None],
             "gamma0_even": eps_floor * np.maximum(1.0, lam_rows ** 4),
             "chi": eps_floor,
         }
-        for (rc, bc), (rf, bf) in _shared_grid(basis, parity, K, tol, (0, 2, 4, 6)):
-            coarse = _sweep_tables(parity, rc, bc, CHI_POWERS)
-            fine = _sweep_tables(parity, rf, bf, CHI_POWERS)
-            if not any(np.any(np.abs(fine[name] - coarse[name])
-                              >= tol * np.maximum(1.0, np.abs(fine[name]))
-                              + floors[name]) for name in fine):
-                out.update(fine)
-                break
-        else:
-            raise RuntimeError("quadrature tables failed to converge")
+        out.update(_refine(
+            lambda rule: _sweep_tables(basis, parity, K, rule, CHI_POWERS),
+            _table_panels(basis, K),
+            lambda coarse, fine: all(_agree(coarse[name], fine[name], tol,
+                                            floors[name]) for name in fine)))
     out["chi"] = dict(zip(CHI_POWERS, out["chi"]))
     return out
 
 
-def _sweep_tables(parity: Parity, rule, blocks, powers) -> dict:
+def _sweep_tables(basis: Basis, parity: Parity, K: int, rule, powers) -> dict:
     """One grid's quadrature tables for ``quadrature_tables``.
 
     ``chi`` is stacked one row per power so it converges like the others.
     """
     key = parity.value
+    rows = {k: _reference_block(basis, parity, K, rule.nodes, k) for k in (0, 2, 4)}
     tables = {
-        f"beta_{key}": _pairwise_table(rule, blocks, 2, 0),
-        f"gamma_{key}": _pairwise_table(rule, blocks, 4, 0),
-        f"sixth_{key}": _pairwise_table(rule, blocks, 6, 0),
+        f"beta_{key}": (rows[2] * rule.weights) @ rows[0].T,
+        f"gamma_{key}": (rows[4] * rule.weights) @ rows[0].T,
     }
     if parity is Parity.EVEN:
-        tables["gamma0_even"] = blocks[4] @ rule.weights
-        tables["chi"] = np.stack([blocks[0] @ (rule.weights * rule.nodes ** p)
+        tables["gamma0_even"] = rows[4] @ rule.weights
+        tables["chi"] = np.stack([rows[0] @ (rule.weights * rule.nodes ** p)
                                   for p in powers])
     return tables
 
@@ -453,7 +444,7 @@ def projection_l2_error(basis: Basis, f, m_max: int, tol: float = 1e-12) -> floa
     Computed via Parseval with quadrature coefficients:
     err^2 = <f, f> - u0c^2/2 - sum uc_m^2 - sum us_m^2.
     """
-    if not (1 <= m_max <= basis.M):
+    if not _is_int(m_max) or not (1 <= m_max <= basis.M):
         raise ValueError(f"m_max must be in [1, M={basis.M}], got {m_max!r}")
     lam_hint = max(float(basis.lam_even[m_max]), float(basis.lam_odd[m_max]))
     norm2 = inner_product(f, f, tol=tol)
@@ -471,7 +462,7 @@ def residual_scan(spec, solution, points: int) -> float:
     """Max abs of a6 u^(6) + a4 u^(4) + a2 u'' + a0 u - f at interior points."""
     from . import coefficients  # local import to avoid a cycle
 
-    if not isinstance(points, (int, np.integer)) or points < 1:
+    if not _is_int(points) or points < 1:
         raise ValueError(f"points must be a positive integer, got {points!r}")
     x = np.linspace(-1.0, 1.0, int(points) + 2)[1:-1]
     acc = spec.a0 * coefficients.synthesize(solution, x, 0)

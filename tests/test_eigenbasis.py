@@ -6,6 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import frozen_reference as ref
+from sixbeam import coefficients as cf
+from sixbeam import galerkin as gk
+from sixbeam import oracle as oc
 from sixbeam.eigenbasis import (
     MAX_MODES,
     Basis,
@@ -183,6 +186,35 @@ def test_evaluation_argument_validation(basis30):
         eval_psi(basis30, "even", 1, 0.5, -1)
     with pytest.raises(ValueError):
         eval_psi(basis30, "odd", 31, 0.5, 0)
+
+
+# Each call passes ``flag`` (True or False) as one integer parameter.
+_INTEGER_ENTRY_POINTS = {
+    "build_basis": lambda b, flag: build_basis(flag),
+    "solve_eigenvalue": lambda b, flag: solve_eigenvalue("even", flag),
+    "eigenvalue_asymptotic": lambda b, flag: eigenvalue_asymptotic("even", flag),
+    "Basis.eigenvalue": lambda b, flag: b.eigenvalue("even", flag),
+    "eval_psi.m": lambda b, flag: eval_psi(b, "even", flag, 0.5),
+    "eval_psi.k": lambda b, flag: eval_psi(b, "even", 1, 0.5, flag),
+    "psi_block.k": lambda b, flag: psi_block(b, "even", [0.5], flag),
+    "synthesize.k": lambda b, flag: cf.synthesize(gk.solve_steady(gk.MODEL_I, b),
+                                                  0.5, flag),
+    "evolve.steps": lambda b, flag: gk.evolve(
+        gk.model_ii_semi_discrete(b), gk.solve_steady(gk.MODEL_I, b), 1e-4, flag),
+    "residual_scan.points": lambda b, flag: oc.residual_scan(
+        gk.MODEL_I, gk.solve_steady(gk.MODEL_I, b), flag),
+    "quadrature_tables": lambda b, flag: oc.quadrature_tables(b, flag),
+    "psi_reference.m": lambda b, flag: oc.psi_reference(b, "even", flag, 0.5),
+    "psi_reference.k": lambda b, flag: oc.psi_reference(b, "even", 1, 0.5, flag),
+    "make_rule": lambda b, flag: oc.make_rule(flag),
+}
+
+
+@pytest.mark.parametrize("flag", [True, False])
+@pytest.mark.parametrize("entry", sorted(_INTEGER_ENTRY_POINTS))
+def test_integer_parameters_reject_bool(basis30, entry, flag):
+    with pytest.raises(ValueError):
+        _INTEGER_ENTRY_POINTS[entry](basis30, flag)
 
 
 def test_no_overflow_for_large_basis():

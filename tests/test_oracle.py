@@ -7,7 +7,7 @@ import frozen_reference as ref
 from sixbeam import coefficients as cf
 from sixbeam import galerkin as gk
 from sixbeam import oracle as oc
-from sixbeam.eigenbasis import Parity, eval_psi
+from sixbeam.eigenbasis import Parity, build_basis, eval_psi
 
 EV, OD = Parity.EVEN, Parity.ODD
 
@@ -111,10 +111,19 @@ def test_tables_match_closed_beta_gamma(basis30, tables6):
                       / np.maximum(1.0, np.abs(G))) < 1e-9
 
 
-def test_tables_match_sixth_derivative_diagonal(basis30, tables6):
-    for parity, key in ((EV, "even"), (OD, "odd")):
+def test_tables_match_sixth_derivative_diagonal(basis30):
+    # <psi_n^(6), psi_m> = -lam_n^6 delta_nm from the reference rows alone.
+    for parity in (EV, OD):
         lam6 = basis30.lam(parity)[1:7] ** 6
-        S = tables6[f"sixth_{key}"]
+
+        def sixth(rule, parity=parity):
+            rows6 = oc._reference_block(basis30, parity, 6, rule.nodes, 6)
+            rows0 = oc._reference_block(basis30, parity, 6, rule.nodes, 0)
+            return (rows6 * rule.weights) @ rows0.T
+
+        floor = 500.0 * np.finfo(float).eps * np.maximum(1.0, lam6)[:, None]
+        S = oc._refine(sixth, oc._table_panels(basis30, 6),
+                       lambda coarse, fine: oc._agree(coarse, fine, 1e-10, floor))
         dev = np.abs(S - np.diag(-lam6)) / np.maximum(1.0, lam6)[:, None]
         assert np.max(dev) < 1e-9
 
@@ -127,6 +136,24 @@ def test_tables_match_mean_row_and_chi(basis30, tables6):
         v = cf.chi_vector(basis30, p)[:6]
         assert np.max(np.abs(tables6["chi"][p] - v)
                       / np.maximum(1.0, np.abs(v))) < 1e-9
+
+
+@pytest.mark.parametrize("call", [
+    lambda f, b: oc.inner_product(f, np.ones_like, tol=1e-14),
+    lambda f, b: cf.project(f, b, tol=1e-14),
+], ids=["inner_product", "project"])
+def test_unresolved_integrand_raises_within_the_doubling_cap(call):
+    # No rule resolves cos(1e7 x): the driver gives up after at most 8
+    # doublings (one evaluation per rule) instead of refining to the budget.
+    rules = []
+
+    def f(x):
+        rules.append(len(x))
+        return np.cos(1e7 * x)
+
+    with pytest.raises(RuntimeError, match="did not converge"):
+        call(f, build_basis(5))
+    assert len(rules) <= 1 + 8
 
 
 def test_tables_validate_arguments(basis30):
