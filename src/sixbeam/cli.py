@@ -72,18 +72,31 @@ def _jsonable(v):
 
 
 def _write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path!r}: {exc.strerror or exc}") from None
 
 
 def _table_text(header: list, rows, fmt: str) -> str:
-    """``rows`` is a list of rows or a 2-D float array (one row template per line)."""
+    """``rows`` is a list of rows or a 2-D float array (one row template per line).
+
+    In a float array, a row whose cells after the first have the bits of the
+    previous row's reuses that row's text; only its first cell is formatted.
+    """
     if fmt == "csv":
         lines = [",".join(header)]
         if isinstance(rows, np.ndarray) and rows.dtype == float:
             # "%.17g" % x gives the same text as _cell(x) for every float.
-            template = ",".join(["%.17g"] * rows.shape[1])
-            lines.extend(template % tuple(row) for row in rows.tolist())
+            bits = rows[:, 1:].view(np.int64)
+            repeats = [False] + np.all(bits[1:] == bits[:-1], axis=1).tolist()
+            template, rest = ",%.17g" * (rows.shape[1] - 1), ""
+            for first, row, repeat in zip(rows[:, 0].tolist(),
+                                          rows[:, 1:].tolist(), repeats):
+                if not repeat:
+                    rest = template % tuple(row)
+                lines.append("%.17g" % first + rest)
         else:
             lines.extend(",".join(_cell(v) for v in row) for row in rows)
         return "\n".join(lines) + "\n"
@@ -414,6 +427,7 @@ def cmd_evolve(args: argparse.Namespace) -> int:
         steady_dev = float(max(abs(final_u0c - steady.u0c),
                                np.max(np.abs(final_uc - steady.uc)),
                                np.max(np.abs(final_us - steady.us))))
+    t3 = time.perf_counter()
     files: dict = {}
     if args.out is not None:
         k_track = min(basis.M, _TRACK_MODES)
@@ -425,7 +439,10 @@ def cmd_evolve(args: argparse.Namespace) -> int:
             np.arange(n_states) * args.dt, traj.u0c,
             traj.uc[:, 1:k_track + 1], traj.us[:, 1:k_track + 1],
             coefficients.synthesize(traj, np.asarray(_SAMPLE_X))))
+    t4 = time.perf_counter()
+    if args.out is not None:
         _emit_table(args, "trajectory", header, rows, files)
+    t5 = time.perf_counter()
     final_norm = float(max(abs(final_u0c),
                            np.max(np.abs(final_uc)), np.max(np.abs(final_us))))
     summary = {
@@ -438,10 +455,14 @@ def cmd_evolve(args: argparse.Namespace) -> int:
         "final_max_abs": final_norm,
         "steady_deviation": steady_dev,
         "paths": traj.record,
+        "stationary_from": traj.stationary_from,
         "files": files,
         "timings_ms": {
             "assemble": 1e3 * (t1 - t0),
             "evolve": 1e3 * (t2 - t1),
+            "steady": 1e3 * (t3 - t2),
+            "synthesize": 1e3 * (t4 - t3),
+            "write": 1e3 * (t5 - t4),
             "total": 1e3 * (time.perf_counter() - t0),
         },
     }

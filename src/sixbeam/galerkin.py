@@ -60,6 +60,7 @@ _PCG_CROSSOVER = 301
 _PCG_RTOL = 1e-15           # stop when ||r|| <= _PCG_RTOL ||f||
 _PCG_MAX_ITERATIONS = 100   # definite specs tried need 6-9 (condition ~1.5)
 _SUBSTITUTION_BLOCK = 64
+_GUARD_BLOCK = 16           # evolve steps between divergence guards
 
 
 @dataclass(frozen=True)
@@ -472,10 +473,18 @@ class Trajectory(CoefficientSet):
     ``"zero"`` (zero forcing and zero start: the block stays exactly 0 and is
     never factored or stepped), ``"diagonal"`` (no off-diagonal entry, as
     B = T = 0 assembles: each mode steps on its own) or ``"step-map"`` (the
-    dense one-step map).
+    dense one-step map).  ``stationary_from`` is the first step k from which
+    every later state equals state k bit for bit (the stepping stopped there
+    and copied it forward), or None if the last step still moved the state.
     """
 
     record: dict = field(default_factory=dict)
+    stationary_from: int | None = None
+
+
+def _same_bits(rows: np.ndarray, row: np.ndarray):
+    """Whether each of ``rows`` (or the single row) has exactly the bits of ``row``."""
+    return np.all(rows.view(np.int64) == row.view(np.int64), axis=-1)
 
 
 def _block_path(A: np.ndarray, f: np.ndarray, u0: np.ndarray) -> str:
@@ -522,6 +531,10 @@ def evolve(system: SemiDiscreteSystem, initial: CoefficientSet, dt: float,
     other solves once for the step map u <- P u + g.  Returns the trajectory
     as one stacked coefficient set with a leading step axis of length
     steps + 1 (initial state included): ``u0c[k]``, ``uc[k]``, ``us[k]``.
+    Once a step leaves the state bit-identical, stepping stops and that
+    state fills the remaining rows (``Trajectory.stationary_from``).  Raises
+    ArithmeticError at the first state whose max norm passes
+    1e12 (1 + the initial max norm) or is not finite.
     """
     if not (dt > 0.0) or not math.isfinite(dt):
         raise ValueError(f"dt must be positive and finite, got {dt!r}")
@@ -548,15 +561,34 @@ def evolve(system: SemiDiscreteSystem, initial: CoefficientSet, dt: float,
         if steps and record[parity] != "zero":
             maps.append((*_step_map(record[parity], A, f, dt, theta), u))
     scale0 = 1.0 + max(float(np.max(np.abs(even[0]))), float(np.max(np.abs(odd[0]))))
-    for k in range(steps):
-        for step, P, g, u in maps:
-            step(P, u[k], out=u[k + 1])
-            u[k + 1] += g
-        norm = float(max(np.max(np.abs(even[k + 1])), np.max(np.abs(odd[k + 1]))))
-        if not math.isfinite(norm) or norm > 1e12 * scale0:
+    limit, stationary_from, k = 1e12 * scale0, None, 0
+    while k < steps and stationary_from is None:
+        end = min(k + _GUARD_BLOCK, steps)
+        # Steps past a divergence overflow silently; the guard below reports
+        # the first row that crossed the limit, as a per-step check would.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j in range(k, end):
+                for step, P, g, u in maps:
+                    step(P, u[j], out=u[j + 1])
+                    u[j + 1] += g
+            norms = np.maximum(np.max(np.abs(even[k + 1:end + 1]), axis=1),
+                               np.max(np.abs(odd[k + 1:end + 1]), axis=1))
+        bad = np.flatnonzero(~np.isfinite(norms) | (norms > limit))
+        if bad.size:
             raise ArithmeticError(
-                f"time integration diverged (state norm {norm:.3e}); "
+                f"time integration diverged (state norm {norms[bad[0]]:.3e}); "
                 "reduce dt or use theta >= 1/2")
+        # The step map is deterministic: once a state repeats bit for bit,
+        # every later state is that state.
+        if all(_same_bits(u[end], u[end - 1]) for *_, u in maps):
+            at_end = np.ones(end + 1 - k, dtype=bool)
+            for *_, u in maps:
+                at_end &= _same_bits(u[k:end + 1], u[end])
+            stationary_from = k + int(np.argmax(at_end))
+            for *_, u in maps:
+                u[end + 1:] = u[end]
+        k = end
     u0c = even[:, 0].copy()
     even[:, 0] = 0.0
-    return Trajectory(basis=basis, u0c=u0c, uc=even, us=odd, record=record)
+    return Trajectory(basis=basis, u0c=u0c, uc=even, us=odd, record=record,
+                      stationary_from=stationary_from)

@@ -294,6 +294,27 @@ def test_evolve_reaches_steady_state_of_forced_system(capsys):
     assert doc["paths"] == {"even": "step-map", "odd": "zero"}
 
 
+def test_evolve_summary_reports_the_stationary_step_and_stage_timings(tmp_path, capsys):
+    stem = str(tmp_path / "ev")
+    code, _, _ = run(capsys, ["evolve", "--M", "60", "--forcing", "model-II",
+                              "--theta", "1", "--dt", "1e-4", "--steps", "200",
+                              "--out", stem])
+    assert code == 0
+    doc = json.loads((tmp_path / "ev.summary.json").read_text())
+    assert set(doc["timings_ms"]) == {"assemble", "evolve", "steady", "synthesize",
+                                      "write", "total"}
+    k = doc["stationary_from"]
+    assert 0 < k < 200
+    lines = (tmp_path / "ev.trajectory.csv").read_text().strip().split("\n")[1:]
+    # The coefficient columns; the samples after them come from one product
+    # over all rows, whose last bits may depend on the row's position.
+    coefs = [",".join(line.split(",")[1:-3]) for line in lines]
+    assert coefs[k - 1] != coefs[k] and set(coefs[k:]) == {coefs[k]}
+    code, out, _ = run(capsys, ["evolve", "--M", "5", "--initial", "odd:2",
+                                "--theta", "0.5", "--steps", "30"])
+    assert code == 0 and json.loads(out)["stationary_from"] is None
+
+
 def test_evolve_steady_deviation_uses_the_evolved_spec(capsys):
     # With --T the long-time limit solves a6=1, a4=-T, a2=B, a0=reaction,
     # not model II itself.
@@ -342,6 +363,19 @@ def test_evolve_instability_aborts_with_exit_2(capsys):
 # ---------------------------------------------------------------------------
 # Exit codes and argument errors
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("argv", [
+    ["eigenvalues", "--m-max", "3"],
+    ["verify", "--max-index", "1"],
+    ["evolve", "--M", "5", "--steps", "3"],
+])
+def test_unwritable_out_path_exits_1(tmp_path, capsys, argv):
+    stem = tmp_path / "missing" / "x"
+    code, out, err = run(capsys, argv + ["--out", str(stem)])
+    assert code == 1 and out == ""
+    assert err.startswith("error: cannot write ") and err.count("\n") == 1
+    assert str(stem.parent) in err and not stem.parent.exists()
+
 
 @pytest.mark.parametrize("argv", [
     ["solve"],                                # no model and no operator
@@ -484,6 +518,29 @@ def test_csv_floats_use_17_significant_digits(tmp_path, capsys):
     u0c_text = coef[1].split(",")[1]
     assert float(u0c_text) == 2048.0 / 3003.0  # round-trips exactly
     assert len(u0c_text.replace("-", "").replace(".", "").lstrip("0")) >= 16
+
+
+def test_float_table_repeated_rows_print_as_each_cell_would():
+    # Rows 1-3 differ only in the sign of zeros, rows 4-6 in NaN payloads;
+    # row 7 repeats row 6 bit for bit and reuses its text.
+    quiet_nan = np.frombuffer(np.int64(0x7FF8000000000001).tobytes())[0]
+    rows = np.array([[0.0, 0.0, 1.0, -0.0],
+                     [1.0, -0.0, 1.0, -0.0],
+                     [2.0, -0.0, 1.0, 0.0],
+                     [3.0, -0.0, 1.0, 0.0],
+                     [4.0, np.nan, np.nan, 2.0],
+                     [5.0, -np.nan, quiet_nan, 2.0],
+                     [6.0, -np.nan, quiet_nan, 2.0],
+                     [-0.0, -np.nan, quiet_nan, 2.0]])
+    header = ["t", "a", "b", "c"]
+    text = _table_text(header, rows, "csv")
+    assert text == _table_text(header, rows.tolist(), "csv")
+    assert text.split("\n")[1:5] == ["0,0,1,-0", "1,-0,1,-0", "2,-0,1,0", "3,-0,1,0"]
+    assert text.split("\n")[5:9] == ["4,nan,nan,2", "5,nan,nan,2", "6,nan,nan,2",
+                                      "-0,nan,nan,2"]
+    one_column = np.array([[0.0], [-0.0], [-0.0]])
+    assert _table_text(["t"], one_column, "csv") == "t\n0\n-0\n-0\n"
+    assert _table_text(header, np.empty((0, 4)), "csv") == "t,a,b,c\n"
 
 
 def test_float_table_fast_path_matches_the_per_cell_path():

@@ -575,6 +575,137 @@ def test_unstable_integration_aborts(basis30):
         gk.evolve(sys_, init, dt=1.0, steps=400, theta=0.0)
 
 
+def _per_step_evolve(system, initial, dt, steps, theta):
+    """``evolve`` as it stepped before the fixed-point exit: every step, each
+    followed by its own divergence check.  The reference for the tests below.
+    """
+    M = system.basis.M
+    even = np.zeros((steps + 1, M + 1))
+    odd = np.zeros((steps + 1, M + 1))
+    even[0, 0], even[0, 1:] = initial.u0c, initial.uc[1:]
+    odd[0, 1:] = initial.us[1:]
+    maps = []
+    for A, f, u in ((system.A_even, system.f_even, even),
+                    (system.A_odd, system.f_odd, odd[:, 1:])):
+        path = gk._block_path(A, f, u[0])
+        if steps and path != "zero":
+            maps.append((*gk._step_map(path, A, f, dt, theta), u))
+    scale0 = 1.0 + max(float(np.max(np.abs(even[0]))), float(np.max(np.abs(odd[0]))))
+    for k in range(steps):
+        for step, P, g, u in maps:
+            step(P, u[k], out=u[k + 1])
+            u[k + 1] += g
+        norm = float(max(np.max(np.abs(even[k + 1])), np.max(np.abs(odd[k + 1]))))
+        if not np.isfinite(norm) or norm > 1e12 * scale0:
+            raise ArithmeticError(
+                f"time integration diverged (state norm {norm:.3e}); "
+                "reduce dt or use theta >= 1/2")
+    u0c = even[:, 0].copy()
+    even[:, 0] = 0.0
+    return u0c, even, odd
+
+
+def _assert_same_trajectory(traj, reference):
+    for got, want in zip((traj.u0c, traj.uc, traj.us), reference):
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("M", [60, 500])
+@pytest.mark.parametrize("T", [0.0, 20.0])
+def test_fixed_point_exit_equals_full_stepping(M, T):
+    basis = build_basis(M)
+    sys_ = gk.model_ii_semi_discrete(basis, T=T)
+    init = cf.CoefficientSet.zeros(basis)
+    traj = gk.evolve(sys_, init, 1e-4, 300, theta=1.0)
+    reference = _per_step_evolve(sys_, init, 1e-4, 300, 1.0)
+    _assert_same_trajectory(traj, reference)
+    k = traj.stationary_from
+    assert k is not None and 0 < k < 300
+    # The first step from which the state repeats bit for bit.
+    stack = np.column_stack((traj.u0c, traj.uc, traj.us))
+    assert np.array_equal(stack[k:], np.broadcast_to(stack[k], stack[k:].shape))
+    assert not np.array_equal(stack[k - 1], stack[k])
+
+
+def test_decay_that_never_repeats_steps_to_the_end(basis30):
+    sys_ = gk.assemble_semi_discrete(basis30)
+    us = np.zeros(31)
+    us[2] = 1.5
+    init = cf.CoefficientSet(basis=basis30, u0c=0.0, uc=np.zeros(31), us=us)
+    dt = 0.1 / basis30.lam_odd[2] ** 6
+    traj = gk.evolve(sys_, init, dt, 1000, theta=0.5)
+    assert traj.stationary_from is None
+    assert traj.record == {"even": "zero", "odd": "diagonal"}
+    _assert_same_trajectory(traj, _per_step_evolve(sys_, init, dt, 1000, 0.5))
+
+
+def test_zero_step_and_zero_block_runs(basis30):
+    sys_ = gk.model_ii_semi_discrete(basis30)
+    init = cf.CoefficientSet.zeros(basis30)
+    traj = gk.evolve(sys_, init, 1e-4, 0, theta=1.0)
+    assert traj.stationary_from is None and len(traj.u0c) == 1
+    _assert_same_trajectory(traj, _per_step_evolve(sys_, init, 1e-4, 0, 1.0))
+    # Nothing steps when both blocks are zero: the state repeats from step 0.
+    still = gk.evolve(gk.assemble_semi_discrete(basis30), init, 1e-4, 40, theta=1.0)
+    assert still.record == {"even": "zero", "odd": "zero"}
+    assert still.stationary_from == 0 and not np.any(still.uc)
+
+
+def _growing_mode(dt_lam6: float, steps: int):
+    """One unit mode at theta = 0 that grows by |1 - dt lam^6| per step."""
+    basis = build_basis(10)
+    sys_ = gk.assemble_semi_discrete(basis)
+    uc = np.zeros(11)
+    uc[1] = 1.0
+    init = cf.CoefficientSet(basis=basis, u0c=0.0, uc=uc, us=np.zeros(11))
+    return sys_, init, dt_lam6 / basis.lam_even[1] ** 6
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("dt_lam6, steps, first", [
+    (11.0, 40, 13),     # |R| = 10: the norm first passes 2e12 at step 13
+    (1e100, 40, 1),     # steps 2.. of the block overflow to inf
+])
+def test_guard_reports_the_first_offending_step(dt_lam6, steps, first):
+    assert first % gk._GUARD_BLOCK != 0
+    sys_, init, dt = _growing_mode(dt_lam6, steps)
+    with pytest.raises(ArithmeticError) as want:
+        _per_step_evolve(sys_, init, dt, steps, 0.0)
+    with pytest.raises(ArithmeticError) as got:
+        gk.evolve(sys_, init, dt, steps, theta=0.0)
+    assert str(got.value) == str(want.value)
+    assert f"{(dt_lam6 - 1.0) ** first:.3e}" in str(got.value)
+    # One step short of the first offending one runs through.
+    gk.evolve(sys_, init, dt, first - 1, theta=0.0)
+
+
+def test_guard_sees_nan_in_either_block(basis30):
+    # A NaN max of the odd block must not hide behind a finite even one.
+    uc, us = np.zeros(31), np.zeros(31)
+    uc[1], us[1] = 0.5, np.nan
+    init = cf.CoefficientSet(basis=basis30, u0c=0.0, uc=uc, us=us)
+    with pytest.raises(ArithmeticError, match=r"state norm nan"):
+        gk.evolve(gk.assemble_semi_discrete(basis30), init, 1e-4, 3)
+
+
+# With dt = 1e90 and 1e30 the steps after the first offending one overflow
+# inside the guard block; with dt = 1e-3 they stay finite.
+@pytest.mark.parametrize("M, T, dt", [(10, 0.0, 1e90), (30, 20.0, 1e-3),
+                                      (30, 20.0, 1e30)])
+def test_guard_raises_diverged_under_strict_floating_point(M, T, dt):
+    basis = build_basis(M)
+    sys_ = gk.model_ii_semi_discrete(basis, T=T)
+    init = cf.CoefficientSet.zeros(basis)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ArithmeticError, match="diverged"):
+            gk.evolve(sys_, init, dt, 50, theta=0.0)
+    with np.errstate(all="raise"):
+        with pytest.raises(ArithmeticError, match="diverged"):
+            gk.evolve(sys_, init, dt, 50, theta=0.0)
+
+
 # ---------------------------------------------------------------------------
 # Overflow instrumentation
 # ---------------------------------------------------------------------------
