@@ -4,8 +4,10 @@
 Both models share the exact solution u(x) = (x^2 - 1)^6, so the script
 reports the max pointwise error on a uniform grid, the achieved accuracy
 tier, the mean-mode coefficient (exactly 2048/3003), and for the dense model
-the solver's own record: the LDL^T pivot range, or above the PCG crossover
-the iteration count, residual and condition estimate.
+the solver's own record: the LDL^T pivot range, or above the Krylov
+crossover (M > 301) the block-Jacobi CG or GMRES iteration count, residual
+and condition estimate.  ``--a4 A4`` adds model II plus A4 u'''', with the
+forcing that keeps the same exact solution (the GMRES path above M = 301).
 """
 
 import argparse
@@ -26,7 +28,17 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--M", type=int, default=100, help="modes per family")
     ap.add_argument("--samples", type=int, default=201, help="error-grid points")
+    ap.add_argument("--a4", type=float, default=None,
+                    help="also solve model II plus a4 u'''' (same exact solution)")
     args = ap.parse_args()
+    specs = [gk.MODEL_I, gk.MODEL_II]
+    if args.a4 is not None:
+        # BvpSpec adds up repeated powers: the model-II forcing plus a4 u''''.
+        u4 = (np.polynomial.Polynomial([1, 0, -1]) ** 6).deriv(4)
+        extra = tuple((p, args.a4 * c) for p, c in enumerate(u4.coef) if c != 0.0)
+        specs.append(gk.BvpSpec(a6=1.0, a4=args.a4, a2=gk.MODEL_II.a2,
+                                a0=gk.MODEL_II.a0, forcing=gk.MODEL_II.forcing + extra,
+                                name="model-II + a4 u''''"))
 
     t0 = time.perf_counter()
     basis = build_basis(args.M)
@@ -34,12 +46,13 @@ def main() -> int:
     xs = np.linspace(-1.0, 1.0, args.samples)
     exact = (xs * xs - 1.0) ** 6
 
-    for spec in (gk.MODEL_I, gk.MODEL_II):
+    for spec in specs:
         t0 = time.perf_counter()
         sol = gk.solve_steady(spec, basis)
         ms = 1e3 * (time.perf_counter() - t0)
         err = float(np.max(np.abs(cf.synthesize(sol, xs) - exact)))
-        print(f"\n{spec.name}: a6={spec.a6:g} a2={spec.a2:g} a0={spec.a0:g}")
+        print(f"\n{spec.name}: a6={spec.a6:g} a4={spec.a4:g} a2={spec.a2:g} "
+              f"a0={spec.a0:g}")
         print(f"  solve time           {ms:8.1f} ms")
         print(f"  max pointwise error  {err:.3e}  (tier: {tier(err)})")
         print(f"  mean coefficient     {sol.u0c!r}"
@@ -49,8 +62,8 @@ def main() -> int:
             print(f"  LDL^T pivots         [{rec['pivot_min']:.3e}, "
                   f"{rec['pivot_max']:.3e}]  all negative: "
                   f"{rec['pivots_all_negative']}")
-        elif rec.get("path") == "pcg":
-            print(f"  Jacobi-PCG           {rec['iterations']} iterations, "
+        elif "path" in rec:
+            print(f"  block-Jacobi {rec['path'].upper():7} {rec['iterations']} iterations, "
                   f"residual {rec['residual']:.2e}, "
                   f"cond estimate {rec['cond_estimate']:.4f}")
     return 0

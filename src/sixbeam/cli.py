@@ -258,16 +258,20 @@ def cmd_solve(args: argparse.Namespace) -> int:
         sol_header = ["x", "u"]
         sol_rows = np.column_stack((xs, u))
     coef_header = ["n", "u_even", "abs_u_even"]
-    coef_rows = [[0, sol.u0c, abs(sol.u0c)]]
-    coef_rows += [[n, sol.uc[n], abs(sol.uc[n])] for n in range(1, args.M + 1)]
-    t3 = time.perf_counter()
+    u_even = np.concatenate(([sol.u0c], sol.uc[1:]))
+    coef_rows = np.column_stack((np.arange(args.M + 1), u_even, np.abs(u_even)))
+    if args.format == "json":  # where n must stay an integer
+        coef_rows = [[int(n), u, a] for n, u, a in coef_rows.tolist()]
     tier = None
     if max_error is not None:
         tier = ("stretch" if max_error <= 5e-13
                 else "required" if max_error <= 1e-10 else "unmet")
+    decay_fit = _decay_fit(sol.uc, 50)
+    t3 = time.perf_counter()
     if args.out is not None:
         _emit_table(args, "solution", sol_header, sol_rows, files)
         _emit_table(args, "coefficients", coef_header, coef_rows, files)
+    t4 = time.perf_counter()
     summary = {
         "command": "solve",
         "M": args.M,
@@ -278,13 +282,14 @@ def cmd_solve(args: argparse.Namespace) -> int:
         "u0c": sol.u0c,
         "max_error": max_error,
         "error_tier": tier,
-        "decay_fit": _decay_fit(sol.uc, 50),
+        "decay_fit": decay_fit,
         "ldlt": sol.record,
         "files": files,
         "timings_ms": {
             "build_basis": 1e3 * (t1 - t0),
             "solve": 1e3 * (t2 - t1),
-            "postprocess": 1e3 * (t3 - t2),
+            "synthesize": 1e3 * (t3 - t2),
+            "write": 1e3 * (t4 - t3),
             "total": 1e3 * (time.perf_counter() - t0),
         },
     }

@@ -52,13 +52,18 @@ __all__ = [
 
 _RESONANCE_GUARD = 1e-6
 
-# Symmetric solves (a4 = 0) with more than this many modes run matrix-free
-# Jacobi-PCG instead of dense Cholesky.  PCG is already the faster one at
-# M = 200 (ladder in CHANGES.md); Cholesky keeps M <= 301, where its pivot
-# record is part of the documented output (criterion 4 prints it at M = 100).
-_PCG_CROSSOVER = 301
-_PCG_RTOL = 1e-15           # stop when ||r|| <= _PCG_RTOL ||f||
-_PCG_MAX_ITERATIONS = 100   # definite specs tried need 6-9 (condition ~1.5)
+# Coupled solves (a2 or a4 nonzero) with more than this many modes run a
+# matrix-free Krylov method, block-Jacobi CG for a4 = 0 and right-preconditioned
+# GMRES otherwise, instead of dense Cholesky or LU (ladder in CHANGES.md).
+# Cholesky keeps M <= 301, where its pivot record is part of the documented
+# output (criterion 4 prints it at M = 100); LU keeps the same range, where
+# it is as fast as GMRES or faster.
+_KRYLOV_CROSSOVER = 301
+_KRYLOV_RTOL = 1e-15        # stop when the (CG or least-squares) residual <= this ||f||
+_PCG_MAX_ITERATIONS = 100   # definite specs tried need 3 (preconditioned condition ~1)
+_GMRES_MAX_ITERATIONS = 30  # specs tried need 4-6; each holds one more M-vector
+_GMRES_ACCEPT = 1e-13       # largest ||A u - f|| / ||f|| a GMRES answer may keep
+_JACOBI_BLOCK = 32          # modes per diagonal block of the preconditioner
 _SUBSTITUTION_BLOCK = 64
 _GUARD_BLOCK = 16           # evolve steps between divergence guards
 
@@ -163,8 +168,10 @@ class SteadySolution(CoefficientSet):
 
     ``record`` is ``{"used": True, "pivots_all_negative", "pivot_min",
     "pivot_max"}`` when the Cholesky path ran (pivots of A = L diag(D) L^T),
-    ``{"used": False, "path": "pcg", "iterations", "residual",
-    "cond_estimate"}`` when the matrix-free Jacobi-PCG path ran,
+    ``{"used": False, "path": "pcg" | "gmres", "iterations", "residual",
+    "cond_estimate"}`` when the matrix-free block-Jacobi CG (a4 = 0) or GMRES
+    (a4 != 0) path ran: ``residual`` is ||A u - f|| / ||f|| from one final
+    product and ``cond_estimate`` describes the block-preconditioned matrix.
     ``{"used": False, "reason": ...}`` when a dense LU solve ran, and
     ``{"used": False}`` for the diagonal path.
     """
@@ -271,35 +278,68 @@ def _solve_cholesky(s: float, A: np.ndarray, fc: np.ndarray):
     return s * _cho_solve(L, fc), record
 
 
-def _symmetric_operator(spec: BvpSpec, basis: Basis):
-    """(d, matvec): the diagonal of A and v -> A v, for a4 = 0, without forming A.
+def _operator(form):
+    """v -> A v for the block that the ``_block_form`` tuple describes, without
+    forming A: ``_cauchy_apply`` forms its off-diagonal part a block of rows at
+    a time."""
+    lam6, X, Y, d = form
+    return lambda v: d * v + _cauchy_apply(lam6, X, Y, v)
 
-    ``_cauchy_apply`` forms A's off-diagonal part a block of rows at a time.
+
+def _block_jacobi(s: float, form, symmetric: bool):
+    """v -> P^{-1} v for P the 32 x 32 diagonal blocks of s A, or None.
+
+    The blocks come straight from the generators of the ``_block_form`` tuple
+    and are inverted once, batched, in O(32 M) memory; the last one is padded
+    with the identity.  With ``symmetric`` they go through Cholesky (None if a
+    block is not definite), so the preconditioner is symmetric positive
+    definite; otherwise through LU (None if a block is singular).
     """
-    lam6, X, Y, d = _block_form(spec, basis, "even")
-    return d, lambda v: d * v + _cauchy_apply(lam6, X, Y, v)
+    lam6, X, Y, d = form
+    M, n = len(d), _JACOBI_BLOCK
+    blocks = np.tile(np.eye(n), (-(-M // n), 1, 1))
+    for k, j in enumerate(range(0, M, n)):
+        b, size = slice(j, j + n), min(n, M - j)
+        blocks[k, :size, :size] = s * _cauchy_dense(lam6[b], X[:, b], Y[:, b], d[b])
+    try:
+        if symmetric:
+            Linv = np.linalg.inv(np.linalg.cholesky(blocks))
+            inv = np.swapaxes(Linv, 1, 2) @ Linv
+        else:
+            inv = np.linalg.inv(blocks)
+    except np.linalg.LinAlgError:
+        return None
+    padded = np.zeros(len(blocks) * n)
+
+    def apply(v):
+        padded[:M] = v
+        return (inv @ padded.reshape(-1, n, 1)).reshape(-1)[:M]
+    return apply
 
 
 def _solve_pcg(s: float, spec: BvpSpec, basis: Basis, fc: np.ndarray):
-    """(u, record) by Jacobi-preconditioned CG on s A u = s f, or None if s A
-    shows it is not definite (a diagonal entry, a breakdown p^T s A p <= 0, or
-    no convergence within the iteration cap).
+    """(u, record) by block-Jacobi preconditioned CG on s A u = s f, or None
+    if s A shows it is not definite (a diagonal block without a Cholesky
+    factor, a breakdown p^T s A p <= 0, or no convergence within the
+    iteration cap).
 
     ``cond_estimate`` is the ratio of the extreme Ritz values of the Lanczos
-    tridiagonal that the CG coefficients define (no extra matvec);
-    ``residual`` is the final ||A u - f|| / ||f||.
+    tridiagonal that the CG coefficients define, an estimate for the
+    preconditioned matrix (no extra matvec); ``residual`` is the final
+    ||A u - f|| / ||f||.
     """
-    d, matvec = _symmetric_operator(spec, basis)
-    sd = s * d
-    if not np.all(sd > 0.0):
+    form = _block_form(spec, basis, "even")
+    precondition = _block_jacobi(s, form, symmetric=True)
+    if precondition is None:
         return None
+    matvec = _operator(form)
     u = np.zeros(basis.M)
     fnorm = float(np.linalg.norm(fc))
     if fnorm == 0.0:
         return u, {"used": False, "path": "pcg", "iterations": 0,
                    "residual": 0.0, "cond_estimate": None}
     r = s * fc
-    z = r / sd
+    z = precondition(r)
     p, rz = z, float(r @ z)
     alphas, betas = [], []
     for _ in range(_PCG_MAX_ITERATIONS):
@@ -310,9 +350,9 @@ def _solve_pcg(s: float, spec: BvpSpec, basis: Basis, fc: np.ndarray):
         alphas.append(rz / pq)
         u += alphas[-1] * p
         r -= alphas[-1] * q
-        if np.linalg.norm(r) <= _PCG_RTOL * fnorm:
+        if np.linalg.norm(r) <= _KRYLOV_RTOL * fnorm:
             break
-        z = r / sd
+        z = precondition(r)
         rz, rz_old = float(r @ z), rz
         betas.append(rz / rz_old)
         p = z + betas[-1] * p
@@ -328,41 +368,121 @@ def _solve_pcg(s: float, spec: BvpSpec, basis: Basis, fc: np.ndarray):
                "residual": residual, "cond_estimate": float(ritz[-1] / ritz[0])}
 
 
+def _solve_gmres(spec: BvpSpec, basis: Basis, fc: np.ndarray):
+    """(u, record) by block-Jacobi right-preconditioned GMRES on A u = f, or
+    None (a singular diagonal block, the iteration cap, or a final residual
+    above ``_GMRES_ACCEPT``).
+
+    GMRES minimizes ||f - A P^{-1} y|| over the Krylov space, so its
+    least-squares residual is that of A u = f with u = P^{-1} y.  It stops
+    when that residual reaches ``_KRYLOV_RTOL`` ||f||, or when a step no
+    longer halves it (rounding level); the true residual from one final
+    product then decides.  ``cond_estimate`` is the ratio of the extreme
+    singular values of the Arnoldi Hessenberg matrix of A P^{-1}.
+    """
+    form = _block_form(spec, basis, "even")
+    precondition = _block_jacobi(1.0, form, symmetric=False)
+    if precondition is None:
+        return None
+    matvec = _operator(form)
+    fnorm = float(np.linalg.norm(fc))
+    if fnorm == 0.0:
+        return np.zeros(basis.M), {"used": False, "path": "gmres", "iterations": 0,
+                                   "residual": 0.0, "cond_estimate": None}
+    m = _GMRES_MAX_ITERATIONS
+    V, rotations = [fc / fnorm], []
+    R = np.zeros((m + 1, m))  # the Arnoldi Hessenberg matrix, Givens-rotated
+    g = np.zeros(m + 1)       # ||f|| e_1, rotated alike: |g[j + 1]| is the LS residual
+    g[0] = fnorm
+    for j in range(m):
+        w = matvec(precondition(V[j]))
+        W = np.array(V)
+        for _ in range(2):  # classical Gram-Schmidt, twice
+            h = W @ w
+            w -= h @ W
+            R[:j + 1, j] += h
+        R[j + 1, j] = wnorm = np.linalg.norm(w)
+        for i, G in enumerate(rotations):
+            R[i:i + 2, j] = G @ R[i:i + 2, j]
+        a, b = R[j:j + 2, j]
+        rotations.append(np.array([[a, b], [-b, a]]) / math.hypot(a, b))
+        R[j:j + 2, j] = rotations[-1] @ R[j:j + 2, j]
+        previous = abs(g[j])
+        g[j:j + 2] = rotations[-1] @ g[j:j + 2]
+        k = j + 1
+        if (wnorm == 0.0 or abs(g[k]) <= _KRYLOV_RTOL * fnorm
+                or abs(g[k]) > 0.5 * previous):
+            break
+        V.append(w / wnorm)
+    else:
+        return None
+    y = np.linalg.solve(R[:k, :k], g[:k])
+    u = precondition(y @ np.array(V))
+    residual = float(np.linalg.norm(matvec(u) - fc)) / fnorm
+    if not residual <= _GMRES_ACCEPT:
+        return None
+    # The rotations are orthogonal: R[:k, :k] has the Hessenberg matrix's
+    # singular values.
+    sigma = np.linalg.svd(R[:k, :k], compute_uv=False)
+    return u, {"used": False, "path": "gmres", "iterations": k,
+               "residual": residual, "cond_estimate": float(sigma[0] / sigma[-1])}
+
+
+def _dense_fallback(method: str, reason: str, spec: BvpSpec, basis: Basis,
+                    fc: np.ndarray, A: np.ndarray | None = None):
+    """(uc_body, record) by dense LU after ``method`` failed, with a warning;
+    ``A`` is the dense mode block if the failed method formed it."""
+    warnings.warn(f"{method} failed ({reason}); falling back to a pivoted dense solve",
+                  RuntimeWarning, stacklevel=4)
+    if A is None:
+        A, _ = _mode_block(spec, basis, "even")
+    return np.linalg.solve(A, fc), {"used": False, "reason": reason}
+
+
 def _solve_symmetric(spec: BvpSpec, basis: Basis, fc: np.ndarray):
     """(uc_body, record) for a4 = 0.
 
     The matrix is then symmetric and, for a well-posed spec, definite with
     the sign of -a6, so with s = -sign a6 Cholesky of s A (up to the
-    crossover) or Jacobi-PCG on s A (above it) both solves the system and
-    tests definiteness; when that test fails a dense LU solve runs, with a
-    warning.
+    crossover) or block-Jacobi CG on s A (above it) both solves the system
+    and tests definiteness; when that test fails a dense LU solve runs, with
+    a warning.
     """
     s = -math.copysign(1.0, spec.a6)
     A = None
-    if basis.M > _PCG_CROSSOVER:
-        solved = _solve_pcg(s, spec, basis, fc)
+    if basis.M > _KRYLOV_CROSSOVER:
+        solved, method = _solve_pcg(s, spec, basis, fc), "block-Jacobi PCG"
     else:
         A, _ = _mode_block(spec, basis, "even")
-        solved = _solve_cholesky(s, A, fc)
+        solved, method = _solve_cholesky(s, A, fc), "Cholesky factorization"
     if solved is not None:
         return solved
-    method = "Jacobi-PCG" if A is None else "Cholesky factorization"
-    warnings.warn(f"{method} failed (matrix not definite); "
-                  "falling back to a pivoted dense solve",
-                  RuntimeWarning, stacklevel=3)
-    if A is None:
+    return _dense_fallback(method, "not definite", spec, basis, fc, A)
+
+
+def _solve_asymmetric(spec: BvpSpec, basis: Basis, fc: np.ndarray):
+    """(uc_body, record) for a4 != 0, where Gamma makes the matrix asymmetric:
+    dense LU up to the crossover, block-Jacobi GMRES above it (falling back
+    to LU, with a warning, if it does not converge)."""
+    if basis.M <= _KRYLOV_CROSSOVER:
         A, _ = _mode_block(spec, basis, "even")
-    return np.linalg.solve(A, fc), {"used": False, "reason": "not definite"}
+        return np.linalg.solve(A, fc), {"used": False, "reason": "matrix not symmetric"}
+    solved = _solve_gmres(spec, basis, fc)
+    if solved is not None:
+        return solved
+    return _dense_fallback("block-Jacobi GMRES", "no convergence", spec, basis, fc)
 
 
 def solve_steady(spec: BvpSpec, basis: Basis) -> SteadySolution:
     """Solve the steady BVP by Galerkin projection onto the even modes.
 
-    The spec picks the path: a diagonal solve when a4 = a2 = 0; when a4 = 0,
-    Cholesky up to ``_PCG_CROSSOVER`` modes and matrix-free Jacobi-PCG
-    above it (either falling back to LU, with a warning, if the matrix is not
-    definite); and LU when a4 != 0 (Gamma is genuinely asymmetric).  The
-    result's ``record`` says which path ran.
+    The spec and M pick the path: a diagonal solve when a4 = a2 = 0; when
+    a4 = 0, Cholesky up to ``_KRYLOV_CROSSOVER`` modes and matrix-free
+    block-Jacobi CG above it (either falling back to LU, with a warning, if
+    the matrix is not definite); when a4 != 0 (Gamma is genuinely
+    asymmetric), LU up to the crossover and matrix-free block-Jacobi GMRES
+    above it (falling back to LU, with a warning, if it does not converge).
+    The result's ``record`` says which path ran.
     """
     if basis.M < 1:
         raise ValueError("basis must carry at least one mode")
@@ -370,10 +490,8 @@ def solve_steady(spec: BvpSpec, basis: Basis) -> SteadySolution:
         return _solve_diagonal(spec, basis)
     f0, fc = forcing_projection(spec, basis)
     if spec.a4 != 0.0:
-        A, gamma0 = _mode_block(spec, basis, "even")
-        uc_body = np.linalg.solve(A, fc)
-        record = {"used": False, "reason": "matrix not symmetric"}
-        u0c = _u0c_from_row0(spec, f0, spec.a4 * float(gamma0 @ uc_body))
+        uc_body, record = _solve_asymmetric(spec, basis, fc)
+        u0c = _u0c_from_row0(spec, f0, spec.a4 * float(_gamma_mean(basis) @ uc_body))
     else:
         # The constant-mode balance needs no mode coefficients here, so an
         # unsatisfiable one fails before the mode solve.

@@ -127,6 +127,53 @@ def test_solve_summary_reports_the_pcg_record(capsys):
     assert doc["error_tier"] == "stretch"
 
 
+def test_solve_summary_reports_the_gmres_record(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, ["solve", "--model", "II", "--a4", "-20",
+                                      "--M", "600"])
+    assert code == 0 and err == ""
+    ldlt = json.loads(out)["ldlt"]
+    assert set(ldlt) == {"used", "path", "iterations", "residual", "cond_estimate"}
+    assert ldlt["path"] == "gmres" and not ldlt["used"]
+    assert ldlt["iterations"] > 0 and ldlt["residual"] <= 1e-14
+
+
+def test_solve_summary_reports_stage_timings(tmp_path, capsys):
+    code, out, _ = run(capsys, ["solve", "--model", "II", "--M", "40",
+                                "--out", str(tmp_path / "s")])
+    assert code == 0
+    doc = json.loads((tmp_path / "s.summary.json").read_text())
+    timings = doc["timings_ms"]
+    assert set(timings) == {"build_basis", "solve", "synthesize", "write", "total"}
+    assert sum(v for k, v in timings.items() if k != "total") <= timings["total"]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("argv", [["--model", "II", "--M", "60"],
+                                  ["--a6", "1", "--a0", "100", "--forcing", "2:1,4:-2",
+                                   "--M", "40"],
+                                  ["--model", "II", "--a4", "-20", "--M", "400"]],
+                         ids=["model-II", "custom", "gmres"])
+def test_coefficient_table_matches_the_per_cell_writer(tmp_path, capsys, fmt, argv):
+    # The float row template writes the bytes that formatting each cell
+    # (n as an integer) gives.
+    stem = str(tmp_path / "c")
+    code, _, _ = run(capsys, ["solve", *argv, "--format", fmt, "--out", stem])
+    assert code == 0
+    summary = json.loads((tmp_path / "c.summary.json").read_text())
+    spec = gk.BvpSpec(a6=summary["spec"]["a6"], a4=summary["spec"]["a4"],
+                      a2=summary["spec"]["a2"], a0=summary["spec"]["a0"],
+                      forcing=summary["spec"]["forcing"])
+    sol = gk.solve_steady(spec, build_basis(summary["M"]))
+    rows = [[0, sol.u0c, abs(sol.u0c)]]
+    rows += [[n, sol.uc[n], abs(sol.uc[n])] for n in range(1, summary["M"] + 1)]
+    expected = _table_text(["n", "u_even", "abs_u_even"], rows, fmt)
+    assert (tmp_path / f"c.coefficients.{fmt}").read_text() == expected
+    if fmt == "json":
+        assert all(type(row["n"]) is int for row in json.loads(expected))
+
+
 def test_solve_outputs_are_byte_identical(tmp_path, capsys):
     stems = []
     for rep in (1, 2):

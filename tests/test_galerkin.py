@@ -50,6 +50,15 @@ def _apply_operator(spec, x):
     return acc
 
 
+def _manufactured_spec(a6, a4, a2, a0):
+    """The spec whose exact solution is (x^2 - 1)^6: its forcing is the
+    operator applied to that polynomial."""
+    poly = np.polynomial.Polynomial([1, 0, -1]) ** 6
+    f = a0 * poly + a2 * poly.deriv(2) + a4 * poly.deriv(4) + a6 * poly.deriv(6)
+    return gk.BvpSpec(a6=a6, a4=a4, a2=a2, a0=a0,
+                      forcing=[(p, c) for p, c in enumerate(f.coef) if c != 0.0])
+
+
 @pytest.mark.parametrize("spec", [gk.MODEL_I, gk.MODEL_II], ids=["I", "II"])
 def test_model_forcings_match_operator_applied_to_exact_solution(spec):
     x = np.linspace(-1.0, 1.0, 13)
@@ -213,10 +222,10 @@ def test_zero_mean_consistency_without_reaction(basis30):
 
 
 # ---------------------------------------------------------------------------
-# Matrix-free Jacobi-PCG (a4 = 0 above the crossover)
+# Matrix-free block-Jacobi Krylov solves (above the crossover)
 # ---------------------------------------------------------------------------
 
-_ABOVE = gk._PCG_CROSSOVER + 1
+_ABOVE = gk._KRYLOV_CROSSOVER + 1
 
 
 @pytest.mark.parametrize("M", [_ABOVE, 1000])
@@ -225,8 +234,9 @@ def test_matrix_free_matvec_matches_the_dense_block(M, a2):
     basis = build_basis(M)
     spec = gk.BvpSpec(a6=1.0, a4=0.0, a2=a2, a0=-199584.0)
     A, _ = gk._mode_block(spec, basis, "even")
-    d, matvec = gk._symmetric_operator(spec, basis)
-    assert np.array_equal(d, np.diag(A))
+    form = gk._block_form(spec, basis, "even")
+    matvec = gk._operator(form)
+    assert np.array_equal(form[3], np.diag(A))
     rng = np.random.default_rng(M)
     # A decaying vector (like a solution) and a flat one, where the
     # diagonal dominates A v.
@@ -258,9 +268,82 @@ def test_pcg_solve_matches_the_dense_solve_at_m2000():
         assert 1 <= record["iterations"] <= 20
         assert record["residual"] <= 1e-14
         assert 1.0 <= record["cond_estimate"] < 2.0
-    # Model II's Jacobi-scaled matrix has condition number ~1.5146 at every M.
+    # Model II's block-preconditioned matrix has condition number ~1 + 2.15e-5
+    # at every M.
     assert gk.solve_steady(gk.MODEL_II, basis).record["cond_estimate"] == \
-        pytest.approx(1.5146, abs=1e-4)
+        pytest.approx(1.0000215, abs=1e-6)
+
+
+def _random_bench_spec(rng, coupled):
+    # The benchmark's ranges, a4 in +-[1, 100] when coupled, and its
+    # manufactured forcing.
+    a4 = rng.uniform(1.0, 100.0) * rng.choice([-1.0, 1.0]) if coupled else 0.0
+    return _manufactured_spec(rng.uniform(0.8, 1.25), a4, rng.uniform(-2000.0, 6000.0),
+                              -rng.uniform(2.5e5, 4.0e5))
+
+
+@pytest.mark.parametrize("M", [_ABOVE, 500, 2000])
+@pytest.mark.parametrize("coupled", [False, True], ids=["a4=0", "a4!=0"])
+def test_krylov_solves_match_the_dense_solve_above_the_crossover(M, coupled):
+    basis = build_basis(M)
+    rng = np.random.default_rng([M, int(coupled)])
+    for _ in range(3):
+        spec = _random_bench_spec(rng, coupled)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = gk.solve_steady(spec, basis)
+        A, fc, _ = gk.assemble_steady(spec, basis)
+        dense = np.linalg.solve(A, fc)
+        assert np.linalg.norm(sol.uc[1:] - dense) <= 1e-14 * np.linalg.norm(dense)
+        assert sol.record["path"] == ("gmres" if coupled else "pcg")
+        assert sol.record["residual"] <= 1e-14
+
+
+@pytest.mark.parametrize("a4", [-30.0, -5.0, 5.0, 30.0, 100.0])
+def test_gmres_matches_lu_at_m2000(a4):
+    # Model II's a2 and a0, forcing from the spec.
+    basis = build_basis(2000)
+    spec = _manufactured_spec(1.0, a4, gk.MODEL_II.a2, gk.MODEL_II.a0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sol = gk.solve_steady(spec, basis)
+    A, fc, _ = gk.assemble_steady(spec, basis)
+    dense = np.linalg.solve(A, fc)
+    assert np.linalg.norm(sol.uc[1:] - dense) <= 1e-14 * np.linalg.norm(dense)
+    record = sol.record
+    assert set(record) == {"used", "path", "iterations", "residual", "cond_estimate"}
+    assert record["path"] == "gmres" and not record["used"]
+    assert 4 <= record["iterations"] <= 6
+    assert record["residual"] <= 1e-14
+    assert 1.0 <= record["cond_estimate"] < 2.0
+
+
+def test_gmres_mean_mode_takes_the_constant_mode_row():
+    # Model II's forcing with a4 != 0 has no (x^2 - 1)^6 solution, so the
+    # row a4 sum_n gamma_n0 u_n + a0 u0c = <f, 1> moves u0c off <f, 1> / a0.
+    basis = build_basis(_ABOVE)
+    spec = gk.BvpSpec(a6=1.0, a4=-20.0, a2=gk.MODEL_II.a2, a0=gk.MODEL_II.a0,
+                      forcing=gk.MODEL_II.forcing)
+    sol = gk.solve_steady(spec, basis)
+    assert sol.record["path"] == "gmres"
+    f0, _ = gk.forcing_projection(spec, basis)
+    mean_row = cf.operator_matrix(basis, "even", "fourth_derivative").mean_row
+    assert sol.u0c == pytest.approx((f0 - spec.a4 * mean_row @ sol.uc[1:]) / spec.a0,
+                                    rel=1e-14)
+    assert abs(sol.u0c - f0 / spec.a0) > 1e-3
+
+
+def test_gmres_iteration_cap_falls_back_to_lu(monkeypatch):
+    basis = build_basis(_ABOVE)
+    spec = _manufactured_spec(1.0, -20.0, gk.MODEL_II.a2, gk.MODEL_II.a0)
+    monkeypatch.setattr(gk, "_GMRES_MAX_ITERATIONS", 2)
+    with pytest.warns(RuntimeWarning, match="GMRES failed"):
+        sol = gk.solve_steady(spec, basis)
+    assert sol.record == {"used": False, "reason": "no convergence"}
+    monkeypatch.undo()
+    krylov = gk.solve_steady(spec, basis)
+    assert np.max(np.abs(sol.uc - krylov.uc)) < 1e-15
+    assert sol.u0c == pytest.approx(krylov.u0c, rel=1e-15)
 
 
 def test_pcg_path_falls_back_to_lu_with_its_reason():
@@ -280,7 +363,8 @@ def test_pcg_path_falls_back_to_lu_with_its_reason():
 def test_pcg_breakdown_falls_back_to_lu():
     # a0 between the lowest eigenvalue and the lowest diagonal entry of -A
     # (at a0 = 0) keeps every diagonal entry positive but leaves -A
-    # indefinite, which CG meets as p^T (-A) p <= 0.
+    # indefinite, and with it the first diagonal block, whose Cholesky
+    # factorization fails.
     basis = build_basis(_ABOVE)
     A0, _, _ = gk.assemble_steady(gk.BvpSpec(a6=1.0, a4=0.0, a2=-5544.0, a0=0.0), basis)
     a0 = 0.5 * (np.linalg.eigvalsh(-A0)[0] + np.min(np.diag(-A0)))
@@ -730,6 +814,26 @@ def test_model_ii_at_max_modes_solves_in_linear_memory():
     finally:
         tracemalloc.stop()
     assert sol.record["path"] == "pcg"
+    assert peak < 100e6
+    xs = np.linspace(-1.0, 1.0, 201)
+    with np.errstate(over="raise", invalid="raise"):
+        err = np.max(np.abs(cf.synthesize(sol, xs) - _exact_solution(xs)))
+    assert err <= 1e-12
+
+
+def test_manufactured_a4_solve_at_max_modes_in_linear_memory():
+    # Dense LU would take 800 MB for A alone at MAX_MODES; GMRES keeps one
+    # 256-row block of the Cauchy kernel, the 32 x 32 block inverses and a
+    # few Krylov vectors.
+    spec = _manufactured_spec(1.0, -20.0, gk.MODEL_II.a2, gk.MODEL_II.a0)
+    tracemalloc.start()
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            sol = gk.solve_steady(spec, build_basis(MAX_MODES))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sol.record["path"] == "gmres"
     assert peak < 100e6
     xs = np.linspace(-1.0, 1.0, 201)
     with np.errstate(over="raise", invalid="raise"):
