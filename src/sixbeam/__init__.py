@@ -61,6 +61,7 @@ from .galerkin import (
     assemble_steady,
     evolve,
     forcing_projection,
+    manufactured_spec,
     model_ii_semi_discrete,
     solve_steady,
 )
@@ -78,6 +79,7 @@ __all__ = [
     "psi_reference", "quadrature_tables", "residual_scan", "verify_formula",
     "MODEL_I", "MODEL_II", "BvpSpec", "SemiDiscreteSystem", "SteadySolution",
     "Trajectory", "assemble_semi_discrete", "assemble_steady", "evolve",
-    "forcing_projection", "model_ii_semi_discrete", "solve_steady",
+    "forcing_projection", "manufactured_spec", "model_ii_semi_discrete",
+    "solve_steady",
     "__version__",
 ]

@@ -39,6 +39,7 @@ __all__ = [
     "BvpSpec",
     "MODEL_I",
     "MODEL_II",
+    "manufactured_spec",
     "SemiDiscreteSystem",
     "SteadySolution",
     "Trajectory",
@@ -129,6 +130,17 @@ MODEL_II = BvpSpec(
              (10, 465696.0), (12, -199584.0)),
     name="model-II",
 )
+
+
+def manufactured_spec(a6: float, a4: float, a2: float, a0: float,
+                      name: str = "") -> BvpSpec:
+    """The spec with these coefficients whose exact solution is (x^2 - 1)^6,
+    the solution of both model problems: its forcing is the operator applied
+    to that polynomial (``MODEL_I`` and ``MODEL_II`` are two such specs)."""
+    u = np.polynomial.Polynomial([1, 0, -1]) ** 6
+    f = a6 * u.deriv(6) + a4 * u.deriv(4) + a2 * u.deriv(2) + a0 * u
+    return BvpSpec(a6=a6, a4=a4, a2=a2, a0=a0, name=name,
+                   forcing=tuple((p, c) for p, c in enumerate(f.coef) if c != 0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -50,17 +50,18 @@ def _apply_operator(spec, x):
     return acc
 
 
-def _manufactured_spec(a6, a4, a2, a0):
-    """The spec whose exact solution is (x^2 - 1)^6: its forcing is the
-    operator applied to that polynomial."""
-    poly = np.polynomial.Polynomial([1, 0, -1]) ** 6
-    f = a0 * poly + a2 * poly.deriv(2) + a4 * poly.deriv(4) + a6 * poly.deriv(6)
-    return gk.BvpSpec(a6=a6, a4=a4, a2=a2, a0=a0,
-                      forcing=[(p, c) for p, c in enumerate(f.coef) if c != 0.0])
-
-
 @pytest.mark.parametrize("spec", [gk.MODEL_I, gk.MODEL_II], ids=["I", "II"])
 def test_model_forcings_match_operator_applied_to_exact_solution(spec):
+    x = np.linspace(-1.0, 1.0, 13)
+    np.testing.assert_allclose(spec.forcing_values(x), _apply_operator(spec, x),
+                               rtol=1e-13, atol=1e-9)
+
+
+def test_manufactured_spec_has_the_model_solution():
+    for model in (gk.MODEL_I, gk.MODEL_II):
+        assert gk.manufactured_spec(model.a6, model.a4, model.a2, model.a0,
+                                    name=model.name) == model
+    spec = gk.manufactured_spec(0.9, -20.0, 3000.0, -3e5)
     x = np.linspace(-1.0, 1.0, 13)
     np.testing.assert_allclose(spec.forcing_values(x), _apply_operator(spec, x),
                                rtol=1e-13, atol=1e-9)
@@ -274,47 +275,46 @@ def test_pcg_solve_matches_the_dense_solve_at_m2000():
         pytest.approx(1.0000215, abs=1e-6)
 
 
-def _random_bench_spec(rng, coupled):
-    # The benchmark's ranges, a4 in +-[1, 100] when coupled, and its
-    # manufactured forcing.
-    a4 = rng.uniform(1.0, 100.0) * rng.choice([-1.0, 1.0]) if coupled else 0.0
-    return _manufactured_spec(rng.uniform(0.8, 1.25), a4, rng.uniform(-2000.0, 6000.0),
-                              -rng.uniform(2.5e5, 4.0e5))
+def _random_bench_spec(rng, a4):
+    # The benchmark's ranges of a6, a2 and a0, and its manufactured forcing.
+    return gk.manufactured_spec(rng.uniform(0.8, 1.25), a4, rng.uniform(-2000.0, 6000.0),
+                                -rng.uniform(2.5e5, 4.0e5))
 
 
-@pytest.mark.parametrize("M", [_ABOVE, 500, 2000])
-@pytest.mark.parametrize("coupled", [False, True], ids=["a4=0", "a4!=0"])
-def test_krylov_solves_match_the_dense_solve_above_the_crossover(M, coupled):
-    basis = build_basis(M)
-    rng = np.random.default_rng([M, int(coupled)])
-    for _ in range(3):
-        spec = _random_bench_spec(rng, coupled)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            sol = gk.solve_steady(spec, basis)
-        A, fc, _ = gk.assemble_steady(spec, basis)
-        dense = np.linalg.solve(A, fc)
-        assert np.linalg.norm(sol.uc[1:] - dense) <= 1e-14 * np.linalg.norm(dense)
-        assert sol.record["path"] == ("gmres" if coupled else "pcg")
-        assert sol.record["residual"] <= 1e-14
-
-
-@pytest.mark.parametrize("a4", [-30.0, -5.0, 5.0, 30.0, 100.0])
-def test_gmres_matches_lu_at_m2000(a4):
-    # Model II's a2 and a0, forcing from the spec.
-    basis = build_basis(2000)
-    spec = _manufactured_spec(1.0, a4, gk.MODEL_II.a2, gk.MODEL_II.a0)
+def _assert_matches_the_dense_solve(spec, basis, path):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         sol = gk.solve_steady(spec, basis)
     A, fc, _ = gk.assemble_steady(spec, basis)
     dense = np.linalg.solve(A, fc)
     assert np.linalg.norm(sol.uc[1:] - dense) <= 1e-14 * np.linalg.norm(dense)
-    record = sol.record
+    assert sol.record["path"] == path
+    assert sol.record["residual"] <= 1e-14
+    return sol.record
+
+
+# M = 2000 is covered by test_pcg_solve_matches_the_dense_solve_at_m2000 (a4 = 0)
+# and test_gmres_matches_lu_at_m2000 (a4 != 0).
+@pytest.mark.parametrize("M", [_ABOVE, 500])
+@pytest.mark.parametrize("coupled", [False, True], ids=["a4=0", "a4!=0"])
+def test_krylov_solves_match_the_dense_solve_above_the_crossover(M, coupled):
+    basis = build_basis(M)
+    rng = np.random.default_rng([M, int(coupled)])
+    for _ in range(3):
+        # The benchmark's a4 range, +-[1, 100], when coupled.
+        a4 = rng.uniform(1.0, 100.0) * rng.choice([-1.0, 1.0]) if coupled else 0.0
+        _assert_matches_the_dense_solve(_random_bench_spec(rng, a4), basis,
+                                        "gmres" if coupled else "pcg")
+
+
+@pytest.mark.parametrize("a4", [-30.0, -5.0, 5.0, 30.0, 100.0])
+def test_gmres_matches_lu_at_m2000(a4):
+    # a6, a2 and a0 from the benchmark's ranges.
+    spec = _random_bench_spec(np.random.default_rng(int(a4) + 100), a4)
+    record = _assert_matches_the_dense_solve(spec, build_basis(2000), "gmres")
     assert set(record) == {"used", "path", "iterations", "residual", "cond_estimate"}
-    assert record["path"] == "gmres" and not record["used"]
+    assert not record["used"]
     assert 4 <= record["iterations"] <= 6
-    assert record["residual"] <= 1e-14
     assert 1.0 <= record["cond_estimate"] < 2.0
 
 
@@ -333,10 +333,19 @@ def test_gmres_mean_mode_takes_the_constant_mode_row():
     assert abs(sol.u0c - f0 / spec.a0) > 1e-3
 
 
-def test_gmres_iteration_cap_falls_back_to_lu(monkeypatch):
+def _singular(_):
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+@pytest.mark.parametrize("module, name, value", [
+    (gk, "_GMRES_MAX_ITERATIONS", 2),   # the iteration cap
+    (gk, "_GMRES_ACCEPT", 0.0),         # a rejected final residual
+    (np.linalg, "inv", _singular),      # a singular diagonal block
+], ids=["cap", "rejected", "singular-block"])
+def test_gmres_failures_fall_back_to_lu(monkeypatch, module, name, value):
     basis = build_basis(_ABOVE)
-    spec = _manufactured_spec(1.0, -20.0, gk.MODEL_II.a2, gk.MODEL_II.a0)
-    monkeypatch.setattr(gk, "_GMRES_MAX_ITERATIONS", 2)
+    spec = gk.manufactured_spec(1.0, -20.0, gk.MODEL_II.a2, gk.MODEL_II.a0)
+    monkeypatch.setattr(module, name, value)
     with pytest.warns(RuntimeWarning, match="GMRES failed"):
         sol = gk.solve_steady(spec, basis)
     assert sol.record == {"used": False, "reason": "no convergence"}
@@ -360,18 +369,31 @@ def test_pcg_path_falls_back_to_lu_with_its_reason():
     assert np.max(np.abs(A @ sol.uc[1:] - fc)) < 1e-9 * np.max(np.abs(fc))
 
 
-def test_pcg_breakdown_falls_back_to_lu():
+def _indefinite_spec(basis):
     # a0 between the lowest eigenvalue and the lowest diagonal entry of -A
-    # (at a0 = 0) keeps every diagonal entry positive but leaves -A
-    # indefinite, and with it the first diagonal block, whose Cholesky
-    # factorization fails.
-    basis = build_basis(_ABOVE)
+    # (at a0 = 0) keeps every diagonal entry positive but leaves -A indefinite.
     A0, _, _ = gk.assemble_steady(gk.BvpSpec(a6=1.0, a4=0.0, a2=-5544.0, a0=0.0), basis)
     a0 = 0.5 * (np.linalg.eigvalsh(-A0)[0] + np.min(np.diag(-A0)))
-    spec = gk.BvpSpec(a6=1.0, a4=0.0, a2=-5544.0, a0=a0, forcing=((2, 1.0),))
     assert np.all(np.diag(-A0) - a0 > 0.0)
+    return gk.BvpSpec(a6=1.0, a4=0.0, a2=-5544.0, a0=a0, forcing=((2, 1.0),))
+
+
+def test_pcg_indefinite_diagonal_block_falls_back_to_lu():
+    # -A's first diagonal block is indefinite too, so its Cholesky
+    # factorization fails before CG starts.
+    basis = build_basis(_ABOVE)
     with pytest.warns(RuntimeWarning, match="not definite"):
-        sol = gk.solve_steady(spec, basis)
+        sol = gk.solve_steady(_indefinite_spec(basis), basis)
+    assert sol.record == {"used": False, "reason": "not definite"}
+
+
+def test_pcg_breakdown_falls_back_to_lu(monkeypatch):
+    # With 1 x 1 blocks (the Jacobi preconditioner) the positive diagonal
+    # factors, and CG meets the indefiniteness as p^T (-A) p <= 0.
+    basis = build_basis(_ABOVE)
+    monkeypatch.setattr(gk, "_JACOBI_BLOCK", 1)
+    with pytest.warns(RuntimeWarning, match="not definite"):
+        sol = gk.solve_steady(_indefinite_spec(basis), basis)
     assert sol.record == {"used": False, "reason": "not definite"}
 
 
@@ -825,7 +847,7 @@ def test_manufactured_a4_solve_at_max_modes_in_linear_memory():
     # Dense LU would take 800 MB for A alone at MAX_MODES; GMRES keeps one
     # 256-row block of the Cauchy kernel, the 32 x 32 block inverses and a
     # few Krylov vectors.
-    spec = _manufactured_spec(1.0, -20.0, gk.MODEL_II.a2, gk.MODEL_II.a0)
+    spec = gk.manufactured_spec(1.0, -20.0, gk.MODEL_II.a2, gk.MODEL_II.a0)
     tracemalloc.start()
     try:
         with np.errstate(over="raise", invalid="raise"):
