@@ -440,10 +440,14 @@ def cmd_evolve(args: argparse.Namespace) -> int:
                   + [f"uc_{n}" for n in range(1, k_track + 1)]
                   + [f"us_{n}" for n in range(1, k_track + 1)]
                   + [f"u_at_{x:g}" for x in _SAMPLE_X])
+        samples = coefficients.synthesize(traj, np.asarray(_SAMPLE_X))
+        if traj.stationary_from is not None:
+            # The matrix product can round a repeated state differently by its
+            # row; every repeat takes the samples of its first occurrence.
+            samples[traj.stationary_from + 1:] = samples[traj.stationary_from]
         rows = np.column_stack((
             np.arange(n_states) * args.dt, traj.u0c,
-            traj.uc[:, 1:k_track + 1], traj.us[:, 1:k_track + 1],
-            coefficients.synthesize(traj, np.asarray(_SAMPLE_X))))
+            traj.uc[:, 1:k_track + 1], traj.us[:, 1:k_track + 1], samples))
     t4 = time.perf_counter()
     if args.out is not None:
         _emit_table(args, "trajectory", header, rows, files)

@@ -479,9 +479,11 @@ class CoefficientSet:
 
 
 # synthesize and project evaluate psi_block on at most this many (mode, point)
-# entries at a time: its complex temporaries, not the result, set the peak
-# memory at large M (161 MB for 201 points at M = 10000 in one block).  Every
-# synthesis at M <= 2000 with <= 262 points is still one block.
+# entries at a time: its temporaries, not the result, set the peak memory.
+# They are complex for modes whose boundary layer spans [-1, 1] (M = 100's
+# project peaks at ~43 MB) and three real arrays above (201 points at
+# M = 10000 peak at ~49 MB in one block, ~13 MB in chunks).  Every synthesis
+# at M <= 2000 with <= 262 points is still one block.
 _SYNTHESIS_ENTRIES = 2 ** 19
 
 

@@ -341,6 +341,13 @@ def build_basis(M: int) -> Basis:
 # Eigenfunction evaluation
 # ---------------------------------------------------------------------------
 
+#: exp(t) is exactly 0.0 in double precision for t < -745.14; this bound
+#: leaves margin for the rounding of the exponent itself.
+_UNDERFLOW = 760.0
+#: Rows of high modes whose boundary layers are evaluated together.
+_LAYER_ROWS = 128
+
+
 def _psi_core(parity: Parity, lam, c, w, x, k: int):
     """Scaled evaluation of psi^{(k)}; lam/c/w may be column vectors.
 
@@ -351,6 +358,17 @@ def _psi_core(parity: Parity, lam, c, w, x, k: int):
     where Phi_k(x) = e^{-s/2} * d^k/dx^k of cosh(zx) (even) or sinh(zx)
     (odd).  Both exponentials inside Phi_k have nonpositive real exponent for
     |x| <= 1, so the evaluation never overflows.
+
+    With h = s/2 the exponentials are exp(+-z x - h), of real exponent
+    h (+-x - 1), and they are exactly 0.0 once that is below -745.14.  Rows
+    with h <= 760 keep both over every point.  Above, rows go in blocks of
+    ``_LAYER_ROWS``: with h0 the block's smallest h and a = 1 - 760/h0 > 0,
+    exp(z x - h) can be nonzero only for x > a and exp(-z x - h) only for
+    x < -a; between the two bands the layer is exactly 0 and psi is its
+    trigonometric part.  An exponential dropped there or in a band is +-0,
+    which changes at most the sign of a zero that the trigonometric part
+    (never -0.0) then absorbs, so the bits are those of both exponentials
+    over every point.
     """
     s = SQRT3 * lam
     phase = lam * x + 0.5 * np.pi * k
@@ -362,10 +380,29 @@ def _psi_core(parity: Parity, lam, c, w, x, k: int):
         trig = lamk * np.sin(phase)
         sigma = -1.0 if k % 2 == 0 else 1.0
     z = 0.5 * (s + 1j * lam)
-    zu = z * x
     half = 0.5 * s
-    hyp = 0.5 * (np.exp(zu - half) + sigma * np.exp(-zu - half))
-    return c * (trig + np.real(w * z ** k * hyp))
+    banded = np.reshape(half, -1) > _UNDERFLOW
+    if not banded.any():
+        zu = z * x
+        hyp = 0.5 * (np.exp(zu - half) + sigma * np.exp(-zu - half))
+        return c * (trig + np.real(w * z ** k * hyp))
+    # w z^k in the caller's types, as above (a Python complex for one mode).
+    z, half, wzk = (np.reshape(v, (-1, 1)) for v in (z, half, w * z ** k))
+    xs = np.reshape(x, -1)
+    rows = trig.reshape(banded.size, xs.size)   # one row per mode
+    low, high = np.flatnonzero(~banded), np.flatnonzero(banded)
+    zu = z[low] * xs
+    hyp = 0.5 * (np.exp(zu - half[low]) + sigma * np.exp(-zu - half[low]))
+    rows[low] += np.real(wzk[low] * hyp)
+    for b in range(0, high.size, _LAYER_ROWS):
+        r = high[b:b + _LAYER_ROWS]
+        edge = 1.0 - _UNDERFLOW / np.min(half[r])
+        j = np.flatnonzero(xs > edge)
+        rows[np.ix_(r, j)] += np.real(wzk[r] * (0.5 * np.exp(z[r] * xs[j] - half[r])))
+        j = np.flatnonzero(xs < -edge)
+        rows[np.ix_(r, j)] += np.real(
+            wzk[r] * (0.5 * (sigma * np.exp(-(z[r] * xs[j]) - half[r]))))
+    return np.multiply(c, rows, out=rows).reshape(trig.shape)
 
 
 def _check_eval_args(x, k) -> np.ndarray:

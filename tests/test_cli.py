@@ -353,13 +353,33 @@ def test_evolve_summary_reports_the_stationary_step_and_stage_timings(tmp_path, 
     k = doc["stationary_from"]
     assert 0 < k < 200
     lines = (tmp_path / "ev.trajectory.csv").read_text().strip().split("\n")[1:]
-    # The coefficient columns; the samples after them come from one product
-    # over all rows, whose last bits may depend on the row's position.
-    coefs = [",".join(line.split(",")[1:-3]) for line in lines]
-    assert coefs[k - 1] != coefs[k] and set(coefs[k:]) == {coefs[k]}
+    # Every cell after the time column, the samples included.
+    cells = [line.split(",", 1)[1] for line in lines]
+    assert cells[k - 1] != cells[k] and set(cells[k:]) == {cells[k]}
     code, out, _ = run(capsys, ["evolve", "--M", "5", "--initial", "odd:2",
                                 "--theta", "0.5", "--steps", "30"])
     assert code == 0 and json.loads(out)["stationary_from"] is None
+
+
+def test_evolve_samples_are_those_of_the_first_stationary_state(tmp_path, capsys):
+    # One matrix product over all rows rounded the last row's samples of the
+    # README example one ulp away from the identical states before it.
+    stem = str(tmp_path / "ev")
+    code, _, _ = run(capsys, ["evolve", "--M", "60", "--forcing", "model-II",
+                              "--theta", "1", "--dt", "1e-4", "--steps", "200",
+                              "--out", stem])
+    assert code == 0
+    basis = build_basis(60)
+    traj = gk.evolve(gk.model_ii_semi_discrete(basis), cf.CoefficientSet.zeros(basis),
+                     1e-4, 200, theta=1.0)
+    k = traj.stationary_from
+    whole = cf.synthesize(traj, np.array([-0.5, 0.0, 0.5]))
+    lines = (tmp_path / "ev.trajectory.csv").read_text().strip().split("\n")[1:]
+    samples = np.array([[float(v) for v in line.split(",")[-3:]] for line in lines])
+    bits, want = samples.view(np.int64), whole.view(np.int64)
+    assert 0 < k < 200 and samples.shape == whole.shape
+    assert np.array_equal(bits[:k + 1], want[:k + 1])
+    assert np.array_equal(bits[k:], np.broadcast_to(want[k], bits[k:].shape))
 
 
 def test_evolve_steady_deviation_uses_the_evolved_spec(capsys):

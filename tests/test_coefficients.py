@@ -364,8 +364,9 @@ def test_chi_sign_alternates_property(m, p):
 
 
 def test_synthesize_at_max_modes_evaluates_in_chunks():
-    # One 201-point psi_block at M = 10000 peaks at ~161 MB; chunking the
-    # points keeps synthesize far below that and changes values at rounding level.
+    # One 201-point psi_block at M = 10000 peaks at ~49 MB (~161 MB while it
+    # evaluated every boundary-layer exponential); chunking the points keeps
+    # synthesize at ~13 MB and changes values at rounding level.
     basis = build_basis(MAX_MODES)
     n = np.arange(MAX_MODES + 1, dtype=float)
     decay = np.concatenate(([0.0], n[1:] ** -8.0))
@@ -377,7 +378,7 @@ def test_synthesize_at_max_modes_evaluates_in_chunks():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 60e6
+    assert peak < 25e6
     whole = (0.25 + decay[1:] @ psi_block(basis, EV, xs)
              - decay[1:] @ psi_block(basis, OD, xs))
     assert np.max(np.abs(got - whole)) <= 1e-15

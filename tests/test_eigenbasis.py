@@ -7,10 +7,12 @@ from hypothesis import strategies as st
 
 import frozen_reference as ref
 from sixbeam import coefficients as cf
+from sixbeam import eigenbasis as eb
 from sixbeam import galerkin as gk
 from sixbeam import oracle as oc
 from sixbeam.eigenbasis import (
     MAX_MODES,
+    SQRT3,
     Basis,
     Parity,
     build_basis,
@@ -226,6 +228,119 @@ def test_no_overflow_for_large_basis():
             block = psi_block(basis, parity, xs, 0)
             assert np.all(np.isfinite(block))
             assert np.max(np.abs(block)) < 2.0
+
+
+# ---------------------------------------------------------------------------
+# Boundary layer only where it does not underflow: the same bits
+# ---------------------------------------------------------------------------
+
+def _full_layer_psi_core(parity, lam, c, w, x, k):
+    """``eigenbasis._psi_core`` as it evaluated before the boundary layer was
+    limited to the points where it does not underflow: both exponentials over
+    every (mode, point).  The bit-for-bit reference for the tests below.
+    """
+    s = SQRT3 * lam
+    phase = lam * x + 0.5 * np.pi * k
+    lamk = lam ** k
+    if parity is Parity.EVEN:
+        trig = lamk * np.cos(phase)
+        sigma = 1.0 if k % 2 == 0 else -1.0
+    else:
+        trig = lamk * np.sin(phase)
+        sigma = -1.0 if k % 2 == 0 else 1.0
+    z = 0.5 * (s + 1j * lam)
+    zu = z * x
+    half = 0.5 * s
+    hyp = 0.5 * (np.exp(zu - half) + sigma * np.exp(-zu - half))
+    return c * (trig + np.real(w * z ** k * hyp))
+
+
+def _mode_columns(basis, parity):
+    p = parity.value
+    return tuple(getattr(basis, f"{name}_{p}")[1:, None] for name in ("lam", "c", "w"))
+
+
+def _full_layer_psi_block(basis, parity, x, k=0):
+    xa = np.atleast_1d(np.asarray(x, dtype=float))
+    return _full_layer_psi_core(parity, *_mode_columns(basis, parity), xa[None, :], k)
+
+
+def _same_bits(got, want) -> bool:
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    return got.shape == want.shape and np.array_equal(got.view(np.int64),
+                                                      want.view(np.int64))
+
+
+def _layer_points(basis, seed=0) -> np.ndarray:
+    """Unsorted points: the edges, signed zeros, the last double below 1,
+    points closing in on the edges, where the layer lives, and the band edges
+    of the first, a middle and the last row block of high modes of each
+    parity, with their neighbours."""
+    closing = 1.0 - np.geomspace(1e-6, 0.5, 12)
+    special = [-1.0, 1.0, 0.0, -0.0, np.nextafter(1.0, 0.0), -np.nextafter(1.0, 0.0),
+               *closing, *-closing]
+    edges = []
+    for parity in Parity:
+        half = 0.5 * SQRT3 * basis.lam(parity)[1:]
+        high = half[half > eb._UNDERFLOW]
+        starts = range(0, high.size, eb._LAYER_ROWS)
+        for b in sorted({starts[0], starts[len(starts) // 2], starts[-1]} if starts else ()):
+            edge = 1.0 - eb._UNDERFLOW / np.min(high[b:b + eb._LAYER_ROWS])
+            edges += [edge, np.nextafter(edge, 0.0), np.nextafter(edge, 2.0)]
+    rng = np.random.default_rng(seed)
+    band = np.array(edges)
+    pts = np.concatenate((special, np.linspace(-1.0, 1.0, 21), rng.uniform(-1.0, 1.0, 10),
+                          band, -band))
+    return pts[rng.permutation(pts.size)]
+
+
+@pytest.mark.parametrize("M", [1, 2, 60, 301, 1000, 2000, 4000])
+def test_psi_block_and_eval_psi_keep_the_full_layer_bits(M):
+    basis = build_basis(M)
+    xs = _layer_points(basis)
+    modes = sorted({m for m in (1, 2, 279, 280, M // 2, M) if 1 <= m <= M})
+    for parity in Parity:
+        lam, c, w = (v[:, 0] for v in _mode_columns(basis, parity))
+        for k in range(7):
+            assert _same_bits(psi_block(basis, parity, xs, k),
+                              _full_layer_psi_block(basis, parity, xs, k)), (parity, k)
+            for m in modes:
+                want = _full_layer_psi_core(parity, float(lam[m - 1]), float(c[m - 1]),
+                                            complex(w[m - 1]), xs, k)
+                assert _same_bits(eval_psi(basis, parity, m, xs, k), want), (parity, k, m)
+                assert _same_bits(eval_psi(basis, parity, m, xs[0], k), want[0])
+
+
+def test_layer_bands_do_not_rely_on_sorted_modes():
+    # The 256 largest modes alternate with 256 around h = 760, so each row
+    # block of high modes holds h from ~760 to ~27000: a band sized by any
+    # row but the block's smallest h would drop that row's layer.
+    basis = build_basis(MAX_MODES)
+    xs = _layer_points(basis, seed=1)
+    order = np.empty(512, dtype=int)
+    order[0::2], order[1::2] = np.arange(MAX_MODES - 1, MAX_MODES - 257, -1), np.arange(200, 456)
+    for parity in Parity:
+        lam, c, w = (v[order] for v in _mode_columns(basis, parity))
+        for k in (0, 3):
+            assert _same_bits(eb._psi_core(parity, lam, c, w, xs[None, :], k),
+                              _full_layer_psi_core(parity, lam, c, w, xs[None, :], k))
+
+
+def test_synthesis_and_projection_keep_the_full_layer_bits(monkeypatch):
+    big = build_basis(2000)
+    n = np.arange(2001, dtype=float)
+    decay = np.concatenate(([0.0], n[1:] ** -6.0))
+    coeffs = cf.CoefficientSet(basis=big, u0c=0.5, uc=decay, us=-0.5 * decay)
+    xs = np.linspace(-1.0, 1.0, 201)
+    small = build_basis(100)
+    f = lambda x: np.exp(x) * (x * x - 1.0) ** 6  # noqa: E731
+
+    got = cf.synthesize(coeffs, xs), cf.project(f, small)
+    monkeypatch.setattr(cf, "psi_block", _full_layer_psi_block)
+    want = cf.synthesize(coeffs, xs), cf.project(f, small)
+    assert _same_bits(got[0], want[0])
+    for name in ("u0c", "uc", "us"):
+        assert _same_bits(getattr(got[1], name), getattr(want[1], name))
 
 
 # ---------------------------------------------------------------------------
