@@ -193,7 +193,7 @@ def _gamma_diagonal(parity: Parity, lam, c, q, e1):
 # generators X, Y and form T a block of rows at a time, densely or applied to
 # a vector; the diagonal comes from the diagonal closed forms.
 
-_CAUCHY_ROWS = 256  # rows of a Cauchy-like table formed at a time
+_CAUCHY_ROWS = 64  # rows of a Cauchy-like table formed at a time
 
 
 def _ratio(kind: str, parity: Parity):
@@ -230,15 +230,20 @@ def _cauchy_form(basis: Basis, parity, kind: str, modes=slice(None)):
             _DIAG[kind](parity, lam, c, q, e1))
 
 
-def _gap_rows(lam6):
-    """Yield (rows, G), G[i, j] = lam6[j] - lam6[i], for blocks of at most
-    ``_CAUCHY_ROWS`` rows; G is inf on the diagonal, so 1/G vanishes there."""
-    G = np.empty((min(_CAUCHY_ROWS, len(lam6)), len(lam6)))
-    for j in range(0, len(lam6), _CAUCHY_ROWS):
+def _gap_rows(lam6, upper: bool = False):
+    """Yield (rows, G) for blocks of at most ``_CAUCHY_ROWS`` rows, G[i, j] =
+    lam6[j] - lam6[i] over every column, or with ``upper`` over the columns
+    from the block's first row on (its own diagonal block and the rows'
+    upper triangle); G is inf on the diagonal, so 1/G vanishes there."""
+    M = len(lam6)
+    buffer = np.empty(min(_CAUCHY_ROWS, M) * M)
+    for j in range(0, M, _CAUCHY_ROWS):
         rows = slice(j, j + _CAUCHY_ROWS)
-        gap = np.subtract(lam6, lam6[rows, None], out=G[:len(lam6[rows])])
-        i = np.arange(len(gap))
-        gap[i, j + i] = np.inf
+        first, height = (j if upper else 0), len(lam6[rows])
+        gap = buffer[:height * (M - first)].reshape(height, M - first)
+        np.subtract(lam6[first:], lam6[rows, None], out=gap)
+        i = np.arange(height)
+        gap[i, j - first + i] = np.inf
         yield rows, gap
 
 
@@ -255,12 +260,20 @@ def _cauchy_dense(lam6, X, Y, diagonal):
 
 
 def _cauchy_apply(lam6, X, Y, v):
-    """T v for the off-diagonal part of T, in O(_CAUCHY_ROWS M) memory."""
-    W = (Y * v).T
-    out = np.empty(len(v))
-    for rows, gap in _gap_rows(lam6):
-        out[rows] = np.sum(X[:, rows].T * (np.reciprocal(gap, out=gap) @ W), axis=1)
-    return out
+    """T v for the off-diagonal part of T, in O(_CAUCHY_ROWS M) memory.
+
+    The kernel C[i, j] = 1/(lam6[j] - lam6[i]) is skew, so each reciprocal
+    block is formed once, over the columns from its first row on, and serves
+    twice: for its rows (C W) and, transposed, for the rows below (-C^T W).
+    """
+    W = np.ascontiguousarray((Y * v).T)
+    acc = np.zeros_like(W)  # acc[i, k] = sum_j C[i, j] Y[k, j] v[j]
+    for rows, gap in _gap_rows(lam6, upper=True):
+        C = np.reciprocal(gap, out=gap)
+        j, height = rows.start, len(C)
+        acc[rows] += C @ W[j:]
+        acc[j + height:] -= C[:, height:].T @ W[rows]
+    return np.sum(X.T * acc, axis=1)
 
 
 def _gamma_mean(basis: Basis, modes=slice(None)):

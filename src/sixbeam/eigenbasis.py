@@ -394,14 +394,19 @@ def _psi_core(parity: Parity, lam, c, w, x, k: int):
     zu = z[low] * xs
     hyp = 0.5 * (np.exp(zu - half[low]) + sigma * np.exp(-zu - half[low]))
     rows[low] += np.real(wzk[low] * hyp)
-    for b in range(0, high.size, _LAYER_ROWS):
+    starts = range(0, high.size, _LAYER_ROWS)
+    edges = 1.0 - _UNDERFLOW / np.minimum.reduceat(half[high, 0], starts)
+    # A block whose bands hold no point (NaN lies in neither) adds nothing.
+    top, bottom = np.fmax.reduce(xs, initial=-np.inf), np.fmin.reduce(xs, initial=np.inf)
+    for b, edge in zip(starts, edges):
         r = high[b:b + _LAYER_ROWS]
-        edge = 1.0 - _UNDERFLOW / np.min(half[r])
-        j = np.flatnonzero(xs > edge)
-        rows[np.ix_(r, j)] += np.real(wzk[r] * (0.5 * np.exp(z[r] * xs[j] - half[r])))
-        j = np.flatnonzero(xs < -edge)
-        rows[np.ix_(r, j)] += np.real(
-            wzk[r] * (0.5 * (sigma * np.exp(-(z[r] * xs[j]) - half[r]))))
+        if top > edge:
+            j = np.flatnonzero(xs > edge)
+            rows[np.ix_(r, j)] += np.real(wzk[r] * (0.5 * np.exp(z[r] * xs[j] - half[r])))
+        if bottom < -edge:
+            j = np.flatnonzero(xs < -edge)
+            rows[np.ix_(r, j)] += np.real(
+                wzk[r] * (0.5 * (sigma * np.exp(-(z[r] * xs[j]) - half[r]))))
     return np.multiply(c, rows, out=rows).reshape(trig.shape)
 
 

@@ -61,10 +61,10 @@ _RESONANCE_GUARD = 1e-6
 # it is as fast as GMRES or faster.
 _KRYLOV_CROSSOVER = 301
 _KRYLOV_RTOL = 1e-15        # stop when the (CG or least-squares) residual <= this ||f||
-_PCG_MAX_ITERATIONS = 100   # definite specs tried need 3 (preconditioned condition ~1)
-_GMRES_MAX_ITERATIONS = 30  # specs tried need 4-6; each holds one more M-vector
+_PCG_MAX_ITERATIONS = 100   # definite specs tried need 2-3 (preconditioned condition ~1)
+_GMRES_MAX_ITERATIONS = 30  # specs tried need 3-4; each holds one more M-vector
 _GMRES_ACCEPT = 1e-13       # largest ||A u - f|| / ||f|| a GMRES answer may keep
-_JACOBI_BLOCK = 32          # modes per diagonal block of the preconditioner
+_JACOBI_BLOCK = 64          # modes per diagonal block of the preconditioner
 _SUBSTITUTION_BLOCK = 64
 _GUARD_BLOCK = 16           # evolve steps between divergence guards
 
@@ -299,13 +299,14 @@ def _operator(form):
 
 
 def _block_jacobi(s: float, form, symmetric: bool):
-    """v -> P^{-1} v for P the 32 x 32 diagonal blocks of s A, or None.
+    """v -> P^{-1} v for P the 64 x 64 diagonal blocks of s A, or None.
 
-    The blocks come straight from the generators of the ``_block_form`` tuple
-    and are inverted once, batched, in O(32 M) memory; the last one is padded
-    with the identity.  With ``symmetric`` they go through Cholesky (None if a
-    block is not definite), so the preconditioner is symmetric positive
-    definite; otherwise through LU (None if a block is singular).
+    The blocks (``_JACOBI_BLOCK`` modes each) come straight from the
+    generators of the ``_block_form`` tuple and are inverted once, batched,
+    in O(64 M) memory; the last one is padded with the identity.  With
+    ``symmetric`` they go through Cholesky (None if a block is not definite),
+    so the preconditioner is symmetric positive definite; otherwise through
+    LU (None if a block is singular).
     """
     lam6, X, Y, d = form
     M, n = len(d), _JACOBI_BLOCK
