@@ -6,10 +6,10 @@ All three share the exact solution u(x) = (x^2 - 1)^6, so the script
 reports the max pointwise error on a uniform grid, the achieved accuracy
 tier, the mean-mode coefficient (exactly 2048/3003), and for the coupled
 specs the solver's own record: the LDL^T pivot range, or above the Krylov
-crossover (M > 301) the block-Jacobi CG (a4 = 0) or GMRES (a4 != 0)
-iteration count, residual and condition estimate, or the reason dense LU
-ran.  With a4 != 0 the error falls only like |a4| M^-4 (the boundary term of
-the fourth derivative), so that spec reaches the required tier by M = 400.
+crossover (M > 301) the block-Jacobi GMRES iteration count, residual and
+condition estimate, or the reason dense LU ran.  With a4 != 0 the error
+falls only like |a4| M^-4 (the boundary term of the fourth derivative), so
+that spec reaches the required tier by M = 400.
 """
 
 import argparse

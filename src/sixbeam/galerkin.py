@@ -53,16 +53,15 @@ __all__ = [
 
 _RESONANCE_GUARD = 1e-6
 
-# Coupled solves (a2 or a4 nonzero) with more than this many modes run a
-# matrix-free Krylov method, block-Jacobi CG for a4 = 0 and right-preconditioned
-# GMRES otherwise, instead of dense Cholesky or LU (ladder in CHANGES.md).
+# Coupled solves (a2 or a4 nonzero) with more than this many modes run
+# matrix-free right-preconditioned block-Jacobi GMRES, whatever a4 is, instead
+# of dense Cholesky or LU (ladder in CHANGES.md).
 # Cholesky keeps M <= 301, where its pivot record is part of the documented
 # output (criterion 4 prints it at M = 100); LU keeps the same range, where
 # it is as fast as GMRES or faster.
 _KRYLOV_CROSSOVER = 301
-_KRYLOV_RTOL = 1e-15        # stop when the (CG or least-squares) residual <= this ||f||
-_PCG_MAX_ITERATIONS = 100   # definite specs tried need 2-3 (preconditioned condition ~1)
-_GMRES_MAX_ITERATIONS = 30  # specs tried need 3-4; each holds one more M-vector
+_KRYLOV_RTOL = 1e-15        # stop when the least-squares residual <= this ||f||
+_GMRES_MAX_ITERATIONS = 30  # specs tried need 2-4; each holds one more M-vector
 _GMRES_ACCEPT = 1e-13       # largest ||A u - f|| / ||f|| a GMRES answer may keep
 _JACOBI_BLOCK = 64          # modes per diagonal block of the preconditioner
 _SUBSTITUTION_BLOCK = 64
@@ -180,10 +179,10 @@ class SteadySolution(CoefficientSet):
 
     ``record`` is ``{"used": True, "pivots_all_negative", "pivot_min",
     "pivot_max"}`` when the Cholesky path ran (pivots of A = L diag(D) L^T),
-    ``{"used": False, "path": "pcg" | "gmres", "iterations", "residual",
-    "cond_estimate"}`` when the matrix-free block-Jacobi CG (a4 = 0) or GMRES
-    (a4 != 0) path ran: ``residual`` is ||A u - f|| / ||f|| from one final
-    product and ``cond_estimate`` describes the block-preconditioned matrix.
+    ``{"used": False, "path": "gmres", "iterations", "residual",
+    "cond_estimate"}`` when the matrix-free block-Jacobi GMRES path ran:
+    ``residual`` is ||A u - f|| / ||f|| from one final product and
+    ``cond_estimate`` describes the block-preconditioned matrix.
     ``{"used": False, "reason": ...}`` when a dense LU solve ran, and
     ``{"used": False}`` for the diagonal path.
     """
@@ -298,28 +297,22 @@ def _operator(form):
     return lambda v: d * v + _cauchy_apply(lam6, X, Y, v)
 
 
-def _block_jacobi(s: float, form, symmetric: bool):
-    """v -> P^{-1} v for P the 64 x 64 diagonal blocks of s A, or None.
+def _block_jacobi(form):
+    """v -> P^{-1} v for P the 64 x 64 diagonal blocks of A, or None if one
+    is singular.
 
     The blocks (``_JACOBI_BLOCK`` modes each) come straight from the
     generators of the ``_block_form`` tuple and are inverted once, batched,
-    in O(64 M) memory; the last one is padded with the identity.  With
-    ``symmetric`` they go through Cholesky (None if a block is not definite),
-    so the preconditioner is symmetric positive definite; otherwise through
-    LU (None if a block is singular).
+    in O(64 M) memory; the last one is padded with the identity.
     """
     lam6, X, Y, d = form
     M, n = len(d), _JACOBI_BLOCK
     blocks = np.tile(np.eye(n), (-(-M // n), 1, 1))
     for k, j in enumerate(range(0, M, n)):
         b, size = slice(j, j + n), min(n, M - j)
-        blocks[k, :size, :size] = s * _cauchy_dense(lam6[b], X[:, b], Y[:, b], d[b])
+        blocks[k, :size, :size] = _cauchy_dense(lam6[b], X[:, b], Y[:, b], d[b])
     try:
-        if symmetric:
-            Linv = np.linalg.inv(np.linalg.cholesky(blocks))
-            inv = np.swapaxes(Linv, 1, 2) @ Linv
-        else:
-            inv = np.linalg.inv(blocks)
+        inv = np.linalg.inv(blocks)
     except np.linalg.LinAlgError:
         return None
     padded = np.zeros(len(blocks) * n)
@@ -328,57 +321,6 @@ def _block_jacobi(s: float, form, symmetric: bool):
         padded[:M] = v
         return (inv @ padded.reshape(-1, n, 1)).reshape(-1)[:M]
     return apply
-
-
-def _solve_pcg(s: float, spec: BvpSpec, basis: Basis, fc: np.ndarray):
-    """(u, record) by block-Jacobi preconditioned CG on s A u = s f, or None
-    if s A shows it is not definite (a diagonal block without a Cholesky
-    factor, a breakdown p^T s A p <= 0, or no convergence within the
-    iteration cap).
-
-    ``cond_estimate`` is the ratio of the extreme Ritz values of the Lanczos
-    tridiagonal that the CG coefficients define, an estimate for the
-    preconditioned matrix (no extra matvec); ``residual`` is the final
-    ||A u - f|| / ||f||.
-    """
-    form = _block_form(spec, basis, "even")
-    precondition = _block_jacobi(s, form, symmetric=True)
-    if precondition is None:
-        return None
-    matvec = _operator(form)
-    u = np.zeros(basis.M)
-    fnorm = float(np.linalg.norm(fc))
-    if fnorm == 0.0:
-        return u, {"used": False, "path": "pcg", "iterations": 0,
-                   "residual": 0.0, "cond_estimate": None}
-    r = s * fc
-    z = precondition(r)
-    p, rz = z, float(r @ z)
-    alphas, betas = [], []
-    for _ in range(_PCG_MAX_ITERATIONS):
-        q = s * matvec(p)
-        pq = float(p @ q)
-        if not pq > 0.0:
-            return None
-        alphas.append(rz / pq)
-        u += alphas[-1] * p
-        r -= alphas[-1] * q
-        if np.linalg.norm(r) <= _KRYLOV_RTOL * fnorm:
-            break
-        z = precondition(r)
-        rz, rz_old = float(r @ z), rz
-        betas.append(rz / rz_old)
-        p = z + betas[-1] * p
-    else:
-        return None
-    a, b = np.array(alphas), np.array(betas)
-    off = np.sqrt(b) / a[:-1]
-    lanczos = (np.diag(1.0 / a + np.concatenate(([0.0], b / a[:-1])))
-               + np.diag(off, 1) + np.diag(off, -1))
-    ritz = np.linalg.eigvalsh(lanczos)
-    residual = float(np.linalg.norm(matvec(u) - fc)) / fnorm
-    return u, {"used": False, "path": "pcg", "iterations": len(alphas),
-               "residual": residual, "cond_estimate": float(ritz[-1] / ritz[0])}
 
 
 def _solve_gmres(spec: BvpSpec, basis: Basis, fc: np.ndarray):
@@ -394,7 +336,7 @@ def _solve_gmres(spec: BvpSpec, basis: Basis, fc: np.ndarray):
     singular values of the Arnoldi Hessenberg matrix of A P^{-1}.
     """
     form = _block_form(spec, basis, "even")
-    precondition = _block_jacobi(1.0, form, symmetric=False)
+    precondition = _block_jacobi(form)
     if precondition is None:
         return None
     matvec = _operator(form)
@@ -452,49 +394,39 @@ def _dense_fallback(method: str, reason: str, spec: BvpSpec, basis: Basis,
     return np.linalg.solve(A, fc), {"used": False, "reason": reason}
 
 
-def _solve_symmetric(spec: BvpSpec, basis: Basis, fc: np.ndarray):
-    """(uc_body, record) for a4 = 0.
+def _solve_modes(spec: BvpSpec, basis: Basis, fc: np.ndarray):
+    """(uc_body, record) for a coupled spec (a2 or a4 nonzero).
 
-    The matrix is then symmetric and, for a well-posed spec, definite with
-    the sign of -a6, so with s = -sign a6 Cholesky of s A (up to the
-    crossover) or block-Jacobi CG on s A (above it) both solves the system
-    and tests definiteness; when that test fails a dense LU solve runs, with
-    a warning.
+    Above the crossover block-Jacobi GMRES runs, whatever a4 is.  Up to it,
+    a4 = 0 makes the matrix symmetric and, for a well-posed spec, definite
+    with the sign of -a6, so with s = -sign a6 Cholesky of s A both solves
+    the system and tests definiteness; a4 != 0 (Gamma is genuinely
+    asymmetric) goes straight to LU.  When GMRES does not converge or s A
+    is not definite a dense LU solve runs, with a warning.
     """
-    s = -math.copysign(1.0, spec.a6)
-    A = None
     if basis.M > _KRYLOV_CROSSOVER:
-        solved, method = _solve_pcg(s, spec, basis, fc), "block-Jacobi PCG"
-    else:
-        A, _ = _mode_block(spec, basis, "even")
-        solved, method = _solve_cholesky(s, A, fc), "Cholesky factorization"
-    if solved is not None:
-        return solved
-    return _dense_fallback(method, "not definite", spec, basis, fc, A)
-
-
-def _solve_asymmetric(spec: BvpSpec, basis: Basis, fc: np.ndarray):
-    """(uc_body, record) for a4 != 0, where Gamma makes the matrix asymmetric:
-    dense LU up to the crossover, block-Jacobi GMRES above it (falling back
-    to LU, with a warning, if it does not converge)."""
-    if basis.M <= _KRYLOV_CROSSOVER:
-        A, _ = _mode_block(spec, basis, "even")
+        solved = _solve_gmres(spec, basis, fc)
+        if solved is not None:
+            return solved
+        return _dense_fallback("block-Jacobi GMRES", "no convergence", spec, basis, fc)
+    A, _ = _mode_block(spec, basis, "even")
+    if spec.a4 != 0.0:
         return np.linalg.solve(A, fc), {"used": False, "reason": "matrix not symmetric"}
-    solved = _solve_gmres(spec, basis, fc)
+    solved = _solve_cholesky(-math.copysign(1.0, spec.a6), A, fc)
     if solved is not None:
         return solved
-    return _dense_fallback("block-Jacobi GMRES", "no convergence", spec, basis, fc)
+    return _dense_fallback("Cholesky factorization", "not definite", spec, basis, fc, A)
 
 
 def solve_steady(spec: BvpSpec, basis: Basis) -> SteadySolution:
     """Solve the steady BVP by Galerkin projection onto the even modes.
 
-    The spec and M pick the path: a diagonal solve when a4 = a2 = 0; when
-    a4 = 0, Cholesky up to ``_KRYLOV_CROSSOVER`` modes and matrix-free
-    block-Jacobi CG above it (either falling back to LU, with a warning, if
-    the matrix is not definite); when a4 != 0 (Gamma is genuinely
-    asymmetric), LU up to the crossover and matrix-free block-Jacobi GMRES
-    above it (falling back to LU, with a warning, if it does not converge).
+    The spec and M pick the path: a diagonal solve when a4 = a2 = 0;
+    otherwise matrix-free block-Jacobi GMRES above ``_KRYLOV_CROSSOVER``
+    modes (falling back to LU, with a warning, if it does not converge) and,
+    up to the crossover, Cholesky when a4 = 0 (falling back to LU, with a
+    warning, if the matrix is not definite) or LU when a4 != 0 (Gamma is
+    genuinely asymmetric).
     The result's ``record`` says which path ran.
     """
     if basis.M < 1:
@@ -503,13 +435,13 @@ def solve_steady(spec: BvpSpec, basis: Basis) -> SteadySolution:
         return _solve_diagonal(spec, basis)
     f0, fc = forcing_projection(spec, basis)
     if spec.a4 != 0.0:
-        uc_body, record = _solve_asymmetric(spec, basis, fc)
+        uc_body, record = _solve_modes(spec, basis, fc)
         u0c = _u0c_from_row0(spec, f0, spec.a4 * float(_gamma_mean(basis) @ uc_body))
     else:
         # The constant-mode balance needs no mode coefficients here, so an
         # unsatisfiable one fails before the mode solve.
         u0c = _u0c_from_row0(spec, f0, 0.0)
-        uc_body, record = _solve_symmetric(spec, basis, fc)
+        uc_body, record = _solve_modes(spec, basis, fc)
     uc = np.concatenate(([0.0], uc_body))
     return SteadySolution(basis=basis, u0c=u0c, uc=uc,
                           us=np.zeros(basis.M + 1), record=record)

@@ -115,6 +115,7 @@ def test_solve_summary_reports_the_path_the_solver_took(capsys):
 
 
 def test_solve_summary_reports_the_pcg_record(capsys):
+    # Model II (a4 = 0) above the crossover takes the GMRES path.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out, err = run(capsys, ["solve", "--model", "II", "--M", "600"])
@@ -122,7 +123,7 @@ def test_solve_summary_reports_the_pcg_record(capsys):
     doc = json.loads(out)
     ldlt = doc["ldlt"]
     assert set(ldlt) == {"used", "path", "iterations", "residual", "cond_estimate"}
-    assert ldlt["path"] == "pcg" and not ldlt["used"]
+    assert ldlt["path"] == "gmres" and not ldlt["used"]
     assert ldlt["iterations"] > 0 and ldlt["residual"] <= 1e-14
     assert doc["error_tier"] == "stretch"
 

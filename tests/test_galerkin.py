@@ -169,13 +169,19 @@ def test_symmetric_solve_at_m300_takes_cholesky_path_without_warning():
     assert record["used"] and record["pivots_all_negative"]
 
 
+def _negative_diagonal_spec(basis):
+    # A reaction term past lam_3^6 turns the first diagonal entries of -A
+    # negative, so -A is not definite.
+    lam3 = basis.lam_even[3]
+    return gk.BvpSpec(a6=1.0, a4=0.0, a2=-10.0, a0=(lam3 + 1.0) ** 6,
+                      forcing=((2, 1.0),))
+
+
 def test_lu_paths_record_their_reason(basis30):
     spec = gk.BvpSpec(a6=1.0, a4=-2.0, a2=-5.0, a0=7.0, forcing=((2, 1.0),))
     sol = gk.solve_steady(spec, basis30)
     assert sol.record == {"used": False, "reason": "matrix not symmetric"}
-    lam3 = basis30.lam_even[3]
-    spec = gk.BvpSpec(a6=1.0, a4=0.0, a2=-10.0, a0=(lam3 + 1.0) ** 6,
-                      forcing=((2, 1.0),))
+    spec = _negative_diagonal_spec(basis30)
     with pytest.warns(RuntimeWarning):
         sol = gk.solve_steady(spec, basis30)
     assert sol.record == {"used": False, "reason": "not definite"}
@@ -194,9 +200,7 @@ def test_unsatisfiable_constant_mode_balance_fails_before_the_dense_solve():
 def test_indefinite_system_falls_back_with_warning(basis30):
     # A reaction term large enough to flip some diagonal signs makes the
     # matrix indefinite; the solver must warn and use a pivoted factorization.
-    lam3 = basis30.lam_even[3]
-    spec = gk.BvpSpec(a6=1.0, a4=0.0, a2=-10.0, a0=(lam3 + 1.0) ** 6,
-                      forcing=((2, 1.0),))
+    spec = _negative_diagonal_spec(basis30)
     with pytest.warns(RuntimeWarning):
         sol = gk.solve_steady(spec, basis30)
     A, fc, _ = gk.assemble_steady(spec, basis30)
@@ -255,6 +259,7 @@ def _random_definite_spec(rng):
 
 
 def test_pcg_solve_matches_the_dense_solve_at_m2000():
+    # a4 = 0 specs, which take the GMRES path that a4 != 0 takes.
     basis = build_basis(2000)
     rng = np.random.default_rng(2000)
     for spec in (gk.MODEL_II, _random_definite_spec(rng), _random_definite_spec(rng)):
@@ -265,14 +270,14 @@ def test_pcg_solve_matches_the_dense_solve_at_m2000():
         dense = np.linalg.solve(A, fc)
         assert np.linalg.norm(sol.uc[1:] - dense) <= 1e-14 * np.linalg.norm(dense)
         record = sol.record
-        assert record["path"] == "pcg" and not record["used"]
+        assert record["path"] == "gmres" and not record["used"]
         assert 1 <= record["iterations"] <= 20
         assert record["residual"] <= 1e-14
         assert 1.0 <= record["cond_estimate"] < 2.0
     # Model II's block-preconditioned matrix (64-mode blocks) has condition
-    # number ~1 + 1.4e-6 at every M.
+    # number ~1 + 1.9e-6 at every M (the Hessenberg matrix's singular values).
     assert gk.solve_steady(gk.MODEL_II, basis).record["cond_estimate"] == \
-        pytest.approx(1.0000014, abs=1e-6)
+        pytest.approx(1.0000019, abs=1e-6)
 
 
 def _random_bench_spec(rng, a4):
@@ -303,8 +308,7 @@ def test_krylov_solves_match_the_dense_solve_above_the_crossover(M, coupled):
     for _ in range(3):
         # The benchmark's a4 range, +-[1, 100], when coupled.
         a4 = rng.uniform(1.0, 100.0) * rng.choice([-1.0, 1.0]) if coupled else 0.0
-        _assert_matches_the_dense_solve(_random_bench_spec(rng, a4), basis,
-                                        "gmres" if coupled else "pcg")
+        _assert_matches_the_dense_solve(_random_bench_spec(rng, a4), basis, "gmres")
 
 
 @pytest.mark.parametrize("a4", [-30.0, -5.0, 5.0, 30.0, 100.0])
@@ -334,13 +338,13 @@ def test_gmres_matches_lu_near_a_resonance_at_m2000():
 
 @pytest.mark.parametrize("M", [_ABOVE, 500, 1000, 2000])
 def test_krylov_iteration_counts_on_bench_specs(M):
-    # Each iteration costs one matrix-free product; 64-mode blocks keep CG
-    # at 2-3 and GMRES at 3-4 on the benchmark's ranges.
+    # Each iteration costs one matrix-free product; 64-mode blocks keep
+    # GMRES at 2-3 for a4 = 0 and 3-4 for a4 != 0 on the benchmark's ranges.
     basis = build_basis(M)
     rng = np.random.default_rng([M, 13])
     for _ in range(4):
         record = gk.solve_steady(_random_bench_spec(rng, 0.0), basis).record
-        assert record["path"] == "pcg" and record["iterations"] <= 3
+        assert record["path"] == "gmres" and record["iterations"] <= 3
         a4 = rng.uniform(1.0, 100.0) * rng.choice([-1.0, 1.0])
         record = gk.solve_steady(_random_bench_spec(rng, a4), basis).record
         assert record["path"] == "gmres" and record["iterations"] <= 4
@@ -365,14 +369,17 @@ def _singular(_):
     raise np.linalg.LinAlgError("Singular matrix")
 
 
-@pytest.mark.parametrize("module, name, value", [
-    (gk, "_GMRES_MAX_ITERATIONS", 2),   # the iteration cap
-    (gk, "_GMRES_ACCEPT", 0.0),         # a rejected final residual
-    (np.linalg, "inv", _singular),      # a singular diagonal block
-], ids=["cap", "rejected", "singular-block"])
-def test_gmres_failures_fall_back_to_lu(monkeypatch, module, name, value):
+_A4_SPEC = gk.manufactured_spec(1.0, -20.0, gk.MODEL_II.a2, gk.MODEL_II.a0)
+
+
+@pytest.mark.parametrize("module, name, value, spec", [
+    (gk, "_GMRES_MAX_ITERATIONS", 2, _A4_SPEC),     # the iteration cap
+    (gk, "_GMRES_ACCEPT", 0.0, _A4_SPEC),           # a rejected final residual
+    (np.linalg, "inv", _singular, _A4_SPEC),        # a singular diagonal block
+    (gk, "_GMRES_MAX_ITERATIONS", 2, gk.MODEL_II),  # the cap, for a4 = 0
+], ids=["cap", "rejected", "singular-block", "model-II-cap"])
+def test_gmres_failures_fall_back_to_lu(monkeypatch, module, name, value, spec):
     basis = build_basis(_ABOVE)
-    spec = gk.manufactured_spec(1.0, -20.0, gk.MODEL_II.a2, gk.MODEL_II.a0)
     monkeypatch.setattr(module, name, value)
     with pytest.warns(RuntimeWarning, match="GMRES failed"):
         sol = gk.solve_steady(spec, basis)
@@ -381,20 +388,6 @@ def test_gmres_failures_fall_back_to_lu(monkeypatch, module, name, value):
     krylov = gk.solve_steady(spec, basis)
     assert np.max(np.abs(sol.uc - krylov.uc)) < 1e-15
     assert sol.u0c == pytest.approx(krylov.u0c, rel=1e-15)
-
-
-def test_pcg_path_falls_back_to_lu_with_its_reason():
-    # The M = 30 case of test_lu_paths_record_their_reason, above the
-    # crossover: a diagonal entry of -A is negative, so -A is not definite.
-    basis = build_basis(_ABOVE)
-    lam3 = basis.lam_even[3]
-    spec = gk.BvpSpec(a6=1.0, a4=0.0, a2=-10.0, a0=(lam3 + 1.0) ** 6,
-                      forcing=((2, 1.0),))
-    with pytest.warns(RuntimeWarning, match="not definite"):
-        sol = gk.solve_steady(spec, basis)
-    assert sol.record == {"used": False, "reason": "not definite"}
-    A, fc, _ = gk.assemble_steady(spec, basis)
-    assert np.max(np.abs(A @ sol.uc[1:] - fc)) < 1e-9 * np.max(np.abs(fc))
 
 
 def _indefinite_spec(basis):
@@ -406,33 +399,26 @@ def _indefinite_spec(basis):
     return gk.BvpSpec(a6=1.0, a4=0.0, a2=-5544.0, a0=a0, forcing=((2, 1.0),))
 
 
-def test_pcg_indefinite_diagonal_block_falls_back_to_lu():
-    # -A's first diagonal block is indefinite too, so its Cholesky
-    # factorization fails before CG starts.
+def test_indefinite_a4_zero_specs_solve_on_gmres_above_the_crossover():
+    # Definiteness decides nothing above the crossover: negative diagonal
+    # entries of -A (which send Cholesky to LU at M = 30) and an indefinite
+    # -A with a positive diagonal both solve by GMRES, with no warning.
     basis = build_basis(_ABOVE)
-    with pytest.warns(RuntimeWarning, match="not definite"):
-        sol = gk.solve_steady(_indefinite_spec(basis), basis)
-    assert sol.record == {"used": False, "reason": "not definite"}
+    for spec in (_negative_diagonal_spec(basis), _indefinite_spec(basis)):
+        _assert_matches_the_dense_solve(spec, basis, "gmres")
 
 
-def test_pcg_breakdown_falls_back_to_lu(monkeypatch):
-    # With 1 x 1 blocks (the Jacobi preconditioner) the positive diagonal
-    # factors, and CG meets the indefiniteness as p^T (-A) p <= 0.
-    basis = build_basis(_ABOVE)
-    monkeypatch.setattr(gk, "_JACOBI_BLOCK", 1)
-    with pytest.warns(RuntimeWarning, match="not definite"):
-        sol = gk.solve_steady(_indefinite_spec(basis), basis)
-    assert sol.record == {"used": False, "reason": "not definite"}
+def _fallback_warning(spec, basis):
+    with pytest.warns(RuntimeWarning, match="falling back") as caught:
+        gk.solve_steady(spec, basis)
+    return caught[0]
 
 
-def test_pcg_iteration_cap_falls_back_to_lu(monkeypatch):
-    basis = build_basis(_ABOVE)
-    monkeypatch.setattr(gk, "_PCG_MAX_ITERATIONS", 2)
-    with pytest.warns(RuntimeWarning, match="not definite"):
-        sol = gk.solve_steady(gk.MODEL_II, basis)
-    assert sol.record == {"used": False, "reason": "not definite"}
-    monkeypatch.undo()
-    assert np.max(np.abs(sol.uc - gk.solve_steady(gk.MODEL_II, basis).uc)) < 1e-15
+def test_fallback_warnings_name_the_caller_of_solve_steady(monkeypatch, basis30):
+    spec = _negative_diagonal_spec(basis30)
+    assert _fallback_warning(spec, basis30).filename == __file__  # Cholesky
+    monkeypatch.setattr(gk, "_GMRES_MAX_ITERATIONS", 2)
+    assert _fallback_warning(gk.MODEL_II, build_basis(_ABOVE)).filename == __file__
 
 
 # ---------------------------------------------------------------------------
@@ -863,7 +849,7 @@ def test_model_ii_at_max_modes_solves_in_linear_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert sol.record["path"] == "pcg"
+    assert sol.record["path"] == "gmres"
     assert peak < 100e6
     xs = np.linspace(-1.0, 1.0, 201)
     with np.errstate(over="raise", invalid="raise"):
@@ -896,6 +882,7 @@ def test_manufactured_a4_solve_at_max_modes_in_linear_memory():
 # ---------------------------------------------------------------------------
 
 _B20 = build_basis(20)
+_B_ABOVE = build_basis(_ABOVE)
 _SYS20 = gk.assemble_semi_discrete(_B20, B=0.0, T=0.0)
 
 
@@ -916,15 +903,20 @@ def test_decay_factor_property(m, theta, steps):
 @settings(max_examples=30, deadline=None)
 @given(c2=st.floats(-100.0, 100.0), c4=st.floats(-100.0, 100.0),
        a2=st.just(0.0) | st.floats(-100.0, 100.0),
-       a4=st.just(0.0) | st.floats(-100.0, 0.0))
-def test_steady_solve_satisfies_modal_equations_property(c2, c4, a2, a4):
+       a4=st.just(0.0) | st.floats(-100.0, 0.0),
+       basis=st.sampled_from([_B20, _B_ABOVE]))
+def test_steady_solve_satisfies_modal_equations_property(c2, c4, a2, a4, basis):
     # a4 <= 0 keeps the operator away from resonance (a4 ~ +10 makes it
-    # singular at M = 20); the draws cover the diagonal, Cholesky and LU paths.
+    # singular at M = 20); the draws cover the diagonal, Cholesky, LU and
+    # GMRES paths.
     spec = gk.BvpSpec(a6=1.0, a4=a4, a2=a2, a0=7.0,
                       forcing=((2, c2), (4, c4)))
-    sol = gk.solve_steady(spec, _B20)
-    A, fc, f0 = gk.assemble_steady(spec, _B20)
+    sol = gk.solve_steady(spec, basis)
+    A, fc, f0 = gk.assemble_steady(spec, basis)
     res = A @ sol.uc[1:] - fc
     scale = max(1.0, float(np.max(np.abs(fc))))
     assert np.max(np.abs(res)) < 1e-10 * scale
-    assert sol.record["used"] == (a4 == 0.0 and a2 != 0.0)
+    if "path" in sol.record:
+        assert sol.record["residual"] <= 1e-13
+    dense = basis.M <= gk._KRYLOV_CROSSOVER
+    assert sol.record["used"] == (dense and a4 == 0.0 and a2 != 0.0)
