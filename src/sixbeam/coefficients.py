@@ -493,10 +493,10 @@ class CoefficientSet:
 
 # synthesize and project evaluate psi_block on at most this many (mode, point)
 # entries at a time: its temporaries, not the result, set the peak memory.
-# They are complex for modes whose boundary layer spans [-1, 1] (M = 100's
-# project peaks at ~43 MB) and three real arrays above (201 points at
-# M = 10000 peak at ~49 MB in one block, ~13 MB in chunks).  Every synthesis
-# at M <= 2000 with <= 262 points is still one block.
+# They are a few real arrays, plus complex ones for at most 2**16 boundary-
+# layer entries at a time (M = 100's project peaks at ~16 MB; 201 points at
+# M = 10000 at ~35 MB in one block, ~10 MB in chunks).  Every synthesis at
+# M <= 2000 with <= 262 points is still one block.
 _SYNTHESIS_ENTRIES = 2 ** 19
 
 

@@ -17,6 +17,7 @@ lam ~ 3e4, where cosh(2*sqrt(3)*lam) is far outside double range.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -197,10 +198,16 @@ def solve_eigenvalue(parity, m: int) -> Eigenvalue:
         raise ValueError("the odd family has no m = 0 mode")
     if m >= 7:
         lam, res = _polish(parity, m)
-    else:
-        lam = _solve_bracketed(parity, m)
-        res = _gated(parity, m, lam)
-    return Eigenvalue(parity, int(m), float(lam), float(res))
+        return Eigenvalue(parity, int(m), float(lam), float(res))
+    return _bracketed_eigenvalue(parity, int(m))
+
+
+@functools.cache
+def _bracketed_eigenvalue(parity: Parity, m: int) -> Eigenvalue:
+    """Modes 1 <= m <= 6, gated.  Memoized: a pure function of (parity, m)
+    with twelve values, which every basis after the first reuses."""
+    lam = _solve_bracketed(parity, m)
+    return Eigenvalue(parity, m, lam, float(_gated(parity, m, lam)))
 
 
 # ---------------------------------------------------------------------------
@@ -341,11 +348,23 @@ def build_basis(M: int) -> Basis:
 # Eigenfunction evaluation
 # ---------------------------------------------------------------------------
 
-#: exp(t) is exactly 0.0 in double precision for t < -745.14; this bound
-#: leaves margin for the rounding of the exponent itself.
-_UNDERFLOW = 760.0
-#: Rows of high modes whose boundary layers are evaluated together.
-_LAYER_ROWS = 128
+#: Entries whose trigonometric part is below this fraction of lam^k (near
+#: the zeros of cos/sin) always get their boundary layer.
+_NEAR_ZERO = 2.0 ** -20
+#: ln(2^54 / _NEAR_ZERO) + 1, the part of a row's reach common to all rows.
+_REACH_LN = 74.0 * np.log(2.0) + 1.0
+#: Below this many masked entries the mask costs more than the exponentials
+#: it saves, so the call evaluates the layer at every point.
+_MASK_MIN = 1024
+#: Entries of S evaluated at a time: their indices, gathered inputs and
+#: complex temporaries take ~150 bytes each.
+_LAYER_ENTRIES = 2 ** 16
+
+
+def _layer(z, half, wzk, x, sigma):
+    """Re[w z^k Phi_k(x)], the boundary-layer term, at every point given."""
+    zu = z * x
+    return np.real(wzk * (0.5 * (np.exp(zu - half) + sigma * np.exp(-zu - half))))
 
 
 def _psi_core(parity: Parity, lam, c, w, x, k: int):
@@ -359,62 +378,55 @@ def _psi_core(parity: Parity, lam, c, w, x, k: int):
     (odd).  Both exponentials inside Phi_k have nonpositive real exponent for
     |x| <= 1, so the evaluation never overflows.
 
-    With h = s/2 the exponentials are exp(+-z x - h), of real exponent
-    h (+-x - 1), and they are exactly 0.0 once that is below -745.14.  Rows
-    with h <= 760 keep both over every point.  Above, rows go in blocks of
-    ``_LAYER_ROWS``: with h0 the block's smallest h and a = 1 - 760/h0 > 0,
-    exp(z x - h) can be nonzero only for x > a and exp(-z x - h) only for
-    x < -a; between the two bands the layer is exactly 0 and psi is its
-    trigonometric part.  An exponential dropped there or in a band is +-0,
-    which changes at most the sign of a zero that the trigonometric part
-    (never -0.0) then absorbs, so the bits are those of both exponentials
-    over every point.
+    With h = s/2 the layer term L has |L| <= |w z^k| e^{h(|x| - 1)}
+    (1 + O(eps)).  Outside the set S of points with |x| >= a = 1 - reach/h,
+    reach = ln(|w z^k| / lam^k) + _REACH_LN (~55), or with
+    |trig| < _NEAR_ZERO lam^k, that is below 2^-54 |trig|: less than half an
+    ulp of trig, so trig + L rounds to trig exactly.  So a row may add L at
+    every point or only on S (NaN points included), entry by entry with the
+    same expression: every other entry is c * trig, and the bits are those
+    of L at every point either way.  Rows with a <= 0 (the low modes, which
+    lead in sorted order) and small calls take every point.
     """
     s = SQRT3 * lam
-    phase = lam * x + 0.5 * np.pi * k
     lamk = lam ** k
+    trig = lam * x   # the phase lam x + k pi/2, then trig in place
+    trig += 0.5 * np.pi * k
     if parity is Parity.EVEN:
-        trig = lamk * np.cos(phase)
+        np.cos(trig, out=trig)
         sigma = 1.0 if k % 2 == 0 else -1.0
     else:
-        trig = lamk * np.sin(phase)
+        np.sin(trig, out=trig)
         sigma = -1.0 if k % 2 == 0 else 1.0
+    trig *= lamk
     z = 0.5 * (s + 1j * lam)
     half = 0.5 * s
-    banded = np.reshape(half, -1) > _UNDERFLOW
-    if not banded.any():
-        zu = z * x
-        hyp = 0.5 * (np.exp(zu - half) + sigma * np.exp(-zu - half))
-        return c * (trig + np.real(w * z ** k * hyp))
-    # w z^k in the caller's types, as above (a Python complex for one mode).
-    z, half, wzk = (np.reshape(v, (-1, 1)) for v in (z, half, w * z ** k))
-    xs = np.reshape(x, -1)
-    rows = trig.reshape(banded.size, xs.size)   # one row per mode
-    low, high = np.flatnonzero(~banded), np.flatnonzero(banded)
-    zu = z[low] * xs
-    hyp = 0.5 * (np.exp(zu - half[low]) + sigma * np.exp(-zu - half[low]))
-    rows[low] += np.real(wzk[low] * hyp)
-    starts = range(0, high.size, _LAYER_ROWS)
-    edges = 1.0 - _UNDERFLOW / np.minimum.reduceat(half[high, 0], starts)
-    # A block whose bands hold no point (NaN lies in neither) adds nothing.
-    top, bottom = np.fmax.reduce(xs, initial=-np.inf), np.fmin.reduce(xs, initial=np.inf)
-    for b, edge in zip(starts, edges):
-        r = high[b:b + _LAYER_ROWS]
-        if top > edge:
-            j = np.flatnonzero(xs > edge)
-            rows[np.ix_(r, j)] += np.real(wzk[r] * (0.5 * np.exp(z[r] * xs[j] - half[r])))
-        if bottom < -edge:
-            j = np.flatnonzero(xs < -edge)
-            rows[np.ix_(r, j)] += np.real(
-                wzk[r] * (0.5 * (sigma * np.exp(-(z[r] * xs[j]) - half[r]))))
-    return np.multiply(c, rows, out=rows).reshape(trig.shape)
+    wzk = w * z ** k   # in the caller's types: a Python complex for one mode
+    if trig.size >= _MASK_MIN:
+        edge = np.reshape(1.0 - (np.log(abs(wzk) / lamk) + _REACH_LN) / half, (-1, 1))
+        p = np.count_nonzero(edge <= 0.0)   # rows [:p] take every point
+        if (edge.size - p) * np.size(x) >= _MASK_MIN:
+            z, half, wzk, lamk, xs = (np.ravel(v) for v in (z, half, wzk, lamk, x))
+            rows = trig.reshape(edge.size, xs.size)   # one row per mode
+            rows[:p] += _layer(z[:p, None], half[:p, None], wzk[:p, None], xs, sigma)
+            near = abs(rows[p:]) < _NEAR_ZERO * lamk[p:, None]
+            near |= ~(abs(xs) < edge[p:])
+            flat = rows.reshape(-1)
+            i = np.flatnonzero(near) + p * xs.size   # S as indices into flat
+            for b in range(0, i.size, _LAYER_ENTRIES):
+                r, j = np.divmod(i[b:b + _LAYER_ENTRIES], xs.size)
+                flat[i[b:b + _LAYER_ENTRIES]] += _layer(z[r], half[r], wzk[r], xs[j], sigma)
+            return np.multiply(c, rows, out=rows).reshape(trig.shape)
+    trig += _layer(z, half, wzk, x, sigma)
+    trig *= c
+    return trig
 
 
 def _check_eval_args(x, k) -> np.ndarray:
     if not _is_int(k) or not (0 <= k <= 6):
         raise ValueError(f"derivative order k must be an integer in [0, 6], got {k!r}")
     xa = np.asarray(x, dtype=float)
-    if np.any(np.abs(xa) > 1.0):
+    if not np.all(np.abs(xa) <= 1.0):   # NaN fails this too
         raise ValueError("evaluation points must satisfy |x| <= 1")
     return xa
 

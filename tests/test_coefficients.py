@@ -438,9 +438,9 @@ def test_chi_sign_alternates_property(m, p):
 
 
 def test_synthesize_at_max_modes_evaluates_in_chunks():
-    # One 201-point psi_block at M = 10000 peaks at ~49 MB (~161 MB while it
+    # One 201-point psi_block at M = 10000 peaks at ~35 MB (~161 MB while it
     # evaluated every boundary-layer exponential); chunking the points keeps
-    # synthesize at ~13 MB and changes values at rounding level.
+    # synthesize at ~10 MB and changes values at rounding level.
     basis = build_basis(MAX_MODES)
     n = np.arange(MAX_MODES + 1, dtype=float)
     decay = np.concatenate(([0.0], n[1:] ** -8.0))

@@ -74,6 +74,18 @@ def test_eigenvalue_families_interlace():
     assert np.all(lc[1:-1] < ls[2:])
 
 
+def test_basis_builds_keep_every_bit_with_memoized_low_roots():
+    eb._bracketed_eigenvalue.cache_clear()
+    first = build_basis(40)
+    assert eb._bracketed_eigenvalue.cache_info().misses == 12
+    second = build_basis(40)
+    assert eb._bracketed_eigenvalue.cache_info().misses == 12
+    for name, got in vars(second).items():
+        if isinstance(got, np.ndarray):
+            want = getattr(first, name)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), name
+
+
 def test_mode_zero_is_exact_zero():
     basis = build_basis(5)
     assert basis.lam_even[0] == 0.0
@@ -190,6 +202,19 @@ def test_evaluation_argument_validation(basis30):
         eval_psi(basis30, "odd", 31, 0.5, 0)
 
 
+_NAN_POINT_ENTRY_POINTS = {
+    "eval_psi": lambda b: eval_psi(b, "even", 3, np.nan),
+    "psi_block": lambda b: psi_block(b, "odd", [0.5, np.nan]),
+    "synthesize": lambda b: cf.synthesize(gk.solve_steady(gk.MODEL_I, b), [np.nan, 0.5]),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_NAN_POINT_ENTRY_POINTS))
+def test_nan_points_are_rejected(basis30, entry):
+    with pytest.raises(ValueError, match=r"\|x\| <= 1"):
+        _NAN_POINT_ENTRY_POINTS[entry](basis30)
+
+
 # Each call passes ``flag`` (True or False) as one integer parameter.
 _INTEGER_ENTRY_POINTS = {
     "build_basis": lambda b, flag: build_basis(flag),
@@ -273,22 +298,40 @@ def _same_bits(got, want) -> bool:
 
 def _layer_points(basis, seed=0) -> np.ndarray:
     """Unsorted points: the edges, signed zeros, the last double below 1,
-    points closing in on the edges, where the layer lives, and the band edges
-    of the first, a middle and the last row block of high modes of each
-    parity, with their neighbours."""
+    points closing in on the edges, where the layer lives.  For the first, a
+    middle and the last masked mode of each parity: the mask's edge
+    a = 1 - reach/h with its neighbours, and the doubles nearest the zeros
+    of cos(lam x) and sin(lam x) just inside a and near 1/2, where the mask
+    keeps the layer because trig is near zero.  And the edges of the bands
+    that the kernel used before the mask (exp(-760) underflows; 128-mode
+    blocks, each band sized by its smallest h), with their neighbours.
+    All mirrored."""
     closing = 1.0 - np.geomspace(1e-6, 0.5, 12)
     special = [-1.0, 1.0, 0.0, -0.0, np.nextafter(1.0, 0.0), -np.nextafter(1.0, 0.0),
                *closing, *-closing]
-    edges = []
+    probes = []
     for parity in Parity:
-        half = 0.5 * SQRT3 * basis.lam(parity)[1:]
-        high = half[half > eb._UNDERFLOW]
-        starts = range(0, high.size, eb._LAYER_ROWS)
+        lam, _, w = (v[:, 0] for v in _mode_columns(basis, parity))
+        half = 0.5 * SQRT3 * lam
+        high = half[half > 760.0]
+        starts = range(0, high.size, 128)
         for b in sorted({starts[0], starts[len(starts) // 2], starts[-1]} if starts else ()):
-            edge = 1.0 - eb._UNDERFLOW / np.min(high[b:b + eb._LAYER_ROWS])
-            edges += [edge, np.nextafter(edge, 0.0), np.nextafter(edge, 2.0)]
+            a = 1.0 - 760.0 / np.min(high[b:b + 128])
+            probes += [a, np.nextafter(a, 0.0), np.nextafter(a, 2.0)]
+        edges = {}
+        for k in (0, 6):
+            z = 0.5 * (2.0 * half + 1j * lam)
+            edge = 1.0 - (np.log(np.abs(w * z ** k) / lam ** k) + eb._REACH_LN) / half
+            masked = np.flatnonzero(edge > 0.0)
+            for r in {masked[0], masked[masked.size // 2], masked[-1]} if masked.size else ():
+                edges.setdefault(r, set()).add(edge[r])
+        for r, rs in edges.items():
+            probes += [v for a in rs for v in (a, np.nextafter(a, 0.0), np.nextafter(a, 2.0))]
+            n0 = np.floor(min(rs) * 2.0 * lam[r] / np.pi)
+            probes += [n * np.pi / (2.0 * lam[r])
+                       for n in (n0, n0 - 1.0, np.round(lam[r] / np.pi)) if n > 0.0]
     rng = np.random.default_rng(seed)
-    band = np.array(edges)
+    band = np.array(probes)
     pts = np.concatenate((special, np.linspace(-1.0, 1.0, 21), rng.uniform(-1.0, 1.0, 10),
                           band, -band))
     return pts[rng.permutation(pts.size)]
@@ -312,9 +355,9 @@ def test_psi_block_and_eval_psi_keep_the_full_layer_bits(M):
 
 
 def test_layer_bands_do_not_rely_on_sorted_modes():
-    # The 256 largest modes alternate with 256 around h = 760, so each row
-    # block of high modes holds h from ~760 to ~27000: a band sized by any
-    # row but the block's smallest h would drop that row's layer.
+    # The 256 largest modes alternate with 256 around h = 760, so adjacent
+    # rows have h ~760 and ~27000: a mask edge taken from any row but its
+    # own would drop or misplace that row's layer.
     basis = build_basis(MAX_MODES)
     xs = _layer_points(basis, seed=1)
     order = np.empty(512, dtype=int)
@@ -324,6 +367,31 @@ def test_layer_bands_do_not_rely_on_sorted_modes():
         for k in (0, 3):
             assert _same_bits(eb._psi_core(parity, lam, c, w, xs[None, :], k),
                               _full_layer_psi_core(parity, lam, c, w, xs[None, :], k))
+
+
+def test_masked_rows_keep_the_full_layer_bits_in_any_mode_order():
+    # The rows taking every point are as many as have a <= 0 and lead in
+    # sorted order.  Here 20 high modes lead and 20 low modes (a <= 0 for
+    # m <= 19) follow, so high modes take every point and low ones the mask.
+    basis = build_basis(400)
+    xs = _layer_points(basis, seed=2)
+    order = np.concatenate((np.arange(399, 379, -1), np.arange(20)))
+    for parity in Parity:
+        lam, c, w = (v[order] for v in _mode_columns(basis, parity))
+        for k in (0, 5):
+            assert _same_bits(eb._psi_core(parity, lam, c, w, xs[None, :], k),
+                              _full_layer_psi_core(parity, lam, c, w, xs[None, :], k))
+
+
+@settings(max_examples=25, deadline=None)
+@given(M=st.integers(1, 3000), k=st.integers(0, 6),
+       xs=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=12))
+def test_psi_block_keeps_the_full_layer_bits_property(M, k, xs):
+    basis = build_basis(M)
+    pts = np.array(xs + [-x for x in xs])
+    for parity in Parity:
+        assert _same_bits(psi_block(basis, parity, pts, k),
+                          _full_layer_psi_block(basis, parity, pts, k)), parity
 
 
 def test_synthesis_and_projection_keep_the_full_layer_bits(monkeypatch):
