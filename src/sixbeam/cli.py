@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -44,31 +45,12 @@ class UsageError(Exception):
 # ---------------------------------------------------------------------------
 
 def _cell(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, str):
-        return v
-    if isinstance(v, (bool, np.bool_)):
+    """The CSV text of one Python value."""
+    if v is None or isinstance(v, str):
+        return v or ""
+    if isinstance(v, bool):
         return "true" if v else "false"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return format(float(v), ".17g")
-
-
-def _jsonable(v):
-    if isinstance(v, (np.floating,)):
-        return float(v)
-    if isinstance(v, (np.integer,)):
-        return int(v)
-    if isinstance(v, (np.bool_,)):
-        return bool(v)
-    if isinstance(v, np.ndarray):
-        return [_jsonable(x) for x in v]
-    if isinstance(v, dict):
-        return {k: _jsonable(x) for k, x in v.items()}
-    if isinstance(v, (list, tuple)):
-        return [_jsonable(x) for x in v]
-    return v
+    return str(v) if isinstance(v, int) else format(v, ".17g")
 
 
 def _write_text(path: str, text: str) -> None:
@@ -79,51 +61,70 @@ def _write_text(path: str, text: str) -> None:
         raise UsageError(f"cannot write {path!r}: {exc.strerror or exc}") from None
 
 
-def _table_text(header: list, rows, fmt: str) -> str:
-    """``rows`` is a list of rows or a 2-D float array (one row template per line).
+def _table_text(header: list, columns: list, fmt: str) -> str:
+    """The table with one 1-D array or list of cells per header name.
 
-    In a float array, a row whose cells after the first have the bits of the
-    previous row's reuses that row's text; only its first cell is formatted.
+    In CSV a float array is a ``"%.17g"`` field and an integer array a
+    ``"%d"`` field of one row template (``"%.17g" % x`` is ``_cell(x)`` for
+    every float); any other column enters as its cells' ``_cell`` text.  A
+    row whose cells after the first repeat the previous row's (bit for bit
+    in float columns, as text in the others) reuses that row's text.
     """
-    if fmt == "csv":
-        lines = [",".join(header)]
-        if isinstance(rows, np.ndarray) and rows.dtype == float:
-            # "%.17g" % x gives the same text as _cell(x) for every float.
-            bits = rows[:, 1:].view(np.int64)
-            repeats = [False] + np.all(bits[1:] == bits[:-1], axis=1).tolist()
-            template, rest = ",%.17g" * (rows.shape[1] - 1), ""
-            for first, row, repeat in zip(rows[:, 0].tolist(),
-                                          rows[:, 1:].tolist(), repeats):
-                if not repeat:
-                    rest = template % tuple(row)
-                lines.append("%.17g" % first + rest)
+    if fmt != "csv":
+        return json.dumps(_records(header, columns), indent=2) + "\n"
+    fields, values = [], []
+    repeats = np.ones(max(len(columns[0]) - 1, 0), dtype=bool)
+    for j, (col, cells) in enumerate(zip(columns, _cells(columns))):
+        kind = col.dtype.kind if isinstance(col, np.ndarray) else "O"
+        if kind in "fiu":
+            fields.append("%.17g" if kind == "f" else "%d")
+            key = col.view(np.int64) if kind == "f" else col
         else:
-            lines.extend(",".join(_cell(v) for v in row) for row in rows)
-        return "\n".join(lines) + "\n"
-    body = [dict(zip(header, (_jsonable(v) for v in row))) for row in rows]
-    return json.dumps(body, indent=2) + "\n"
+            fields.append("%s")
+            if kind != "U":  # a str array is its own text
+                cells = [_cell(v) for v in cells]
+            key = np.array(cells, dtype=object)
+        values.append(cells)
+        if j:
+            repeats &= key[1:] == key[:-1]
+    head, tail, rest = fields[0], "".join("," + f for f in fields[1:]), ""
+    lines = [",".join(header)]
+    for row, repeat in zip(zip(*values), [False] + repeats.tolist()):
+        if not repeat:
+            rest = tail % row[1:]
+        lines.append(head % row[0] + rest)
+    return "\n".join(lines) + "\n"
 
 
-def _emit_table(args: argparse.Namespace, stem: str, header: list, rows,
-                files: dict) -> None:
-    text = _table_text(header, rows, args.format)
+def _cells(columns: list) -> list:
+    """Each column as a list of Python values."""
+    return [c.tolist() if isinstance(c, np.ndarray) else list(c) for c in columns]
+
+
+def _records(header: list, columns: list) -> list:
+    """The table as one JSON object per row."""
+    return [dict(zip(header, row)) for row in zip(*_cells(columns))]
+
+
+def _emit(args: argparse.Namespace, stem: str, ext: str, text: str,
+          files: dict) -> None:
+    """Write ``text`` to ``{out}.{stem}.{ext}``, or to stdout without ``--out``."""
     if args.out is None:
         sys.stdout.write(text)
     else:
-        path = f"{args.out}.{stem}.{args.format}"
-        _write_text(path, text)
-        files[stem] = path
+        files[stem] = f"{args.out}.{stem}.{ext}"
+        _write_text(files[stem], text)
+
+
+def _emit_table(args: argparse.Namespace, stem: str, header: list, columns: list,
+                files: dict) -> None:
+    _emit(args, stem, args.format, _table_text(header, columns, args.format), files)
 
 
 def _emit_summary(args: argparse.Namespace, summary: dict, files: dict) -> None:
-    summary = _jsonable(summary)
-    text = json.dumps(summary, indent=2) + "\n"
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        path = f"{args.out}.summary.json"
-        _write_text(path, text)
-        files["summary"] = path
+    # A numpy value (a float64 is already a float) enters as its Python value.
+    text = json.dumps(summary, indent=2, default=lambda v: v.tolist())
+    _emit(args, "summary", "json", text + "\n", files)
 
 
 # ---------------------------------------------------------------------------
@@ -133,34 +134,20 @@ def _emit_summary(args: argparse.Namespace, summary: dict, files: dict) -> None:
 def cmd_eigenvalues(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     m_max = args.m_max if args.m_max is not None else args.M
-    rows = []
-    if args.parity == "both":
-        header = ["m", "lambda_even", "asymptotic_even", "lambda_odd", "asymptotic_odd"]
-    elif args.parity == "even":
-        header = ["m", "lambda_even", "asymptotic_even"]
-    else:
-        header = ["m", "lambda_odd", "asymptotic_odd"]
-    start = 0 if args.parity in ("both", "even") else 1
-    for m in range(start, m_max + 1):
-        row: list = [m]
-        if args.parity in ("both", "even"):
-            if m == 0:
-                row += [0.0, None]
-            else:
-                row += [solve_eigenvalue("even", m).lam,
-                        eigenvalue_asymptotic("even", m)]
-        if args.parity in ("both", "odd"):
-            if m == 0:
-                row += [None, None]
-            else:
-                row += [solve_eigenvalue("odd", m).lam,
-                        eigenvalue_asymptotic("odd", m)]
-        rows.append(row)
+    parities = ("even", "odd") if args.parity == "both" else (args.parity,)
+    ms = np.arange(0 if "even" in parities else 1, m_max + 1)
+    header, columns = ["m"], [ms]
+    for parity in parities:
+        header += [f"lambda_{parity}", f"asymptotic_{parity}"]
+        columns.append([solve_eigenvalue(parity, m).lam if m
+                         else (0.0 if parity == "even" else None) for m in ms.tolist()])
+        columns.append([eigenvalue_asymptotic(parity, m) if m else None
+                        for m in ms.tolist()])
     files: dict = {}
-    _emit_table(args, "table", header, rows, files)
+    _emit_table(args, "table", header, columns, files)
     if args.out is not None:
         summary = {"command": "eigenvalues", "m_max": m_max, "parity": args.parity,
-                   "rows": len(rows), "files": files,
+                   "rows": len(ms), "files": files,
                    "timings_ms": {"total": 1e3 * (time.perf_counter() - t0)}}
         _emit_summary(args, summary, files)
     return 0
@@ -251,17 +238,11 @@ def cmd_solve(args: argparse.Namespace) -> int:
         exact = (xs * xs - 1.0) ** 6
         err = u - exact
         max_error = float(np.max(np.abs(err)))
-        sol_header = ["x", "u", "exact", "error"]
-        sol_rows = np.column_stack((xs, u, exact, err))
+        sol_header, sol_columns = ["x", "u", "exact", "error"], [xs, u, exact, err]
     else:
         max_error = None
-        sol_header = ["x", "u"]
-        sol_rows = np.column_stack((xs, u))
-    coef_header = ["n", "u_even", "abs_u_even"]
+        sol_header, sol_columns = ["x", "u"], [xs, u]
     u_even = np.concatenate(([sol.u0c], sol.uc[1:]))
-    coef_rows = np.column_stack((np.arange(args.M + 1), u_even, np.abs(u_even)))
-    if args.format == "json":  # where n must stay an integer
-        coef_rows = [[int(n), u, a] for n, u, a in coef_rows.tolist()]
     tier = None
     if max_error is not None:
         tier = ("stretch" if max_error <= 5e-13
@@ -269,8 +250,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
     decay_fit = _decay_fit(sol.uc, 50)
     t3 = time.perf_counter()
     if args.out is not None:
-        _emit_table(args, "solution", sol_header, sol_rows, files)
-        _emit_table(args, "coefficients", coef_header, coef_rows, files)
+        _emit_table(args, "solution", sol_header, sol_columns, files)
+        _emit_table(args, "coefficients", ["n", "u_even", "abs_u_even"],
+                    [np.arange(args.M + 1), u_even, np.abs(u_even)], files)
     t4 = time.perf_counter()
     summary = {
         "command": "solve",
@@ -301,68 +283,71 @@ def cmd_solve(args: argparse.Namespace) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-def _verify_reports(basis: Basis, K: int) -> list:
-    tabs = oracle.quadrature_tables(basis, K, tol=1e-10)
-    compare = oracle.VerificationReport.compare
-    indices = [(n, m) for n in range(1, K + 1) for m in range(1, K + 1)]
-    reports = []
+_VERIFY_HEADER = ["kind", "parity", "n", "m_or_p", "closed", "quadrature",
+                  "rel_error", "passed", "note"]
+
+
+def _verify_columns(basis: Basis, K: int, tabs: dict) -> list:
+    """``verify``'s table, one column per ``_VERIFY_HEADER`` name."""
+    idx = np.arange(1, K + 1)
+    square = (np.repeat(idx, K), np.tile(idx, K))
+    parts = []  # (kind, parity, n, m_or_p, closed, quadrature) per table
     for parity in ("even", "odd"):
         for kind, table in (("beta", "second_derivative"),
                             ("gamma", "fourth_derivative")):
             closed = coefficients.operator_matrix(basis, parity, table)
-            quad = tabs[f"{kind}_{parity}"]
-            reports += [compare(kind, parity, n, m, closed.entries[n - 1, m - 1],
-                                quad[n - 1, m - 1]) for n, m in indices]
+            parts.append((kind, parity, *square, closed.entries[:K, :K].ravel(),
+                          tabs[f"{kind}_{parity}"].ravel()))
         if parity == "even":  # closed is the fourth-derivative table here
-            reports += [compare("gamma", parity, n, 0, closed.mean_row[n - 1],
-                                tabs["gamma0_even"][n - 1])
-                        for n in range(1, K + 1)]
-    for p, quad in tabs["chi"].items():
-        closed = coefficients.chi_vector(basis, p)
-        reports += [compare("chi", "even", m, p, closed[m - 1], quad[m - 1])
-                    for m in range(1, K + 1)]
-    return reports
+            parts.append(("gamma", parity, idx, 0, closed.mean_row[:K],
+                          tabs["gamma0_even"]))
+    parts += [("chi", "even", idx, p, coefficients.chi_vector(basis, p)[:K], quad)
+              for p, quad in tabs["chi"].items()]
+    kind, parity, n, m_or_p, closed, quad = (
+        np.concatenate([np.broadcast_to(part[i], len(part[2])) for part in parts])
+        for i in range(6))
+    return [kind, parity, n, m_or_p, closed, quad,
+            *oracle.entry_verdicts(kind, parity, n, m_or_p, closed, quad)]
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     K = args.max_index
-    files: dict = {}
-    if K == 0:
-        reports = []
-        notes = []
-    else:
+    t1, columns, notes = t0, [np.empty(0)] * len(_VERIFY_HEADER), []
+    if K:
         basis = build_basis(max(K, 2))
-        reports = _verify_reports(basis, K)
+        tabs = oracle.quadrature_tables(basis, K, tol=1e-10)
+        t1 = time.perf_counter()
+        columns = _verify_columns(basis, K, tabs)
         notes = coefficients.superseded_variant_notes(basis)
-    failed = [r for r in reports if not r.passed]
-    worst = max(reports, key=lambda r: r.rel_error) if reports else None
+    rel, passed = columns[6].tolist(), int(np.count_nonzero(columns[7]))
+    # The first largest error, as max() picks it (a NaN only in first place).
+    worst = max(range(len(rel)), key=rel.__getitem__) if rel else None
+    t2 = time.perf_counter()
+    files: dict = {}
+    timings = {"quadrature": 1e3 * (t1 - t0), "closed_forms": 1e3 * (t2 - t1)}
     summary = {
         "command": "verify",
         "max_index": K,
         "tolerance": oracle.REL_THRESHOLD,
-        "total": len(reports),
-        "passed": len(reports) - len(failed),
-        "failed": len(failed),
-        "worst": worst.to_dict() if worst is not None else None,
+        "total": len(rel),
+        "passed": passed,
+        "failed": len(rel) - passed,
+        "worst": None if worst is None else dict(zip(
+            _VERIFY_HEADER, (c[worst].item() for c in columns))),
         "misprint_notes": notes,
         "files": files,
-        "timings_ms": {"total": 1e3 * (time.perf_counter() - t0)},
+        "timings_ms": timings,
     }
-    rows = [r.to_dict() for r in reports]
     if args.out is None:
-        doc = dict(summary)
-        doc.pop("files")
-        doc["reports"] = rows
-        sys.stdout.write(json.dumps(_jsonable(doc), indent=2) + "\n")
+        summary.pop("files")
+        summary["reports"] = _records(_VERIFY_HEADER, columns)
     else:
-        header = ["kind", "parity", "n", "m_or_p", "closed", "quadrature",
-                  "rel_error", "passed", "note"]
-        _emit_table(args, "report", header,
-                    [[r[k] for k in header] for r in rows], files)
-        summary["timings_ms"]["total"] = 1e3 * (time.perf_counter() - t0)
-        _emit_summary(args, summary, files)
-    return 2 if failed else 0
+        _emit_table(args, "report", _VERIFY_HEADER, columns, files)
+    timings.update(write=1e3 * (time.perf_counter() - t2),
+                   total=1e3 * (time.perf_counter() - t0))
+    _emit_summary(args, summary, files)
+    return 2 if passed < len(rel) else 0
 
 
 # ---------------------------------------------------------------------------
@@ -381,6 +366,8 @@ def _parse_initial(text: str, basis: Basis) -> coefficients.CoefficientSet:
             amp = float(parts[2])
         except ValueError as exc:
             raise UsageError(f"initial amplitude: {exc}") from None
+        if not math.isfinite(amp):
+            raise UsageError(f"initial amplitude must be finite, got {amp!r}")
     try:
         m = int(m_str)
     except ValueError as exc:
@@ -445,12 +432,12 @@ def cmd_evolve(args: argparse.Namespace) -> int:
             # The matrix product can round a repeated state differently by its
             # row; every repeat takes the samples of its first occurrence.
             samples[traj.stationary_from + 1:] = samples[traj.stationary_from]
-        rows = np.column_stack((
-            np.arange(n_states) * args.dt, traj.u0c,
-            traj.uc[:, 1:k_track + 1], traj.us[:, 1:k_track + 1], samples))
+        columns = [np.arange(n_states) * args.dt, traj.u0c,
+                   *traj.uc[:, 1:k_track + 1].T, *traj.us[:, 1:k_track + 1].T,
+                   *samples.T]
     t4 = time.perf_counter()
     if args.out is not None:
-        _emit_table(args, "trajectory", header, rows, files)
+        _emit_table(args, "trajectory", header, columns, files)
     t5 = time.perf_counter()
     final_norm = float(max(abs(final_u0c),
                            np.max(np.abs(final_uc)), np.max(np.abs(final_us))))

@@ -86,7 +86,10 @@ class BvpSpec:
 
     def __post_init__(self):
         for attr in ("a6", "a4", "a2", "a0"):
-            object.__setattr__(self, attr, float(getattr(self, attr)))
+            value = float(getattr(self, attr))
+            if not math.isfinite(value):
+                raise ValueError(f"{attr} must be finite, got {value!r}")
+            object.__setattr__(self, attr, value)
         if self.a6 == 0.0:
             raise ValueError("a6 must be nonzero (sixth-order operator)")
         combined: dict = {}
@@ -100,6 +103,9 @@ class BvpSpec:
                 raise ValueError(
                     f"forcing powers must be even integers in [0, 12], got {p!r}")
             combined[int(p)] = combined.get(int(p), 0.0) + float(c)
+            if not math.isfinite(combined[int(p)]):
+                raise ValueError(f"the forcing coefficient of x^{p} must be "
+                                 f"finite, got {combined[int(p)]!r}")
         object.__setattr__(
             self, "forcing",
             tuple((p, combined[p]) for p in sorted(combined) if combined[p] != 0.0))

@@ -20,7 +20,7 @@ still caught because it perturbs the Gram matrix away from the identity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 from typing import Callable
 
@@ -40,6 +40,7 @@ __all__ = [
     "gram_matrix",
     "adjointness_defect",
     "quadrature_tables",
+    "entry_verdicts",
     "verify_formula",
     "projection_l2_error",
     "residual_scan",
@@ -209,16 +210,6 @@ def _differentiate_coeffs(lam: float, t, v, k: int):
     return t, v
 
 
-def _reference_values(lam: float, c: float, t, v, x: np.ndarray) -> np.ndarray:
-    s = SQRT3 * lam
-    gs = 0.5 * (np.exp(0.5 * s * (x - 1.0)) - np.exp(-0.5 * s * (x + 1.0)))
-    gc = 0.5 * (np.exp(0.5 * s * (x - 1.0)) + np.exp(-0.5 * s * (x + 1.0)))
-    sin_h, cos_h = np.sin(0.5 * lam * x), np.cos(0.5 * lam * x)
-    return c * (t[0] * np.cos(lam * x) + t[1] * np.sin(lam * x)
-                + v[0] * sin_h * gs + v[1] * sin_h * gc
-                + v[2] * cos_h * gs + v[3] * cos_h * gc)
-
-
 def psi_reference(basis: Basis, parity, m: int, x, k: int = 0):
     """Reference evaluation of psi_m^{(k)}(x) (independent of the production path)."""
     parity = _parity(parity)
@@ -229,21 +220,30 @@ def psi_reference(basis: Basis, parity, m: int, x, k: int = 0):
     if parity is Parity.EVEN and m == 0:
         out = np.ones_like(xa) if k == 0 else np.zeros_like(xa)
     else:
-        lam, c, t, v = _reference_coeffs(basis, parity, m)
-        t, v = _differentiate_coeffs(lam, t, v, int(k))
-        out = _reference_values(lam, c, t, v, xa)
+        out = _reference_block(basis, parity, (m,), xa, (int(k),))[0, 0]
     return float(out[0]) if scalar else out
 
 
-def _reference_block(basis: Basis, parity: Parity, n_max: int,
-                     x: np.ndarray, k: int) -> np.ndarray:
-    """Rows psi_m^{(k)}(x) for m = 1..n_max via the reference evaluator."""
-    rows = np.empty((n_max, x.size))
-    for m in range(1, n_max + 1):
-        lam, c, t, v = _reference_coeffs(basis, parity, m)
-        t, v = _differentiate_coeffs(lam, t, v, k)
-        rows[m - 1] = _reference_values(lam, c, t, v, x)
-    return rows
+def _reference_block(basis: Basis, parity: Parity, modes, x: np.ndarray,
+                     orders: tuple) -> np.ndarray:
+    """psi_m^{(k)}(x) for m in ``modes`` (rows), one block per k in ``orders``.
+
+    Each mode's six elementary functions are evaluated once for all orders.
+    """
+    blocks = np.empty((len(orders), len(modes)) + x.shape)
+    for i, m in enumerate(modes):
+        lam, c, t0, v0 = _reference_coeffs(basis, parity, m)
+        s = SQRT3 * lam
+        rise, fall = np.exp(0.5 * s * (x - 1.0)), np.exp(-0.5 * s * (x + 1.0))
+        gs, gc = 0.5 * (rise - fall), 0.5 * (rise + fall)
+        sin_h, cos_h = np.sin(0.5 * lam * x), np.cos(0.5 * lam * x)
+        cos_l, sin_l = np.cos(lam * x), np.sin(lam * x)
+        for block, k in zip(blocks, orders):
+            t, v = _differentiate_coeffs(lam, t0, v0, k)
+            block[i] = c * (t[0] * cos_l + t[1] * sin_l
+                            + v[0] * sin_h * gs + v[1] * sin_h * gc
+                            + v[2] * cos_h * gs + v[3] * cos_h * gc)
+    return blocks
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +255,8 @@ def gram_matrix(basis: Basis, parity, n_max: int, tol: float = 1e-12) -> np.ndar
     parity = _parity(parity)
 
     def gram(rule):
-        rows = _reference_block(basis, parity, n_max, rule.nodes, 0)
+        rows, = _reference_block(basis, parity, range(1, n_max + 1), rule.nodes,
+                                 (0,))
         return (rows * rule.weights) @ rows.T
 
     return _refine(gram, _table_panels(basis, n_max),
@@ -331,14 +332,15 @@ def _sweep_tables(basis: Basis, parity: Parity, K: int, rule, powers) -> dict:
     ``chi`` is stacked one row per power so it converges like the others.
     """
     key = parity.value
-    rows = {k: _reference_block(basis, parity, K, rule.nodes, k) for k in (0, 2, 4)}
+    rows0, rows2, rows4 = _reference_block(basis, parity, range(1, K + 1),
+                                           rule.nodes, (0, 2, 4))
     tables = {
-        f"beta_{key}": (rows[2] * rule.weights) @ rows[0].T,
-        f"gamma_{key}": (rows[4] * rule.weights) @ rows[0].T,
+        f"beta_{key}": (rows2 * rule.weights) @ rows0.T,
+        f"gamma_{key}": (rows4 * rule.weights) @ rows0.T,
     }
     if parity is Parity.EVEN:
-        tables["gamma0_even"] = rows[4] @ rule.weights
-        tables["chi"] = np.stack([rows[0] @ (rule.weights * rule.nodes ** p)
+        tables["gamma0_even"] = rows4 @ rule.weights
+        tables["chi"] = np.stack([rows0 @ (rule.weights * rule.nodes ** p)
                                   for p in powers])
     return tables
 
@@ -346,6 +348,21 @@ def _sweep_tables(basis: Basis, parity: Parity, K: int, rule, powers) -> dict:
 # ---------------------------------------------------------------------------
 # Entrywise closed-form verification
 # ---------------------------------------------------------------------------
+
+def entry_verdicts(kind, parity, n, m_or_p, closed, quad) -> tuple:
+    """Relative error, pass flag and note of closed forms against quadrature.
+
+    Entrywise over arrays (or scalars) of one length: ``kind`` and ``parity``
+    name each entry's table, ``n`` its row and ``m_or_p`` its column (the
+    power p for chi).  Entries whose closed form replaces a superseded
+    variant (every beta of the odd family, the even beta diagonal, chi at
+    p = 12) carry the corrected-form note.
+    """
+    rel = np.abs(closed - quad) / np.maximum(np.abs(quad), 1e-30)
+    corrected = (((kind == "beta") & ((parity == "odd") | (n == m_or_p)))
+                 | ((kind == "chi") & (m_or_p == 12)))
+    return rel, rel < REL_THRESHOLD, np.where(corrected, _CORRECTED_NOTE, "")
+
 
 @dataclass(frozen=True)
 class VerificationReport:
@@ -362,34 +379,17 @@ class VerificationReport:
     note: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind, "parity": self.parity, "n": self.n,
-            "m_or_p": self.m_or_p, "closed": self.closed,
-            "quadrature": self.quadrature, "rel_error": self.rel_error,
-            "passed": self.passed, "note": self.note,
-        }
+        return asdict(self)
 
     @classmethod
     def compare(cls, kind: str, parity, n: int, m_or_p: int, closed: float,
                 quad: float) -> "VerificationReport":
-        """The record for one entry: relative error, pass flag and note.
-
-        Entries whose closed form replaces a superseded variant (every beta
-        of the odd family, the even beta diagonal, chi at p = 12) carry the
-        corrected-form note.
-        """
-        parity = _parity(parity)
-        rel = _relative(closed, quad)
-        corrected = ((kind == "beta" and (parity is Parity.ODD or n == m_or_p))
-                     or (kind == "chi" and m_or_p == 12))
-        return cls(kind=kind, parity=parity.value, n=int(n), m_or_p=int(m_or_p),
+        """The record for one entry, by the rule of ``entry_verdicts``."""
+        parity = _parity(parity).value
+        rel, passed, note = entry_verdicts(kind, parity, n, m_or_p, closed, quad)
+        return cls(kind=kind, parity=parity, n=int(n), m_or_p=int(m_or_p),
                    closed=float(closed), quadrature=float(quad),
-                   rel_error=float(rel), passed=bool(rel < REL_THRESHOLD),
-                   note=_CORRECTED_NOTE if corrected else "")
-
-
-def _relative(closed: float, quad: float) -> float:
-    return abs(closed - quad) / max(abs(quad), 1e-30)
+                   rel_error=float(rel), passed=bool(passed), note=str(note))
 
 
 def verify_formula(basis: Basis, kind: str, parity, n: int, m_or_p: int,

@@ -15,7 +15,7 @@ from sixbeam.cli import _table_text, main
 from sixbeam import coefficients as cf
 from sixbeam import galerkin as gk
 from sixbeam import oracle as oc
-from sixbeam.eigenbasis import build_basis
+from sixbeam.eigenbasis import Parity, build_basis
 
 
 def run(capsys, argv):
@@ -150,6 +150,33 @@ def test_solve_summary_reports_stage_timings(tmp_path, capsys):
     assert sum(v for k, v in timings.items() if k != "total") <= timings["total"]
 
 
+def _reference_cell(v) -> str:
+    if v is None:
+        return ""
+    if isinstance(v, str):
+        return v
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, int):
+        return str(v)
+    return format(v, ".17g")
+
+
+def _per_cell_table(header, rows, fmt):
+    """The reference writer: every cell of a list of rows formatted on its own."""
+    if fmt == "csv":
+        return "".join(",".join(_reference_cell(v) for v in row) + "\n"
+                       for row in [header, *rows])
+    return json.dumps([dict(zip(header, row)) for row in rows], indent=2) + "\n"
+
+
+def _as_columns(rows, width):
+    """The columns of a list of rows, each a float array where it can be one."""
+    columns = [[row[j] for row in rows] for j in range(width)]
+    return [np.array(c, dtype=float) if all(type(v) is float for v in c) else c
+            for c in columns]
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("argv", [["--model", "II", "--M", "60"],
                                   ["--a6", "1", "--a0", "100", "--forcing", "2:1,4:-2",
@@ -157,8 +184,8 @@ def test_solve_summary_reports_stage_timings(tmp_path, capsys):
                                   ["--model", "II", "--a4", "-20", "--M", "400"]],
                          ids=["model-II", "custom", "gmres"])
 def test_coefficient_table_matches_the_per_cell_writer(tmp_path, capsys, fmt, argv):
-    # The float row template writes the bytes that formatting each cell
-    # (n as an integer) gives.
+    # The column-wise writer gives the bytes of formatting each cell (n as an
+    # integer) on its own.
     stem = str(tmp_path / "c")
     code, _, _ = run(capsys, ["solve", *argv, "--format", fmt, "--out", stem])
     assert code == 0
@@ -167,9 +194,10 @@ def test_coefficient_table_matches_the_per_cell_writer(tmp_path, capsys, fmt, ar
                       a2=summary["spec"]["a2"], a0=summary["spec"]["a0"],
                       forcing=summary["spec"]["forcing"])
     sol = gk.solve_steady(spec, build_basis(summary["M"]))
-    rows = [[0, sol.u0c, abs(sol.u0c)]]
-    rows += [[n, sol.uc[n], abs(sol.uc[n])] for n in range(1, summary["M"] + 1)]
-    expected = _table_text(["n", "u_even", "abs_u_even"], rows, fmt)
+    rows = [[0, float(sol.u0c), abs(float(sol.u0c))]]
+    rows += [[n, float(sol.uc[n]), abs(float(sol.uc[n]))]
+             for n in range(1, summary["M"] + 1)]
+    expected = _per_cell_table(["n", "u_even", "abs_u_even"], rows, fmt)
     assert (tmp_path / f"c.coefficients.{fmt}").read_text() == expected
     if fmt == "json":
         assert all(type(row["n"]) is int for row in json.loads(expected))
@@ -278,8 +306,8 @@ def test_verify_file_output(tmp_path, capsys):
 def test_verify_rows_agree_with_verify_formula(capsys):
     code, out, _ = run(capsys, ["verify", "--max-index", "3"])
     assert code == 0
-    rows = {(r["kind"], r["parity"], r["n"], r["m_or_p"]): r
-            for r in json.loads(out)["reports"]}
+    reports = json.loads(out)["reports"]
+    rows = {(r["kind"], r["parity"], r["n"], r["m_or_p"]): r for r in reports}
     basis = build_basis(3)
     for key in [("beta", "odd", 1, 2),     # corrected off-diagonal form
                 ("beta", "even", 2, 2),    # corrected diagonal form
@@ -287,6 +315,25 @@ def test_verify_rows_agree_with_verify_formula(capsys):
                 ("gamma", "even", 1, 3)]:  # shipped as published
         rep = oc.verify_formula(basis, *key)
         assert (rows[key]["note"], rows[key]["passed"]) == (rep.note, rep.passed)
+    # The sweep's array rule and the single-entry record agree on every row,
+    # whether the parity comes as a string or as a Parity.
+    assert len(rows) == len(reports) == 2 * 2 * 9 + 3 + 6 * 3
+    for r in reports:
+        for parity in (r["parity"], Parity(r["parity"])):
+            rep = oc.VerificationReport.compare(r["kind"], parity, r["n"], r["m_or_p"],
+                                                r["closed"], r["quadrature"])
+            assert rep.to_dict() == r
+            assert rep.rel_error.hex() == r["rel_error"].hex()
+
+
+def test_verify_summary_reports_stage_timings(tmp_path, capsys):
+    for K in ("0", "3"):
+        code, _, _ = run(capsys, ["verify", "--max-index", K,
+                                  "--out", str(tmp_path / "v")])
+        assert code == 0
+        timings = json.loads((tmp_path / "v.summary.json").read_text())["timings_ms"]
+        assert set(timings) == {"quadrature", "closed_forms", "write", "total"}
+        assert sum(v for k, v in timings.items() if k != "total") <= timings["total"]
 
 
 # ---------------------------------------------------------------------------
@@ -468,6 +515,23 @@ def test_usage_errors_exit_1(capsys, argv):
     assert err.strip() != ""
 
 
+@pytest.mark.parametrize("argv,field", [
+    (["solve", "--a6", "nan", "--M", "10"], "a6"),
+    (["solve", "--a6", "1", "--a2", "nan", "--a0", "1", "--forcing", "2:1", "--M", "10"],
+     "a2"),
+    (["solve", "--model", "II", "--a0", "inf", "--M", "10"], "a0"),
+    (["solve", "--model", "I", "--forcing", "2:1,4:-inf", "--M", "10"], "x^4"),
+    (["evolve", "--M", "5", "--initial", "even:1:nan"], "initial amplitude"),
+    (["evolve", "--M", "5", "--T", "inf"], "a4"),
+    (["evolve", "--M", "5", "--B", "nan"], "a2"),
+    (["evolve", "--M", "5", "--forcing", "model-II", "--reaction=-inf"], "a0"),
+])
+def test_non_finite_inputs_exit_1(capsys, argv, field):
+    code, out, err = run(capsys, argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and f"{field} must be finite" in err
+
+
 def test_help_exits_0(capsys):
     assert run(capsys, ["--help"])[0] == 0
     assert run(capsys, ["solve", "--help"])[0] == 0
@@ -601,21 +665,51 @@ def test_float_table_repeated_rows_print_as_each_cell_would():
                      [6.0, -np.nan, quiet_nan, 2.0],
                      [-0.0, -np.nan, quiet_nan, 2.0]])
     header = ["t", "a", "b", "c"]
-    text = _table_text(header, rows, "csv")
-    assert text == _table_text(header, rows.tolist(), "csv")
+    text = _table_text(header, list(rows.T), "csv")
+    assert text == _per_cell_table(header, rows.tolist(), "csv")
     assert text.split("\n")[1:5] == ["0,0,1,-0", "1,-0,1,-0", "2,-0,1,0", "3,-0,1,0"]
     assert text.split("\n")[5:9] == ["4,nan,nan,2", "5,nan,nan,2", "6,nan,nan,2",
                                       "-0,nan,nan,2"]
-    one_column = np.array([[0.0], [-0.0], [-0.0]])
-    assert _table_text(["t"], one_column, "csv") == "t\n0\n-0\n-0\n"
-    assert _table_text(header, np.empty((0, 4)), "csv") == "t,a,b,c\n"
+    one_column = np.array([0.0, -0.0, -0.0])
+    assert _table_text(["t"], [one_column], "csv") == "t\n0\n-0\n-0\n"
+    empty = [np.empty(0)] * 4
+    assert _table_text(header, empty, "csv") == "t,a,b,c\n"
+    assert _table_text(header, empty, "json") == "[]\n"
 
 
 def test_float_table_fast_path_matches_the_per_cell_path():
     specials = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, np.inf, -np.inf,
                 np.nan, 1.0 / 3.0, 1e22, 12345.0, -7.0]
-    rows = np.array([specials, specials[::-1]])
+    rows = np.array([specials, specials[::-1], specials[::-1]])
     header = [f"c{j}" for j in range(rows.shape[1])]
-    text = _table_text(header, rows, "csv")
-    assert text == _table_text(header, rows.tolist(), "csv")
+    for fmt in ("json", "csv"):
+        text = _table_text(header, list(rows.T), fmt)
+        assert text == _per_cell_table(header, rows.tolist(), fmt)
     assert text.split("\n")[1].split(",")[:3] == ["0", "-0", "4.9406564584124654e-324"]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_mixed_table_matches_the_per_cell_path(fmt):
+    # The cell types of the verify and eigenvalues tables: str, int, bool and
+    # None next to floats.  A row may reuse the text of the one before only
+    # where its text cells are equal and its floats have the same bits, so
+    # -0 after 0 and a new note after an old one are written afresh.
+    header = ["kind", "n", "closed", "passed", "note", "lam"]
+    rows = [["beta", 1, 0.5, True, "", 0.0],
+            ["beta", 2, 0.0, True, "", None],
+            ["beta", 3, -0.0, True, "", None],
+            ["gamma", 3, -0.0, True, "", None],
+            ["gamma", 4, -0.0, True, "", None],
+            ["gamma", 5, -0.0, True, "corrected", None],
+            ["chi", 6, np.nan, False, "corrected", 2.5]]
+    kinds = [np.array, np.array, np.array, np.array, np.array, list]
+    columns = [make([row[j] for row in rows]) for j, make in enumerate(kinds)]
+    assert [c.dtype.kind for c in columns[:5]] == ["U", "i", "f", "b", "U"]
+    assert _table_text(header, columns, fmt) == _per_cell_table(header, rows, fmt)
+    lists = _as_columns(rows, len(header))
+    assert _table_text(header, lists, fmt) == _per_cell_table(header, rows, fmt)
+    # One text column, and an empty table of an int array and a list.
+    one = [[None], ["a"], ["a"]]
+    assert _table_text(["m"], [[None, "a", "a"]], fmt) == _per_cell_table(["m"], one, fmt)
+    assert _table_text(header[:2], [np.arange(1, 1), []], fmt) == _per_cell_table(
+        header[:2], [], fmt)

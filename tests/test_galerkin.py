@@ -32,6 +32,30 @@ def test_spec_validation():
         gk.BvpSpec(a6=1.0, a4=0.0, a2=0.0, a0=0.0, forcing=((14, 1.0),))
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("field", ["a6", "a4", "a2", "a0"])
+def test_spec_rejects_non_finite_coefficients(field, value):
+    coefs = dict(a6=1.0, a4=0.0, a2=0.0, a0=1.0)
+    coefs[field] = value
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        gk.BvpSpec(**coefs, forcing=((2, 1.0),))
+
+
+@pytest.mark.parametrize("forcing", [((2, np.nan),), ((0, 1.0), (4, -np.inf)),
+                                     ((2, 1e308), (2, 1e308))],
+                         ids=["nan", "-inf", "overflowing-sum"])
+def test_spec_rejects_non_finite_forcing(forcing):
+    with pytest.raises(ValueError, match=r"forcing coefficient of x\^\d+ must be finite"):
+        gk.BvpSpec(a6=1.0, a4=0.0, a2=0.0, a0=1.0, forcing=forcing)
+
+
+@pytest.mark.parametrize("given,field", [({"B": np.nan}, "a2"), ({"T": np.inf}, "a4"),
+                                         ({"reaction": -np.inf}, "a0")])
+def test_semi_discrete_assembly_rejects_non_finite_coefficients(basis30, given, field):
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        gk.assemble_semi_discrete(basis30, **given)
+
+
 def test_spec_normalizes_forcing():
     spec = gk.BvpSpec(a6=1.0, a4=0.0, a2=0.0, a0=0.0,
                       forcing=((4, 1.0), (2, 3.0), (4, 2.0), (6, 0.0)))

@@ -117,8 +117,8 @@ def test_tables_match_sixth_derivative_diagonal(basis30):
         lam6 = basis30.lam(parity)[1:7] ** 6
 
         def sixth(rule, parity=parity):
-            rows6 = oc._reference_block(basis30, parity, 6, rule.nodes, 6)
-            rows0 = oc._reference_block(basis30, parity, 6, rule.nodes, 0)
+            rows6, rows0 = oc._reference_block(basis30, parity, range(1, 7),
+                                              rule.nodes, (6, 0))
             return (rows6 * rule.weights) @ rows0.T
 
         floor = 500.0 * np.finfo(float).eps * np.maximum(1.0, lam6)[:, None]
@@ -126,6 +126,19 @@ def test_tables_match_sixth_derivative_diagonal(basis30):
                        lambda coarse, fine: oc._agree(coarse, fine, 1e-10, floor))
         dev = np.abs(S - np.diag(-lam6)) / np.maximum(1.0, lam6)[:, None]
         assert np.max(dev) < 1e-9
+
+
+def test_reference_block_rows_are_single_mode_evaluations(basis30):
+    # One evaluation of each mode's elementary functions serves every order
+    # asked for, in the order asked, with the bits of psi_reference.
+    x = oc.make_rule(3).nodes
+    for parity in (EV, OD):
+        blocks = oc._reference_block(basis30, parity, range(1, 6), x, (4, 0, 2))
+        for block, k in zip(blocks, (4, 0, 2)):
+            for m in range(1, 6):
+                ref_row = oc.psi_reference(basis30, parity, m, x, k)
+                assert np.array_equal(block[m - 1].view(np.int64),
+                                      ref_row.view(np.int64))
 
 
 def test_tables_match_mean_row_and_chi(basis30, tables6):
