@@ -24,11 +24,16 @@ import json
 import math
 import sys
 import time
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import coefficients, galerkin, oracle
 from .eigenbasis import Basis, build_basis, eigenvalue_asymptotic, solve_eigenvalue
+
+# Each command imports the other modules it runs, so it loads no more than
+# that; these names serve the annotations only.
+if TYPE_CHECKING:
+    from . import coefficients, galerkin
 
 __all__ = ["UsageError", "main",
            "cmd_eigenvalues", "cmd_solve", "cmd_verify", "cmd_evolve"]
@@ -179,6 +184,8 @@ def _parse_forcing(text: str) -> tuple:
 
 
 def _spec_from_args(args: argparse.Namespace) -> galerkin.BvpSpec:
+    from . import galerkin
+
     base = {None: None, "I": galerkin.MODEL_I, "II": galerkin.MODEL_II}[args.model]
     if base is None and args.a6 is None:
         raise UsageError("solve requires --model I|II or explicit --a6 (with "
@@ -224,6 +231,8 @@ _EXACT_MODEL_SOLUTION = {"model-I", "model-II"}
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
+    from . import coefficients, galerkin
+
     t0 = time.perf_counter()
     spec = _spec_from_args(args)
     basis = build_basis(args.M)
@@ -289,6 +298,8 @@ _VERIFY_HEADER = ["kind", "parity", "n", "m_or_p", "closed", "quadrature",
 
 def _verify_columns(basis: Basis, K: int, tabs: dict) -> list:
     """``verify``'s table, one column per ``_VERIFY_HEADER`` name."""
+    from . import coefficients, oracle
+
     idx = np.arange(1, K + 1)
     square = (np.repeat(idx, K), np.tile(idx, K))
     parts = []  # (kind, parity, n, m_or_p, closed, quadrature) per table
@@ -311,6 +322,8 @@ def _verify_columns(basis: Basis, K: int, tabs: dict) -> list:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from . import coefficients, oracle
+
     t0 = time.perf_counter()
     K = args.max_index
     t1, columns, notes = t0, [np.empty(0)] * len(_VERIFY_HEADER), []
@@ -355,6 +368,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def _parse_initial(text: str, basis: Basis) -> coefficients.CoefficientSet:
+    from . import coefficients
+
     parts = text.split(":")
     if len(parts) not in (2, 3):
         raise UsageError(
@@ -396,6 +411,8 @@ _SAMPLE_X = (-0.5, 0.0, 0.5)
 
 
 def cmd_evolve(args: argparse.Namespace) -> int:
+    from . import coefficients, galerkin
+
     t0 = time.perf_counter()
     basis = build_basis(args.M)
     # An unset --B/--reaction takes the assembler's default; 0 is kept as 0.
@@ -569,6 +586,10 @@ def _check(args: argparse.Namespace) -> None:
             raise UsageError(f"--steps must be >= 0, got {args.steps}")
         if not (0.0 <= args.theta <= 1.0):
             raise UsageError(f"--theta must lie in [0, 1], got {args.theta}")
+        for flag in ("T", "B", "reaction"):
+            value = getattr(args, flag)
+            if value is not None and not math.isfinite(value):
+                raise UsageError(f"--{flag} must be finite, got {value}")
 
 
 def _parse_args(argv: list) -> argparse.Namespace:

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import oracle
 from .eigenbasis import (SQRT3, Basis, Parity, _check_eval_args, _is_int, _parity,
                          psi_block)
 
@@ -549,6 +548,8 @@ def project(f, basis: Basis, tol: float = 1e-12) -> CoefficientSet:
     absolute at the integrand's magnitude, so coefficients smaller than
     that can never satisfy a pure relative-or-unit gate).
     """
+    from . import oracle  # here, not at load: only project needs the oracle
+
     if not (tol >= 1e-14):
         raise ValueError(f"tol must be >= 1e-14, got {tol!r}")
     eps_floor = 500.0 * np.finfo(float).eps

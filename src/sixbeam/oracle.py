@@ -26,6 +26,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import coefficients
 from .eigenbasis import (SQRT3, Basis, Parity, _check_eval_args, _check_mode,
                          _is_int, _parity)
 
@@ -303,8 +304,6 @@ def quadrature_tables(basis: Basis, max_index: int, tol: float = 1e-10) -> dict:
     """
     if not _is_int(max_index) or not (1 <= max_index <= basis.M):
         raise ValueError(f"max_index must be in [1, M={basis.M}], got {max_index!r}")
-    from .coefficients import CHI_POWERS  # local import: avoids a cycle
-
     K = int(max_index)
     out: dict = {}
     eps_floor = 500.0 * np.finfo(float).eps
@@ -318,11 +317,11 @@ def quadrature_tables(basis: Basis, max_index: int, tol: float = 1e-10) -> dict:
             "chi": eps_floor,
         }
         out.update(_refine(
-            lambda rule: _sweep_tables(basis, parity, K, rule, CHI_POWERS),
+            lambda rule: _sweep_tables(basis, parity, K, rule, coefficients.CHI_POWERS),
             _table_panels(basis, K),
             lambda coarse, fine: all(_agree(coarse[name], fine[name], tol,
                                             floors[name]) for name in fine)))
-    out["chi"] = dict(zip(CHI_POWERS, out["chi"]))
+    out["chi"] = dict(zip(coefficients.CHI_POWERS, out["chi"]))
     return out
 
 
@@ -399,8 +398,6 @@ def verify_formula(basis: Basis, kind: str, parity, n: int, m_or_p: int,
     For kind "beta"/"gamma": (n, m_or_p) are the mode indices (n, m).
     For kind "chi": n is the even-mode index m and m_or_p is the power p.
     """
-    from . import coefficients  # local import: keeps this module independent
-
     parity = _parity(parity)
     if kind == "beta":
         closed = coefficients.beta(basis, parity, n, m_or_p)
@@ -460,8 +457,6 @@ def projection_l2_error(basis: Basis, f, m_max: int, tol: float = 1e-12) -> floa
 
 def residual_scan(spec, solution, points: int) -> float:
     """Max abs of a6 u^(6) + a4 u^(4) + a2 u'' + a0 u - f at interior points."""
-    from . import coefficients  # local import to avoid a cycle
-
     if not _is_int(points) or points < 1:
         raise ValueError(f"points must be a positive integer, got {points!r}")
     x = np.linspace(-1.0, 1.0, int(points) + 2)[1:-1]

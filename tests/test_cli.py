@@ -522,9 +522,9 @@ def test_usage_errors_exit_1(capsys, argv):
     (["solve", "--model", "II", "--a0", "inf", "--M", "10"], "a0"),
     (["solve", "--model", "I", "--forcing", "2:1,4:-inf", "--M", "10"], "x^4"),
     (["evolve", "--M", "5", "--initial", "even:1:nan"], "initial amplitude"),
-    (["evolve", "--M", "5", "--T", "inf"], "a4"),
-    (["evolve", "--M", "5", "--B", "nan"], "a2"),
-    (["evolve", "--M", "5", "--forcing", "model-II", "--reaction=-inf"], "a0"),
+    (["evolve", "--M", "5", "--T", "inf"], "--T"),
+    (["evolve", "--M", "5", "--B", "nan"], "--B"),
+    (["evolve", "--M", "5", "--forcing", "model-II", "--reaction=-inf"], "--reaction"),
 ])
 def test_non_finite_inputs_exit_1(capsys, argv, field):
     code, out, err = run(capsys, argv)
@@ -633,13 +633,39 @@ assert main(["evolve", "--forcing", "model-II", "--theta", "1", "--steps", "50",
              "--out", {str(tmp_path / "ev2")!r}]) == 0
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
+    assert _fresh_python(code) == "[]"
+
+
+def _fresh_python(code: str) -> str:
+    """The stdout of ``code`` run in a fresh interpreter on this checkout."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip()
+
+
+_SOLVE_MODULES = ["cli", "coefficients", "eigenbasis", "galerkin"]
+
+
+@pytest.mark.parametrize("argv,modules", [
+    (None, []),
+    (["eigenvalues", "--m-max", "6"], ["cli", "eigenbasis"]),
+    (["solve", "--model", "II", "--M", "20"], _SOLVE_MODULES),
+    (["verify", "--max-index", "2"], ["cli", "coefficients", "eigenbasis", "oracle"]),
+    (["evolve", "--M", "5", "--forcing", "model-II", "--steps", "3"], _SOLVE_MODULES),
+], ids=["import", "eigenvalues", "solve", "verify", "evolve"])
+def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, modules):
+    run_it = "import sixbeam" if argv is None else (
+        "from sixbeam.cli import main\n"
+        f"assert main({argv + ['--out', str(tmp_path / 'run')]!r}) == 0")
+    code = f"""{run_it}
+import sys
+print(sorted(m for m in sys.modules if m.split(".")[0] == "sixbeam"))
+"""
+    assert _fresh_python(code) == repr(["sixbeam"] + [f"sixbeam.{m}" for m in modules])
 
 
 def test_csv_floats_use_17_significant_digits(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -116,6 +117,16 @@ def test_model_ii_solution_error(basis100):
     xs = np.linspace(-1.0, 1.0, 201)
     err = np.max(np.abs(cf.synthesize(sol, xs) - _exact_solution(xs)))
     assert err <= 5e-13  # stretch tier
+
+
+def test_readme_library_example_runs_as_written():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    after = readme.split("Typical library use:", 1)[1]
+    block = after.split("```python\n", 1)[1].split("```", 1)[0]
+    scope: dict = {}
+    exec(compile(block, "README.md", "exec"), scope)
+    xs = np.linspace(-1.0, 1.0, 201)
+    assert np.max(np.abs(scope["u"] - _exact_solution(xs))) <= 1e-12  # README: ~5e-13
 
 
 def test_mean_coefficient_is_exact_rational(basis60):
