@@ -240,7 +240,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     sol = galerkin.solve_steady(spec, basis)
     t2 = time.perf_counter()
     xs = np.linspace(-1.0, 1.0, args.samples)
-    u = coefficients.synthesize(sol, xs)
+    u = coefficients._synthesize_grid(basis, sol.u0c, sol.uc, args.samples)
     has_exact = spec.name in _EXACT_MODEL_SOLUTION
     files: dict = {}
     if has_exact:
@@ -444,11 +444,14 @@ def cmd_evolve(args: argparse.Namespace) -> int:
                   + [f"uc_{n}" for n in range(1, k_track + 1)]
                   + [f"us_{n}" for n in range(1, k_track + 1)]
                   + [f"u_at_{x:g}" for x in _SAMPLE_X])
-        samples = coefficients.synthesize(traj, np.asarray(_SAMPLE_X))
-        if traj.stationary_from is not None:
-            # The matrix product can round a repeated state differently by its
-            # row; every repeat takes the samples of its first occurrence.
-            samples[traj.stationary_from + 1:] = samples[traj.stationary_from]
+        # The stacked product rounds a state by the stack's shape, so only the
+        # states up to the stationary one are synthesized and it is repeated:
+        # the rows then do not depend on how many steps followed it.
+        stop = n_states if traj.stationary_from is None else traj.stationary_from + 1
+        head = coefficients.CoefficientSet(basis, traj.u0c[:stop], traj.uc[:stop],
+                                           traj.us[:stop])
+        samples = coefficients.synthesize(head, np.asarray(_SAMPLE_X))[
+            np.minimum(np.arange(n_states), stop - 1)]
         columns = [np.arange(n_states) * args.dt, traj.u0c,
                    *traj.uc[:, 1:k_track + 1].T, *traj.us[:, 1:k_track + 1].T,
                    *samples.T]

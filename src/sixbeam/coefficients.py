@@ -29,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigenbasis import (SQRT3, Basis, Parity, _check_eval_args, _is_int, _parity,
-                         psi_block)
+from .eigenbasis import (SQRT3, Basis, Parity, _check_eval_args, _is_int, _layer,
+                         _parity, psi_block)
 
 __all__ = [
     "CoefficientSet",
@@ -491,7 +491,8 @@ class CoefficientSet:
 
 
 # synthesize and project evaluate psi_block on at most this many (mode, point)
-# entries at a time: its temporaries, not the result, set the peak memory.
+# entries at a time, and _synthesize_grid its boundary-layer mask: their
+# temporaries, not the result, set the peak memory.
 # They are a few real arrays, plus complex ones for at most 2**16 boundary-
 # layer entries at a time (M = 100's project peaks at ~16 MB; 201 points at
 # M = 10000 at ~35 MB in one block, ~10 MB in chunks).  Every synthesis at
@@ -524,6 +525,62 @@ def synthesize(coeffs: CoefficientSet, x, k: int = 0):
                                                           xa[cols], int(k))
     vals = vals[..., 0] if scalar else vals
     return float(vals) if vals.ndim == 0 else vals
+
+
+#: pi = _PI_HI + _PI_LO to ~1e-24, _PI_HI with 26 bits.  For m <= MAX_MODES,
+#: m * _PI_HI is exact and so are lam_m - m * _PI_HI and the subtraction of
+#: fl(pi / 6) after it (Sterbenz's lemma); m * _PI_LO then rounds at ~1e-19.
+#: So delta_m = lam_m - (m + 1/6) pi keeps no rounding of (m + 1/6) pi, which
+#: would add up over the modes as m * 1.2e-16.
+_PI_HI = 3.1415926814079285
+_PI_LO = -2.7818135228334233e-08
+
+
+def _synthesize_grid(basis: Basis, u0c: float, uc: np.ndarray, samples: int) -> np.ndarray:
+    """``synthesize`` of an even set (no ``us``) at ``np.linspace(-1, 1, samples)``.
+
+    For m >= 7 the stored eigenvalue lies within an ulp of the lattice
+    (m + 1/6) pi, and on the grid x_j = -1 + 2j/N, N = samples - 1,
+    e^{i (m + 1/6) pi x_j} = e^{i pi x_j / 6} (-1)^m e^{2 pi i m j / N}.  So
+    with a_m c_m folded mod N into b_r = sum (-1)^m a_m c_m, and b'_r the same
+    times delta_m = lam_m - (m + 1/6) pi, those modes' cosines sum to
+    Re[e^{i pi x / 6} (S + i x S')], S and S' the N-point DFTs of b and b'.
+    The i x S' term is the first-order correction to the stored eigenvalue
+    (the second order is below delta^2 ~ 1e-23).  Modes 1-6 are summed
+    directly.
+
+    The boundary layer a_m c_m L_m(x), |L_m(x)| <= |w_m| e^{h_m(|x| - 1)},
+    h_m = sqrt(3) lam_m / 2, is added only where |x| >= 1 - reach_m / h_m,
+    reach_m = ln(|a_m c_m w_m| M / scale) + 40, scale = max |trig sum|.  Each
+    term left out is below e^-40 scale / M, so together they stay below
+    4e-18 scale at every point.
+    """
+    from numpy import fft  # here, not at load: only solve samples a grid
+
+    x = np.linspace(-1.0, 1.0, samples)
+    n = samples - 1
+    lam, w = basis.lam_even[1:], basis.w_even[1:]
+    ac = uc[1:] * basis.c_even[1:]
+    u = 0.5 * u0c + ac[:6] @ np.cos(lam[:6, None] * x)
+    if basis.M >= 7:
+        m = np.arange(7, basis.M + 1)
+        signed = np.where(m % 2 == 0, ac[6:], -ac[6:])
+        delta = lam[6:] - m * _PI_HI - np.pi / 6.0 - m * _PI_LO
+        b = np.stack([np.bincount(m % n, weights=signed, minlength=n),
+                      np.bincount(m % n, weights=signed * delta, minlength=n)])
+        S, dS = np.conj(fft.fft(b))[:, np.arange(samples) % n]
+        u += np.real(np.exp(1j * np.pi / 6.0 * x) * (S + 1j * x * dS))
+    s = SQRT3 * lam
+    z, half = 0.5 * (s + 1j * lam), 0.5 * s
+    with np.errstate(divide="ignore", invalid="ignore"):   # a zero a_m or scale
+        reach = np.log(np.abs(ac * w) * basis.M / np.max(np.abs(u))) + 40.0
+    edge = 1.0 - reach / half
+    for cols in _point_chunks(basis, samples):
+        xc = x[cols]
+        r, j = np.divmod(np.flatnonzero(np.abs(xc) >= edge[:, None]), xc.size)
+        layer = ac[r] * _layer(z[r], half[r], w[r], xc[j], 1.0)
+        u[cols] += np.bincount(j, weights=layer, minlength=xc.size)
+    return u
 
 
 def _projection_at(f, basis: Basis, rule) -> tuple:

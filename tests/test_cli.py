@@ -421,13 +421,29 @@ def test_evolve_samples_are_those_of_the_first_stationary_state(tmp_path, capsys
     traj = gk.evolve(gk.model_ii_semi_discrete(basis), cf.CoefficientSet.zeros(basis),
                      1e-4, 200, theta=1.0)
     k = traj.stationary_from
-    whole = cf.synthesize(traj, np.array([-0.5, 0.0, 0.5]))
+    head = cf.CoefficientSet(basis, traj.u0c[:k + 1], traj.uc[:k + 1], traj.us[:k + 1])
+    want = cf.synthesize(head, np.array([-0.5, 0.0, 0.5])).view(np.int64)
     lines = (tmp_path / "ev.trajectory.csv").read_text().strip().split("\n")[1:]
     samples = np.array([[float(v) for v in line.split(",")[-3:]] for line in lines])
-    bits, want = samples.view(np.int64), whole.view(np.int64)
-    assert 0 < k < 200 and samples.shape == whole.shape
-    assert np.array_equal(bits[:k + 1], want[:k + 1])
+    bits = samples.view(np.int64)
+    assert 0 < k < 200 and samples.shape == (201, 3)
+    assert np.array_equal(bits[:k + 1], want)
     assert np.array_equal(bits[k:], np.broadcast_to(want[k], bits[k:].shape))
+
+
+def test_evolve_rows_do_not_depend_on_the_steps_after_the_stationary_one(tmp_path, capsys):
+    # A product over all 201 or 1001 stacked states rounded each state by the
+    # stack's shape: 42 sample cells before the stationary step (17) differed,
+    # and the stationary row's 3, which every later row repeats.
+    tables = []
+    for steps in ("200", "1000"):
+        stem = str(tmp_path / f"ev{steps}")
+        code, _, _ = run(capsys, ["evolve", "--M", "500", "--forcing", "model-II",
+                                  "--theta", "1", "--dt", "1e-4", "--T", "20",
+                                  "--steps", steps, "--out", stem])
+        assert code == 0
+        tables.append((tmp_path / f"ev{steps}.trajectory.csv").read_text().split("\n"))
+    assert tables[0][:202] == tables[1][:202]   # the header and 201 data rows
 
 
 def test_evolve_steady_deviation_uses_the_evolved_spec(capsys):
@@ -658,14 +674,18 @@ _SOLVE_MODULES = ["cli", "coefficients", "eigenbasis", "galerkin"]
     (["evolve", "--M", "5", "--forcing", "model-II", "--steps", "3"], _SOLVE_MODULES),
 ], ids=["import", "eigenvalues", "solve", "verify", "evolve"])
 def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, modules):
+    # numpy.fft serves solve's grid samples alone.
     run_it = "import sixbeam" if argv is None else (
         "from sixbeam.cli import main\n"
         f"assert main({argv + ['--out', str(tmp_path / 'run')]!r}) == 0")
     code = f"""{run_it}
 import sys
 print(sorted(m for m in sys.modules if m.split(".")[0] == "sixbeam"))
+print("numpy.fft" in sys.modules)
 """
-    assert _fresh_python(code) == repr(["sixbeam"] + [f"sixbeam.{m}" for m in modules])
+    fft = argv is not None and argv[0] == "solve"
+    assert _fresh_python(code).split("\n") == [
+        repr(["sixbeam"] + [f"sixbeam.{m}" for m in modules]), repr(fft)]
 
 
 def test_csv_floats_use_17_significant_digits(tmp_path, capsys):

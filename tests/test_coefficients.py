@@ -1,5 +1,6 @@
 """Closed-form projection tables, forcing projection, and synthesis."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -9,7 +10,9 @@ from hypothesis import strategies as st
 
 import frozen_reference as ref
 from sixbeam import coefficients as cf
-from sixbeam.eigenbasis import MAX_MODES, Parity, build_basis, psi_block
+from sixbeam import galerkin as gk
+from sixbeam.eigenbasis import (MAX_MODES, Parity, build_basis, eigenvalue_asymptotic,
+                                psi_block)
 
 EV, OD = Parity.EVEN, Parity.ODD
 
@@ -471,3 +474,55 @@ def test_project_evaluates_the_basis_in_chunks():
     assert peak < 60e6
     assert coeffs.u0c == pytest.approx(2048.0 / 3003.0, rel=1e-14)
     assert np.max(np.abs(coeffs.us)) < 1e-15
+
+
+# ---------------------------------------------------------------------------
+# Grid synthesis by the lattice FFT
+# ---------------------------------------------------------------------------
+
+_EPS = np.finfo(float).eps
+
+
+def _grid_bound(basis, u0c, uc) -> float:
+    return 8.0 * _EPS * (abs(u0c) + np.sum(np.abs(uc * basis.c_even)))
+
+
+@pytest.mark.parametrize("samples", [2, 3, 201, 1000])
+@pytest.mark.parametrize("M", [1, 6, 7, 8, 40, 301, 2000])
+def test_grid_synthesis_agrees_with_the_direct_sum(M, samples):
+    # The reference is psi_block's entries summed exactly: synthesize's own
+    # M-term product exceeds the bound at M = 2000 (by up to ~1.4 times),
+    # while the FFT path stays within ~0.3 of it.  The m^-2 decay keeps
+    # sum lam_m |a_m| small, since psi_block rounds each phase lam_m x to an
+    # ulp and linspace's points lie up to an ulp off the grid the FFT sums on.
+    basis = build_basis(M)
+    rng = np.random.default_rng([M, samples])
+    psi = psi_block(basis, EV, np.linspace(-1.0, 1.0, samples))
+    for _ in range(3):
+        u0c = rng.standard_normal()
+        uc = np.concatenate(([0.0], rng.standard_normal(M) / np.arange(1, M + 1) ** 2))
+        direct = [math.fsum([0.5 * u0c, *col]) for col in (uc[1:, None] * psi).T]
+        got = cf._synthesize_grid(basis, u0c, uc, samples)
+        assert got.shape == (samples,)
+        assert np.max(np.abs(got - direct)) <= _grid_bound(basis, u0c, uc)
+
+
+@pytest.mark.parametrize("a4,a2,a0", [(0.0, 2000.0, -300000.0),
+                                      (-20.0, -5544.0, -199584.0)])
+def test_grid_synthesis_keeps_the_manufactured_error(a4, a2, a0):
+    basis = build_basis(2000)
+    sol = gk.solve_steady(gk.manufactured_spec(1.0, a4, a2, a0), basis)
+    xs = np.linspace(-1.0, 1.0, 201)
+    exact = (xs * xs - 1.0) ** 6
+    direct = np.max(np.abs(cf.synthesize(sol, xs) - exact))
+    grid = np.max(np.abs(cf._synthesize_grid(basis, sol.u0c, sol.uc, 201) - exact))
+    assert abs(grid - direct) <= _grid_bound(basis, sol.u0c, sol.uc)
+
+
+@pytest.mark.parametrize("parity", [EV, OD])
+def test_high_eigenvalues_lie_on_the_lattice(parity):
+    # The grid synthesis keeps only the first order of e^{i delta_m x}; with
+    # |delta_m| <= 1 ulp of lam_m the second is below 1e-23.
+    lam = build_basis(MAX_MODES).lam(parity)[7:]
+    lattice = np.array([eigenvalue_asymptotic(parity, m) for m in range(7, MAX_MODES + 1)])
+    assert np.all(np.abs(lam - lattice) <= np.spacing(lam))
