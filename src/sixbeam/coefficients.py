@@ -345,7 +345,7 @@ def _chi_values(p: int, lam, c, q, e1):
 # Scalar entry points
 # ---------------------------------------------------------------------------
 
-def _check_index(basis: Basis, parity: Parity, m, allow_zero: bool) -> int:
+def _check_index(basis: Basis, m, allow_zero: bool) -> int:
     if not _is_int(m):
         raise ValueError(f"mode index must be an integer, got {m!r}")
     lo = 0 if allow_zero else 1
@@ -374,8 +374,8 @@ def beta(basis: Basis, parity, n: int, m: int) -> float:
     mode 0; index 0 gives 0 there by convention.
     """
     parity = _parity(parity)
-    n = _check_index(basis, parity, n, allow_zero=True)
-    m = _check_index(basis, parity, m, allow_zero=True)
+    n = _check_index(basis, n, allow_zero=True)
+    m = _check_index(basis, m, allow_zero=True)
     if n == 0 or m == 0:
         return 0.0
     return _entry(basis, parity, "second_derivative", n, m)
@@ -384,8 +384,8 @@ def beta(basis: Basis, parity, n: int, m: int) -> float:
 def gamma(basis: Basis, parity, n: int, m: int) -> float:
     """<psi_n'''', psi_m> within one parity family (m = 0 allowed for even)."""
     parity = _parity(parity)
-    n = _check_index(basis, parity, n, allow_zero=True)
-    m = _check_index(basis, parity, m, allow_zero=True)
+    n = _check_index(basis, n, allow_zero=True)
+    m = _check_index(basis, m, allow_zero=True)
     if m == 0:
         if parity is Parity.ODD:
             raise ValueError(
@@ -401,7 +401,7 @@ def chi(basis: Basis, p: int, m: int) -> float:
     """<x^p, psi_m^c> for even p in [2, 12] and even-family mode m >= 1."""
     if not _is_int(p) or p not in CHI_POWERS:
         raise ValueError(f"power p must be one of {CHI_POWERS}, got {p!r}")
-    m = _check_index(basis, Parity.EVEN, m, allow_zero=False)
+    m = _check_index(basis, m, allow_zero=False)
     lam, c, q, e1 = _mode_data(basis, Parity.EVEN, m)
     return float(_chi_values(int(p), lam, c, q, e1))
 

@@ -71,14 +71,17 @@ class Eigenvalue:
     residual: float
 
 
+def _asymptotic(parity: Parity, m):
+    """(m+1/6)*pi even, (m-1/3)*pi odd, for m scalar or array."""
+    return (m + (1.0 / 6.0 if parity is Parity.EVEN else -1.0 / 3.0)) * np.pi
+
+
 def eigenvalue_asymptotic(parity, m: int) -> float:
     """Large-m eigenvalue approximation: (m+1/6)*pi even, (m-1/3)*pi odd."""
     parity = _parity(parity)
     if not _is_int(m) or m < 1:
         raise ValueError(f"asymptotic formula requires integer m >= 1, got {m!r}")
-    if parity is Parity.EVEN:
-        return (m + 1.0 / 6.0) * np.pi
-    return (m - 1.0 / 3.0) * np.pi
+    return _asymptotic(parity, m)
 
 
 def _sech_tanh(s):
@@ -132,62 +135,38 @@ def _gated(parity: Parity, ms, lam):
     return res
 
 
-def _polish(parity: Parity, ms):
-    """Modes ms >= 7: one Newton step from the asymptotic guess, gated."""
-    guess = (ms + (1.0 / 6.0 if parity is Parity.EVEN else -1.0 / 3.0)) * np.pi
-    r, dr = _residual_and_derivative(parity, guess)
-    lam = guess - r / dr
+#: Newton steps allowed from the asymptotic guess; modes 1-6 take 1-4 and
+#: every m >= 7 takes one.
+_NEWTON_STEPS = 8
+
+
+def _newton(parity: Parity, ms):
+    """Roots of modes ms >= 1 (scalar or array) by Newton from the asymptotic
+    guess, gated.  Stops once no step exceeds 2 eps |lam|."""
+    lam = _asymptotic(parity, ms)
+    for _ in range(_NEWTON_STEPS):
+        r, dr = _residual_and_derivative(parity, lam)
+        nxt = lam - r / dr
+        done = np.all(np.abs(nxt - lam) <= 2.0 * _EPS * np.abs(lam))
+        lam = nxt
+        if done:
+            break
     return lam, _gated(parity, ms, lam)
 
 
-def _solve_bracketed(parity, m: int) -> float:
-    """Bisection-safeguarded Newton inside [asym - pi/2, asym + pi/2]."""
-    guess = eigenvalue_asymptotic(parity, m)
-    lo, hi = guess - 0.5 * np.pi, guess + 0.5 * np.pi
-    rlo = float(characteristic_residual(parity, lo))
-    rhi = float(characteristic_residual(parity, hi))
-    if rlo == 0.0:
-        return lo
-    if rhi == 0.0:
-        return hi
-    if (rlo > 0.0) == (rhi > 0.0):
-        raise ArithmeticError(
-            f"no sign change bracketing {parity.value} eigenvalue m={m}")
-    lam = guess
-    for _ in range(80):
-        r, dr = _residual_and_derivative(parity, lam)
-        r = float(r)
-        if r == 0.0:
-            break
-        if (r > 0.0) == (rlo > 0.0):
-            lo = lam
-        else:
-            hi = lam
-        if dr != 0.0:
-            nxt = lam - r / float(dr)
-            # Converged: raw Newton correction below rounding level.  Accept
-            # before the bracket clamp — a sub-ulp step that lands on a
-            # bracket endpoint would otherwise be replaced by the midpoint.
-            if abs(nxt - lam) <= 2.0 * _EPS * abs(lam):
-                lam = nxt
-                break
-            if not (lo < nxt < hi):
-                nxt = 0.5 * (lo + hi)
-        else:
-            nxt = 0.5 * (lo + hi)
-        if abs(nxt - lam) <= 2.0 * _EPS * abs(lam):
-            lam = nxt
-            break
-        lam = nxt
-    return float(lam)
+@functools.cache
+def _low_roots(parity: Parity):
+    """(lam, residual) of modes 1..6, memoized per parity.  They take up to
+    four steps; modes >= 7 are solved apart, each in the one step it needs."""
+    return _newton(parity, np.arange(1, 7))
 
 
 def solve_eigenvalue(parity, m: int) -> Eigenvalue:
     """Solve for the m-th eigenvalue of the given parity.
 
-    m = 0 exists only for the even family (lam = 0, psi = 1).  For m >= 7 the
-    asymptotic guess is already accurate to ~1e-16 relative, so a single
-    Newton polish suffices; smaller m use the safeguarded bracketed solver.
+    m = 0 exists only for the even family (lam = 0, psi = 1).  Every other
+    mode is Newton's root from the asymptotic guess; for m >= 7 the guess is
+    already accurate to ~1e-16 relative, so one step suffices.
     """
     parity = _parity(parity)
     if not _is_int(m) or m < 0:
@@ -196,18 +175,8 @@ def solve_eigenvalue(parity, m: int) -> Eigenvalue:
         if parity is Parity.EVEN:
             return Eigenvalue(Parity.EVEN, 0, 0.0, 0.0)
         raise ValueError("the odd family has no m = 0 mode")
-    if m >= 7:
-        lam, res = _polish(parity, m)
-        return Eigenvalue(parity, int(m), float(lam), float(res))
-    return _bracketed_eigenvalue(parity, int(m))
-
-
-@functools.cache
-def _bracketed_eigenvalue(parity: Parity, m: int) -> Eigenvalue:
-    """Modes 1 <= m <= 6, gated.  Memoized: a pure function of (parity, m)
-    with twelve values, which every basis after the first reuses."""
-    lam = _solve_bracketed(parity, m)
-    return Eigenvalue(parity, m, lam, float(_gated(parity, m, lam)))
+    lam, res = (v[m - 1] for v in _low_roots(parity)) if m <= 6 else _newton(parity, m)
+    return Eigenvalue(parity, int(m), float(lam), float(res))
 
 
 # ---------------------------------------------------------------------------
@@ -270,14 +239,9 @@ def _check_mode(basis: Basis, parity: Parity, m) -> None:
 
 
 def _solve_family(parity: Parity, M: int):
-    lam = np.zeros(M + 1)
-    res = np.zeros(M + 1)
-    for m in range(1, min(M, 6) + 1):
-        ev = solve_eigenvalue(parity, m)
-        lam[m], res[m] = ev.lam, ev.residual
-    if M >= 7:
-        lam[7:], res[7:] = _polish(parity, np.arange(7, M + 1))
-    return lam, res
+    high = _newton(parity, np.arange(7, M + 1))
+    return tuple(np.concatenate(([0.0], low[:M], rest))
+                 for low, rest in zip(_low_roots(parity), high))
 
 
 def _normalization(parity: Parity, lam: np.ndarray):

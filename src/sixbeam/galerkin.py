@@ -438,7 +438,7 @@ def solve_steady(spec: BvpSpec, basis: Basis) -> SteadySolution:
     if basis.M < 1:
         raise ValueError("basis must carry at least one mode")
     if spec.a4 == 0.0 and spec.a2 == 0.0:
-        return _solve_diagonal(spec, basis)
+        return _finite(_solve_diagonal(spec, basis))
     f0, fc = forcing_projection(spec, basis)
     if spec.a4 != 0.0:
         uc_body, record = _solve_modes(spec, basis, fc)
@@ -449,8 +449,19 @@ def solve_steady(spec: BvpSpec, basis: Basis) -> SteadySolution:
         u0c = _u0c_from_row0(spec, f0, 0.0)
         uc_body, record = _solve_modes(spec, basis, fc)
     uc = np.concatenate(([0.0], uc_body))
-    return SteadySolution(basis=basis, u0c=u0c, uc=uc,
-                          us=np.zeros(basis.M + 1), record=record)
+    return _finite(SteadySolution(basis=basis, u0c=u0c, uc=uc,
+                                  us=np.zeros(basis.M + 1), record=record))
+
+
+def _finite(sol: SteadySolution) -> SteadySolution:
+    """sol, or ArithmeticError naming its path if a coefficient is inf or NaN."""
+    if np.isfinite(sol.u0c) and np.all(np.isfinite(sol.uc)):
+        return sol
+    rec = sol.record
+    how = (f"dense LU, {rec['reason']}" if "reason" in rec
+           else rec.get("path", "Cholesky" if rec["used"] else "diagonal"))
+    raise ArithmeticError(f"steady solve ({how}) gave non-finite coefficients: "
+                          "the spec overflows double precision")
 
 
 # ---------------------------------------------------------------------------

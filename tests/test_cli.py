@@ -561,6 +561,22 @@ def test_numerical_failure_exits_2(capsys):
     assert "numerical failure" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["--a6", "-1", "--a2", "1e300", "--a0", "1", "--M", "40"],
+    ["--a6", "-1", "--a2", "1e300", "--a0", "1", "--M", "400"],
+    ["--a6", "1", "--a4", "1e300", "--a0", "-1", "--M", "40"],
+], ids=["cholesky-to-lu", "gmres-to-lu", "lu"])
+def test_overflowing_solve_exits_2_and_writes_nothing(tmp_path, argv):
+    # Finite coefficients whose assembly overflows leave NaN coefficients.
+    # A fresh interpreter, because the suite's error::RuntimeWarning filter
+    # would raise numpy's overflow warning before the solve ends.
+    proc = _fresh("-m", "sixbeam.cli", "solve", *argv, "--forcing", "0:1",
+                  "--out", str(tmp_path / "x"))
+    assert proc.returncode == 2, proc.stderr
+    assert "numerical failure: " in proc.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_config_file_errors(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{nope")
@@ -652,13 +668,18 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
     assert _fresh_python(code) == "[]"
 
 
-def _fresh_python(code: str) -> str:
-    """The stdout of ``code`` run in a fresh interpreter on this checkout."""
+def _fresh(*args: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter on this checkout run with ``args``."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
+    return subprocess.run([sys.executable, *args], env=env,
                           capture_output=True, text=True, timeout=120)
+
+
+def _fresh_python(code: str) -> str:
+    """The stdout of ``code`` run in a fresh interpreter on this checkout."""
+    proc = _fresh("-c", code)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.strip()
 

@@ -58,8 +58,8 @@ def test_asymptotic_formula_values():
 
 
 def test_asymptotic_guess_error_collapses_by_mode_seven():
-    # Beyond the bracketing range a single Newton polish suffices because the
-    # asymptotic guess is already accurate to ~1e-16.
+    # From mode seven on the asymptotic guess is already accurate to ~1e-16,
+    # so the first Newton step from it converges.
     for (parity, m), err in ref.GUESS_ERROR.items():
         lam = solve_eigenvalue(parity, m).lam
         guess = eigenvalue_asymptotic(parity, m)
@@ -74,12 +74,24 @@ def test_eigenvalue_families_interlace():
     assert np.all(lc[1:-1] < ls[2:])
 
 
+@pytest.mark.parametrize("parity", list(Parity), ids=lambda p: p.value)
+def test_high_mode_eigenvalues_are_one_newton_step_from_the_guess(parity):
+    # Modes 7..MAX_MODES converge on the first step, so the batch that
+    # build_basis solves and solve_eigenvalue's scalar solve take that one
+    # step and no other.
+    ms = np.arange(7, MAX_MODES + 1)
+    guess = np.array([eigenvalue_asymptotic(parity, int(m)) for m in ms])
+    r, dr = eb._residual_and_derivative(parity, guess)
+    lam, _ = eb._newton(parity, ms)
+    assert np.array_equal(lam.view(np.int64), (guess - r / dr).view(np.int64))
+
+
 def test_basis_builds_keep_every_bit_with_memoized_low_roots():
-    eb._bracketed_eigenvalue.cache_clear()
+    eb._low_roots.cache_clear()
     first = build_basis(40)
-    assert eb._bracketed_eigenvalue.cache_info().misses == 12
+    assert eb._low_roots.cache_info().misses == 2   # once per parity
     second = build_basis(40)
-    assert eb._bracketed_eigenvalue.cache_info().misses == 12
+    assert eb._low_roots.cache_info().misses == 2
     for name, got in vars(second).items():
         if isinstance(got, np.ndarray):
             want = getattr(first, name)

@@ -250,6 +250,15 @@ def test_resonant_diagonal_is_rejected(basis30):
         gk.solve_steady(spec, basis30)
 
 
+def test_overflowing_assembly_raises_naming_the_path(basis30):
+    # a4 = 1e300 overflows the assembled matrix; the LU solve then returns
+    # NaN coefficients, which must not pass as a solution.
+    spec = gk.BvpSpec(a6=1.0, a4=1e300, a2=0.0, a0=-1.0, forcing=((0, 1.0),))
+    with np.errstate(all="ignore"), pytest.raises(
+            ArithmeticError, match=r"\(dense LU, matrix not symmetric\) gave non-finite"):
+        gk.solve_steady(spec, basis30)
+
+
 def test_zero_mean_consistency_without_reaction(basis30):
     # With a0 = a2 = a4 = 0 the mean equation degenerates to 0 = int f.
     ok = gk.BvpSpec(a6=1.0, a4=0.0, a2=0.0, a0=0.0,
