@@ -66,6 +66,7 @@ _GMRES_ACCEPT = 1e-13       # largest ||A u - f|| / ||f|| a GMRES answer may kee
 _JACOBI_BLOCK = 64          # modes per diagonal block of the preconditioner
 _SUBSTITUTION_BLOCK = 64
 _GUARD_BLOCK = 16           # evolve steps between divergence guards
+_INVERSE_LEAF = 64          # largest block _schur_inverse hands to LAPACK
 
 
 @dataclass(frozen=True)
@@ -211,22 +212,20 @@ def _u0c_from_row0(spec: BvpSpec, f0: float, corr: float) -> float:
     return 0.0  # constant mode undetermined when a0 = 0; fix the mean to 0
 
 
-def _resonance_check(spec: BvpSpec, lam: np.ndarray, denom: np.ndarray) -> None:
-    guard = _RESONANCE_GUARD * abs(spec.a6) * lam ** 6
-    bad = np.abs(denom) < guard
+def _solve_diagonal(spec: BvpSpec, basis: Basis) -> SteadySolution:
+    # Rows with |a6| >= 1 are divided by a6, so neither a6 lam^6 nor a0/a6
+    # overflows the quotient (lam^6 < 1e28 up to MAX_MODES).
+    s = spec.a6 if abs(spec.a6) >= 1.0 else 1.0
+    lam6 = basis.lam_even[1:] ** 6
+    denom = spec.a0 / s - (spec.a6 / s) * lam6
+    bad = np.abs(denom) < _RESONANCE_GUARD * abs(spec.a6 / s) * lam6
     if np.any(bad):
         m = int(np.argmax(bad)) + 1
         raise ArithmeticError(
-            f"resonant diagonal: |a0 - a6 lam^6| = {abs(denom[m - 1]):.3e} at "
-            f"mode {m} is below {_RESONANCE_GUARD:g} x a6 lam^6")
-
-
-def _solve_diagonal(spec: BvpSpec, basis: Basis) -> SteadySolution:
-    lam = basis.lam_even[1:]
-    denom = spec.a0 - spec.a6 * lam ** 6
-    _resonance_check(spec, lam, denom)
+            f"resonant diagonal: |a0 - a6 lam^6| at mode {m} is below "
+            f"{_RESONANCE_GUARD:g} x |a6| lam^6")
     f0, fc = forcing_projection(spec, basis)
-    uc = np.concatenate(([0.0], fc / denom))
+    uc = np.concatenate(([0.0], (fc / s) / denom))
     u0c = _u0c_from_row0(spec, f0, 0.0)
     return SteadySolution(basis=basis, u0c=u0c, uc=uc,
                           us=np.zeros(basis.M + 1))
@@ -576,6 +575,31 @@ def _block_path(A: np.ndarray, f: np.ndarray, u0: np.ndarray) -> str:
     return "step-map"
 
 
+def _schur_inverse(L: np.ndarray) -> np.ndarray:
+    """L^-1 for a strictly column diagonally dominant L, by recursive 2 x 2
+    Schur complements: six matrix products per level, ``np.linalg.inv`` on
+    blocks of at most ``_INVERSE_LEAF``.
+
+    Every Schur complement of such a matrix is again column dominant, so
+    block elimination needs no pivoting across blocks and is stable (Demmel,
+    Higham & Schreiber, Numer. Linear Algebra Appl. 2 (1995) 173).
+    """
+    n = len(L)
+    if n <= _INVERSE_LEAF:
+        return np.linalg.inv(L)
+    h = n // 2
+    inv11 = _schur_inverse(L[:h, :h])
+    X = inv11 @ L[:h, h:]                        # L11^-1 L12
+    S = L[h:, h:] - L[h:, :h] @ X                # the Schur complement
+    out = np.empty_like(L)
+    out[h:, h:] = inv_s = _schur_inverse(S)
+    Y = L[h:, :h] @ inv11                        # L21 L11^-1
+    out[:h, h:] = Z = -(X @ inv_s)
+    out[h:, :h] = -(inv_s @ Y)
+    out[:h, :h] = inv11 - Z @ Y
+    return out
+
+
 def _step_map(path: str, A: np.ndarray, f: np.ndarray, dt: float, theta: float):
     """(step, P, g) with u^{k+1} = step(P, u^k) + g for a "diagonal" or "step-map" block.
 
@@ -583,17 +607,28 @@ def _step_map(path: str, A: np.ndarray, f: np.ndarray, dt: float, theta: float):
     block gives the elementwise factor P = R(dt mu).  It is written with the
     reciprocal ``inv`` because OpenBLAS's triangular solve multiplies by the
     pivot's reciprocal, so there it gives the dense solve's bits exactly
-    (``rhs / lhs`` differs in the last place).
+    (``rhs / lhs`` differs in the last place).  A dense block with theta > 0
+    and a strictly column diagonally dominant lhs = I - theta dt A takes P and
+    g from lhs^-1 (``_schur_inverse``); any other from one pivoted solve.
     """
     if path == "diagonal":
         mu = A.diagonal()
         inv = 1.0 / (1.0 + (-theta * dt) * mu)
         return np.multiply, (1.0 + ((1.0 - theta) * dt) * mu) * inv, (dt * f) * inv
-    # One solve gives [P | g]; its operands are built in place, because
-    # transient M x M copies set a run's peak memory.
+    # The operands are built in place, because transient M x M copies set a
+    # run's peak memory.
     n, d = len(f), np.arange(len(f))
     lhs = (-theta * dt) * A  # I - theta dt A
     lhs[d, d] += 1.0
+    if theta > 0.0 and np.all(2.0 * np.abs(lhs.diagonal()) > np.abs(lhs).sum(axis=0)):
+        # I + (1 - theta) dt A = (I - (1 - theta) lhs) / theta, so P needs
+        # no product with lhs^-1, which would cost accuracy.
+        P = _schur_inverse(lhs)
+        g = P @ (dt * f)
+        P[d, d] -= 1.0 - theta
+        P /= theta
+        return np.matmul, P, g
+    # Otherwise one pivoted solve gives [P | g].
     rhs = np.empty((n, n + 1))  # [I + (1 - theta) dt A | dt f]
     np.multiply((1.0 - theta) * dt, A, out=rhs[:, :n])
     rhs[d, d] += 1.0

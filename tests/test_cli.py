@@ -577,6 +577,23 @@ def test_overflowing_solve_exits_2_and_writes_nothing(tmp_path, argv):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_diagonal_solve_beyond_the_double_range_matches_its_scaled_spec(tmp_path):
+    # a6 lam^6 passes 1.8e308 from mode 8 on; dividing each row by a6 keeps
+    # the quotient, so the spec scaled by 1e-300 gives the same coefficients.
+    # A fresh interpreter shows any numpy overflow warning on stderr.
+    coefs = []
+    for stem, argv in (("big", ["--a6", "1e300", "--a0=-1e300", "--forcing", "2:1e300"]),
+                       ("small", ["--a6", "1", "--a0=-1", "--forcing", "2:1"])):
+        proc = _fresh("-m", "sixbeam.cli", "solve", *argv, "--M", "40",
+                      "--out", str(tmp_path / stem))
+        assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+        rows = (tmp_path / f"{stem}.coefficients.csv").read_text().split("\n")[1:-1]
+        coefs.append(np.array([float(r.split(",")[1]) for r in rows]))
+    big, small = coefs
+    assert len(big) == 41 and np.all(small != 0.0)
+    assert np.all(np.abs(big - small) <= 1e-12 * np.abs(small))
+
+
 def test_config_file_errors(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{nope")

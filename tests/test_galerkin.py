@@ -250,6 +250,18 @@ def test_resonant_diagonal_is_rejected(basis30):
         gk.solve_steady(spec, basis30)
 
 
+@pytest.mark.parametrize("a6, a0, scale", [(-1e-10, 1e300, 1e300), (0.5, -3.0, 1e-300)])
+def test_diagonal_solve_is_invariant_under_scaling_the_spec(basis30, a6, a0, scale):
+    # a0/a6 may not overflow either (the CLI tests a6 lam^6); the spec
+    # divided by `scale` has the same coefficients.
+    sol = gk.solve_steady(gk.BvpSpec(a6=a6, a4=0.0, a2=0.0, a0=a0,
+                                     forcing=((2, scale),)), basis30)
+    want = gk.solve_steady(gk.BvpSpec(a6=a6 / scale, a4=0.0, a2=0.0, a0=a0 / scale,
+                                      forcing=((2, 1.0),)), basis30)
+    assert np.all(np.abs(sol.uc - want.uc) <= 1e-14 * np.abs(want.uc))
+    assert sol.u0c == pytest.approx(want.u0c, rel=1e-15)
+
+
 def test_overflowing_assembly_raises_naming_the_path(basis30):
     # a4 = 1e300 overflows the assembled matrix; the LU solve then returns
     # NaN coefficients, which must not pass as a solution.
@@ -703,6 +715,79 @@ def test_diagonal_blocks_match_the_dense_step_map(theta):
         for k in range(steps + 1):
             assert np.linalg.norm(got[k] - u) <= 1e-15 * np.linalg.norm(u)
             u = P @ u + g
+
+
+def _step_operands(A, f, dt, theta):
+    """(lhs, [rhs | dt f]) built as ``_step_map`` builds them."""
+    n, d = len(f), np.arange(len(f))
+    lhs = (-theta * dt) * A
+    lhs[d, d] += 1.0
+    rhs = np.empty((n, n + 1))
+    np.multiply((1.0 - theta) * dt, A, out=rhs[:, :n])
+    rhs[d, d] += 1.0
+    rhs[:, n] = dt * f
+    return lhs, rhs
+
+
+def _spy_schur_inverse(monkeypatch):
+    """A list that gets one entry per ``_schur_inverse`` call."""
+    calls, inner = [], gk._schur_inverse
+    monkeypatch.setattr(gk, "_schur_inverse",
+                        lambda L: calls.append(len(L)) or inner(L))
+    return calls
+
+
+# Evolve-long's steady ops: B in [-2000, 6000], reaction in [-4e5, -2.5e5].
+_DOMINANT = dict(B=3000.0, reaction=-3e5)
+
+
+@pytest.mark.parametrize("M", [63, 64, 65, 500])
+@pytest.mark.parametrize("T", [0.0, 20.0])
+def test_dominant_step_map_has_a_rounding_level_residual(monkeypatch, M, T):
+    # Column-dominant blocks on each side of the inverse's leaf size.
+    calls = _spy_schur_inverse(monkeypatch)
+    sys_ = gk.model_ii_semi_discrete(build_basis(M), T=T, **_DOMINANT)
+    for theta in (1.0, 0.5, 0.1):
+        for A, f in ((sys_.A_even, sys_.f_even), (sys_.A_odd, sys_.f_odd)):
+            calls.clear()
+            step, P, g = gk._step_map("step-map", A, f, 1e-4, theta)
+            assert calls and step is np.matmul
+            lhs, rhs = _step_operands(A, f, 1e-4, theta)
+            X = np.column_stack((P, g))
+            # Componentwise: |lhs X - R| <= 1e-14 (|lhs| |X| + |R|).
+            err = np.abs(lhs @ X - rhs)
+            assert np.all(err <= 1e-14 * (np.abs(lhs) @ np.abs(X) + np.abs(rhs)))
+
+
+@pytest.mark.parametrize("spec, theta", [
+    (dict(T=0.0), 1.0), (dict(T=20.0), 1.0), (dict(T=20.0), 0.5),
+    (dict(T=20.0, **_DOMINANT), 0.0),
+], ids=["model-II-T0", "model-II-T20", "model-II-half", "dominant-explicit"])
+def test_other_step_maps_keep_the_pivoted_solve_bits(monkeypatch, spec, theta):
+    # Model II's default B and reaction are not column dominant at mode 2,
+    # and theta = 0 has no inverse to form: both keep the LAPACK solve.
+    calls = _spy_schur_inverse(monkeypatch)
+    sys_ = gk.model_ii_semi_discrete(build_basis(60), **spec)
+    A, f = sys_.A_even, sys_.f_even
+    _, P, g = gk._step_map("step-map", A, f, 1e-4, theta)
+    want = np.linalg.solve(*_step_operands(A, f, 1e-4, theta))
+    assert not calls
+    assert np.array_equal(P, want[:, :-1]) and np.array_equal(g, want[:, -1])
+
+
+def test_dominant_evolution_stops_at_the_steady_solution():
+    basis = build_basis(500)
+    sys_ = gk.model_ii_semi_discrete(basis, T=20.0, **_DOMINANT)
+    traj = gk.evolve(sys_, cf.CoefficientSet.zeros(basis), 1e-4, 40, theta=1.0)
+    assert traj.record["even"] == "step-map"
+    assert traj.stationary_from is not None and traj.stationary_from <= 20
+    last = cf.CoefficientSet(basis=basis, u0c=traj.u0c[-1], uc=traj.uc[-1],
+                             us=traj.us[-1])
+    spec = gk.BvpSpec(a6=1.0, a4=-20.0, a2=_DOMINANT["B"],
+                      a0=_DOMINANT["reaction"], forcing=gk.MODEL_II.forcing)
+    xs = np.array([-0.5, 0.0, 0.5])
+    steady = cf.synthesize(gk.solve_steady(spec, basis), xs)
+    assert np.max(np.abs(cf.synthesize(last, xs) - steady)) <= 1e-14
 
 
 @pytest.mark.filterwarnings("error")
