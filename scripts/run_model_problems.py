@@ -53,15 +53,15 @@ def main() -> int:
         print(f"  mean coefficient     {sol.u0c!r}"
               f"  (2048/3003 = {2048 / 3003!r})")
         rec = sol.record
-        if rec["used"]:
+        if rec["path"] == "cholesky":
             print(f"  LDL^T pivots         [{rec['pivot_min']:.3e}, "
                   f"{rec['pivot_max']:.3e}]  all negative: "
                   f"{rec['pivots_all_negative']}")
-        elif "path" in rec:
-            print(f"  block-Jacobi {rec['path'].upper():7} {rec['iterations']} iterations, "
+        elif rec["path"] == "gmres":
+            print(f"  block-Jacobi GMRES   {rec['iterations']} iterations, "
                   f"residual {rec['residual']:.2e}, "
                   f"cond estimate {rec['cond_estimate']:.4f}")
-        elif "reason" in rec:
+        elif rec["path"] == "lu":
             print(f"  dense LU             ({rec['reason']})")
     return 0
 

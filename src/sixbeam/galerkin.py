@@ -67,6 +67,7 @@ _JACOBI_BLOCK = 64          # modes per diagonal block of the preconditioner
 _SUBSTITUTION_BLOCK = 64
 _GUARD_BLOCK = 16           # evolve steps between divergence guards
 _INVERSE_LEAF = 64          # largest block _schur_inverse hands to LAPACK
+_RESIDUAL_ROWS = 128        # rows of |A| that steady_residual forms at a time
 
 
 @dataclass(frozen=True)
@@ -184,17 +185,15 @@ def forcing_projection(spec: BvpSpec, basis: Basis):
 class SteadySolution(CoefficientSet):
     """Coefficients of a steady solve plus the solver's record of its path.
 
-    ``record`` is ``{"used": True, "pivots_all_negative", "pivot_min",
-    "pivot_max"}`` when the Cholesky path ran (pivots of A = L diag(D) L^T),
-    ``{"used": False, "path": "gmres", "iterations", "residual",
-    "cond_estimate"}`` when the matrix-free block-Jacobi GMRES path ran:
-    ``residual`` is ||A u - f|| / ||f|| from one final product and
-    ``cond_estimate`` describes the block-preconditioned matrix.
-    ``{"used": False, "reason": ...}`` when a dense LU solve ran, and
-    ``{"used": False}`` for the diagonal path.
+    ``record["path"]`` names the path that ran: ``"diagonal"``; ``"cholesky"``,
+    with ``pivots_all_negative``, ``pivot_min`` and ``pivot_max`` (pivots of
+    A = L diag(D) L^T); ``"lu"``, with the ``reason`` dense LU ran; or
+    ``"gmres"`` (matrix-free block-Jacobi GMRES), with ``iterations``,
+    ``residual`` (||A u - f|| / ||f|| from one final product) and
+    ``cond_estimate`` (of the block-preconditioned matrix).
     """
 
-    record: dict = field(default_factory=lambda: {"used": False})
+    record: dict
 
 
 def _u0c_from_row0(spec: BvpSpec, f0: float, corr: float) -> float:
@@ -228,7 +227,7 @@ def _solve_diagonal(spec: BvpSpec, basis: Basis) -> SteadySolution:
     uc = np.concatenate(([0.0], (fc / s) / denom))
     u0c = _u0c_from_row0(spec, f0, 0.0)
     return SteadySolution(basis=basis, u0c=u0c, uc=uc,
-                          us=np.zeros(basis.M + 1))
+                          us=np.zeros(basis.M + 1), record={"path": "diagonal"})
 
 
 def _block_form(spec: BvpSpec, basis: Basis, parity: str):
@@ -251,16 +250,14 @@ def _block_form(spec: BvpSpec, basis: Basis, parity: str):
     return lam6, np.reshape(X, (-1, basis.M)), np.reshape(Y, (-1, basis.M)), d
 
 
-def _mode_block(spec: BvpSpec, basis: Basis, parity: str):
-    """(block, mean_row): one parity's block (see ``_block_form``); Gamma's
-    mean row for even a4 != 0, else None."""
-    mean_row = _gamma_mean(basis) if spec.a4 != 0.0 and parity == "even" else None
-    return _cauchy_dense(*_block_form(spec, basis, parity)), mean_row
+def _mode_block(spec: BvpSpec, basis: Basis, parity: str) -> np.ndarray:
+    """One parity's dense block (see ``_block_form``)."""
+    return _cauchy_dense(*_block_form(spec, basis, parity))
 
 
 def assemble_steady(spec: BvpSpec, basis: Basis):
     """(A, fc, f0): dense even-mode system A u = fc plus the row-0 data."""
-    A, _ = _mode_block(spec, basis, "even")
+    A = _mode_block(spec, basis, "even")
     f0, fc = forcing_projection(spec, basis)
     return A, fc, f0
 
@@ -289,7 +286,7 @@ def _solve_cholesky(s: float, A: np.ndarray, fc: np.ndarray):
     except np.linalg.LinAlgError:
         return None
     D = s * np.diag(L) ** 2
-    record = {"used": True, "pivots_all_negative": bool(np.all(D < 0.0)),
+    record = {"path": "cholesky", "pivots_all_negative": bool(np.all(D < 0.0)),
               "pivot_min": float(np.min(D)), "pivot_max": float(np.max(D))}
     return s * _cho_solve(L, fc), record
 
@@ -347,7 +344,7 @@ def _solve_gmres(spec: BvpSpec, basis: Basis, fc: np.ndarray):
     matvec = _operator(form)
     fnorm = float(np.linalg.norm(fc))
     if fnorm == 0.0:
-        return np.zeros(basis.M), {"used": False, "path": "gmres", "iterations": 0,
+        return np.zeros(basis.M), {"path": "gmres", "iterations": 0,
                                    "residual": 0.0, "cond_estimate": None}
     m = _GMRES_MAX_ITERATIONS
     V, rotations = [fc / fnorm], []
@@ -384,7 +381,7 @@ def _solve_gmres(spec: BvpSpec, basis: Basis, fc: np.ndarray):
     # The rotations are orthogonal: R[:k, :k] has the Hessenberg matrix's
     # singular values.
     sigma = np.linalg.svd(R[:k, :k], compute_uv=False)
-    return u, {"used": False, "path": "gmres", "iterations": k,
+    return u, {"path": "gmres", "iterations": k,
                "residual": residual, "cond_estimate": float(sigma[0] / sigma[-1])}
 
 
@@ -395,8 +392,8 @@ def _dense_fallback(method: str, reason: str, spec: BvpSpec, basis: Basis,
     warnings.warn(f"{method} failed ({reason}); falling back to a pivoted dense solve",
                   RuntimeWarning, stacklevel=4)
     if A is None:
-        A, _ = _mode_block(spec, basis, "even")
-    return np.linalg.solve(A, fc), {"used": False, "reason": reason}
+        A = _mode_block(spec, basis, "even")
+    return np.linalg.solve(A, fc), {"path": "lu", "reason": reason}
 
 
 def _solve_modes(spec: BvpSpec, basis: Basis, fc: np.ndarray):
@@ -414,9 +411,9 @@ def _solve_modes(spec: BvpSpec, basis: Basis, fc: np.ndarray):
         if solved is not None:
             return solved
         return _dense_fallback("block-Jacobi GMRES", "no convergence", spec, basis, fc)
-    A, _ = _mode_block(spec, basis, "even")
+    A = _mode_block(spec, basis, "even")
     if spec.a4 != 0.0:
-        return np.linalg.solve(A, fc), {"used": False, "reason": "matrix not symmetric"}
+        return np.linalg.solve(A, fc), {"path": "lu", "reason": "matrix not symmetric"}
     solved = _solve_cholesky(-math.copysign(1.0, spec.a6), A, fc)
     if solved is not None:
         return solved
@@ -457,8 +454,7 @@ def _finite(sol: SteadySolution) -> SteadySolution:
     if np.isfinite(sol.u0c) and np.all(np.isfinite(sol.uc)):
         return sol
     rec = sol.record
-    how = (f"dense LU, {rec['reason']}" if "reason" in rec
-           else rec.get("path", "Cholesky" if rec["used"] else "diagonal"))
+    how = f"dense LU, {rec['reason']}" if rec["path"] == "lu" else rec["path"]
     raise ArithmeticError(f"steady solve ({how}) gave non-finite coefficients: "
                           "the spec overflows double precision")
 
@@ -494,6 +490,21 @@ class SemiDiscreteSystem:
         if self.A_odd.shape != (M, M) or self.f_odd.shape != (M,):
             raise ValueError("odd block must have size M")
 
+    def steady_residual(self, state: CoefficientSet) -> float:
+        """max_i |A u + f|_i / (|A||u| + |f|)_i over both blocks, 0/0 read as 0:
+        the componentwise backward error of the single ``state`` as a steady state
+        (Oettli & Prager, Numer. Math. 6 (1964) 405), at most 1 up to rounding."""
+        worst, even = 0.0, np.concatenate(([state.u0c], state.uc[1:]))
+        for A, f, u in ((self.A_even, self.f_even, even),
+                        (self.A_odd, self.f_odd, state.us[1:])):
+            if np.any(f) or np.any(u):  # else every row reads 0/0
+                for j in range(0, len(f), _RESIDUAL_ROWS):
+                    a, b = A[j:j + _RESIDUAL_ROWS], f[j:j + _RESIDUAL_ROWS]
+                    scale = np.abs(a) @ np.abs(u) + np.abs(b)
+                    ratio = np.abs(a @ u + b) / np.where(scale > 0.0, scale, 1.0)
+                    worst = max(worst, float(np.max(ratio)))
+        return worst
+
 
 def assemble_semi_discrete(basis: Basis, B: float = 0.0, T: float = 0.0,
                            forcing: CoefficientSet | None = None,
@@ -510,10 +521,10 @@ def assemble_semi_discrete(basis: Basis, B: float = 0.0, T: float = 0.0,
     spec = BvpSpec(a6=1.0, a4=-T, a2=B, a0=reaction)
     A_even = np.zeros((M + 1, M + 1))
     A_even[0, 0] = reaction
-    A_even[1:, 1:], mean_row = _mode_block(spec, basis, "even")
-    if mean_row is not None:
-        A_even[0, 1:] = spec.a4 * mean_row
-    A_odd, _ = _mode_block(spec, basis, "odd")
+    A_even[1:, 1:] = _mode_block(spec, basis, "even")
+    if spec.a4 != 0.0:
+        A_even[0, 1:] = spec.a4 * _gamma_mean(basis)
+    A_odd = _mode_block(spec, basis, "odd")
     if forcing is None:
         f_even = np.zeros(M + 1)
         f_odd = np.zeros(M)

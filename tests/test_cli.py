@@ -94,7 +94,7 @@ def test_solve_model_ii_summary(capsys):
     doc = json.loads(out)
     assert doc["max_error"] <= 5e-13
     assert doc["error_tier"] == "stretch"
-    assert doc["ldlt"]["used"] and doc["ldlt"]["pivots_all_negative"]
+    assert doc["solver"]["path"] == "cholesky" and doc["solver"]["pivots_all_negative"]
     assert -8.3 < doc["decay_fit"]["exponent"] < -7.6
     assert doc["decay_fit"]["window"] == [50, 100]
 
@@ -105,39 +105,33 @@ def test_solve_summary_reports_the_path_the_solver_took(capsys):
         warnings.simplefilter("error")
         code, out, err = run(capsys, ["solve", "--model", "II", "--M", "300"])
     assert code == 0 and err == ""
-    ldlt = json.loads(out)["ldlt"]
-    assert ldlt["used"] and ldlt["pivots_all_negative"]
+    solver = json.loads(out)["solver"]
+    assert solver["path"] == "cholesky" and solver["pivots_all_negative"]
     code, out, err = run(capsys, ["solve", "--model", "II", "--a4", "10",
                                   "--M", "100"])
     assert code == 0 and err == ""
-    assert json.loads(out)["ldlt"] == {"used": False,
-                                       "reason": "matrix not symmetric"}
+    assert json.loads(out)["solver"] == {"path": "lu", "reason": "matrix not symmetric"}
+    code, out, err = run(capsys, ["solve", "--model", "I", "--M", "100"])
+    assert code == 0 and err == ""
+    assert json.loads(out)["solver"] == {"path": "diagonal"}
 
 
-def test_solve_summary_reports_the_pcg_record(capsys):
-    # Model II (a4 = 0) above the crossover takes the GMRES path.
+@pytest.mark.parametrize("a4", [0.0, -20.0])
+def test_solve_summary_reports_the_gmres_record(capsys, a4):
+    # Model II above the crossover takes the GMRES path, whatever a4 is; an
+    # explicit --a4 makes the spec custom, so a4 = 0 leaves it unset.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        code, out, err = run(capsys, ["solve", "--model", "II", "--M", "600"])
+        code, out, err = run(capsys, ["solve", "--model", "II", "--M", "600"]
+                             + (["--a4", str(a4)] if a4 else []))
     assert code == 0 and err == ""
     doc = json.loads(out)
-    ldlt = doc["ldlt"]
-    assert set(ldlt) == {"used", "path", "iterations", "residual", "cond_estimate"}
-    assert ldlt["path"] == "gmres" and not ldlt["used"]
-    assert ldlt["iterations"] > 0 and ldlt["residual"] <= 1e-14
-    assert doc["error_tier"] == "stretch"
-
-
-def test_solve_summary_reports_the_gmres_record(capsys):
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code, out, err = run(capsys, ["solve", "--model", "II", "--a4", "-20",
-                                      "--M", "600"])
-    assert code == 0 and err == ""
-    ldlt = json.loads(out)["ldlt"]
-    assert set(ldlt) == {"used", "path", "iterations", "residual", "cond_estimate"}
-    assert ldlt["path"] == "gmres" and not ldlt["used"]
-    assert ldlt["iterations"] > 0 and ldlt["residual"] <= 1e-14
+    solver = doc["solver"]
+    assert set(solver) == {"path", "iterations", "residual", "cond_estimate"}
+    assert solver["path"] == "gmres"
+    assert solver["iterations"] > 0 and solver["residual"] <= 1e-14
+    if a4 == 0.0:
+        assert doc["error_tier"] == "stretch"
 
 
 def test_solve_summary_reports_stage_timings(tmp_path, capsys):
@@ -385,7 +379,7 @@ def test_evolve_reaches_steady_state_of_forced_system(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["B"] == gk.MODEL_II.a2 and doc["reaction"] == gk.MODEL_II.a0
-    assert doc["steady_deviation"] < 1e-8
+    assert doc["steady_residual"] <= 1e-14
     assert doc["paths"] == {"even": "step-map", "odd": "zero"}
 
 
@@ -396,8 +390,7 @@ def test_evolve_summary_reports_the_stationary_step_and_stage_timings(tmp_path, 
                               "--out", stem])
     assert code == 0
     doc = json.loads((tmp_path / "ev.summary.json").read_text())
-    assert set(doc["timings_ms"]) == {"assemble", "evolve", "steady", "synthesize",
-                                      "write", "total"}
+    assert set(doc["timings_ms"]) == {"assemble", "evolve", "synthesize", "write", "total"}
     k = doc["stationary_from"]
     assert 0 < k < 200
     lines = (tmp_path / "ev.trajectory.csv").read_text().strip().split("\n")[1:]
@@ -446,14 +439,14 @@ def test_evolve_rows_do_not_depend_on_the_steps_after_the_stationary_one(tmp_pat
     assert tables[0][:202] == tables[1][:202]   # the header and 201 data rows
 
 
-def test_evolve_steady_deviation_uses_the_evolved_spec(capsys):
+def test_evolve_steady_residual_uses_the_evolved_spec(capsys):
     # With --T the long-time limit solves a6=1, a4=-T, a2=B, a0=reaction,
     # not model II itself.
     code, out, _ = run(capsys, ["evolve", "--M", "60", "--forcing", "model-II",
                                 "--theta", "1", "--dt", "1e-4",
                                 "--steps", "400", "--T", "20"])
     assert code == 0
-    assert json.loads(out)["steady_deviation"] < 1e-8
+    assert json.loads(out)["steady_residual"] <= 1e-14
 
 
 def test_evolve_honours_an_explicit_zero_B(capsys):
@@ -462,17 +455,21 @@ def test_evolve_honours_an_explicit_zero_B(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["B"] == 0.0 and doc["reaction"] == gk.MODEL_II.a0
-    # The deviation is measured against the a2 = 0 steady problem.
-    assert doc["steady_deviation"] < 1e-8
+    # The residual is that of the a2 = 0 system, whose even block is diagonal.
+    assert doc["paths"] == {"even": "diagonal", "odd": "zero"}
+    assert doc["steady_residual"] <= 1e-14
 
 
-def test_evolve_with_zero_reaction_fails_instead_of_substituting(capsys):
+def test_evolve_with_zero_reaction_reads_residual_one_instead_of_substituting(capsys):
     # With B = reaction = 0 the constant mode has no steady state under the
-    # model-II forcing; the command must fail, not fall back to model II.
+    # model-II forcing: row 0 of A is zero and its forcing is not, so the
+    # residual reads exactly 1.  The run must not fall back to model II.
     code, out, err = run(capsys, ["evolve", "--M", "10", "--forcing", "model-II",
                                   "--steps", "5", "--B", "0", "--reaction", "0"])
-    assert code == 2
-    assert "constant-mode balance" in err and out == ""
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert doc["B"] == doc["reaction"] == 0.0
+    assert doc["steady_residual"] == 1.0
 
 
 def test_evolve_zero_steps(capsys):

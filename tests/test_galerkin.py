@@ -169,7 +169,7 @@ def test_mode_block_composes_the_tables(M, parity, a4):
     # to ~1e-14 (measured <= 8.8e-15).
     basis = build_basis(M)
     spec = gk.BvpSpec(a6=1.0, a4=a4, a2=-5544.0, a0=-199584.0)
-    block, mean_row = gk._mode_block(spec, basis, parity)
+    block = gk._mode_block(spec, basis, parity)
     lam = basis.lam(parity)[1:]
     gamma = cf.operator_matrix(basis, parity, "fourth_derivative")
     beta = cf.operator_matrix(basis, parity, "second_derivative")
@@ -181,17 +181,18 @@ def test_mode_block_composes_the_tables(M, parity, a4):
     off = ~np.eye(M, dtype=bool)
     assert (np.linalg.norm(block[off] - expected[off])
             <= 1e-13 * np.linalg.norm(expected[off]))
-    if a4 != 0.0 and parity == "even":
-        np.testing.assert_array_equal(mean_row, gamma.mean_row)
-    else:
-        assert mean_row is None
+    if parity == "even":
+        # Row 0 of the semi-discrete even block is a4 times Gamma's mean row.
+        system = gk.assemble_semi_discrete(basis, B=spec.a2, T=-spec.a4, reaction=spec.a0)
+        np.testing.assert_array_equal(system.A_even[0, 1:],
+                                      spec.a4 * gamma.mean_row if a4 else 0.0)
 
 
 def test_model_ii_record_has_negative_pivots(basis60):
     # The operator is negative definite on the mode space, so the Cholesky
     # path runs and every pivot of A = L diag(D) L^T is negative.
     record = gk.solve_steady(gk.MODEL_II, basis60).record
-    assert record["used"] and record["pivots_all_negative"]
+    assert record["path"] == "cholesky" and record["pivots_all_negative"]
     assert record["pivot_min"] <= record["pivot_max"] < 0.0
 
 
@@ -201,7 +202,7 @@ def test_symmetric_solve_at_m300_takes_cholesky_path_without_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         record = gk.solve_steady(gk.MODEL_II, build_basis(300)).record
-    assert record["used"] and record["pivots_all_negative"]
+    assert record["path"] == "cholesky" and record["pivots_all_negative"]
 
 
 def _negative_diagonal_spec(basis):
@@ -215,11 +216,11 @@ def _negative_diagonal_spec(basis):
 def test_lu_paths_record_their_reason(basis30):
     spec = gk.BvpSpec(a6=1.0, a4=-2.0, a2=-5.0, a0=7.0, forcing=((2, 1.0),))
     sol = gk.solve_steady(spec, basis30)
-    assert sol.record == {"used": False, "reason": "matrix not symmetric"}
+    assert sol.record == {"path": "lu", "reason": "matrix not symmetric"}
     spec = _negative_diagonal_spec(basis30)
     with pytest.warns(RuntimeWarning):
         sol = gk.solve_steady(spec, basis30)
-    assert sol.record == {"used": False, "reason": "not definite"}
+    assert sol.record == {"path": "lu", "reason": "not definite"}
 
 
 def test_unsatisfiable_constant_mode_balance_fails_before_the_dense_solve():
@@ -294,7 +295,7 @@ _ABOVE = gk._KRYLOV_CROSSOVER + 1
 def test_matrix_free_matvec_matches_the_dense_block(M, a2):
     basis = build_basis(M)
     spec = gk.BvpSpec(a6=1.0, a4=0.0, a2=a2, a0=-199584.0)
-    A, _ = gk._mode_block(spec, basis, "even")
+    A = gk._mode_block(spec, basis, "even")
     form = gk._block_form(spec, basis, "even")
     matvec = gk._operator(form)
     assert np.array_equal(form[3], np.diag(A))
@@ -314,7 +315,7 @@ def _random_definite_spec(rng):
                       forcing=gk.MODEL_II.forcing)
 
 
-def test_pcg_solve_matches_the_dense_solve_at_m2000():
+def test_gmres_solve_matches_the_dense_solve_at_m2000():
     # a4 = 0 specs, which take the GMRES path that a4 != 0 takes.
     basis = build_basis(2000)
     rng = np.random.default_rng(2000)
@@ -326,7 +327,7 @@ def test_pcg_solve_matches_the_dense_solve_at_m2000():
         dense = np.linalg.solve(A, fc)
         assert np.linalg.norm(sol.uc[1:] - dense) <= 1e-14 * np.linalg.norm(dense)
         record = sol.record
-        assert record["path"] == "gmres" and not record["used"]
+        assert record["path"] == "gmres"
         assert 1 <= record["iterations"] <= 20
         assert record["residual"] <= 1e-14
         assert 1.0 <= record["cond_estimate"] < 2.0
@@ -354,7 +355,7 @@ def _assert_matches_the_dense_solve(spec, basis, path):
     return sol.record
 
 
-# M = 2000 is covered by test_pcg_solve_matches_the_dense_solve_at_m2000 (a4 = 0)
+# M = 2000 is covered by test_gmres_solve_matches_the_dense_solve_at_m2000 (a4 = 0)
 # and test_gmres_matches_lu_at_m2000 (a4 != 0).
 @pytest.mark.parametrize("M", [_ABOVE, 500])
 @pytest.mark.parametrize("coupled", [False, True], ids=["a4=0", "a4!=0"])
@@ -372,8 +373,7 @@ def test_gmres_matches_lu_at_m2000(a4):
     # a6, a2 and a0 from the benchmark's ranges.
     spec = _random_bench_spec(np.random.default_rng(int(a4) + 100), a4)
     record = _assert_matches_the_dense_solve(spec, build_basis(2000), "gmres")
-    assert set(record) == {"used", "path", "iterations", "residual", "cond_estimate"}
-    assert not record["used"]
+    assert set(record) == {"path", "iterations", "residual", "cond_estimate"}
     assert 4 <= record["iterations"] <= 6
     assert 1.0 <= record["cond_estimate"] < 2.0
 
@@ -439,7 +439,7 @@ def test_gmres_failures_fall_back_to_lu(monkeypatch, module, name, value, spec):
     monkeypatch.setattr(module, name, value)
     with pytest.warns(RuntimeWarning, match="GMRES failed"):
         sol = gk.solve_steady(spec, basis)
-    assert sol.record == {"used": False, "reason": "no convergence"}
+    assert sol.record == {"path": "lu", "reason": "no convergence"}
     monkeypatch.undo()
     krylov = gk.solve_steady(spec, basis)
     assert np.max(np.abs(sol.uc - krylov.uc)) < 1e-15
@@ -686,6 +686,66 @@ def test_zero_parity_block_stays_exactly_zero(basis30):
                      theta=1.0)
     assert traj.record == {"even": "step-map", "odd": "zero"}
     assert np.all(traj.us == 0.0) and np.any(traj.uc[-1] != 0.0)
+
+
+def _final_state(traj):
+    return cf.CoefficientSet(traj.basis, traj.u0c[-1], traj.uc[-1], traj.us[-1])
+
+
+@pytest.mark.parametrize("B, T, reaction, path, schur", [
+    (0.0, 0.0, -3e5, "diagonal", False),
+    (3000.0, 20.0, -3e5, "step-map", True),                      # column dominant
+    (gk.MODEL_II.a2, 20.0, gk.MODEL_II.a0, "step-map", False),  # pivoted solve
+], ids=["diagonal", "schur-map", "pivoted-map"])
+def test_steady_residual_is_rounding_level_at_each_paths_fixed_point(
+        monkeypatch, B, T, reaction, path, schur):
+    # The fixed point of each stepped path solves A u + f = 0 componentwise
+    # to rounding (1.6e-16 to 2.1e-15 measured up to M = 2000).
+    basis = build_basis(200)
+    system = gk.model_ii_semi_discrete(basis, B=B, T=T, reaction=reaction)
+    inverses, inverse = [], gk._schur_inverse
+    monkeypatch.setattr(gk, "_schur_inverse", lambda L: inverses.append(L) or inverse(L))
+    traj = gk.evolve(system, cf.CoefficientSet.zeros(basis), 1e-4, 200, theta=1.0)
+    assert traj.record == {"even": path, "odd": "zero"}
+    assert bool(inverses) == schur and traj.stationary_from is not None
+    assert system.steady_residual(_final_state(traj)) <= 1e-14
+    # The start is as far from steady as a state can be: A 0 + f = f.
+    assert system.steady_residual(cf.CoefficientSet.zeros(basis)) == 1.0
+
+
+def test_steady_residual_is_the_componentwise_backward_error():
+    # Both blocks nonzero, and M = 300 leaves a partial block of 128 rows.
+    basis = build_basis(300)
+    rng = np.random.default_rng(11)
+    decay = np.arange(1, 301) ** 4.0
+    forcing = cf.CoefficientSet(basis, 2.0, np.r_[0.0, rng.standard_normal(300)],
+                                np.r_[0.0, rng.standard_normal(300)])
+    system = gk.assemble_semi_discrete(basis, B=-300.0, T=20.0, forcing=forcing,
+                                       reaction=-5000.0)
+    state = cf.CoefficientSet(basis, 0.3, np.r_[0.0, rng.standard_normal(300) / decay],
+                              np.r_[0.0, rng.standard_normal(300) / decay])
+    want = 0.0
+    for A, f, u in ((system.A_even, system.f_even, np.r_[0.3, state.uc[1:]]),
+                    (system.A_odd, system.f_odd, state.us[1:])):
+        want = max(want, np.max(np.abs(A @ u + f) / (np.abs(A) @ np.abs(u) + np.abs(f))))
+    assert system.steady_residual(state) == pytest.approx(want, rel=1e-14)
+    assert 0.0 < want <= 1.0
+
+
+def test_steady_residual_forms_abs_a_a_block_of_rows_at_a_time():
+    basis = build_basis(2000)
+    system = gk.model_ii_semi_discrete(basis, T=20.0)
+    rng = np.random.default_rng(2000)
+    state = cf.CoefficientSet(basis, 0.5, np.r_[0.0, rng.standard_normal(2000)],
+                              np.r_[0.0, rng.standard_normal(2000)])
+    tracemalloc.start()
+    try:
+        system.steady_residual(state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # One M x M array is 32 MB; 128 rows of |A| are 2 MB (2.1 MB measured).
+    assert peak < 8e6
 
 
 @pytest.mark.parametrize("theta", [0.0, 0.5, 1.0])
@@ -1045,7 +1105,8 @@ def test_steady_solve_satisfies_modal_equations_property(c2, c4, a2, a4, basis):
     res = A @ sol.uc[1:] - fc
     scale = max(1.0, float(np.max(np.abs(fc))))
     assert np.max(np.abs(res)) < 1e-10 * scale
-    if "path" in sol.record:
+    if sol.record["path"] == "gmres":
         assert sol.record["residual"] <= 1e-13
     dense = basis.M <= gk._KRYLOV_CROSSOVER
-    assert sol.record["used"] == (dense and a4 == 0.0 and a2 != 0.0)
+    assert sol.record["path"] == ("diagonal" if a4 == a2 == 0.0 else "gmres" if not dense
+                                  else "cholesky" if a4 == 0.0 else "lu")
