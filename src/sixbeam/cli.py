@@ -20,6 +20,8 @@ Exit codes: 0 success, 1 usage/configuration error, 2 numerical failure
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import itertools
 import json
 import math
 import sys
@@ -66,38 +68,33 @@ def _write_text(path: str, text: str) -> None:
         raise UsageError(f"cannot write {path!r}: {exc.strerror or exc}") from None
 
 
-def _table_text(header: list, columns: list, fmt: str) -> str:
+def _table_text(header: list, columns: list, fmt: str,
+                stationary_from: int | None = None) -> str:
     """The table with one 1-D array or list of cells per header name.
 
     In CSV a float array is a ``"%.17g"`` field and an integer array a
     ``"%d"`` field of one row template (``"%.17g" % x`` is ``_cell(x)`` for
-    every float); any other column enters as its cells' ``_cell`` text.  A
-    row whose cells after the first repeat the previous row's (bit for bit
-    in float columns, as text in the others) reuses that row's text.
+    every float); any other column enters as its cells' ``_cell`` text.
+    The caller declares with ``stationary_from`` that every later row
+    repeats that row after the first cell, and those rows reuse its text.
     """
     if fmt != "csv":
         return json.dumps(_records(header, columns), indent=2) + "\n"
     fields, values = [], []
-    repeats = np.ones(max(len(columns[0]) - 1, 0), dtype=bool)
-    for j, (col, cells) in enumerate(zip(columns, _cells(columns))):
+    for col, cells in zip(columns, _cells(columns)):
         kind = col.dtype.kind if isinstance(col, np.ndarray) else "O"
         if kind in "fiu":
             fields.append("%.17g" if kind == "f" else "%d")
-            key = col.view(np.int64) if kind == "f" else col
         else:
             fields.append("%s")
             if kind != "U":  # a str array is its own text
                 cells = [_cell(v) for v in cells]
-            key = np.array(cells, dtype=object)
         values.append(cells)
-        if j:
-            repeats &= key[1:] == key[:-1]
-    head, tail, rest = fields[0], "".join("," + f for f in fields[1:]), ""
-    lines = [",".join(header)]
-    for row, repeat in zip(zip(*values), [False] + repeats.tolist()):
-        if not repeat:
-            rest = tail % row[1:]
-        lines.append(head % row[0] + rest)
+    head, tail = fields[0], "".join("," + f for f in fields[1:])
+    stop = None if stationary_from is None else stationary_from + 1
+    rests = [tail % row[1:] for row in itertools.islice(zip(*values), stop)]
+    rests += rests[-1:] * (len(values[0]) - len(rests))
+    lines = [",".join(header), *(head % v + r for v, r in zip(values[0], rests))]
     return "\n".join(lines) + "\n"
 
 
@@ -122,8 +119,9 @@ def _emit(args: argparse.Namespace, stem: str, ext: str, text: str,
 
 
 def _emit_table(args: argparse.Namespace, stem: str, header: list, columns: list,
-                files: dict) -> None:
-    _emit(args, stem, args.format, _table_text(header, columns, args.format), files)
+                files: dict, stationary_from: int | None = None) -> None:
+    text = _table_text(header, columns, args.format, stationary_from)
+    _emit(args, stem, args.format, text, files)
 
 
 def _emit_summary(args: argparse.Namespace, summary: dict, files: dict) -> None:
@@ -186,25 +184,21 @@ def _parse_forcing(text: str) -> tuple:
 def _spec_from_args(args: argparse.Namespace) -> galerkin.BvpSpec:
     from . import galerkin
 
-    base = {None: None, "I": galerkin.MODEL_I, "II": galerkin.MODEL_II}[args.model]
-    if base is None and args.a6 is None:
+    model = {"I": galerkin.MODEL_I, "II": galerkin.MODEL_II}.get(args.model)
+    if model is None and args.a6 is None:
         raise UsageError("solve requires --model I|II or explicit --a6 (with "
                          "--a4/--a2/--a0/--forcing)")
-    a6 = args.a6 if args.a6 is not None else (base.a6 if base else None)
-    a4 = args.a4 if args.a4 is not None else (base.a4 if base else 0.0)
-    a2 = args.a2 if args.a2 is not None else (base.a2 if base else 0.0)
-    a0 = args.a0 if args.a0 is not None else (base.a0 if base else 0.0)
+    # Each given flag replaces the model's field, or the default of a spec
+    # without one (a4 = a2 = a0 = 0, no forcing).
+    given = {k: getattr(args, k) for k in ("a6", "a4", "a2", "a0")
+             if getattr(args, k) is not None}
     if args.forcing is not None:
-        forcing = _parse_forcing(args.forcing)
-    elif base is not None:
-        forcing = base.forcing
-    else:
-        forcing = ()
-    name = base.name if base is not None and args.a6 is None and args.a4 is None \
-        and args.a2 is None and args.a0 is None and args.forcing is None else "custom"
+        given["forcing"] = _parse_forcing(args.forcing)
+    fields = dataclasses.asdict(model) if model else {"a4": 0.0, "a2": 0.0, "a0": 0.0}
+    if given:
+        fields.update(given, name="custom")
     try:
-        return galerkin.BvpSpec(a6=a6, a4=a4, a2=a2, a0=a0, forcing=forcing,
-                                name=name)
+        return galerkin.BvpSpec(**fields)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
@@ -387,22 +381,16 @@ def _parse_initial(text: str, basis: Basis) -> coefficients.CoefficientSet:
         m = int(m_str)
     except ValueError as exc:
         raise UsageError(f"initial mode index: {exc}") from None
-    uc = np.zeros(basis.M + 1)
-    us = np.zeros(basis.M + 1)
-    u0c = 0.0
-    if parity == "even":
-        if not (0 <= m <= basis.M):
-            raise UsageError(f"initial mode {m} out of range [0, {basis.M}]")
-        if m == 0:
-            u0c = amp
-        else:
-            uc[m] = amp
-    elif parity == "odd":
-        if not (1 <= m <= basis.M):
-            raise UsageError(f"initial mode {m} out of range [1, {basis.M}]")
-        us[m] = amp
-    else:
+    if parity not in ("even", "odd"):
         raise UsageError(f"initial parity must be even or odd, got {parity!r}")
+    modes = basis.mode_range(parity)
+    if m not in modes:
+        raise UsageError(f"initial mode {m} out of range [{modes.start}, {basis.M}]")
+    u0c, uc, us = 0.0, np.zeros(basis.M + 1), np.zeros(basis.M + 1)
+    if m == 0:
+        u0c = amp
+    else:
+        (uc if parity == "even" else us)[m] = amp
     return coefficients.CoefficientSet(basis=basis, u0c=u0c, uc=uc, us=us)
 
 
@@ -437,7 +425,8 @@ def cmd_evolve(args: argparse.Namespace) -> int:
                   + [f"u_at_{x:g}" for x in _SAMPLE_X])
         # The stacked product rounds a state by the stack's shape, so only the
         # states up to the stationary one are synthesized and it is repeated:
-        # the rows then do not depend on how many steps followed it.
+        # the rows then do not depend on how many steps followed it, and each
+        # later row repeats the stationary row after the t cell.
         stop = n_states if traj.stationary_from is None else traj.stationary_from + 1
         head = coefficients.CoefficientSet(basis, traj.u0c[:stop], traj.uc[:stop],
                                            traj.us[:stop])
@@ -448,7 +437,7 @@ def cmd_evolve(args: argparse.Namespace) -> int:
                    *samples.T]
     t3 = time.perf_counter()
     if args.out is not None:
-        _emit_table(args, "trajectory", header, columns, files)
+        _emit_table(args, "trajectory", header, columns, files, traj.stationary_from)
     t4 = time.perf_counter()
     final_norm = float(np.max(np.abs(np.concatenate(([final.u0c], final.uc, final.us)))))
     summary = {
@@ -484,9 +473,21 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _ranged(flag: str, cast, ok, rule: str):
+    """A flag's type: ``cast`` the text, then ``{flag} must {rule}`` unless ``ok``."""
+    def parse(text: str):
+        value = cast(text)
+        if not ok(value):
+            raise UsageError(f"{flag} must {rule}, got {value}")
+        return value
+    parse.__name__ = cast.__name__  # as argparse's "invalid int value" names it
+    return parse
+
+
 def _build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
-    common.add_argument("--M", type=int, default=100,
+    common.add_argument("--M", type=_ranged("--M", int, lambda v: v >= 1, "be >= 1"),
+                        default=100,
                         help="number of modes per parity family (default %(default)s)")
     common.add_argument("--out", type=str, default=None,
                         help="output path stem; omit to print to stdout")
@@ -498,33 +499,43 @@ def _build_parser() -> _Parser:
                      description="Sixth-order eigenfunction spectral solver")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, about):
-        return sub.add_parser(name, parents=[common], allow_abbrev=False, help=about)
+    def add(name, run, about):
+        p = sub.add_parser(name, parents=[common], allow_abbrev=False, help=about)
+        p.set_defaults(run=run)
+        return p
 
-    p_eig = add("eigenvalues", "tabulate eigenvalues against asymptotics")
-    p_eig.add_argument("--m-max", type=int, default=None,
-                       help="largest mode index (default --M)")
+    p_eig = add("eigenvalues", cmd_eigenvalues,
+                "tabulate eigenvalues against asymptotics")
+    p_eig.add_argument("--m-max", default=None, help="largest mode index (default --M)",
+                       type=_ranged("--m-max", int, lambda v: v >= 0, "be >= 0"))
     p_eig.add_argument("--parity", type=str, default="both",
                        choices=("both", "even", "odd"))
-    p_solve = add("solve", "solve a steady sixth-order BVP")
+    p_solve = add("solve", cmd_solve, "solve a steady sixth-order BVP")
     p_solve.add_argument("--model", type=str.upper, default=None,
                          choices=("I", "II"), help="built-in problem")
     for coef in ("a6", "a4", "a2", "a0"):
         p_solve.add_argument(f"--{coef}", type=float, default=None)
     p_solve.add_argument("--forcing", type=str, default=None,
                          help="even polynomial as power:coeff[,power:coeff...]")
-    p_solve.add_argument("--samples", type=int, default=201)
-    p_verify = add("verify", "verify closed forms against quadrature")
-    p_verify.add_argument("--max-index", type=int, default=20)
-    p_evolve = add("evolve", "integrate the semi-discrete system")
-    p_evolve.add_argument("--B", type=float, default=None,
+    p_solve.add_argument("--samples", default=201,
+                         type=_ranged("--samples", int, lambda v: v >= 2, "be >= 2"))
+    p_verify = add("verify", cmd_verify, "verify closed forms against quadrature")
+    p_verify.add_argument("--max-index", default=20, type=_ranged(
+        "--max-index", int, lambda v: 0 <= v <= _MAX_VERIFY_INDEX,
+        f"be in [0, {_MAX_VERIFY_INDEX}]"))
+    p_evolve = add("evolve", cmd_evolve, "integrate the semi-discrete system")
+    finite = (float, math.isfinite, "be finite")
+    p_evolve.add_argument("--B", type=_ranged("--B", *finite), default=None,
                           help="default: the preset's value, else 0")
-    p_evolve.add_argument("--T", type=float, default=0.0)
-    p_evolve.add_argument("--reaction", type=float, default=None,
+    p_evolve.add_argument("--T", type=_ranged("--T", *finite), default=0.0)
+    p_evolve.add_argument("--reaction", type=_ranged("--reaction", *finite), default=None,
                           help="default: the preset's value, else 0")
-    p_evolve.add_argument("--dt", type=float, default=1e-4)
-    p_evolve.add_argument("--steps", type=int, default=200)
-    p_evolve.add_argument("--theta", type=float, default=0.5)
+    p_evolve.add_argument("--dt", default=1e-4,
+                          type=_ranged("--dt", float, lambda v: v > 0.0, "be positive"))
+    p_evolve.add_argument("--steps", default=200,
+                          type=_ranged("--steps", int, lambda v: v >= 0, "be >= 0"))
+    p_evolve.add_argument("--theta", default=0.5, type=_ranged(
+        "--theta", float, lambda v: 0.0 <= v <= 1.0, "lie in [0, 1]"))
     p_evolve.add_argument("--initial", type=str, default=None,
                           help="initial state as parity:m[:amplitude]")
     p_evolve.add_argument("--forcing", type=str, default="none",
@@ -552,36 +563,12 @@ def _config_argv(args: argparse.Namespace) -> list:
     out = []
     for key, value in data.items():
         name = key.replace("-", "_")
-        if name in ("command", "config") or not hasattr(args, name):
+        if name in ("command", "config", "run") or not hasattr(args, name):
             raise UsageError(f"config file {path!r}: unknown field {key!r}")
         if value is not None:
             text = value if isinstance(value, str) else json.dumps(value)
             out.append(f"--{name.replace('_', '-')}={text}")
     return out
-
-
-def _check(args: argparse.Namespace) -> None:
-    """The range checks argparse cannot express."""
-    if args.M < 1:
-        raise UsageError(f"--M must be >= 1, got {args.M}")
-    if args.command == "eigenvalues" and args.m_max is not None and args.m_max < 0:
-        raise UsageError(f"--m-max must be >= 0, got {args.m_max}")
-    if args.command == "solve" and args.samples < 2:
-        raise UsageError(f"--samples must be >= 2, got {args.samples}")
-    if args.command == "verify" and not (0 <= args.max_index <= _MAX_VERIFY_INDEX):
-        raise UsageError(
-            f"--max-index must be in [0, {_MAX_VERIFY_INDEX}], got {args.max_index}")
-    if args.command == "evolve":
-        if not (args.dt > 0.0):
-            raise UsageError(f"--dt must be positive, got {args.dt}")
-        if args.steps < 0:
-            raise UsageError(f"--steps must be >= 0, got {args.steps}")
-        if not (0.0 <= args.theta <= 1.0):
-            raise UsageError(f"--theta must lie in [0, 1], got {args.theta}")
-        for flag in ("T", "B", "reaction"):
-            value = getattr(args, flag)
-            if value is not None and not math.isfinite(value):
-                raise UsageError(f"--{flag} must be finite, got {value}")
 
 
 def _parse_args(argv: list) -> argparse.Namespace:
@@ -602,14 +589,7 @@ def main(argv=None) -> int:
         except SystemExit as exc:  # --help or argparse-internal exits
             code = exc.code
             return 0 if code in (0, None) else int(code)
-        _check(args)
-        dispatch = {
-            "eigenvalues": cmd_eigenvalues,
-            "solve": cmd_solve,
-            "verify": cmd_verify,
-            "evolve": cmd_evolve,
-        }
-        return dispatch[args.command](args)
+        return args.run(args)
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -422,6 +422,11 @@ def test_evolve_samples_are_those_of_the_first_stationary_state(tmp_path, capsys
     assert 0 < k < 200 and samples.shape == (201, 3)
     assert np.array_equal(bits[:k + 1], want)
     assert np.array_equal(bits[k:], np.broadcast_to(want[k], bits[k:].shape))
+    # The coefficient cells of every row, those reusing the stationary row's
+    # text included, are the trajectory's own bits.
+    coefs = np.array([[float(v) for v in line.split(",")[1:-3]] for line in lines])
+    want = np.column_stack([traj.u0c, traj.uc[:, 1:9], traj.us[:, 1:9]])
+    assert np.array_equal(coefs.view(np.int64), want.view(np.int64))
 
 
 def test_evolve_rows_do_not_depend_on_the_steps_after_the_stationary_one(tmp_path, capsys):
@@ -545,6 +550,28 @@ def test_non_finite_inputs_exit_1(capsys, argv, field):
     assert err.startswith("error: ") and f"{field} must be finite" in err
 
 
+@pytest.mark.parametrize("initial, message", [
+    ("even:6", "initial mode 6 out of range [0, 5]"),
+    ("odd:0", "initial mode 0 out of range [1, 5]"),
+    ("sideways:1", "initial parity must be even or odd, got 'sideways'"),
+    ("even:1:nan", "initial amplitude must be finite, got nan"),
+])
+def test_initial_state_errors_name_the_mode_range(capsys, initial, message):
+    argv = ["evolve", "--M", "5", "--initial", initial]
+    assert run(capsys, argv) == (1, "", f"error: {message}\n")
+
+
+def test_initial_constant_mode_sets_u0c(tmp_path, capsys):
+    stem = str(tmp_path / "c")
+    code, _, err = run(capsys, ["evolve", "--M", "5", "--initial", "even:0:2.5",
+                                "--steps", "0", "--out", stem])
+    assert code == 0, err
+    header, row = (tmp_path / "c.trajectory.csv").read_text().split("\n")[:2]
+    cells = dict(zip(header.split(","), row.split(",")))
+    assert cells["u0c"] == "2.5"
+    assert all(cells[k] == "0" for k in cells if k.startswith(("uc_", "us_")))
+
+
 def test_help_exits_0(capsys):
     assert run(capsys, ["--help"])[0] == 0
     assert run(capsys, ["solve", "--help"])[0] == 0
@@ -600,6 +627,11 @@ def test_config_file_errors(tmp_path, capsys):
     bad.write_text(json.dumps([1, 2]))
     assert run(capsys, ["solve", "--config", str(bad)])[0] == 1
     assert run(capsys, ["solve", "--config", str(tmp_path / "absent.json")])[0] == 1
+    # The parser's own entries are not flags.
+    for key in ("command", "config", "run"):
+        bad.write_text(json.dumps({"model": "I", key: "verify"}))
+        assert run(capsys, ["solve", "--config", str(bad)]) == (
+            1, "", f"error: config file {str(bad)!r}: unknown field {key!r}\n")
 
 
 def write_config(tmp_path, doc) -> str:
@@ -632,6 +664,27 @@ def test_bad_config_values_exit_1(tmp_path, capsys, command, doc):
     code, _, err = run(capsys, [command, "--config", write_config(tmp_path, doc)])
     assert code == 1
     assert err.strip() != ""
+
+
+@pytest.mark.parametrize("argv, key, value", [
+    (["evolve"], "M", 0),
+    (["evolve"], "dt", 0),
+    (["evolve"], "theta", 1.5),
+    (["evolve"], "steps", -1),
+    (["solve", "--model", "I"], "samples", 1),
+    (["verify"], "max_index", 51),
+    (["eigenvalues"], "m_max", -1),
+    (["evolve"], "T", "inf"),
+])
+def test_config_range_error_is_the_flags(tmp_path, capsys, argv, key, value):
+    # Each flag's parser checks its range, so a config value fails with the
+    # flag's own message.
+    flag = f"--{key.replace('_', '-')}"
+    by_flag = run(capsys, argv + [f"{flag}={value}"])
+    by_file = run(capsys, argv + ["--config", write_config(tmp_path, {key: value})])
+    assert by_flag[0] == 1 and by_flag[1] == ""
+    assert by_flag[2].startswith(f"error: {flag} must ") and by_flag[2].count("\n") == 1
+    assert by_file == by_flag
 
 
 @pytest.mark.parametrize("argv, key, value", [
@@ -735,7 +788,8 @@ def test_csv_floats_use_17_significant_digits(tmp_path, capsys):
 
 def test_float_table_repeated_rows_print_as_each_cell_would():
     # Rows 1-3 differ only in the sign of zeros, rows 4-6 in NaN payloads;
-    # row 7 repeats row 6 bit for bit and reuses its text.
+    # rows 6 and 7 repeat row 5 after the first cell.  Every row is written
+    # from its own cells unless the caller declares the stationary row.
     quiet_nan = np.frombuffer(np.int64(0x7FF8000000000001).tobytes())[0]
     rows = np.array([[0.0, 0.0, 1.0, -0.0],
                      [1.0, -0.0, 1.0, -0.0],
@@ -751,11 +805,23 @@ def test_float_table_repeated_rows_print_as_each_cell_would():
     assert text.split("\n")[1:5] == ["0,0,1,-0", "1,-0,1,-0", "2,-0,1,0", "3,-0,1,0"]
     assert text.split("\n")[5:9] == ["4,nan,nan,2", "5,nan,nan,2", "6,nan,nan,2",
                                       "-0,nan,nan,2"]
+    # Rows from a declared stationary row on reuse its text after the first
+    # cell, which is still written per row (-0 in the last one).
+    assert _table_text(header, list(rows.T), "csv", stationary_from=5) == text
+    held = np.array([[0.0, 1.0, 0.0, 3.0],
+                     [1.0, -0.0, -np.nan, quiet_nan],
+                     [2.0, -0.0, -np.nan, quiet_nan],
+                     [-0.0, -0.0, -np.nan, quiet_nan]])
+    for stationary_from in (None, 1, 2, 3):
+        held_text = _table_text(header, list(held.T), "csv", stationary_from)
+        assert held_text == _per_cell_table(header, held.tolist(), "csv")
+    assert held_text.split("\n")[2:5] == ["1,-0,nan,nan", "2,-0,nan,nan", "-0,-0,nan,nan"]
     one_column = np.array([0.0, -0.0, -0.0])
     assert _table_text(["t"], [one_column], "csv") == "t\n0\n-0\n-0\n"
     empty = [np.empty(0)] * 4
     assert _table_text(header, empty, "csv") == "t,a,b,c\n"
     assert _table_text(header, empty, "json") == "[]\n"
+    assert _table_text(header, empty, "csv", stationary_from=0) == "t,a,b,c\n"
 
 
 def test_float_table_fast_path_matches_the_per_cell_path():
@@ -772,9 +838,10 @@ def test_float_table_fast_path_matches_the_per_cell_path():
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_mixed_table_matches_the_per_cell_path(fmt):
     # The cell types of the verify and eigenvalues tables: str, int, bool and
-    # None next to floats.  A row may reuse the text of the one before only
-    # where its text cells are equal and its floats have the same bits, so
-    # -0 after 0 and a new note after an old one are written afresh.
+    # None next to floats.  Each row is written from its own cells, so -0
+    # after 0 and a new note after an old one come out as they are; rows after
+    # a declared stationary row (here the last three repeat row 4 after the
+    # first cell) reuse its text, and JSON ignores the declaration.
     header = ["kind", "n", "closed", "passed", "note", "lam"]
     rows = [["beta", 1, 0.5, True, "", 0.0],
             ["beta", 2, 0.0, True, "", None],
@@ -789,8 +856,20 @@ def test_mixed_table_matches_the_per_cell_path(fmt):
     assert _table_text(header, columns, fmt) == _per_cell_table(header, rows, fmt)
     lists = _as_columns(rows, len(header))
     assert _table_text(header, lists, fmt) == _per_cell_table(header, rows, fmt)
+    held = rows[:5] + [[kind, 4, -0.0, True, "", None]
+                       for kind in ("chi", "beta", "gamma")]
+    held_arrays = [make([row[j] for row in held]) for j, make in enumerate(kinds)]
+    for held_columns in (held_arrays, _as_columns(held, len(header))):
+        for stationary_from in (None, 4, 6):
+            assert _table_text(header, held_columns, fmt, stationary_from) == (
+                _per_cell_table(header, held, fmt))
+    stationary = [["chi", 6, np.nan, False, "corrected", 2.5],
+                  ["beta", 6, np.nan, False, "corrected", 2.5]]
+    assert _table_text(header, _as_columns(stationary, len(header)), fmt, 0) == (
+        _per_cell_table(header, stationary, fmt))
     # One text column, and an empty table of an int array and a list.
     one = [[None], ["a"], ["a"]]
     assert _table_text(["m"], [[None, "a", "a"]], fmt) == _per_cell_table(["m"], one, fmt)
+    assert _table_text(["m"], [[None, "a", "a"]], fmt, 1) == _per_cell_table(["m"], one, fmt)
     assert _table_text(header[:2], [np.arange(1, 1), []], fmt) == _per_cell_table(
         header[:2], [], fmt)
