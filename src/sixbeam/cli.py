@@ -26,6 +26,7 @@ import json
 import math
 import sys
 import time
+from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -79,7 +80,7 @@ def _table_text(header: list, columns: list, fmt: str,
     repeats that row after the first cell, and those rows reuse its text.
     """
     if fmt != "csv":
-        return json.dumps(_records(header, columns), indent=2) + "\n"
+        return _json_table(header, columns)
     fields, values = [], []
     for col, cells in zip(columns, _cells(columns)):
         kind = col.dtype.kind if isinstance(col, np.ndarray) else "O"
@@ -96,6 +97,34 @@ def _table_text(header: list, columns: list, fmt: str,
     rests += rests[-1:] * (len(values[0]) - len(rests))
     lines = [",".join(header), *(head % v + r for v, r in zip(values[0], rests))]
     return "\n".join(lines) + "\n"
+
+
+def _json_cell(v) -> str:
+    """The JSON text of one Python value, as ``json.dumps`` writes it."""
+    if isinstance(v, str):
+        return encode_basestring_ascii(v)
+    if v is None or v is True or v is False:
+        return "null" if v is None else "true" if v else "false"
+    if isinstance(v, int):
+        return int.__repr__(v)
+    if not isinstance(v, float):
+        raise TypeError(f"a table cell must be str, None, bool, int or float, "
+                        f"not {type(v).__name__}")
+    if math.isfinite(v):
+        return float.__repr__(v)
+    return "NaN" if v != v else "Infinity" if v > 0.0 else "-Infinity"
+
+
+def _json_table(header: list, columns: list) -> str:
+    """``json.dumps(_records(header, columns), indent=2)`` plus a newline,
+    from one row template and each column's cells encoded once (with an
+    indent, ``json`` runs its pure-Python encoder)."""
+    rows = list(zip(*(map(_json_cell, cells) for cells in _cells(columns))))
+    if not rows:
+        return "[]\n"
+    keys = [encode_basestring_ascii(name).replace("%", "%%") for name in header]
+    row = "  {\n" + ",\n".join(f"    {key}: %s" for key in keys) + "\n  }"
+    return "[\n" + ",\n".join(row % cells for cells in rows) + "\n]\n"
 
 
 def _cells(columns: list) -> list:

@@ -588,27 +588,78 @@ def _block_path(A: np.ndarray, f: np.ndarray, u0: np.ndarray) -> str:
 
 def _schur_inverse(L: np.ndarray) -> np.ndarray:
     """L^-1 for a strictly column diagonally dominant L, by recursive 2 x 2
-    Schur complements: six matrix products per level, ``np.linalg.inv`` on
-    blocks of at most ``_INVERSE_LEAF``.
+    Schur complements: ``_schur_complete`` of ``_schur_factor``, six matrix
+    products per level, ``np.linalg.inv`` on blocks of at most
+    ``_INVERSE_LEAF``.
 
     Every Schur complement of such a matrix is again column dominant, so
     block elimination needs no pivoting across blocks and is stable (Demmel,
     Higham & Schreiber, Numer. Linear Algebra Appl. 2 (1995) 173).
     """
-    n = len(L)
-    if n <= _INVERSE_LEAF:
+    if len(L) <= _INVERSE_LEAF:
         return np.linalg.inv(L)
-    h = n // 2
+    return _schur_complete(L, *_schur_factor(L))
+
+
+def _schur_factor(L: np.ndarray):
+    """(inv11, X, inv_s) of the top level of ``_schur_inverse``, half its work:
+    L11^-1, L11^-1 L12 and the inverse of S = L22 - L21 X, splitting at
+    h = n // 2, or at h = n for a leaf (inv11 = L^-1, X and inv_s empty)."""
+    h = len(L) // 2 if len(L) > _INVERSE_LEAF else len(L)
     inv11 = _schur_inverse(L[:h, :h])
     X = inv11 @ L[:h, h:]                        # L11^-1 L12
     S = L[h:, h:] - L[h:, :h] @ X                # the Schur complement
+    return inv11, X, _schur_inverse(S)
+
+
+def _schur_complete(L: np.ndarray, inv11, X, inv_s) -> np.ndarray:
+    """L^-1 from L's ``_schur_factor``: the other four products of the level."""
+    h = len(inv11)
     out = np.empty_like(L)
-    out[h:, h:] = inv_s = _schur_inverse(S)
+    out[h:, h:] = inv_s
     Y = L[h:, :h] @ inv11                        # L21 L11^-1
     out[:h, h:] = Z = -(X @ inv_s)
     out[h:, :h] = -(inv_s @ Y)
     out[:h, :h] = inv11 - Z @ Y
     return out
+
+
+def _schur_solve(L: np.ndarray, factor, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = L^-1 b from L's ``_schur_factor``, in four matrix-vector products."""
+    inv11, X, inv_s = factor
+    h = len(inv11)
+    x1, x2 = out[:h], out[h:]
+    np.matmul(inv11, b[:h], out=x1)
+    np.matmul(inv_s, b[h:] - L[h:, :h] @ x1, out=x2)
+    x1 -= X @ x2
+    return out
+
+
+def _dominant_step(lhs: np.ndarray, factor, theta: float):
+    """step(_, u, out): out = P u = (lhs^-1 u - (1 - theta) u) / theta.
+
+    The first ``_GUARD_BLOCK`` calls (``evolve``'s first guard block) solve
+    with the factor.  Only a run not stationary by then calls again; that
+    call completes lhs^-1 (the bits of ``_schur_inverse(lhs)``), forms P in
+    place and drops the rest, and each call is one matrix-vector product.
+    """
+    P, calls = None, 0
+
+    def step(_, u, out):
+        nonlocal P, calls, lhs, factor
+        if P is None:
+            calls += 1
+            if calls <= _GUARD_BLOCK:
+                _schur_solve(lhs, factor, u, out)
+                out -= (1.0 - theta) * u
+                out /= theta
+                return out
+            P, d = _schur_complete(lhs, *factor), np.arange(len(lhs))
+            lhs = factor = None
+            P[d, d] -= 1.0 - theta
+            P /= theta
+        return np.matmul(P, u, out=out)
+    return step
 
 
 def _step_map(path: str, A: np.ndarray, f: np.ndarray, dt: float, theta: float):
@@ -619,8 +670,10 @@ def _step_map(path: str, A: np.ndarray, f: np.ndarray, dt: float, theta: float):
     reciprocal ``inv`` because OpenBLAS's triangular solve multiplies by the
     pivot's reciprocal, so there it gives the dense solve's bits exactly
     (``rhs / lhs`` differs in the last place).  A dense block with theta > 0
-    and a strictly column diagonally dominant lhs = I - theta dt A takes P and
-    g from lhs^-1 (``_schur_inverse``); any other from one pivoted solve.
+    and a strictly column diagonally dominant lhs = I - theta dt A is
+    factored once (``_schur_factor``); g is one factored solve, and P is
+    None: ``_dominant_step`` carries the map.  Any other block takes P and g
+    from one pivoted solve.
     """
     if path == "diagonal":
         mu = A.diagonal()
@@ -634,11 +687,9 @@ def _step_map(path: str, A: np.ndarray, f: np.ndarray, dt: float, theta: float):
     if theta > 0.0 and np.all(2.0 * np.abs(lhs.diagonal()) > np.abs(lhs).sum(axis=0)):
         # I + (1 - theta) dt A = (I - (1 - theta) lhs) / theta, so P needs
         # no product with lhs^-1, which would cost accuracy.
-        P = _schur_inverse(lhs)
-        g = P @ (dt * f)
-        P[d, d] -= 1.0 - theta
-        P /= theta
-        return np.matmul, P, g
+        factor = _schur_factor(lhs)
+        g = _schur_solve(lhs, factor, dt * f, np.empty(n))
+        return _dominant_step(lhs, factor, theta), None, g
     # Otherwise one pivoted solve gives [P | g].
     rhs = np.empty((n, n + 1))  # [I + (1 - theta) dt A | dt f]
     np.multiply((1.0 - theta) * dt, A, out=rhs[:, :n])
@@ -654,9 +705,10 @@ def evolve(system: SemiDiscreteSystem, initial: CoefficientSet, dt: float,
 
     Each parity block moves by its own path (see ``Trajectory``): a zero
     block is left at 0, a diagonal one steps elementwise in O(M), and any
-    other solves once for the step map u <- P u + g.  Returns the trajectory
-    as one stacked coefficient set with a leading step axis of length
-    steps + 1 (initial state included): ``u0c[k]``, ``uc[k]``, ``us[k]``.
+    other factors or solves once for the step map u <- P u + g
+    (``_step_map``).  Returns the trajectory as one stacked coefficient set
+    with a leading step axis of length steps + 1 (initial state included):
+    ``u0c[k]``, ``uc[k]``, ``us[k]``.
     Once a step leaves the state bit-identical, stepping stops and that
     state fills the remaining rows (``Trajectory.stationary_from``).  Raises
     ArithmeticError at the first state whose max norm passes

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import frozen_reference as ref
+from sixbeam import cli
 from sixbeam.cli import _table_text, main
 from sixbeam import coefficients as cf
 from sixbeam import galerkin as gk
@@ -873,3 +874,23 @@ def test_mixed_table_matches_the_per_cell_path(fmt):
     assert _table_text(["m"], [[None, "a", "a"]], fmt, 1) == _per_cell_table(["m"], one, fmt)
     assert _table_text(header[:2], [np.arange(1, 1), []], fmt) == _per_cell_table(
         header[:2], [], fmt)
+
+
+def test_json_tables_have_the_bytes_of_json_dumps():
+    # The JSON writer fills one row template instead of running json.dumps
+    # with an indent; its text must be that of json.dumps byte for byte.
+    basis = build_basis(50)
+    columns = cli._verify_columns(basis, 50, oc.quadrature_tables(basis, 50, tol=1e-10))
+    assert len(columns[0]) == 10350
+    want = json.dumps(cli._records(cli._VERIFY_HEADER, columns), indent=2) + "\n"
+    assert _table_text(cli._VERIFY_HEADER, columns, "json") == want
+    floats = np.array([-0.0, np.nan, np.inf, -np.inf, 1e-300, 0.1, -5e-324])
+    columns = [floats, np.arange(-3, 4), np.array([True, False] * 3 + [True]),
+               np.array(['say "hi"', "back\\slash", "\u00e9t\u00e9 \u2264 \U0001d70b",
+                         "100%", '", "', "%s", ""]),
+               [None, 2.5, -0.0, None, np.nan, 7, True],
+               [None] * 7, ["a", None, 1, 2.0, False, -np.inf, "\n\t"]]
+    header = ["float", "int", "bool", 'str "%s"', "mixed", "none", "\u00fcber%"]
+    assert _table_text(header, columns, "json") == json.dumps(
+        cli._records(header, columns), indent=2) + "\n"
+    assert _table_text(header, [np.empty(0)] * 3 + [[]] * 4, "json") == "[]\n"

@@ -1,5 +1,6 @@
 """Steady Galerkin solves, their solver paths, and time stepping."""
 
+import itertools
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -797,6 +798,26 @@ def _spy_schur_inverse(monkeypatch):
     return calls
 
 
+def _spy_completions(monkeypatch, M):
+    """A list that gets, per ``_schur_complete`` call on a whole parity block
+    of a basis of M modes (not on the halves ``_schur_inverse`` recurses
+    into), a copy of the inverse it returned and the array itself (which
+    ``_dominant_step`` turns into P)."""
+    calls, inner = [], gk._schur_complete
+
+    def spy(L, *factor):
+        out = inner(L, *factor)
+        if len(L) in (M, M + 1):
+            calls.append((out.copy(), out))
+        return out
+    monkeypatch.setattr(gk, "_schur_complete", spy)
+    return calls
+
+
+def _same_matrix_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
 # Evolve-long's steady ops: B in [-2000, 6000], reaction in [-4e5, -2.5e5].
 _DOMINANT = dict(B=3000.0, reaction=-3e5)
 
@@ -805,18 +826,71 @@ _DOMINANT = dict(B=3000.0, reaction=-3e5)
 @pytest.mark.parametrize("T", [0.0, 20.0])
 def test_dominant_step_map_has_a_rounding_level_residual(monkeypatch, M, T):
     # Column-dominant blocks on each side of the inverse's leaf size.
-    calls = _spy_schur_inverse(monkeypatch)
+    completions = _spy_completions(monkeypatch, M)
     sys_ = gk.model_ii_semi_discrete(build_basis(M), T=T, **_DOMINANT)
+    rng = np.random.default_rng(M)
     for theta in (1.0, 0.5, 0.1):
         for A, f in ((sys_.A_even, sys_.f_even), (sys_.A_odd, sys_.f_odd)):
-            calls.clear()
+            completions.clear()
             step, P, g = gk._step_map("step-map", A, f, 1e-4, theta)
-            assert calls and step is np.matmul
+            assert P is None
             lhs, rhs = _step_operands(A, f, 1e-4, theta)
+            # One guard block of factored steps from random states, each
+            # componentwise: |lhs u+ - R [u; 1]| <= 1e-14 (|lhs| |u+| + |R| |[u; 1]|).
+            for _ in range(gk._GUARD_BLOCK):
+                u = np.r_[rng.standard_normal(len(f)), 1.0]
+                nxt = step(P, u[:-1], out=np.empty(len(f))) + g
+                scale = np.abs(lhs) @ np.abs(nxt) + np.abs(rhs) @ np.abs(u)
+                assert np.all(np.abs(lhs @ nxt - rhs @ u) <= 1e-14 * scale)
+            assert not completions
+            # The next step completes lhs^-1, with _schur_inverse's bits, and
+            # multiplies by P formed from it in place.
+            nxt = step(P, u[:-1], out=np.empty(len(f)))
+            ((inverse, P),) = completions
+            assert np.array_equal(nxt, P @ u[:-1])
             X = np.column_stack((P, g))
             # Componentwise: |lhs X - R| <= 1e-14 (|lhs| |X| + |R|).
             err = np.abs(lhs @ X - rhs)
             assert np.all(err <= 1e-14 * (np.abs(lhs) @ np.abs(X) + np.abs(rhs)))
+            step(P, u[:-1], out=nxt)
+            assert len(completions) == 1
+            assert _same_matrix_bits(inverse, gk._schur_inverse(lhs))
+    # In evolve, only a run that outlasts the first guard block completes.
+    basis, initial = sys_.basis, cf.CoefficientSet.zeros(sys_.basis)
+    completions.clear()
+    steady = gk.evolve(sys_, initial, 1e-4, 40, theta=1.0)
+    assert steady.stationary_from < gk._GUARD_BLOCK and not completions
+    transient = gk.evolve(sys_, initial, 1e-4, 40, theta=0.5)
+    assert transient.stationary_from is None and len(completions) == 1
+    assert gk.evolve(sys_, initial, 1e-4, gk._GUARD_BLOCK, theta=0.5).stationary_from is None
+    assert len(completions) == 1
+
+
+def test_evolve_long_corners_stop_within_the_first_guard_block(monkeypatch):
+    # The saving rests on this: evolve-long's steady ops (M = 500, theta = 1,
+    # dt, B, reaction and T at the corners of their ranges) reach their fixed
+    # point in the first guard block, so lhs^-1 is never completed.
+    completions = _spy_completions(monkeypatch, 500)
+    basis = build_basis(500)
+    for dt, B, reaction, T in itertools.product((0.8e-4, 1.2e-4), (-2000.0, 6000.0),
+                                                (-4e5, -2.5e5), (0.0, 20.0)):
+        system = gk.model_ii_semi_discrete(basis, B=B, T=T, reaction=reaction)
+        traj = gk.evolve(system, cf.CoefficientSet.zeros(basis), dt, 1000, theta=1.0)
+        assert traj.record == {"even": "step-map", "odd": "zero"}
+        assert traj.stationary_from <= 15 and not completions, (dt, B, reaction, T)
+
+
+def test_dominant_switch_does_not_depend_on_the_step_count(monkeypatch):
+    # Step 17 is the first after the switch, whether the run stops there or not.
+    completions = _spy_completions(monkeypatch, 65)
+    basis = build_basis(65)
+    system = gk.model_ii_semi_discrete(basis, T=20.0, **_DOMINANT)
+    short, long_ = (gk.evolve(system, cf.CoefficientSet.zeros(basis), 1e-4, steps, theta=0.5)
+                    for steps in (gk._GUARD_BLOCK + 1, 40))
+    assert len(completions) == 2 and short.stationary_from is None
+    head = (long_.u0c[:gk._GUARD_BLOCK + 2], long_.uc[:gk._GUARD_BLOCK + 2],
+            long_.us[:gk._GUARD_BLOCK + 2])
+    _assert_same_trajectory(short, head)
 
 
 @pytest.mark.parametrize("spec, theta", [
