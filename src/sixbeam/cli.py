@@ -80,7 +80,7 @@ def _table_text(header: list, columns: list, fmt: str,
     repeats that row after the first cell, and those rows reuse its text.
     """
     if fmt != "csv":
-        return _json_table(header, columns)
+        return _json_table(header, columns) + "\n"
     fields, values = [], []
     for col, cells in zip(columns, _cells(columns)):
         kind = col.dtype.kind if isinstance(col, np.ndarray) else "O"
@@ -115,26 +115,23 @@ def _json_cell(v) -> str:
     return "NaN" if v != v else "Infinity" if v > 0.0 else "-Infinity"
 
 
-def _json_table(header: list, columns: list) -> str:
-    """``json.dumps(_records(header, columns), indent=2)`` plus a newline,
-    from one row template and each column's cells encoded once (with an
-    indent, ``json`` runs its pure-Python encoder)."""
+def _json_table(header: list, columns: list, indent: str = "") -> str:
+    """``json.dumps`` of the table as one object per row with ``indent=2``,
+    every line after the first indented by ``indent`` more, from one row
+    template and each column's cells encoded once (with an indent, ``json``
+    runs its pure-Python encoder)."""
     rows = list(zip(*(map(_json_cell, cells) for cells in _cells(columns))))
     if not rows:
-        return "[]\n"
+        return "[]"
     keys = [encode_basestring_ascii(name).replace("%", "%%") for name in header]
-    row = "  {\n" + ",\n".join(f"    {key}: %s" for key in keys) + "\n  }"
-    return "[\n" + ",\n".join(row % cells for cells in rows) + "\n]\n"
+    row = (f"{indent}  {{\n" + ",\n".join(f"{indent}    {key}: %s" for key in keys)
+           + f"\n{indent}  }}")
+    return "[\n" + ",\n".join(row % cells for cells in rows) + f"\n{indent}]"
 
 
 def _cells(columns: list) -> list:
     """Each column as a list of Python values."""
     return [c.tolist() if isinstance(c, np.ndarray) else list(c) for c in columns]
-
-
-def _records(header: list, columns: list) -> list:
-    """The table as one JSON object per row."""
-    return [dict(zip(header, row)) for row in zip(*_cells(columns))]
 
 
 def _emit(args: argparse.Namespace, stem: str, ext: str, text: str,
@@ -153,9 +150,14 @@ def _emit_table(args: argparse.Namespace, stem: str, header: list, columns: list
     _emit(args, stem, args.format, text, files)
 
 
-def _emit_summary(args: argparse.Namespace, summary: dict, files: dict) -> None:
+def _emit_summary(args: argparse.Namespace, summary: dict, files: dict,
+                  reports: str | None = None) -> None:
+    """Write the summary as ``json.dumps(summary, indent=2)``; ``reports``, a
+    ``_json_table`` text indented one level, enters as its last key."""
     # A numpy value (a float64 is already a float) enters as its Python value.
     text = json.dumps(summary, indent=2, default=lambda v: v.tolist())
+    if reports is not None:
+        text = text[:-2] + ',\n  "reports": ' + reports + "\n}"
     _emit(args, "summary", "json", text + "\n", files)
 
 
@@ -375,14 +377,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
         "files": files,
         "timings_ms": timings,
     }
+    reports = None
     if args.out is None:
         summary.pop("files")
-        summary["reports"] = _records(_VERIFY_HEADER, columns)
+        reports = _json_table(_VERIFY_HEADER, columns, "  ")
     else:
         _emit_table(args, "report", _VERIFY_HEADER, columns, files)
     timings.update(write=1e3 * (time.perf_counter() - t2),
                    total=1e3 * (time.perf_counter() - t0))
-    _emit_summary(args, summary, files)
+    _emit_summary(args, summary, files, reports)
     return 2 if passed < len(rel) else 0
 
 

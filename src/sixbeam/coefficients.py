@@ -193,6 +193,10 @@ def _gamma_diagonal(parity: Parity, lam, c, q, e1):
 # a vector; the diagonal comes from the diagonal closed forms.
 
 _CAUCHY_ROWS = 64  # rows of a Cauchy-like table formed at a time
+# Largest reciprocal kernel _cauchy_kernel keeps, in bytes: ~M(M + 64)/2
+# doubles, so M <= 2864 is kept (M = 2000: 16.5 MB) and M = 3000 (36.8 MB)
+# is not.
+_CAUCHY_KERNEL_BYTES = 32 * 2 ** 20
 
 
 def _ratio(kind: str, parity: Parity):
@@ -246,6 +250,26 @@ def _gap_rows(lam6, upper: bool = False):
         yield rows, gap
 
 
+def _cauchy_kernel(lam6):
+    """The reciprocal blocks 1/G of ``_gap_rows(lam6, upper=True)``, as
+    (rows, C) pairs of C-contiguous views into one buffer, or None when
+    the buffer would exceed ``_CAUCHY_KERNEL_BYTES``.
+
+    One buffer, not one array per block: numpy asks for huge pages only for
+    arrays of 4 MB or more, and small blocks each pay their page faults.
+    """
+    M = len(lam6)
+    size = sum(min(_CAUCHY_ROWS, M - j) * (M - j) for j in range(0, M, _CAUCHY_ROWS))
+    if 8 * size > _CAUCHY_KERNEL_BYTES:
+        return None
+    buffer, kernel = np.empty(size), []
+    for rows, gap in _gap_rows(lam6, upper=True):
+        C = buffer[:gap.size].reshape(gap.shape)
+        kernel.append((rows, np.reciprocal(gap, out=C)))
+        buffer = buffer[gap.size:]
+    return kernel
+
+
 def _cauchy_dense(lam6, X, Y, diagonal):
     """T[i, j] = sum_k X[k, i] Y[k, j] / (lam6[j] - lam6[i]), T[i, i] = diagonal[i]."""
     if len(X) == 0:  # a rank-0 numerator: nothing off the diagonal
@@ -258,17 +282,22 @@ def _cauchy_dense(lam6, X, Y, diagonal):
     return table
 
 
-def _cauchy_apply(lam6, X, Y, v):
-    """T v for the off-diagonal part of T, in O(_CAUCHY_ROWS M) memory.
+def _cauchy_apply(lam6, X, Y, v, kernel=None):
+    """T v for the off-diagonal part of T.
 
     The kernel C[i, j] = 1/(lam6[j] - lam6[i]) is skew, so each reciprocal
-    block is formed once, over the columns from its first row on, and serves
-    twice: for its rows (C W) and, transposed, for the rows below (-C^T W).
+    block covers the columns from its first row on and serves twice: for
+    its rows (C W) and, transposed, for the rows below (-C^T W).  The blocks
+    are read from ``kernel`` (``_cauchy_kernel(lam6)``) when given, and are
+    otherwise formed and dropped one at a time, in O(_CAUCHY_ROWS M) memory;
+    both give the same bits.
     """
     W = np.ascontiguousarray((Y * v).T)
     acc = np.zeros_like(W)  # acc[i, k] = sum_j C[i, j] Y[k, j] v[j]
-    for rows, gap in _gap_rows(lam6, upper=True):
-        C = np.reciprocal(gap, out=gap)
+    if kernel is None:
+        kernel = ((rows, np.reciprocal(gap, out=gap))
+                  for rows, gap in _gap_rows(lam6, upper=True))
+    for rows, C in kernel:
         j, height = rows.start, len(C)
         acc[rows] += C @ W[j:]
         acc[j + height:] -= C[:, height:].T @ W[rows]

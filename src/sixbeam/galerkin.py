@@ -32,7 +32,7 @@ from fractions import Fraction
 import numpy as np
 
 from .coefficients import (CoefficientSet, _cauchy_apply, _cauchy_dense, _cauchy_form,
-                           _gamma_mean, chi_vector)
+                           _cauchy_kernel, _gamma_mean, chi_vector)
 from .eigenbasis import Basis, _is_int
 
 __all__ = [
@@ -293,10 +293,13 @@ def _solve_cholesky(s: float, A: np.ndarray, fc: np.ndarray):
 
 def _operator(form):
     """v -> A v for the block that the ``_block_form`` tuple describes, without
-    forming A: ``_cauchy_apply`` forms its off-diagonal part a block of rows at
-    a time."""
+    forming A.  The reciprocal Cauchy kernel depends on the basis alone, so
+    it is formed once here and every product reads it; above
+    ``_CAUCHY_KERNEL_BYTES`` each product forms it 64 rows at a time instead,
+    with the same bits."""
     lam6, X, Y, d = form
-    return lambda v: d * v + _cauchy_apply(lam6, X, Y, v)
+    kernel = _cauchy_kernel(lam6)
+    return lambda v: d * v + _cauchy_apply(lam6, X, Y, v, kernel)
 
 
 def _block_jacobi(form):
@@ -341,11 +344,11 @@ def _solve_gmres(spec: BvpSpec, basis: Basis, fc: np.ndarray):
     precondition = _block_jacobi(form)
     if precondition is None:
         return None
-    matvec = _operator(form)
     fnorm = float(np.linalg.norm(fc))
     if fnorm == 0.0:
         return np.zeros(basis.M), {"path": "gmres", "iterations": 0,
                                    "residual": 0.0, "cond_estimate": None}
+    matvec = _operator(form)
     m = _GMRES_MAX_ITERATIONS
     V, rotations = [fc / fnorm], []
     R = np.zeros((m + 1, m))  # the Arnoldi Hessenberg matrix, Givens-rotated

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -319,6 +320,21 @@ def test_verify_rows_agree_with_verify_formula(capsys):
                                                 r["closed"], r["quadrature"])
             assert rep.to_dict() == r
             assert rep.rel_error.hex() == r["rel_error"].hex()
+
+
+@pytest.mark.parametrize("K", ["0", "3"])
+def test_verify_stdout_has_the_bytes_of_json_dumps(capsys, K):
+    # The reports are encoded by the table writer and spliced in as the last
+    # key; the text must be json.dumps(summary, indent=2) byte for byte.
+    code, out, _ = run(capsys, ["verify", "--max-index", K])
+    assert code == 0
+    doc = json.loads(out)
+    assert list(doc)[-2:] == ["timings_ms", "reports"]
+    assert set(doc["timings_ms"]) == {"quadrature", "closed_forms", "write", "total"}
+    doc["timings_ms"] = dict.fromkeys(doc["timings_ms"], 0.0)
+    timings = json.dumps(doc["timings_ms"], indent=2).replace("\n", "\n  ")
+    normalised = re.sub(r'"timings_ms": \{[^}]*\}', lambda _: '"timings_ms": ' + timings, out)
+    assert normalised == json.dumps(doc, indent=2) + "\n"
 
 
 def test_verify_summary_reports_stage_timings(tmp_path, capsys):
@@ -876,13 +892,19 @@ def test_mixed_table_matches_the_per_cell_path(fmt):
         header[:2], [], fmt)
 
 
+def _records(header, columns):
+    """The table as one JSON object per row: what json.dumps writes."""
+    return [dict(zip(header, row)) for row in zip(*cli._cells(columns))]
+
+
 def test_json_tables_have_the_bytes_of_json_dumps():
     # The JSON writer fills one row template instead of running json.dumps
-    # with an indent; its text must be that of json.dumps byte for byte.
+    # with an indent; its text must be that of json.dumps byte for byte, and
+    # one level deeper that of the table as a key's value.
     basis = build_basis(50)
     columns = cli._verify_columns(basis, 50, oc.quadrature_tables(basis, 50, tol=1e-10))
     assert len(columns[0]) == 10350
-    want = json.dumps(cli._records(cli._VERIFY_HEADER, columns), indent=2) + "\n"
+    want = json.dumps(_records(cli._VERIFY_HEADER, columns), indent=2) + "\n"
     assert _table_text(cli._VERIFY_HEADER, columns, "json") == want
     floats = np.array([-0.0, np.nan, np.inf, -np.inf, 1e-300, 0.1, -5e-324])
     columns = [floats, np.arange(-3, 4), np.array([True, False] * 3 + [True]),
@@ -892,5 +914,8 @@ def test_json_tables_have_the_bytes_of_json_dumps():
                [None] * 7, ["a", None, 1, 2.0, False, -np.inf, "\n\t"]]
     header = ["float", "int", "bool", 'str "%s"', "mixed", "none", "\u00fcber%"]
     assert _table_text(header, columns, "json") == json.dumps(
-        cli._records(header, columns), indent=2) + "\n"
+        _records(header, columns), indent=2) + "\n"
     assert _table_text(header, [np.empty(0)] * 3 + [[]] * 4, "json") == "[]\n"
+    for cols in (columns, [np.empty(0)] * 3 + [[]] * 4):
+        nested = '{\n  "reports": ' + cli._json_table(header, cols, "  ") + "\n}"
+        assert nested == json.dumps({"reports": _records(header, cols)}, indent=2)

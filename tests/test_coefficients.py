@@ -196,6 +196,36 @@ def test_cauchy_apply_matches_the_dense_kernel(M):
         assert np.all(np.abs(got - want) <= 1e-15 * scale), (parity, rank)
 
 
+@pytest.mark.parametrize("M", [302, 1000])
+@pytest.mark.parametrize("rank", [2, 4])
+def test_cauchy_apply_with_the_kernel_keeps_the_streamed_bits(M, rank):
+    # M = 1000 ends in a 40-row block.  The kernel's blocks are C-contiguous
+    # views into one buffer, so each GEMM sees the operands it streamed.
+    basis = build_basis(M)
+    lam6, X, Y = _kernel_form(basis, EV, rank)
+    kernel = cf._cauchy_kernel(lam6)
+    buffer = kernel[0][1].base
+    assert all(C.flags.c_contiguous and C.base is buffer for _, C in kernel)
+    assert buffer.size == sum(C.size for _, C in kernel)
+    assert [(rows, C.shape) for rows, C in kernel] == [
+        (rows, gap.shape) for rows, gap in cf._gap_rows(lam6, upper=True)]
+    rng = np.random.default_rng(M + rank)
+    for v in (rng.standard_normal(M), rng.standard_normal(M) / np.arange(1, M + 1) ** 4):
+        got, want = cf._cauchy_apply(lam6, X, Y, v, kernel), cf._cauchy_apply(lam6, X, Y, v)
+        assert np.array_equal(got, want)
+
+
+def test_cauchy_kernel_is_kept_all_or_nothing(monkeypatch):
+    lam6 = build_basis(302).lam_even[1:] ** 6
+    size = sum(gap.nbytes for _, gap in cf._gap_rows(lam6, upper=True))
+    for budget, kept in ((size, True), (size - 1, False)):
+        monkeypatch.setattr(cf, "_CAUCHY_KERNEL_BYTES", budget)
+        assert (cf._cauchy_kernel(lam6) is not None) == kept
+    # M = 2000 is kept under the shipped budget; M = 3000 is not.
+    monkeypatch.undo()
+    assert 8 * 2000 * 2064 // 2 <= cf._CAUCHY_KERNEL_BYTES < 8 * 3000 * 3064 // 2
+
+
 def test_even_gamma_mean_row(basis60):
     G = cf.operator_matrix(basis60, EV, "fourth_derivative")
     assert G.mean_row is not None

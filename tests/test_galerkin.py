@@ -309,6 +309,48 @@ def test_matrix_free_matvec_matches_the_dense_block(M, a2):
         assert np.linalg.norm(matvec(v) - ref) <= 1e-15 * np.linalg.norm(ref)
 
 
+@pytest.mark.parametrize("M", [_ABOVE, 1000])
+@pytest.mark.parametrize("a4", [0.0, -20.0])
+def test_operator_keeps_its_bits_on_both_sides_of_the_kernel_budget(M, a4, monkeypatch):
+    # Under the budget the kernel is formed once per operator; with the
+    # budget below its size every product forms it a block at a time.
+    basis = build_basis(M)
+    spec = gk.manufactured_spec(1.0, a4, -5544.0, -199584.0)
+    form = gk._block_form(spec, basis, "even")
+    v = np.random.default_rng(M).standard_normal(M)
+    kept = gk._operator(form)
+    want, sol = kept(v), gk.solve_steady(spec, basis)
+    monkeypatch.setattr(cf, "_CAUCHY_KERNEL_BYTES", 8 * M)
+    assert cf._cauchy_kernel(form[0]) is None
+    assert np.array_equal(gk._operator(form)(v), want)
+    assert np.array_equal(kept(v), want)  # a kept kernel is not changed by use
+    streamed = gk.solve_steady(spec, basis)
+    assert sol.record["path"] == streamed.record["path"] == "gmres"
+    assert sol.record == streamed.record
+    assert np.array_equal(sol.uc, streamed.uc) and sol.u0c == streamed.u0c
+
+
+def test_operator_holds_the_kernel_and_no_more_at_m2000():
+    M = 2000
+    spec = gk.manufactured_spec(1.0, -20.0, -5544.0, -199584.0)
+    form = gk._block_form(spec, build_basis(M), "even")
+    size = sum(gap.nbytes for _, gap in cf._gap_rows(form[0], upper=True))
+    tracemalloc.start()
+    try:
+        matvec = gk._operator(form)
+        held, peak = tracemalloc.get_traced_memory()
+        matvec(np.ones(M))
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    # The kernel is ~M(M + 64)/2 doubles (16.5 MB); forming it takes one
+    # 64-row gap block more (1.2 MB measured in all), and a product keeps
+    # nothing.
+    assert size <= held <= min(size + 8 * M, cf._CAUCHY_KERNEL_BYTES)
+    assert peak <= held + 8 * (cf._CAUCHY_ROWS + 16) * M
+    assert after <= held + 8 * M
+
+
 def _random_definite_spec(rng):
     # The ranges of the benchmark's random solves: definite for every draw.
     return gk.BvpSpec(a6=rng.uniform(0.8, 1.25), a4=0.0,
@@ -1104,7 +1146,8 @@ def test_large_basis_solve_under_overflow_traps():
 
 def test_model_ii_at_max_modes_solves_in_linear_memory():
     # Dense A alone would take 800 MB at MAX_MODES; the matrix-free path
-    # keeps one 64-row block of the Cauchy kernel.
+    # keeps one 64-row block of the Cauchy kernel, since the whole kernel
+    # (400 MB) is far above the budget under which it is formed once.
     tracemalloc.start()
     try:
         with np.errstate(over="raise", invalid="raise"):
@@ -1122,8 +1165,9 @@ def test_model_ii_at_max_modes_solves_in_linear_memory():
 
 def test_manufactured_a4_solve_at_max_modes_in_linear_memory():
     # Dense LU would take 800 MB for A alone at MAX_MODES; GMRES keeps one
-    # 64-row block of the Cauchy kernel, the 64 x 64 block inverses and a
-    # few Krylov vectors.
+    # 64-row block of the Cauchy kernel (the whole kernel, 400 MB, is far
+    # above the budget under which it is formed once), the 64 x 64 block
+    # inverses and a few Krylov vectors.
     spec = gk.manufactured_spec(1.0, -20.0, gk.MODEL_II.a2, gk.MODEL_II.a0)
     tracemalloc.start()
     try:
