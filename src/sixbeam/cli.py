@@ -75,15 +75,22 @@ def _table_text(header: list, columns: list, fmt: str,
 
     In CSV a float array is a ``"%.17g"`` field and an integer array a
     ``"%d"`` field of one row template (``"%.17g" % x`` is ``_cell(x)`` for
-    every float); any other column enters as its cells' ``_cell`` text.
+    every float), and a float array of +0.0 alone after the first column is
+    the literal field ``0``; any other column enters as its cells' ``_cell``
+    text.
     The caller declares with ``stationary_from`` that every later row
     repeats that row after the first cell, and those rows reuse its text.
     """
     if fmt != "csv":
         return _json_table(header, columns) + "\n"
     fields, values = [], []
-    for col, cells in zip(columns, _cells(columns)):
+    for i, col in enumerate(columns):
         kind = col.dtype.kind if isinstance(col, np.ndarray) else "O"
+        if i and kind == "f" and not (np.any(col) or np.any(np.signbit(col))):
+            fields.append("0")  # "%.17g" % 0.0; -0.0 is "-0"
+            values.append(None)
+            continue
+        cells = col.tolist() if isinstance(col, np.ndarray) else list(col)
         if kind in "fiu":
             fields.append("%.17g" if kind == "f" else "%d")
         else:
@@ -91,10 +98,12 @@ def _table_text(header: list, columns: list, fmt: str,
             if kind != "U":  # a str array is its own text
                 cells = [_cell(v) for v in cells]
         values.append(cells)
-    head, tail = fields[0], "".join("," + f for f in fields[1:])
+    head, tail, n = fields[0], "".join("," + f for f in fields[1:]), len(values[0])
+    others = [cells for cells in values[1:] if cells is not None]
     stop = None if stationary_from is None else stationary_from + 1
-    rests = [tail % row[1:] for row in itertools.islice(zip(*values), stop)]
-    rests += rests[-1:] * (len(values[0]) - len(rests))
+    rows = zip(*others) if others else itertools.repeat((), n)
+    rests = [tail % row for row in itertools.islice(rows, stop)]
+    rests += rests[-1:] * (n - len(rests))
     lines = [",".join(header), *(head % v + r for v, r in zip(values[0], rests))]
     return "\n".join(lines) + "\n"
 

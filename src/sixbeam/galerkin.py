@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
@@ -475,37 +476,78 @@ class SemiDiscreteSystem:
     zero); the odd block has size M.  ``reaction`` adds a zeroth-order term
     reaction * u to the operator; with reaction = 0 the diagonal entries of
     the mode rows are exactly -lam_n^6.
+
+    Each block is held in generator form: the ``_block_form`` tuple of its
+    mode rows, and for the even block the constant-mode row -T gamma_n0 (None
+    when T = 0).  ``A_even`` and ``A_odd`` form the dense block on first read
+    and keep it; a block with no off-diagonal generator (B = T = 0) is never
+    formed by ``evolve`` or ``steady_residual``.
     """
 
     basis: Basis
     B: float
     T: float
     reaction: float
-    A_even: np.ndarray
-    A_odd: np.ndarray
     f_even: np.ndarray
     f_odd: np.ndarray
+    _forms: dict = field(repr=False)
+    _mean_row: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         M = self.basis.M
-        if self.A_even.shape != (M + 1, M + 1) or self.f_even.shape != (M + 1,):
+        if len(self._forms["even"][3]) != M or self.f_even.shape != (M + 1,):
             raise ValueError("even block must have size M + 1")
-        if self.A_odd.shape != (M, M) or self.f_odd.shape != (M,):
+        if len(self._forms["odd"][3]) != M or self.f_odd.shape != (M,):
             raise ValueError("odd block must have size M")
+
+    @cached_property
+    def A_even(self) -> np.ndarray:
+        M = self.basis.M
+        A = np.zeros((M + 1, M + 1))
+        A[0, 0] = self.reaction
+        A[1:, 1:] = _cauchy_dense(*self._forms["even"])
+        if self._mean_row is not None:
+            A[0, 1:] = self._mean_row
+        return A
+
+    @cached_property
+    def A_odd(self) -> np.ndarray:
+        return _cauchy_dense(*self._forms["odd"])
+
+    def _block(self, parity: str):
+        """(f, diagonal, coupled) of one block: its forcing, its diagonal, and
+        whether its generator form has an entry off the diagonal."""
+        _, X, _, d = self._forms[parity]
+        if parity == "odd":
+            return self.f_odd, d, len(X) > 0
+        return (self.f_even, np.concatenate(([self.reaction], d)),
+                len(X) > 0 or self._mean_row is not None)
+
+    def _dense(self, parity: str) -> np.ndarray:
+        return self.A_even if parity == "even" else self.A_odd
 
     def steady_residual(self, state: CoefficientSet) -> float:
         """max_i |A u + f|_i / (|A||u| + |f|)_i over both blocks, 0/0 read as 0:
         the componentwise backward error of the single ``state`` as a steady state
-        (Oettli & Prager, Numer. Math. 6 (1964) 405), at most 1 up to rounding."""
-        worst, even = 0.0, np.concatenate(([state.u0c], state.uc[1:]))
-        for A, f, u in ((self.A_even, self.f_even, even),
-                        (self.A_odd, self.f_odd, state.us[1:])):
-            if np.any(f) or np.any(u):  # else every row reads 0/0
-                for j in range(0, len(f), _RESIDUAL_ROWS):
-                    a, b = A[j:j + _RESIDUAL_ROWS], f[j:j + _RESIDUAL_ROWS]
-                    scale = np.abs(a) @ np.abs(u) + np.abs(b)
-                    ratio = np.abs(a @ u + b) / np.where(scale > 0.0, scale, 1.0)
-                    worst = max(worst, float(np.max(ratio)))
+        (Oettli & Prager, Numer. Math. 6 (1964) 405), at most 1 up to rounding.
+        A diagonal block reads its diagonal alone, with the dense rows' bits."""
+        worst = 0.0
+        for parity, u in (("even", np.concatenate(([state.u0c], state.uc[1:]))),
+                          ("odd", state.us[1:])):
+            f, diagonal, coupled = self._block(parity)
+            if not (np.any(f) or np.any(u)):  # every row reads 0/0
+                continue
+            A = self._dense(parity) if coupled else None
+            for j in range(0, len(f), _RESIDUAL_ROWS):
+                rows = slice(j, j + _RESIDUAL_ROWS)
+                if A is None:
+                    Au = diagonal[rows] * u[rows]
+                    scale = np.abs(Au) + np.abs(f[rows])
+                else:
+                    Au = A[rows] @ u
+                    scale = np.abs(A[rows]) @ np.abs(u) + np.abs(f[rows])
+                ratio = np.abs(Au + f[rows]) / np.where(scale > 0.0, scale, 1.0)
+                worst = max(worst, float(np.max(ratio)))
         return worst
 
 
@@ -517,17 +559,14 @@ def assemble_semi_discrete(basis: Basis, B: float = 0.0, T: float = 0.0,
     ``forcing`` carries the expansion coefficients of the forcing function
     (None means zero forcing).  ``reaction`` is an optional zeroth-order
     coefficient; it is what makes the dense steady problems (a0 != 0)
-    realizable as long-time limits.
+    realizable as long-time limits.  The blocks are kept in generator form,
+    so B = T = 0 assembles in O(M) time and memory.
     """
     B, T, reaction = float(B), float(T), float(reaction)
     M = basis.M
     spec = BvpSpec(a6=1.0, a4=-T, a2=B, a0=reaction)
-    A_even = np.zeros((M + 1, M + 1))
-    A_even[0, 0] = reaction
-    A_even[1:, 1:] = _mode_block(spec, basis, "even")
-    if spec.a4 != 0.0:
-        A_even[0, 1:] = spec.a4 * _gamma_mean(basis)
-    A_odd = _mode_block(spec, basis, "odd")
+    forms = {parity: _block_form(spec, basis, parity) for parity in ("even", "odd")}
+    mean_row = spec.a4 * _gamma_mean(basis) if spec.a4 != 0.0 else None
     if forcing is None:
         f_even = np.zeros(M + 1)
         f_odd = np.zeros(M)
@@ -537,8 +576,8 @@ def assemble_semi_discrete(basis: Basis, B: float = 0.0, T: float = 0.0,
         f_even = np.concatenate(([forcing.u0c], forcing.uc[1:]))
         f_odd = forcing.us[1:].copy()
     return SemiDiscreteSystem(basis=basis, B=B, T=T, reaction=reaction,
-                              A_even=A_even, A_odd=A_odd,
-                              f_even=f_even, f_odd=f_odd)
+                              f_even=f_even, f_odd=f_odd, _forms=forms,
+                              _mean_row=mean_row)
 
 
 def model_ii_semi_discrete(basis: Basis, B: float = MODEL_II.a2, T: float = 0.0,
@@ -565,10 +604,11 @@ class Trajectory(CoefficientSet):
     ``record`` is ``{"even": path, "odd": path}``, each path one of
     ``"zero"`` (zero forcing and zero start: the block stays exactly 0 and is
     never factored or stepped), ``"diagonal"`` (no off-diagonal entry, as
-    B = T = 0 assembles: each mode steps on its own) or ``"step-map"`` (the
-    dense one-step map).  ``stationary_from`` is the first step k from which
-    every later state equals state k bit for bit (the stepping stopped there
-    and copied it forward), or None if the last step still moved the state.
+    B = T = 0 assembles: each mode steps on its own, the whole run at once)
+    or ``"step-map"`` (the dense one-step map).  ``stationary_from`` is the
+    first step k from which every later state equals state k bit for bit
+    (the stepping stopped there and copied it forward), or None if the last
+    step still moved the state.
     """
 
     record: dict = field(default_factory=dict)
@@ -580,10 +620,18 @@ def _same_bits(rows: np.ndarray, row: np.ndarray):
     return np.all(rows.view(np.int64) == row.view(np.int64), axis=-1)
 
 
-def _block_path(A: np.ndarray, f: np.ndarray, u0: np.ndarray) -> str:
-    """Which ``Trajectory.record`` path a parity block takes, from its own data."""
+def _block_path(system: SemiDiscreteSystem, parity: str, u0: np.ndarray) -> str:
+    """Which ``Trajectory.record`` path a parity block takes, from its own data.
+
+    A zero block and a block whose generator form is diagonal are told
+    without forming the block; any other is formed (its step map needs it)
+    and its entries are counted."""
+    f, _, coupled = system._block(parity)
     if not np.any(f) and not np.any(u0):
         return "zero"
+    if not coupled:
+        return "diagonal"
+    A = system._dense(parity)
     if np.count_nonzero(A) == np.count_nonzero(A.diagonal()):
         return "diagonal"
     return "step-map"
@@ -665,23 +713,63 @@ def _dominant_step(lhs: np.ndarray, factor, theta: float):
     return step
 
 
-def _step_map(path: str, A: np.ndarray, f: np.ndarray, dt: float, theta: float):
-    """(step, P, g) with u^{k+1} = step(P, u^k) + g for a "diagonal" or "step-map" block.
+def _diagonal_map(mu: np.ndarray, f: np.ndarray, dt: float, theta: float):
+    """(P, g) with u^{k+1} = P u^k + g elementwise for a diagonal block mu.
 
-    (I - theta dt A) u^{k+1} = (I + (1-theta) dt A) u^k + dt f.  A diagonal
-    block gives the elementwise factor P = R(dt mu).  It is written with the
-    reciprocal ``inv`` because OpenBLAS's triangular solve multiplies by the
-    pivot's reciprocal, so there it gives the dense solve's bits exactly
-    (``rhs / lhs`` differs in the last place).  A dense block with theta > 0
-    and a strictly column diagonally dominant lhs = I - theta dt A is
-    factored once (``_schur_factor``); g is one factored solve, and P is
-    None: ``_dominant_step`` carries the map.  Any other block takes P and g
-    from one pivoted solve.
+    P = R(dt mu) is written with the reciprocal ``inv`` because OpenBLAS's
+    triangular solve multiplies by the pivot's reciprocal, so there it gives
+    the dense solve's bits exactly (``rhs / lhs`` differs in the last place).
     """
-    if path == "diagonal":
-        mu = A.diagonal()
-        inv = 1.0 / (1.0 + (-theta * dt) * mu)
-        return np.multiply, (1.0 + ((1.0 - theta) * dt) * mu) * inv, (dt * f) * inv
+    inv = 1.0 / (1.0 + (-theta * dt) * mu)
+    return (1.0 + ((1.0 - theta) * dt) * mu) * inv, (dt * f) * inv
+
+
+def _diagonal_run(mu: np.ndarray, f: np.ndarray, u: np.ndarray, dt: float,
+                  theta: float) -> np.ndarray:
+    """Fill rows 1.. of ``u`` (row 0 is the start) by u^{k+1} = P u^k + g,
+    with the bits of one step at a time, and return the view of the columns
+    it stepped.
+
+    A mode whose one step leaves its bits unchanged never moves, so only the
+    columns from the first to the last mode that moves or is not +0.0 are
+    stepped; the rest stay +0.0.  Adding a zero g (of either sign) to the
+    product changes at most a zero's sign, and the product of a zero is a
+    zero, so an unforced run is one ``np.multiply.accumulate`` over the step
+    axis with g added once; a forced one steps row by row until a guard
+    block's last step repeats, and copies that row forward.
+    """
+    P, g = _diagonal_map(mu, f, dt, theta)
+    with np.errstate(over="ignore", invalid="ignore"):
+        first = P * u[0] + g
+        live = np.flatnonzero((first.view(np.int64) != u[0].view(np.int64))
+                              | (u[0].view(np.int64) != 0))
+        if not live.size:
+            return u[:, :0]
+        cols = slice(live[0], live[-1] + 1)
+        run, P, g = u[:, cols], P[cols], g[cols]
+        if not np.any(g):
+            run[1:] = P
+            np.multiply.accumulate(run, axis=0, out=run)
+            run[1:] += g
+            return run
+        for j in range(1, len(run)):
+            np.multiply(P, run[j - 1], out=run[j])
+            run[j] += g
+            if j % _GUARD_BLOCK == 0 and _same_bits(run[j], run[j - 1]):
+                run[j + 1:] = run[j]
+                break
+    return run
+
+
+def _step_map(A: np.ndarray, f: np.ndarray, dt: float, theta: float):
+    """(step, P, g) with u^{k+1} = step(P, u^k) + g for a dense block.
+
+    (I - theta dt A) u^{k+1} = (I + (1-theta) dt A) u^k + dt f.  With
+    theta > 0 and a strictly column diagonally dominant lhs = I - theta dt A,
+    lhs is factored once (``_schur_factor``); g is one factored solve, and P
+    is None: ``_dominant_step`` carries the map.  Any other block takes P
+    and g from one pivoted solve.
+    """
     # The operands are built in place, because transient M x M copies set a
     # run's peak memory.
     n, d = len(f), np.arange(len(f))
@@ -702,14 +790,52 @@ def _step_map(path: str, A: np.ndarray, f: np.ndarray, dt: float, theta: float):
     return np.matmul, Pg[:, :-1], Pg[:, -1]
 
 
+def _guard(moved: list, k: int, end: int, limit: float) -> int | None:
+    """The divergence guard and fixed-point exit over rows k..end of the
+    stepped columns ``moved``, as if read every ``_GUARD_BLOCK`` steps.
+
+    Finds the first guard block's last step, from k + ``_GUARD_BLOCK`` on,
+    that left every column's bits unchanged; raises ArithmeticError at the
+    first row up to there whose max norm passes ``limit`` or is not finite;
+    returns the first step of that block from which the state repeats, or
+    None if no block repeats.  Every other column stays +0.0 past row 0.
+    """
+    ends = np.array([*range(k + _GUARD_BLOCK, end, _GUARD_BLOCK), end])
+    repeats = np.ones(len(ends), dtype=bool)
+    for u in moved:
+        repeats &= _same_bits(u[ends], u[ends - 1])
+    stop = int(ends[np.argmax(repeats)]) if repeats.any() else None
+    last = end if stop is None else stop
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.zeros(last - k)
+        for u in moved:
+            rows = np.max(np.abs(u[k + 1:last + 1]), axis=1, initial=0.0)
+            norms = np.maximum(norms, rows)
+    bad = np.flatnonzero(~np.isfinite(norms) | (norms > limit))
+    if bad.size:
+        raise ArithmeticError(
+            f"time integration diverged (state norm {norms[bad[0]]:.3e}); "
+            "reduce dt or use theta >= 1/2")
+    if stop is None:
+        return None
+    # The step maps are deterministic: once a state repeats bit for bit,
+    # every later state is that state.
+    start = (stop - 1) // _GUARD_BLOCK * _GUARD_BLOCK
+    at_stop = np.ones(stop + 1 - start, dtype=bool)
+    for u in moved:
+        at_stop &= _same_bits(u[start:stop + 1], u[stop])
+    return start + int(np.argmax(at_stop))
+
+
 def evolve(system: SemiDiscreteSystem, initial: CoefficientSet, dt: float,
            steps: int, theta: float = 0.5) -> Trajectory:
     """Integrate the semi-discrete system by the theta scheme.
 
     Each parity block moves by its own path (see ``Trajectory``): a zero
-    block is left at 0, a diagonal one steps elementwise in O(M), and any
-    other factors or solves once for the step map u <- P u + g
-    (``_step_map``).  Returns the trajectory as one stacked coefficient set
+    block is left at 0, a diagonal one runs every step at once over the
+    modes that move (``_diagonal_run``), and any other factors or solves
+    once for the step map u <- P u + g (``_step_map``) and steps one guard
+    block at a time.  Returns the trajectory as one stacked coefficient set
     with a leading step axis of length steps + 1 (initial state included):
     ``u0c[k]``, ``uc[k]``, ``us[k]``.
     Once a step leaves the state bit-identical, stepping stops and that
@@ -735,41 +861,37 @@ def evolve(system: SemiDiscreteSystem, initial: CoefficientSet, dt: float,
     odd = np.zeros((steps + 1, basis.M + 1))
     even[0, 0], even[0, 1:] = initial.u0c, initial.uc[1:]
     odd[0, 1:] = initial.us[1:]
-    record, maps = {}, []
-    for parity, A, f, u in (("even", system.A_even, system.f_even, even),
-                            ("odd", system.A_odd, system.f_odd, odd[:, 1:])):
-        record[parity] = _block_path(A, f, u[0])
-        if steps and record[parity] != "zero":
-            maps.append((*_step_map(record[parity], A, f, dt, theta), u))
+    record, maps, moved = {}, [], []
+    for parity, u in (("even", even), ("odd", odd[:, 1:])):
+        record[parity] = _block_path(system, parity, u[0])
+        if not steps or record[parity] == "zero":
+            continue
+        f, diagonal, _ = system._block(parity)
+        if record[parity] == "diagonal":
+            moved.append(_diagonal_run(diagonal, f, u, dt, theta))
+        else:
+            maps.append((*_step_map(system._dense(parity), f, dt, theta), u))
+            moved.append(u)
     scale0 = 1.0 + max(float(np.max(np.abs(even[0]))), float(np.max(np.abs(odd[0]))))
     limit, stationary_from, k = 1e12 * scale0, None, 0
     while k < steps and stationary_from is None:
-        end = min(k + _GUARD_BLOCK, steps)
-        # Steps past a divergence overflow silently; the guard below reports
-        # the first row that crossed the limit, as a per-step check would.
+        # A diagonal block has run every step already, so without a dense
+        # map one guard reads the whole run.
+        end = min(k + _GUARD_BLOCK, steps) if maps else steps
+        # Steps past a divergence overflow silently; the guard reports the
+        # first row that crossed the limit, as a per-step check would.
         with np.errstate(over="ignore", invalid="ignore"):
             for j in range(k, end):
                 for step, P, g, u in maps:
                     step(P, u[j], out=u[j + 1])
                     u[j + 1] += g
-            norms = np.maximum(np.max(np.abs(even[k + 1:end + 1]), axis=1),
-                               np.max(np.abs(odd[k + 1:end + 1]), axis=1))
-        bad = np.flatnonzero(~np.isfinite(norms) | (norms > limit))
-        if bad.size:
-            raise ArithmeticError(
-                f"time integration diverged (state norm {norms[bad[0]]:.3e}); "
-                "reduce dt or use theta >= 1/2")
-        # The step map is deterministic: once a state repeats bit for bit,
-        # every later state is that state.
-        if all(_same_bits(u[end], u[end - 1]) for *_, u in maps):
-            at_end = np.ones(end + 1 - k, dtype=bool)
-            for *_, u in maps:
-                at_end &= _same_bits(u[k:end + 1], u[end])
-            stationary_from = k + int(np.argmax(at_end))
+        stationary_from = _guard(moved, k, end, limit)
+        if stationary_from is not None:
             for *_, u in maps:
                 u[end + 1:] = u[end]
         k = end
     u0c = even[:, 0].copy()
-    even[:, 0] = 0.0
+    if np.any(u0c.view(np.int64)):  # else writing +0.0 would only touch every page
+        even[:, 0] = 0.0
     return Trajectory(basis=basis, u0c=u0c, uc=even, us=odd, record=record,
                       stationary_from=stationary_from)

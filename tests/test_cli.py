@@ -841,6 +841,26 @@ def test_float_table_repeated_rows_print_as_each_cell_would():
     assert _table_text(header, empty, "csv", stationary_from=0) == "t,a,b,c\n"
 
 
+def test_float_table_writes_columns_of_positive_zeros_as_a_literal():
+    # A float column of +0.0 alone after the first is the literal field 0
+    # ("%.17g" % 0.0); one -0.0 keeps the column formatted.  A zero first
+    # column, a declared stationary row and a table whose other columns are
+    # all literals keep the per-cell bytes.
+    rows = np.array([[0.0, 0.0, 1.5, 0.0, 0.0],
+                     [0.0, 0.0, 2.5, -0.0, 0.0],
+                     [0.0, 0.0, 2.5, 0.0, 0.0]])
+    header = ["t", "a", "b", "c", "d"]
+    want = _per_cell_table(header, rows.tolist(), "csv")
+    assert want.split("\n")[1:4] == ["0,0,1.5,0,0", "0,0,2.5,-0,0", "0,0,2.5,0,0"]
+    for stationary_from in (None, 2):
+        assert _table_text(header, list(rows.T), "csv", stationary_from) == want
+    zeros = np.zeros((4, 3))
+    for stationary_from in (None, 0, 3):
+        assert _table_text(header[:3], list(zeros.T), "csv", stationary_from) == (
+            _per_cell_table(header[:3], zeros.tolist(), "csv"))
+    assert _table_text(["t", "m"], [np.zeros(2), ["a", None]], "csv") == "t,m\n0,a\n0,\n"
+
+
 def test_float_table_fast_path_matches_the_per_cell_path():
     specials = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, np.inf, -np.inf,
                 np.nan, 1.0 / 3.0, 1e22, 12345.0, -7.0]

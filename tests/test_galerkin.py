@@ -781,6 +781,7 @@ def test_steady_residual_forms_abs_a_a_block_of_rows_at_a_time():
     rng = np.random.default_rng(2000)
     state = cf.CoefficientSet(basis, 0.5, np.r_[0.0, rng.standard_normal(2000)],
                               np.r_[0.0, rng.standard_normal(2000)])
+    system.A_even, system.A_odd  # formed on first read and kept: not the residual's
     tracemalloc.start()
     try:
         system.steady_residual(state)
@@ -874,7 +875,7 @@ def test_dominant_step_map_has_a_rounding_level_residual(monkeypatch, M, T):
     for theta in (1.0, 0.5, 0.1):
         for A, f in ((sys_.A_even, sys_.f_even), (sys_.A_odd, sys_.f_odd)):
             completions.clear()
-            step, P, g = gk._step_map("step-map", A, f, 1e-4, theta)
+            step, P, g = gk._step_map(A, f, 1e-4, theta)
             assert P is None
             lhs, rhs = _step_operands(A, f, 1e-4, theta)
             # One guard block of factored steps from random states, each
@@ -945,7 +946,7 @@ def test_other_step_maps_keep_the_pivoted_solve_bits(monkeypatch, spec, theta):
     calls = _spy_schur_inverse(monkeypatch)
     sys_ = gk.model_ii_semi_discrete(build_basis(60), **spec)
     A, f = sys_.A_even, sys_.f_even
-    _, P, g = gk._step_map("step-map", A, f, 1e-4, theta)
+    _, P, g = gk._step_map(A, f, 1e-4, theta)
     want = np.linalg.solve(*_step_operands(A, f, 1e-4, theta))
     assert not calls
     assert np.array_equal(P, want[:, :-1]) and np.array_equal(g, want[:, -1])
@@ -1001,20 +1002,27 @@ def test_unstable_integration_aborts(basis30):
 
 
 def _per_step_evolve(system, initial, dt, steps, theta):
-    """``evolve`` as it stepped before the fixed-point exit: every step, each
-    followed by its own divergence check.  The reference for the tests below.
+    """``evolve`` as it stepped before the fixed-point exit: every step of
+    both blocks, read from their dense ``A_even``/``A_odd``, each followed by
+    its own divergence check.  The reference for the tests below; it returns
+    (u0c, uc, us, record), each path told from the dense block's entries.
     """
     M = system.basis.M
     even = np.zeros((steps + 1, M + 1))
     odd = np.zeros((steps + 1, M + 1))
     even[0, 0], even[0, 1:] = initial.u0c, initial.uc[1:]
     odd[0, 1:] = initial.us[1:]
-    maps = []
-    for A, f, u in ((system.A_even, system.f_even, even),
-                    (system.A_odd, system.f_odd, odd[:, 1:])):
-        path = gk._block_path(A, f, u[0])
-        if steps and path != "zero":
-            maps.append((*gk._step_map(path, A, f, dt, theta), u))
+    maps, record = [], {}
+    for parity, A, f, u in (("even", system.A_even, system.f_even, even),
+                            ("odd", system.A_odd, system.f_odd, odd[:, 1:])):
+        if not np.any(f) and not np.any(u[0]):
+            record[parity] = "zero"
+        elif np.count_nonzero(A) == np.count_nonzero(A.diagonal()):
+            record[parity] = "diagonal"
+            maps.append((np.multiply, *gk._diagonal_map(A.diagonal(), f, dt, theta), u))
+        else:
+            record[parity] = "step-map"
+            maps.append((*gk._step_map(A, f, dt, theta), u))
     scale0 = 1.0 + max(float(np.max(np.abs(even[0]))), float(np.max(np.abs(odd[0]))))
     for k in range(steps):
         for step, P, g, u in maps:
@@ -1027,7 +1035,19 @@ def _per_step_evolve(system, initial, dt, steps, theta):
                 "reduce dt or use theta >= 1/2")
     u0c = even[:, 0].copy()
     even[:, 0] = 0.0
-    return u0c, even, odd
+    return u0c, even, odd, record
+
+
+def _guarded_stationary_from(reference, steps):
+    """``stationary_from`` read off a per-step run: the first guard block
+    whose last step repeats the state bit for bit, and in that block the
+    first step from which every later state repeats."""
+    bits = np.column_stack(reference[:3]).view(np.int64)
+    for start in range(0, steps, gk._GUARD_BLOCK):
+        end = min(start + gk._GUARD_BLOCK, steps)
+        if np.array_equal(bits[end], bits[end - 1]):
+            return start + int(np.argmax(np.all(bits[start:end + 1] == bits[end], axis=1)))
+    return None
 
 
 def _assert_same_trajectory(traj, reference):
@@ -1103,6 +1123,109 @@ def test_guard_reports_the_first_offending_step(dt_lam6, steps, first):
     assert f"{(dt_lam6 - 1.0) ** first:.3e}" in str(got.value)
     # One step short of the first offending one runs through.
     gk.evolve(sys_, init, dt, first - 1, theta=0.0)
+
+
+_B12 = build_basis(12)
+_LAM6_1 = _B12.lam_even[1] ** 6
+
+
+def _coefficients(u0c=0.0, uc=(), us=()):
+    """A CoefficientSet on ``_B12`` with the given leading mode values."""
+    full = [np.zeros(13), np.zeros(13)]
+    for values, out in zip((uc, us), full):
+        out[1:1 + len(values)] = values
+    return cf.CoefficientSet(basis=_B12, u0c=u0c, uc=full[0], us=full[1])
+
+
+def _diagonal_case(name):
+    """(system, initial, dt, theta) of one diagonal run (B = T = 0)."""
+    rng = np.random.default_rng(12)
+    if name == "negative-zero-start":
+        # -0.0 beside a moving mode, and an odd block whose only entry is -0.0.
+        return (gk.assemble_semi_discrete(_B12),
+                _coefficients(0.0, [1.0, -0.0, 0.5], [-0.0]), 0.1 / _LAM6_1, 0.5)
+    if name == "negative-zero-forcing":
+        # reaction > 0 with dt mu = 5 at the low modes: inv < 0, so g < 0 and
+        # P < 0; a +0.0 forcing there gives g = -0.0 and a zero that flips
+        # sign every step, and a -0.0 forcing gives g = +0.0.
+        forcing = _coefficients(2.0, [-0.0, 0.0, 1.0], [0.0, 3.0, -0.0])
+        return (gk.assemble_semi_discrete(_B12, forcing=forcing, reaction=5e4),
+                _coefficients(), 1e-4, 1.0)
+    if name == "negative-P":
+        # theta = 1/2 with dt lam^6 > 2: every mode alternates sign; u0c (P = 1)
+        # does not move but is stepped between moving modes.
+        return (gk.assemble_semi_discrete(_B12),
+                _coefficients(0.7, rng.standard_normal(12), rng.standard_normal(12)),
+                3.0 / _LAM6_1, 0.5)
+    if name == "underflow":
+        # P <= 1e-3 per step: the state underflows to a stationary 0, a
+        # negative mode through -0.0.
+        return (gk.assemble_semi_discrete(_B12),
+                _coefficients(0.0, [-1.0, 0.0, 2.0], [0.0, 1e-300]), 1e3 / _LAM6_1, 1.0)
+    if name == "explicit-divergence":
+        # theta = 0 with |R| = 10 at mode 1: the norm passes 2e12 at step 13.
+        return (gk.assemble_semi_discrete(_B12), _coefficients(0.0, [1.0], [1e-6]),
+                11.0 / _LAM6_1, 0.0)
+    assert name == "forced-model-II"
+    return gk.model_ii_semi_discrete(_B12, B=0.0, T=0.0), _coefficients(), 1e-4, 1.0
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("steps", [0, 1, 15, 16, 17, 1000])
+@pytest.mark.parametrize("name", ["negative-zero-start", "negative-zero-forcing",
+                                  "negative-P", "underflow", "explicit-divergence",
+                                  "forced-model-II"])
+def test_diagonal_runs_match_per_step_stepping_bit_for_bit(name, steps):
+    system, initial, dt, theta = _diagonal_case(name)
+    try:
+        reference = _per_step_evolve(system, initial, dt, steps, theta)
+    except ArithmeticError as exc:
+        with pytest.raises(ArithmeticError) as got:
+            gk.evolve(system, initial, dt, steps, theta)
+        assert str(got.value) == str(exc)
+        return
+    traj = gk.evolve(system, initial, dt, steps, theta)
+    _assert_same_trajectory(traj, reference)
+    assert traj.record == reference[3] and "step-map" not in traj.record.values()
+    assert traj.stationary_from == _guarded_stationary_from(reference, steps)
+
+
+@pytest.mark.parametrize("theta, steps, dt", [(0.5, 100, 1e-2), (1.0, 1000, 1e-1)])
+def test_a_diagonal_block_beside_a_dense_map_matches_per_step_stepping(theta, steps, dt):
+    # At M = 1 the odd block of a B != 0 system is 1 x 1: formed, its entries
+    # counted, and run at once, while T != 0 couples the even block to the
+    # constant mode, which steps by its dense map one guard block at a time.
+    basis = build_basis(1)
+    system = gk.model_ii_semi_discrete(basis, B=3.0, T=2.0, reaction=-5.0)
+    initial = cf.CoefficientSet(basis, 0.3, np.r_[0.0, 1.0], np.r_[0.0, -2.0])
+    traj = gk.evolve(system, initial, dt, steps, theta)
+    reference = _per_step_evolve(system, initial, dt, steps, theta)
+    _assert_same_trajectory(traj, reference)
+    assert traj.record == reference[3] == {"even": "step-map", "odd": "diagonal"}
+    assert traj.stationary_from == _guarded_stationary_from(reference, steps)
+
+
+def test_diagonal_cases_reach_their_corners():
+    # The cases above do what their names say at 1000 steps.
+    def run(name):
+        system, initial, dt, theta = _diagonal_case(name)
+        return gk.evolve(system, initial, dt, 1000, theta)
+    start = run("negative-zero-start")
+    assert start.record == {"even": "diagonal", "odd": "zero"}
+    assert np.signbit(start.uc[0, 2]) and not np.any(np.signbit(start.uc[1:, 2]))
+    flips = run("negative-zero-forcing")
+    assert flips.stationary_from is None
+    assert np.signbit(flips.us[1::2, 1]).all() and not np.signbit(flips.us[::2, 1]).any()
+    assert np.all(flips.u0c[1:] < 0.0)
+    assert np.all(np.diff(np.signbit(run("negative-P").uc[:, 5]).astype(int)) != 0)
+    gone = run("underflow")
+    assert gone.stationary_from is not None
+    assert not np.any(gone.uc[-1]) and not np.any(gone.us[-1])
+    with pytest.raises(ArithmeticError, match="diverged"):
+        run("explicit-divergence")
+    forced = run("forced-model-II")
+    assert forced.record == {"even": "diagonal", "odd": "zero"}
+    assert forced.stationary_from is not None and forced.stationary_from < 1000
 
 
 def test_guard_sees_nan_in_either_block(basis30):
@@ -1182,6 +1305,73 @@ def test_manufactured_a4_solve_at_max_modes_in_linear_memory():
     with np.errstate(over="raise", invalid="raise"):
         err = np.max(np.abs(cf.synthesize(sol, xs) - _exact_solution(xs)))
     assert err <= 1e-12
+
+
+def test_diagonal_system_at_max_modes_assembles_in_linear_memory():
+    # Both dense blocks would take 1.6 GB at MAX_MODES; the generator forms
+    # are a few M-vectors.
+    basis = build_basis(MAX_MODES)
+    tracemalloc.start()
+    try:
+        system = gk.assemble_semi_discrete(basis, reaction=-3.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
+    assert "A_even" not in vars(system) and "A_odd" not in vars(system)
+
+
+def _spy_cauchy_dense(monkeypatch):
+    """A list that gets one entry per ``_cauchy_dense`` call from galerkin."""
+    calls, inner = [], gk._cauchy_dense
+    monkeypatch.setattr(gk, "_cauchy_dense",
+                        lambda *form: calls.append(len(form[0])) or inner(*form))
+    return calls
+
+
+def test_zero_and_diagonal_blocks_are_never_formed(monkeypatch):
+    calls = _spy_cauchy_dense(monkeypatch)
+    basis = build_basis(60)
+    zero = cf.CoefficientSet.zeros(basis)
+    # Model II from a zero start: the even block steps by its dense map, and
+    # the odd block is zero.
+    system = gk.model_ii_semi_discrete(basis)
+    traj = gk.evolve(system, zero, 1e-4, 200, theta=1.0)
+    system.steady_residual(cf.CoefficientSet(basis, traj.u0c[-1], traj.uc[-1], traj.us[-1]))
+    assert traj.record == {"even": "step-map", "odd": "zero"}
+    assert calls == [60] and "A_odd" not in vars(system)
+    # B = T = 0, forced, from a start in both parities: two diagonal blocks.
+    calls.clear()
+    start = cf.CoefficientSet(basis, 0.5, np.r_[0.0, np.ones(60)], np.r_[0.0, np.ones(60)])
+    system = gk.model_ii_semi_discrete(basis, B=0.0, T=0.0)
+    traj = gk.evolve(system, start, 1e-4, 200, theta=1.0)
+    last = cf.CoefficientSet(basis, traj.u0c[-1], traj.uc[-1], traj.us[-1])
+    assert traj.record == {"even": "diagonal", "odd": "diagonal"}
+    assert 0.0 < system.steady_residual(last) <= 1.0  # the odd modes still decay
+    assert not calls and not {"A_even", "A_odd"} & set(vars(system))
+
+
+def test_diagonal_steady_residual_keeps_the_dense_rows_bits():
+    # A diagonal block reads its diagonal alone; the dense rows give the
+    # same ratio bit for bit.  M = 300 leaves a partial block of rows.
+    basis = build_basis(300)
+    rng = np.random.default_rng(300)
+    forcing = cf.CoefficientSet(basis, -1.5, np.r_[0.0, rng.standard_normal(300)],
+                                np.r_[0.0, rng.standard_normal(300)])
+    system = gk.assemble_semi_discrete(basis, forcing=forcing, reaction=-40.0)
+    state = cf.CoefficientSet(basis, 0.25, np.r_[0.0, rng.standard_normal(300)],
+                              np.r_[0.0, -0.0, rng.standard_normal(299)])
+    got = system.steady_residual(state)
+    assert not {"A_even", "A_odd"} & set(vars(system))
+    want = 0.0
+    for A, f, u in ((system.A_even, system.f_even, np.r_[0.25, state.uc[1:]]),
+                    (system.A_odd, system.f_odd, state.us[1:])):
+        for j in range(0, len(f), gk._RESIDUAL_ROWS):
+            a, b = A[j:j + gk._RESIDUAL_ROWS], f[j:j + gk._RESIDUAL_ROWS]
+            scale = np.abs(a) @ np.abs(u) + np.abs(b)
+            ratio = np.abs(a @ u + b) / np.where(scale > 0.0, scale, 1.0)
+            want = max(want, float(np.max(ratio)))
+    assert got == want and 0.0 < got <= 1.0
 
 
 # ---------------------------------------------------------------------------
