@@ -8,17 +8,22 @@ orthonormal eigenbasis:
   m = 0 row <psi_n'''', 1>)
 - ``chi``   : <x^p, psi_m^c>        (even powers p = 2..12)
 
-All closed forms are evaluated through the same exponent-scaling strategy as
-the eigenfunction kernel: raw expressions contain cosh/sinh(sqrt(3) lam) and
-cosh(2 sqrt(3) lam) factors that overflow doubles at moderate mode numbers, so
-every ratio is refolded into O(1) quantities built from e^{-s} and e^{-2s}.
+Off the diagonal, beta and gamma, gamma's mean row and every chi come from
+three boundary values per mode, psi(1), psi'''(1) and psi''''(1)
+(``Basis.edge_even``/``edge_odd``): with psi^(6) = -lam^6 psi and the
+free-edge conditions psi' = psi'' = psi^(5) = 0 at +-1, Green's identity makes
+each of them bilinear in those values.  The diagonals keep their own closed
+forms, evaluated like the eigenfunction kernel in exponent-scaled form: the
+cosh/sinh(sqrt(3) lam) factors that overflow doubles at moderate mode numbers
+are refolded into O(1) quantities built from e^{-s} and e^{-2s}.
 
-Three branches ship *corrected* closed forms whose commonly tabulated variants
-fail independent quadrature verification: the even diagonal beta (superseded
-variant is exactly 1/4 of the true integral), the odd-family beta (garbled
-off-diagonal symbols; structurally wrong diagonal — replaced by a form derived
-from elementary integrals of (psi')^2), and the p = 12 monomial coefficient
-(prefactor exponent).  ``superseded_variant_notes`` documents all three; the
+Commonly tabulated variants of three branches fail independent quadrature
+verification: the even diagonal beta (exactly 1/4 of the true integral), the
+odd-family beta (garbled off-diagonal symbols; a structurally wrong diagonal,
+replaced here by a form derived from elementary integrals of (psi')^2), and
+the hand-expanded p = 12 monomial coefficient (prefactor exponent 10, not 12;
+Green's identity leaves no per-power formula to get wrong).  They survive as
+private superseded variants, which ``superseded_variant_notes`` documents; the
 ``verify`` command cross-checks every shipped form against quadrature.
 """
 
@@ -49,9 +54,6 @@ __all__ = [
 #: Monomial powers with closed-form expansion coefficients.
 CHI_POWERS = (2, 4, 6, 8, 10, 12)
 
-_CHI_PREF = {2: -4.0, 4: 8.0, 6: 6.0, 8: 8.0, 10: 20.0, 12: 12.0}
-_CHI_EXP = {2: 3, 4: 4, 6: 6, 8: 9, 10: 10, 12: 12}
-
 
 # ---------------------------------------------------------------------------
 # Scaled per-family data
@@ -66,35 +68,9 @@ def _family(basis: Basis, parity: Parity):
             basis.q_odd[1:], basis.e1_odd[1:])
 
 
-def _ratio_T(lam, q, e1):
-    """Scaled (cos 2l - sqrt3 sin l sinh s - cos l cosh s)/(cos l - cosh s)."""
-    e2 = e1 * e1
-    sh1, ch1 = 0.5 * (1.0 - e2), 0.5 * (1.0 + e2)
-    num = np.cos(2.0 * lam) * e1 - SQRT3 * np.sin(lam) * sh1 - np.cos(lam) * ch1
-    return num / (-0.5 * q)
-
-
-def _ratio_V(lam, q, e1):
-    """Scaled (-3 + cos 2l + 2 cos l cosh s)/(cos l - cosh s)."""
-    e2 = e1 * e1
-    ch1 = 0.5 * (1.0 + e2)
-    num = (-3.0 + np.cos(2.0 * lam)) * e1 + 2.0 * np.cos(lam) * ch1
-    return num / (-0.5 * q)
-
-
-def _ratio_U(lam, q, e1):
-    """Scaled (sin 2l - sqrt3 cos l sinh s + sin l cosh s)/(cos l + cosh s)."""
-    e2 = e1 * e1
-    sh1, ch1 = 0.5 * (1.0 - e2), 0.5 * (1.0 + e2)
-    num = np.sin(2.0 * lam) * e1 - SQRT3 * np.cos(lam) * sh1 + np.sin(lam) * ch1
-    return num / (0.5 * q)
-
-
-def _ratio_W(lam, q, e1):
-    """Scaled (cosh s - cos l)/(cos l + cosh s)."""
-    e2 = e1 * e1
-    ch1 = 0.5 * (1.0 + e2)
-    return (ch1 - np.cos(lam) * e1) / (0.5 * q)
+def _edge(basis: Basis, parity: Parity):
+    """(psi, psi''', psi'''') at x = 1 for modes 1..M of one family, (3, M)."""
+    return (basis.edge_even if parity is Parity.EVEN else basis.edge_odd)[:, 1:]
 
 
 # ---------------------------------------------------------------------------
@@ -186,11 +162,17 @@ def _gamma_diagonal(parity: Parity, lam, c, q, e1):
 # Off-diagonal closed forms: one Cauchy-like generator form
 # ---------------------------------------------------------------------------
 #
-# Off its diagonal each beta/gamma table is (g1_n h1_m - g2_n h2_m) /
-# (lam_m^6 - lam_n^6): a Cauchy-like matrix of displacement rank 2 built from
-# four O(M) generator vectors.  The kernels take the numerator as stacked
-# generators X, Y and form T a block of rows at a time, densely or applied to
-# a vector; the diagonal comes from the diagonal closed forms.
+# With psi^(6) = -lam^6 psi and psi' = psi'' = psi^(5) = 0 at +-1, Green's
+# identity gives, for n != m in one family and every value at x = 1,
+#
+#   beta_nm  = 2 (psi_n'''' psi_m''' - psi_n''' psi_m'''') / (lam_n^6 - lam_m^6),
+#   gamma_nm = 2 lam_n^6 (psi_n''' psi_m - psi_n psi_m''') / (lam_n^6 - lam_m^6).
+#
+# So off its diagonal each table is a Cauchy-like matrix of displacement rank
+# 2, T[i, j] = sum_k X[k, i] Y[k, j] / (lam_j^6 - lam_i^6), whose generators
+# X, Y come from the basis's boundary values.  The kernels form T a block of
+# rows at a time, densely or applied to a vector; the diagonal comes from the
+# diagonal closed forms.
 
 _CAUCHY_ROWS = 64  # rows of a Cauchy-like table formed at a time
 # Largest reciprocal kernel _cauchy_kernel keeps, in bytes: ~M(M + 64)/2
@@ -199,38 +181,17 @@ _CAUCHY_ROWS = 64  # rows of a Cauchy-like table formed at a time
 _CAUCHY_KERNEL_BYTES = 32 * 2 ** 20
 
 
-def _ratio(kind: str, parity: Parity):
-    """The scaled ratio that enters one table's off-diagonal closed form."""
-    if kind == "second_derivative":
-        return _ratio_T if parity is Parity.EVEN else _ratio_U
-    return _ratio_V if parity is Parity.EVEN else _ratio_W
-
-
-def _generators(kind: str, parity: Parity, lam, c, r):
-    """(g1, h1, g2, h2) of one table; r is its T/U/V/W ratio (see ``_ratio``)."""
-    c3 = c * lam ** 3
-    if kind == "second_derivative":
-        t = np.sin(lam) if parity is Parity.EVEN else -np.cos(lam)
-        return 6.0 * c3 * t, c3 * lam * r, 6.0 * c3 * lam * r, c3 * t
-    c6 = c * lam ** 6
-    if parity is Parity.EVEN:
-        s = np.sin(lam)
-        return -3.0 * c6 * r, c3 * s, -3.0 * c6 * lam ** 3 * s, c * r
-    s, t = np.sin(lam), np.cos(lam)
-    return -6.0 * c6 * s * r, c3 * t, -6.0 * c6 * lam ** 3 * t, c * s * r
-
-
-_DIAG = {"second_derivative": _beta_diagonal,
-         "fourth_derivative": _gamma_diagonal}
-
-
 def _cauchy_form(basis: Basis, parity, kind: str, modes=slice(None)):
     """(lam^6, X, Y, diagonal) of one table over ``modes`` (0-based, into 1..M)."""
     parity = _parity(parity)
     lam, c, q, e1 = (a[modes] for a in _family(basis, parity))
-    g1, h1, g2, h2 = _generators(kind, parity, lam, c, _ratio(kind, parity)(lam, q, e1))
-    return (lam ** 6, np.stack((g1, -g2)), np.stack((h1, h2)),
-            _DIAG[kind](parity, lam, c, q, e1))
+    psi, psi3, psi4 = _edge(basis, parity)[:, modes]
+    lam6 = lam ** 6
+    if kind == "second_derivative":
+        return (lam6, np.stack((2.0 * psi3, -2.0 * psi4)), np.stack((psi4, psi3)),
+                _beta_diagonal(parity, lam, c, q, e1))
+    return (lam6, np.stack((2.0 * lam6 * psi, -2.0 * lam6 * psi3)), np.stack((psi3, psi)),
+            _gamma_diagonal(parity, lam, c, q, e1))
 
 
 def _gap_rows(lam6, upper: bool = False):
@@ -305,69 +266,24 @@ def _cauchy_apply(lam6, X, Y, v, kernel=None):
 
 
 def _gamma_mean(basis: Basis, modes=slice(None)):
-    """<psi_n'''', 1> for the even modes ``modes`` (0-based, into 1..M)."""
-    lam, c, _, _ = (a[modes] for a in _family(basis, Parity.EVEN))
-    return 6.0 * c * lam ** 3 * np.sin(lam)
+    """<psi_n'''', 1> = 2 psi_n'''(1) for the even modes ``modes`` (0-based, into 1..M)."""
+    return 2.0 * _edge(basis, Parity.EVEN)[1, modes]
 
 
-# ---------------------------------------------------------------------------
-# chi bracket decomposition: bracket = A + B cosh s + C sinh s
-# ---------------------------------------------------------------------------
+def _chi(basis: Basis, p: int, modes=slice(None)):
+    """<x^p, psi_m> for the even modes ``modes`` (0-based, into 1..M).
 
-def _chi_abc(p: int, lam):
-    sin1, cos1 = np.sin(lam), np.cos(lam)
-    sin2, cos2 = np.sin(2.0 * lam), np.cos(2.0 * lam)
-    L = lam
-    if p == 2:
-        a = -L * cos2 + 3.0 * sin1 * cos1
-        b = L * cos1 - 3.0 * sin1
-        cc = SQRT3 * L * sin1
-    elif p == 4:
-        a = (L ** 2 - 6.0) * cos2 - 9.0 * L * sin1 * cos1
-        b = -(L ** 2 - 6.0) * cos1 + 9.0 * L * sin1
-        cc = -SQRT3 * (L ** 2 + 6.0) * sin1
-    elif p == 6:
-        a = 360.0 + 2.0 * (L ** 4 - 20.0 * L ** 2 - 60.0) * cos2 - 15.0 * L ** 3 * sin2
-        b = 30.0 * L ** 3 * sin1 - 2.0 * (L ** 4 - 20.0 * L ** 2 + 120.0) * cos1
-        cc = -2.0 * SQRT3 * L ** 2 * (L ** 2 + 20.0) * sin1
-    elif p == 8:
-        a = (2520.0 * L ** 3 - 21.0 * (L ** 6 - 720.0) * sin2
-             + 2.0 * (L ** 6 - 42.0 * L ** 4 - 420.0 * L ** 2 - 5040.0) * L * cos2)
-        b = 2.0 * (21.0 * (L ** 6 - 720.0) * sin1
-                   - L * (L ** 6 - 42.0 * L ** 4 + 840.0 * L ** 2 - 5040.0) * cos1)
-        cc = -2.0 * SQRT3 * L * (L ** 6 + 42.0 * L ** 4 - 5040.0) * sin1
-    elif p == 10:
-        a = (4536.0 * L ** 4 - 13.5 * (L ** 6 - 20160.0) * L * sin2
-             + (L ** 8 - 72.0 * L ** 6 - 1512.0 * L ** 4 - 60480.0 * L ** 2
-                + 362880.0) * cos2)
-        b = (27.0 * L * (L ** 6 - 20160.0) * sin1
-             - (L ** 8 - 72.0 * L ** 6 + 3024.0 * L ** 4 - 60480.0 * L ** 2
-                + 362880.0) * cos1)
-        cc = -SQRT3 * (L ** 8 + 72.0 * L ** 6 - 60480.0 * L ** 2 - 362880.0) * sin1
-    elif p == 12:
-        a = (23760.0 * (L ** 6 - 5040.0)
-             - 33.0 * L ** 3 * (L ** 6 - 151200.0) * sin2
-             + 2.0 * (L ** 10 - 110.0 * L ** 8 - 3960.0 * L ** 6
-                      - 332640.0 * L ** 4 + 6652800.0 * L ** 2
-                      + 19958400.0) * cos2)
-        b = 2.0 * (33.0 * L ** 3 * (L ** 6 - 151200.0) * sin1
-                   - (L ** 10 - 110.0 * L ** 8 + 7920.0 * L ** 6
-                      - 332640.0 * L ** 4 + 6652800.0 * L ** 2
-                      - 39916800.0) * cos1)
-        cc = -2.0 * SQRT3 * L ** 2 * (L ** 8 + 110.0 * L ** 6
-                                      - 332640.0 * L ** 2 - 6652800.0) * sin1
-    else:
-        raise ValueError(f"power p must be even and in [2, 12], got {p!r}")
-    return a, b, cc
-
-
-def _chi_values(p: int, lam, c, q, e1):
-    """chi for one power across modes (scaled evaluation)."""
-    e2 = e1 * e1
-    sh1, ch1 = 0.5 * (1.0 - e2), 0.5 * (1.0 + e2)
-    a, b, cc = _chi_abc(p, lam)
-    bracket = a * e1 + b * ch1 + cc * sh1
-    return _CHI_PREF[p] * c / lam ** _CHI_EXP[p] * bracket / (-0.5 * q)
+    Six integrations by parts against psi = -psi^(6) / lam^6 give, with
+    p^(k) = p! / (p - k)! and chi_0 = <1, psi_m> = 0,
+    chi_p = -[2 (-p psi'''' + p (p - 1) psi''' - p^(5) psi) + p^(6) chi_{p-6}] / lam^6.
+    """
+    lam6 = basis.lam_even[1:][modes] ** 6
+    psi, psi3, psi4 = _edge(basis, Parity.EVEN)[:, modes]
+    value = 0.0
+    for k in range(p % 6 or 6, p + 1, 6):
+        value = -(2.0 * (-k * psi4 + k * (k - 1) * psi3 - math.perm(k, 5) * psi)
+                  + math.perm(k, 6) * value) / lam6
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -426,21 +342,22 @@ def gamma(basis: Basis, parity, n: int, m: int) -> float:
     return _entry(basis, parity, "fourth_derivative", n, m)
 
 
-def chi(basis: Basis, p: int, m: int) -> float:
-    """<x^p, psi_m^c> for even p in [2, 12] and even-family mode m >= 1."""
+def _check_power(p) -> int:
     if not _is_int(p) or p not in CHI_POWERS:
         raise ValueError(f"power p must be one of {CHI_POWERS}, got {p!r}")
+    return int(p)
+
+
+def chi(basis: Basis, p: int, m: int) -> float:
+    """<x^p, psi_m^c> for even p in [2, 12] and even-family mode m >= 1."""
+    p = _check_power(p)
     m = _check_index(basis, m, allow_zero=False)
-    lam, c, q, e1 = _mode_data(basis, Parity.EVEN, m)
-    return float(_chi_values(int(p), lam, c, q, e1))
+    return float(_chi(basis, p, slice(m - 1, m))[0])
 
 
 def chi_vector(basis: Basis, p: int) -> np.ndarray:
     """chi values for modes m = 1..M at one power (vectorized)."""
-    if not _is_int(p) or p not in CHI_POWERS:
-        raise ValueError(f"power p must be one of {CHI_POWERS}, got {p!r}")
-    lam, c, q, e1 = _family(basis, Parity.EVEN)
-    return np.asarray(_chi_values(int(p), lam, c, q, e1), dtype=float)
+    return _chi(basis, _check_power(p))
 
 
 # ---------------------------------------------------------------------------

@@ -198,7 +198,11 @@ class Basis:
       parity) — the overflow-free surrogate of -+2 e^{-s} (cos lam -+ cosh s);
     - ``e1``: e^{-s};
     - ``w``: complex weight of the hyperbolic part of the eigenfunction after
-      folding e^{-s/2} into the evaluation kernel (all O(1)).
+      folding e^{-s/2} into the evaluation kernel (all O(1));
+    - ``edge``: shape (3, M + 1), the boundary values (psi, psi''', psi'''')
+      at x = 1, from which ``coefficients`` derives every off-diagonal table
+      entry, gamma's mean row and every chi.  The even constant mode has
+      (1, 0, 0); column 0 of the odd array is unused (zero).
     """
 
     M: int
@@ -214,6 +218,8 @@ class Basis:
     e1_odd: np.ndarray
     w_even: np.ndarray
     w_odd: np.ndarray
+    edge_even: np.ndarray
+    edge_odd: np.ndarray
 
     def lam(self, parity) -> np.ndarray:
         return self.lam_even if _parity(parity) is Parity.EVEN else self.lam_odd
@@ -280,6 +286,24 @@ def _normalization(parity: Parity, lam: np.ndarray):
     return q, c, e1, w
 
 
+def _edge_values(parity: Parity, lam, c, w):
+    """(psi, psi''', psi'''') at x = 1 for the modes lam, one row each.
+
+    The expression of ``_psi_core``, c (lam^k trig + L), except that the
+    trigonometric part comes from sin lam and cos lam directly: adding
+    k pi/2 to the phase lam would lose ~lam eps of it.
+    """
+    sin1, cos1 = np.sin(lam), np.cos(lam)
+    k = np.array([[0], [3], [4]])
+    if parity is Parity.EVEN:   # cos(lam + k pi/2)
+        trig, sigma = np.stack((cos1, sin1, cos1)), np.array([[1.0], [-1.0], [1.0]])
+    else:                       # sin(lam + k pi/2)
+        trig, sigma = np.stack((sin1, -cos1, sin1)), -np.array([[1.0], [-1.0], [1.0]])
+    s = SQRT3 * lam
+    z, half = 0.5 * (s + 1j * lam), 0.5 * s
+    return c * (lam ** k * trig + _layer(z, half, w * z ** k, 1.0, sigma))
+
+
 def build_basis(M: int) -> Basis:
     """Construct the complete basis data for modes m <= M of both parities."""
     if not _is_int(M) or not (1 <= M <= MAX_MODES):
@@ -292,10 +316,13 @@ def build_basis(M: int) -> Basis:
         c = np.zeros(M + 1)
         e1 = np.zeros(M + 1)
         w = np.zeros(M + 1, dtype=complex)
+        edge = np.zeros((3, M + 1))
         q[1:], c[1:], e1[1:], w[1:] = _normalization(parity, lam[1:])
+        edge[:, 1:] = _edge_values(parity, lam[1:], c[1:], w[1:])
         if parity is Parity.EVEN:
             c[0] = 1.0       # constant mode psi_0 = 1 (un-normalized by convention)
             e1[0] = 1.0
+            edge[0, 0] = 1.0
         else:
             lam[0] = np.nan
             res[0] = np.nan
@@ -305,6 +332,7 @@ def build_basis(M: int) -> Basis:
         data[f"lam_{key}"], data[f"residual_{key}"] = lam, res
         data[f"c_{key}"], data[f"q_{key}"] = c, q
         data[f"e1_{key}"], data[f"w_{key}"] = e1, w
+        data[f"edge_{key}"] = edge
     return Basis(M=M, **data)
 
 

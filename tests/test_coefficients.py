@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -84,42 +85,60 @@ def test_matrices_match_scalar_entries(basis60):
                     cf.gamma(basis60, parity, n, m), rel=1e-12, abs=1e-15)
 
 
-def _elementwise_offdiag(kind, parity, lam, c, r):
-    """The elementwise off-diagonal forms that preceded the generator form.
-
-    Gamma is pref x bracket and beta is (g1 h1 - g2 h2) / gap, each over the
-    whole square (the diagonal is left to the caller).
-    """
-    ln, cn, rn = lam[:, None], c[:, None], r[:, None]
-    lm, cm, rm = lam[None, :], c[None, :], r[None, :]
-    gap = lm ** 6 - ln ** 6
-    np.fill_diagonal(gap, 1.0)
-    if kind == "second_derivative":
-        t = np.sin if parity is EV else (lambda x: -np.cos(x))
-        g1, h1 = 6.0 * cn * ln ** 3 * t(ln), cm * lm ** 4 * rm
-        g2, h2 = 6.0 * cn * ln ** 4 * rn, cm * lm ** 3 * t(lm)
-        return (g1 * h1 - g2 * h2) / gap
-    if parity is EV:
-        pref = 3.0 * cn * cm * ln ** 6 / gap
-        bracket = -lm ** 3 * np.sin(lm) * rn + ln ** 3 * np.sin(ln) * rm
-    else:
-        pref = 6.0 * cn * cm * ln ** 6 / -gap
-        bracket = (lm ** 3 * np.cos(lm) * np.sin(ln) * rn
-                   - ln ** 3 * np.sin(lm) * np.cos(ln) * rm)
-    return pref * bracket
+def _edge_long_double(basis, parity):
+    """lam^6 and the boundary values psi^(k)(1), k = 0, 3, 4, in long double
+    from the basis's stored lam, c, w and e1: c (lam^k trig + Re[w z^k Phi_k(1)]),
+    with z = (sqrt3 lam + i lam) / 2 and 2 Phi_k(1) = e^{i lam/2} +- e1 e^{-i lam/2}."""
+    ld = np.longdouble
+    lam, c, e1 = (getattr(basis, f"{name}_{parity.value}")[1:].astype(ld)
+                  for name in ("lam", "c", "e1"))
+    w = getattr(basis, f"w_{parity.value}")[1:].astype(np.clongdouble)
+    z = (np.sqrt(ld(3)) * lam + 1j * lam) / 2
+    phase = np.cos(lam / 2) + 1j * np.sin(lam / 2)
+    sin1, cos1 = np.sin(lam), np.cos(lam)
+    even = parity is EV
+    rows = []
+    for k, trig in ((0, cos1 if even else sin1), (3, sin1 if even else -cos1),
+                    (4, cos1 if even else sin1)):
+        sigma = (1 if even else -1) * (-1) ** k
+        layer = np.real(w * z ** k * (phase + sigma * e1 / phase) / 2)
+        rows.append(c * (lam ** k * trig + layer))
+    return lam ** 6, rows
 
 
-@pytest.mark.parametrize("kind", ["second_derivative", "fourth_derivative"])
+# Long-double reference error of the off-diagonal tables: bounds on the median
+# and the maximum per M.  Measured on AVX-512 and on numpy's baseline kernels:
+# medians 1.8-4.0e-16; maxima 0.9e-14-2.3e-14 (M = 60), 9.0e-14-2.8e-13
+# (M = 500) and 4.3e-13-1.6e-12 (M = 2000), on adjacent high modes whose
+# numerator cancels ~2m-fold.
+_TABLE_BOUNDS = {60: 3e-14, 500: 4e-13, 2000: 2.5e-12}
+
+
+@pytest.mark.parametrize("M", sorted(_TABLE_BOUNDS))
 @pytest.mark.parametrize("parity", [EV, OD])
-def test_tables_match_the_elementwise_forms_at_m2000(kind, parity):
-    # Quadrature (K <= 50) and the frozen values (M = 60) do not reach this M.
-    basis = build_basis(2000)
-    table = cf.operator_matrix(basis, parity, kind).entries
-    lam, c, q, e1 = cf._family(basis, parity)
-    reference = _elementwise_offdiag(kind, parity, lam, c,
-                                     cf._ratio(kind, parity)(lam, q, e1))
-    np.fill_diagonal(reference, cf._DIAG[kind](parity, lam, c, q, e1))
-    assert np.max(np.abs(table - reference)) <= 1e-15 * np.max(np.abs(table))
+def test_tables_match_a_long_double_reference(M, parity):
+    # Green's identity from the boundary values, every step in long double;
+    # the frozen values (M = 60) and quadrature (K <= 50) do not reach M = 2000.
+    basis = build_basis(M)
+    lam6, (psi, psi3, psi4) = _edge_long_double(basis, parity)
+    for kind in ("second_derivative", "fourth_derivative"):
+        table = cf.operator_matrix(basis, parity, kind).entries
+        errors = []
+        for j in range(0, M, 250):
+            n = slice(j, j + 250)
+            if kind == "second_derivative":
+                num = psi4[n, None] * psi3 - psi3[n, None] * psi4
+            else:
+                num = lam6[n, None] * (psi3[n, None] * psi - psi[n, None] * psi3)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                want = 2 * num / (lam6[n, None] - lam6)
+            off = np.ones(want.shape, dtype=bool)
+            off[np.arange(len(want)), j + np.arange(len(want))] = False
+            off &= want != 0
+            errors.append(np.abs(table[n][off] / want[off] - 1).astype(float))
+        errors = np.concatenate(errors)
+        assert np.median(errors) <= 5e-16, kind
+        assert np.max(errors) <= _TABLE_BOUNDS[M], kind
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +273,34 @@ def test_chi_vector_matches_scalar(basis60):
         v = cf.chi_vector(basis60, p)
         assert v.shape == (60,)
         for m in (1, 2, 5, 20, 60):
-            assert v[m - 1] == pytest.approx(cf.chi(basis60, p, m), rel=1e-12)
+            assert v[m - 1] == cf.chi(basis60, p, m)
+
+
+def _bench_shaped_specs(count: int):
+    """Seeded definite specs in the benchmark's solve ranges, exact solution
+    (x^2 - 1)^6; every other one has a4 != 0."""
+    rng = np.random.default_rng(20260)
+    for i in range(count):
+        a6, a2, a0 = rng.uniform(0.8, 1.25), rng.uniform(-2000.0, 6000.0), -rng.uniform(2.5e5, 4e5)
+        a4 = rng.choice([-1.0, 1.0]) * rng.uniform(1.0, 30.0) if i % 2 else 0.0
+        yield gk.manufactured_spec(a6, a4, a2, a0)
+
+
+def test_low_mode_forcing_projection_against_the_frozen_chi(basis60):
+    # f_m = sum_p c_p chi_p(m) with |c_p| up to ~6e6 cancels, and chi_12(1)
+    # itself cancels ~1e3-fold, so the last bits of psi_1's boundary values
+    # set f_1's error.  Measured over these specs, on AVX-512 and on numpy's
+    # baseline kernels: f_1 median 2.0-2.7e-14, max 5.3-6.4e-14; f_2 max
+    # 1.7e-14.
+    errors = {1: [], 2: []}
+    for spec in _bench_shaped_specs(40):
+        _, fc = gk.forcing_projection(spec, basis60)
+        for m in errors:
+            want = sum((Fraction(c) * Fraction(ref.CHI[(p, m)]) for p, c in spec.forcing if p),
+                       Fraction(0))
+            errors[m].append(abs(float(Fraction(fc[m - 1]) / want - 1)))
+    assert max(errors[1]) <= 1e-13
+    assert max(errors[2]) <= 5e-14
 
 
 def test_tables_do_not_depend_on_basis_size(basis30, basis60):

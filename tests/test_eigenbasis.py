@@ -191,6 +191,18 @@ def test_free_edge_boundary_conditions(basis60):
                     assert abs(eval_psi(basis60, parity, m, x, k)) < 5e-13 * scale
 
 
+def test_edge_values_are_the_eigenfunctions_at_one(basis60):
+    # psi_block adds k pi/2 to the phase lam x and so loses ~lam eps of it;
+    # the stored values take sin lam and cos lam directly.
+    np.testing.assert_array_equal(basis60.edge_even[:, 0], [1.0, 0.0, 0.0])
+    np.testing.assert_array_equal(basis60.edge_odd[:, 0], 0.0)
+    for parity, edge in (("even", basis60.edge_even), ("odd", basis60.edge_odd)):
+        assert edge.shape == (3, 61)
+        for k, row in zip((0, 3, 4), edge):
+            at_one = psi_block(basis60, parity, 1.0, k)[:, 0]
+            np.testing.assert_allclose(row[1:], at_one, rtol=1e-13)
+
+
 def test_eigenfunction_differential_equation(basis60):
     # psi^(6) = -lambda^6 psi at interior points.
     xs = np.linspace(-0.95, 0.95, 9)
