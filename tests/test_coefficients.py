@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import frozen_reference as ref
 from sixbeam import coefficients as cf
 from sixbeam import galerkin as gk
-from sixbeam.eigenbasis import (MAX_MODES, Parity, build_basis, eigenvalue_asymptotic,
+from sixbeam.eigenbasis import (MAX_MODES, SQRT3, Parity, build_basis, eigenvalue_asymptotic,
                                 psi_block)
 
 EV, OD = Parity.EVEN, Parity.ODD
@@ -140,6 +140,70 @@ def test_tables_match_a_long_double_reference(M, parity):
         assert np.median(errors) <= 5e-16, kind
         assert np.max(errors) <= _TABLE_BOUNDS[M], kind
 
+
+
+def _elementwise_ratio(kind, parity, lam, q, e1):
+    """The T/U/V/W ratio forms the off-diagonal tables were built from before
+    the Green's-identity form, exponent-scaled as the basis stores them:
+    T = (cos 2l - sqrt3 sin l sinh s - cos l cosh s)/(cos l - cosh s),
+    U = (sin 2l - sqrt3 cos l sinh s + sin l cosh s)/(cos l + cosh s),
+    V = (-3 + cos 2l + 2 cos l cosh s)/(cos l - cosh s),
+    W = (cosh s - cos l)/(cos l + cosh s)."""
+    e2 = e1 * e1
+    sh1, ch1 = 0.5 * (1.0 - e2), 0.5 * (1.0 + e2)
+    if kind == "second_derivative" and parity is EV:
+        num = np.cos(2.0 * lam) * e1 - SQRT3 * np.sin(lam) * sh1 - np.cos(lam) * ch1
+        return num / (-0.5 * q)
+    if kind == "second_derivative":
+        num = np.sin(2.0 * lam) * e1 - SQRT3 * np.cos(lam) * sh1 + np.sin(lam) * ch1
+        return num / (0.5 * q)
+    if parity is EV:
+        num = (-3.0 + np.cos(2.0 * lam)) * e1 + 2.0 * np.cos(lam) * ch1
+        return num / (-0.5 * q)
+    return (ch1 - np.cos(lam) * e1) / (0.5 * q)
+
+
+def _elementwise_offdiag(kind, parity, lam, c, r):
+    """The elementwise off-diagonal forms that preceded the generator form.
+
+    Gamma is pref x bracket and beta is (g1 h1 - g2 h2) / gap, each over the
+    whole square (the diagonal is left to the caller).
+    """
+    ln, cn, rn = lam[:, None], c[:, None], r[:, None]
+    lm, cm, rm = lam[None, :], c[None, :], r[None, :]
+    gap = lm ** 6 - ln ** 6
+    np.fill_diagonal(gap, 1.0)
+    if kind == "second_derivative":
+        t = np.sin if parity is EV else (lambda x: -np.cos(x))
+        g1, h1 = 6.0 * cn * ln ** 3 * t(ln), cm * lm ** 4 * rm
+        g2, h2 = 6.0 * cn * ln ** 4 * rn, cm * lm ** 3 * t(lm)
+        return (g1 * h1 - g2 * h2) / gap
+    if parity is EV:
+        pref = 3.0 * cn * cm * ln ** 6 / gap
+        bracket = -lm ** 3 * np.sin(lm) * rn + ln ** 3 * np.sin(ln) * rm
+    else:
+        pref = 6.0 * cn * cm * ln ** 6 / -gap
+        bracket = (lm ** 3 * np.cos(lm) * np.sin(ln) * rn
+                   - ln ** 3 * np.sin(lm) * np.cos(ln) * rm)
+    return pref * bracket
+
+
+_DIAGONAL = {"second_derivative": cf._beta_diagonal,
+             "fourth_derivative": cf._gamma_diagonal}
+
+
+@pytest.mark.parametrize("kind", ["second_derivative", "fourth_derivative"])
+@pytest.mark.parametrize("parity", [EV, OD])
+def test_tables_match_the_elementwise_forms_at_m2000(kind, parity):
+    # An independent double-precision derivation of the same tables: the
+    # closed-form ratio forms, not the boundary values at x = 1.
+    basis = build_basis(2000)
+    table = cf.operator_matrix(basis, parity, kind).entries
+    lam, c, q, e1 = cf._family(basis, parity)
+    reference = _elementwise_offdiag(kind, parity, lam, c,
+                                     _elementwise_ratio(kind, parity, lam, q, e1))
+    np.fill_diagonal(reference, _DIAGONAL[kind](parity, lam, c, q, e1))
+    assert np.max(np.abs(table - reference)) <= 1e-15 * np.max(np.abs(table))
 
 # ---------------------------------------------------------------------------
 # The Cauchy-like kernels
