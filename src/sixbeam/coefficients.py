@@ -170,15 +170,19 @@ def _gamma_diagonal(parity: Parity, lam, c, q, e1):
 #
 # So off its diagonal each table is a Cauchy-like matrix of displacement rank
 # 2, T[i, j] = sum_k X[k, i] Y[k, j] / (lam_j^6 - lam_i^6), whose generators
-# X, Y come from the basis's boundary values.  The kernels form T a block of
-# rows at a time, densely or applied to a vector; the diagonal comes from the
-# diagonal closed forms.
+# X, Y come from the basis's boundary values.  ``_cauchy_dense`` forms T a
+# block of rows at a time; ``_cauchy_operator`` applies it to vectors by a fast
+# multipole method.  The diagonal comes from the diagonal closed forms.
 
-_CAUCHY_ROWS = 64  # rows of a Cauchy-like table formed at a time
-# Largest reciprocal kernel _cauchy_kernel keeps, in bytes: ~M(M + 64)/2
-# doubles, so M <= 2864 is kept (M = 2000: 16.5 MB) and M = 3000 (36.8 MB)
-# is not.
-_CAUCHY_KERNEL_BYTES = 32 * 2 ** 20
+_CAUCHY_ROWS = 64  # rows of a Cauchy-like table formed at a time; modes per leaf
+# Chebyshev nodes per box of _cauchy_operator's far field.  For two boxes that
+# are not adjacent, the nearest singularity of 1/(eta^6 - xi^6), eta = xi,
+# lies at least 3 half-widths from either box's centre.  The Bernstein ellipse
+# through it has rho = 3 + sqrt(8) ~ 5.83, and the interpolation error falls
+# like rho^-p: rho^-22 ~ 1.5e-17, a seventh of the unit roundoff.  The other
+# singularities, xi e^{+-i pi/3} and beyond, lie farther away.
+_CHEBYSHEV_NODES = 22
+_CHEBYSHEV_ANGLES = (2 * np.arange(_CHEBYSHEV_NODES) + 1) * np.pi / (2 * _CHEBYSHEV_NODES)
 
 
 def _cauchy_form(basis: Basis, parity, kind: str, modes=slice(None)):
@@ -194,41 +198,20 @@ def _cauchy_form(basis: Basis, parity, kind: str, modes=slice(None)):
             _gamma_diagonal(parity, lam, c, q, e1))
 
 
-def _gap_rows(lam6, upper: bool = False):
+def _gap_rows(lam6):
     """Yield (rows, G) for blocks of at most ``_CAUCHY_ROWS`` rows, G[i, j] =
-    lam6[j] - lam6[i] over every column, or with ``upper`` over the columns
-    from the block's first row on (its own diagonal block and the rows'
-    upper triangle); G is inf on the diagonal, so 1/G vanishes there."""
+    lam6[j] - lam6[i] over every column; G is inf on the diagonal, so 1/G
+    vanishes there."""
     M = len(lam6)
     buffer = np.empty(min(_CAUCHY_ROWS, M) * M)
     for j in range(0, M, _CAUCHY_ROWS):
         rows = slice(j, j + _CAUCHY_ROWS)
-        first, height = (j if upper else 0), len(lam6[rows])
-        gap = buffer[:height * (M - first)].reshape(height, M - first)
-        np.subtract(lam6[first:], lam6[rows, None], out=gap)
+        height = len(lam6[rows])
+        gap = buffer[:height * M].reshape(height, M)
+        np.subtract(lam6, lam6[rows, None], out=gap)
         i = np.arange(height)
-        gap[i, j - first + i] = np.inf
+        gap[i, j + i] = np.inf
         yield rows, gap
-
-
-def _cauchy_kernel(lam6):
-    """The reciprocal blocks 1/G of ``_gap_rows(lam6, upper=True)``, as
-    (rows, C) pairs of C-contiguous views into one buffer, or None when
-    the buffer would exceed ``_CAUCHY_KERNEL_BYTES``.
-
-    One buffer, not one array per block: numpy asks for huge pages only for
-    arrays of 4 MB or more, and small blocks each pay their page faults.
-    """
-    M = len(lam6)
-    size = sum(min(_CAUCHY_ROWS, M - j) * (M - j) for j in range(0, M, _CAUCHY_ROWS))
-    if 8 * size > _CAUCHY_KERNEL_BYTES:
-        return None
-    buffer, kernel = np.empty(size), []
-    for rows, gap in _gap_rows(lam6, upper=True):
-        C = buffer[:gap.size].reshape(gap.shape)
-        kernel.append((rows, np.reciprocal(gap, out=C)))
-        buffer = buffer[gap.size:]
-    return kernel
 
 
 def _cauchy_dense(lam6, X, Y, diagonal):
@@ -243,26 +226,111 @@ def _cauchy_dense(lam6, X, Y, diagonal):
     return table
 
 
-def _cauchy_apply(lam6, X, Y, v, kernel=None):
-    """T v for the off-diagonal part of T.
+def _chebyshev_nodes(lam, edges):
+    """(boxes, p) Chebyshev points of the first kind on each box's
+    [lam_first, lam_last]; box k holds modes edges[k]..edges[k + 1] - 1."""
+    lo, hi = lam[edges[:-1], None], lam[edges[1:] - 1, None]
+    return 0.5 * (lo + hi) + 0.5 * (hi - lo) * np.cos(_CHEBYSHEV_ANGLES)
 
-    The kernel C[i, j] = 1/(lam6[j] - lam6[i]) is skew, so each reciprocal
-    block covers the columns from its first row on and serves twice: for
-    its rows (C W) and, transposed, for the rows below (-C^T W).  The blocks
-    are read from ``kernel`` (``_cauchy_kernel(lam6)``) when given, and are
-    otherwise formed and dropped one at a time, in O(_CAUCHY_ROWS M) memory;
-    both give the same bits.
+
+def _interpolation(nodes, points):
+    """L[..., i, a]: the Lagrange polynomial of node a (of ``nodes``, (..., p))
+    at ``points[..., i]``, by the barycentric formula; a point on a node
+    gets that node's unit row."""
+    weights = np.sin(_CHEBYSHEV_ANGLES) * (-1.0) ** np.arange(_CHEBYSHEV_NODES)
+    gap = points[..., :, None] - nodes[..., None, :]
+    hit = gap == 0.0
+    L = weights / np.where(hit, 1.0, gap)
+    L /= np.sum(L, axis=-1, keepdims=True)
+    rows = np.any(hit, axis=-1)
+    L[rows] = hit[rows]
+    return L
+
+
+def _far_kernel(target, source):
+    """K[..., a, b] = 1/(s^6 - t^6) for s = source[..., b], t = target[..., a]
+    in lam, as 1/((s - t)(s + t)(s^4 + s^2 t^2 + t^4)): only s - t cancels."""
+    t, s = target[..., :, None], source[..., None, :]
+    t2, s2 = t * t, s * s
+    K = s - t
+    K *= s + t
+    K *= s2 * (s2 + t2) + t2 * t2
+    return np.reciprocal(K, out=K)
+
+
+def _cauchy_operator(lam, lam6, X, Y):
+    """v -> T v for the off-diagonal part of T (see ``_cauchy_dense``) by a
+    Chebyshev fast multipole method in lam (``lam ** 6 == lam6``): O(p M)
+    time and memory per product, p = ``_CHEBYSHEV_NODES``.
+
+    The modes split into a binary tree of boxes, box k of level l holding
+    modes (k M) // 2^l up to ((k + 1) M) // 2^l, down to leaves of at most
+    ``_CAUCHY_ROWS`` modes.  Near field: each leaf against itself and its two
+    neighbours, the reciprocals 1/(lam6[j] - lam6[i]) formed once from lam6.
+    Far field: from level 2 on, box k meets the children of its parent's
+    neighbours that are not adjacent to it, {k-2, k+2, k+3} for even k and
+    {k-3, k-2, k+2} for odd k, through the kernel at the two boxes' p
+    Chebyshev nodes in lam.  The kernel is skew, so only the blocks of leaf
+    k against k + 1, of box k against k + 2 and of even box k against k + 3
+    are kept; their negated transposes serve the other way round.
+
+    A product gathers each leaf's sources onto its nodes, moves them up the
+    tree, across the interaction lists and back down, each pass batched over
+    one level, and interpolates onto each leaf's modes.  Up to two leaves
+    (M <= 128) there is no far field.  The setup depends on the basis alone.
     """
-    W = np.ascontiguousarray((Y * v).T)
-    acc = np.zeros_like(W)  # acc[i, k] = sum_j C[i, j] Y[k, j] v[j]
-    if kernel is None:
-        kernel = ((rows, np.reciprocal(gap, out=gap))
-                  for rows, gap in _gap_rows(lam6, upper=True))
-    for rows, C in kernel:
-        j, height = rows.start, len(C)
-        acc[rows] += C @ W[j:]
-        acc[j + height:] -= C[:, height:].T @ W[rows]
-    return np.sum(X.T * acc, axis=1)
+    M, rank = len(lam6), len(X)
+    levels = 0
+    while _CAUCHY_ROWS << levels < M:
+        levels += 1
+    edges = [np.arange((1 << l) + 1) * M // (1 << l) for l in range(levels + 1)]
+    leaves, first = 1 << levels, edges[levels][:-1]
+    n = int(np.max(np.diff(edges[levels])))  # modes in the largest leaf
+    leaf = np.repeat(np.arange(leaves), np.diff(edges[levels]))
+    slot = leaf * n + np.arange(M) - first[leaf]  # mode -> (leaf, row) in padded order
+    # Pad rows take lam6 -inf and pad columns +inf, so their reciprocals are 0.
+    rows, cols = np.full(leaves * n, -np.inf), np.full(leaves * n, np.inf)
+    rows[slot] = cols[slot] = lam6
+    rows, cols = rows.reshape(leaves, n, 1), cols.reshape(leaves, 1, n)
+    own = cols - rows  # leaf k against itself
+    own[:, np.arange(n), np.arange(n)] = np.inf
+    np.reciprocal(own, out=own)
+    right = np.reciprocal(cols[1:] - rows[:-1])  # leaf k against leaf k + 1
+
+    if levels >= 2:
+        points = np.repeat(lam[first], n)  # pad rows take their leaf's first point
+        points[slot] = lam
+        nodes = [_chebyshev_nodes(lam, e) for e in edges]
+        leaf_map = _interpolation(nodes[levels], points.reshape(leaves, n))
+        # transfer[l][k][c p + a, b]: node b's polynomial of box k of level
+        # l - 1 at node a of its child 2 k + c.
+        transfer = {l: _interpolation(nodes[l - 1], nodes[l].reshape(len(nodes[l - 1]), -1))
+                    for l in range(2, levels + 1)}
+        two = {l: _far_kernel(nodes[l][:-2], nodes[l][2:]) for l in range(2, levels + 1)}
+        three = {l: _far_kernel(nodes[l][:-3:2], nodes[l][3::2]) for l in range(2, levels + 1)}
+
+    def product(v):
+        padded = np.zeros((leaves * n, rank))
+        padded[slot] = (Y * v).T
+        W = padded.reshape(leaves, n, rank)
+        acc = own @ W
+        acc[:-1] += right @ W[1:]
+        acc[1:] -= right.transpose(0, 2, 1) @ W[:-1]
+        if levels >= 2:
+            up = {levels: leaf_map.transpose(0, 2, 1) @ W}
+            for l in range(levels, 2, -1):
+                children = up[l].reshape(len(transfer[l]), -1, rank)
+                up[l - 1] = transfer[l].transpose(0, 2, 1) @ children
+            down = np.zeros((2, _CHEBYSHEV_NODES, rank))  # level 1 receives nothing
+            for l in range(2, levels + 1):
+                w, down = up[l], (transfer[l] @ down).reshape(len(up[l]), -1, rank)
+                down[:-2] += two[l] @ w[2:]
+                down[2:] -= two[l].transpose(0, 2, 1) @ w[:-2]
+                down[:-3:2] += three[l] @ w[3::2]
+                down[3::2] -= three[l].transpose(0, 2, 1) @ w[:-3:2]
+            acc += leaf_map @ down
+        return np.sum(X.T * acc.reshape(-1, rank)[slot], axis=1)
+    return product
 
 
 def _gamma_mean(basis: Basis, modes=slice(None)):

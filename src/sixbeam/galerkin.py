@@ -32,8 +32,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .coefficients import (CoefficientSet, _cauchy_apply, _cauchy_dense, _cauchy_form,
-                           _cauchy_kernel, _gamma_mean, chi_vector)
+from .coefficients import (CoefficientSet, _cauchy_dense, _cauchy_form, _cauchy_operator,
+                           _gamma_mean, chi_vector)
 from .eigenbasis import Basis, _is_int
 
 __all__ = [
@@ -69,6 +69,9 @@ _SUBSTITUTION_BLOCK = 64
 _GUARD_BLOCK = 16           # evolve steps between divergence guards
 _INVERSE_LEAF = 64          # largest block _schur_inverse hands to LAPACK
 _RESIDUAL_ROWS = 128        # rows of |A| that steady_residual forms at a time
+# The dense LU fallback holds A and np.linalg.solve's copy of it, 16 M^2 bytes:
+# 400 MB at this many modes.  Above it a failed GMRES solve raises instead.
+_DENSE_FALLBACK_MODES = 5000
 
 
 @dataclass(frozen=True)
@@ -292,15 +295,14 @@ def _solve_cholesky(s: float, A: np.ndarray, fc: np.ndarray):
     return s * _cho_solve(L, fc), record
 
 
-def _operator(form):
+def _operator(form, lam):
     """v -> A v for the block that the ``_block_form`` tuple describes, without
-    forming A.  The reciprocal Cauchy kernel depends on the basis alone, so
-    it is formed once here and every product reads it; above
-    ``_CAUCHY_KERNEL_BYTES`` each product forms it 64 rows at a time instead,
-    with the same bits."""
+    forming A; ``lam`` are its modes' eigenvalues.  The off-diagonal product
+    is ``_cauchy_operator``'s fast multipole method, set up once here and
+    applied at every Krylov step, both in O(M) time and memory."""
     lam6, X, Y, d = form
-    kernel = _cauchy_kernel(lam6)
-    return lambda v: d * v + _cauchy_apply(lam6, X, Y, v, kernel)
+    off_diagonal = _cauchy_operator(lam, lam6, X, Y)
+    return lambda v: d * v + off_diagonal(v)
 
 
 def _block_jacobi(form):
@@ -349,7 +351,7 @@ def _solve_gmres(spec: BvpSpec, basis: Basis, fc: np.ndarray):
     if fnorm == 0.0:
         return np.zeros(basis.M), {"path": "gmres", "iterations": 0,
                                    "residual": 0.0, "cond_estimate": None}
-    matvec = _operator(form)
+    matvec = _operator(form, basis.lam("even")[1:])
     m = _GMRES_MAX_ITERATIONS
     V, rotations = [fc / fnorm], []
     R = np.zeros((m + 1, m))  # the Arnoldi Hessenberg matrix, Givens-rotated
@@ -392,7 +394,13 @@ def _solve_gmres(spec: BvpSpec, basis: Basis, fc: np.ndarray):
 def _dense_fallback(method: str, reason: str, spec: BvpSpec, basis: Basis,
                     fc: np.ndarray, A: np.ndarray | None = None):
     """(uc_body, record) by dense LU after ``method`` failed, with a warning;
-    ``A`` is the dense mode block if the failed method formed it."""
+    ``A`` is the dense mode block if the failed method formed it.  Above
+    ``_DENSE_FALLBACK_MODES`` modes ArithmeticError, before forming A."""
+    if basis.M > _DENSE_FALLBACK_MODES:
+        raise ArithmeticError(
+            f"{method} failed ({reason}) at M = {basis.M}, and the dense fallback "
+            f"runs only up to M = {_DENSE_FALLBACK_MODES} "
+            f"({16 * basis.M ** 2 / 1e6:.0f} MB here)")
     warnings.warn(f"{method} failed ({reason}); falling back to a pivoted dense solve",
                   RuntimeWarning, stacklevel=4)
     if A is None:
@@ -408,7 +416,8 @@ def _solve_modes(spec: BvpSpec, basis: Basis, fc: np.ndarray):
     with the sign of -a6, so with s = -sign a6 Cholesky of s A both solves
     the system and tests definiteness; a4 != 0 (Gamma is genuinely
     asymmetric) goes straight to LU.  When GMRES does not converge or s A
-    is not definite a dense LU solve runs, with a warning.
+    is not definite a dense LU solve runs, with a warning, up to
+    ``_DENSE_FALLBACK_MODES`` modes; above them a failed GMRES solve raises.
     """
     if basis.M > _KRYLOV_CROSSOVER:
         solved = _solve_gmres(spec, basis, fc)
@@ -429,7 +438,8 @@ def solve_steady(spec: BvpSpec, basis: Basis) -> SteadySolution:
 
     The spec and M pick the path: a diagonal solve when a4 = a2 = 0;
     otherwise matrix-free block-Jacobi GMRES above ``_KRYLOV_CROSSOVER``
-    modes (falling back to LU, with a warning, if it does not converge) and,
+    modes (falling back to LU, with a warning, if it does not converge, or
+    raising ArithmeticError above ``_DENSE_FALLBACK_MODES`` modes) and,
     up to the crossover, Cholesky when a4 = 0 (falling back to LU, with a
     warning, if the matrix is not definite) or LU when a4 != 0 (Gamma is
     genuinely asymmetric).

@@ -602,6 +602,17 @@ def test_numerical_failure_exits_2(capsys):
     assert "numerical failure" in err
 
 
+def test_gmres_failure_above_the_dense_bound_exits_2(capsys):
+    # GMRES does not converge on this spec at M = 5001, above the size up
+    # to which the dense fallback runs.
+    spec = gk.manufactured_spec(1e-6, 1.0, 1.0, -1.0)
+    forcing = ",".join(f"{p}:{c!r}" for p, c in spec.forcing)
+    code, _, err = run(capsys, ["solve", "--M", "5001", "--a6", "1e-6", "--a4", "1",
+                                "--a2", "1", "--a0", "-1", "--forcing", forcing])
+    assert code == 2
+    assert "numerical failure: block-Jacobi GMRES failed (no convergence)" in err
+
+
 @pytest.mark.parametrize("argv", [
     ["--a6", "-1", "--a2", "1e300", "--a0", "1", "--M", "40"],
     ["--a6", "-1", "--a2", "1e300", "--a0", "1", "--M", "400"],

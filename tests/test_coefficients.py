@@ -1,5 +1,6 @@
 """Closed-form projection tables, forcing projection, and synthesis."""
 
+import itertools
 import math
 import tracemalloc
 from fractions import Fraction
@@ -243,70 +244,81 @@ def test_cauchy_dense_keeps_its_bits(M):
             assert np.array_equal(got.view(np.int64), want.view(np.int64)), (parity, kind)
 
 
+def _kernel_product(basis, parity, rank):
+    """(lam6, X, Y, product): ``_kernel_form`` and its fast multipole product."""
+    lam6, X, Y = _kernel_form(basis, parity, rank)
+    return lam6, X, Y, cf._cauchy_operator(basis.lam(parity)[1:], lam6, X, Y)
+
+
 @pytest.mark.parametrize("rank", [2, 4])
 def test_cauchy_apply_against_a_long_double_reference(rank):
     # Normwise error relative to the scale |X| |C| |Y| |v| of the rounding
-    # the product cannot avoid: 4.2e-17 (rank 2) and 2.8e-17 (rank 4)
-    # measured, against 6.0e-17 and 5.2e-17 for the full-width product.
-    basis = build_basis(2000)
-    lam6, X, Y = _kernel_form(basis, EV, rank)
-    v = np.random.default_rng(rank).standard_normal(2000)
-    got = cf._cauchy_apply(lam6, X, Y, v)
-    ld = np.longdouble
-    want, scale = np.empty(2000, dtype=ld), np.empty(2000, dtype=ld)
-    W = (Y.astype(ld) * v.astype(ld)).T
-    for j in range(0, 2000, 250):
-        rows = slice(j, j + 250)
-        gap = lam6.astype(ld) - lam6[rows, None].astype(ld)
-        gap[np.arange(250), j + np.arange(250)] = np.inf
-        C = 1 / gap
-        want[rows] = np.sum(X[:, rows].T.astype(ld) * (C @ W), axis=1)
-        scale[rows] = np.sum(np.abs(X[:, rows].T.astype(ld)) * (np.abs(C) @ np.abs(W)), axis=1)
-    err = np.linalg.norm((got - want).astype(float))
-    assert err <= 1e-16 * np.linalg.norm(scale.astype(float))
+    # the product cannot avoid, on every row at M = 2000 and on 256 sampled
+    # rows at MAX_MODES: 2.3e-17 and 1.5e-17 (rank 2), 1.9e-17 and 1.4e-17
+    # (rank 4) measured, against 4.1e-17 and 2.9e-17 at M = 2000 for the
+    # exact kernel 64 rows at a time.
+    for M, rows in ((2000, np.arange(2000)), (MAX_MODES, np.arange(39, MAX_MODES, 39))):
+        lam6, X, Y, product = _kernel_product(build_basis(M), EV, rank)
+        v = np.random.default_rng(rank).standard_normal(M)
+        got = product(v)[rows]
+        ld = np.longdouble
+        want, scale = np.empty(len(rows), dtype=ld), np.empty(len(rows), dtype=ld)
+        W = (Y.astype(ld) * v.astype(ld)).T
+        for j in range(0, len(rows), 250):
+            block = rows[j:j + 250]
+            gap = lam6.astype(ld) - lam6[block, None].astype(ld)
+            gap[np.arange(len(block)), block] = np.inf
+            C = 1 / gap
+            want[j:j + 250] = np.sum(X[:, block].T.astype(ld) * (C @ W), axis=1)
+            scale[j:j + 250] = np.sum(np.abs(X[:, block].T.astype(ld)) * (np.abs(C) @ np.abs(W)),
+                                      axis=1)
+        err = np.linalg.norm((got - want).astype(float))
+        assert err <= 1e-16 * np.linalg.norm(scale.astype(float)), M
 
 
-@pytest.mark.parametrize("M", [1, 2, 63, 64, 65, 129])
+@pytest.mark.parametrize("M", [1, 2, 63, 64, 65, 129, 257, 1000])
 def test_cauchy_apply_matches_the_dense_kernel(M):
-    # One row, a partial last row block, exactly one block and one row over.
+    # One row, a partial leaf, exactly one leaf and one row over; from
+    # M = 129 (four leaves) on the far field runs, on two and three levels
+    # of the tree at M = 257 and 1000.  Measured worst case 2.3e-16.
     basis = build_basis(M)
-    for parity, rank in ((EV, 2), (OD, 4)):
-        lam6, X, Y = _kernel_form(basis, parity, rank)
+    for parity, rank in itertools.product((EV, OD), (2, 4)):
+        lam6, X, Y, product = _kernel_product(basis, parity, rank)
         v = np.random.default_rng(M).standard_normal(M)
         want = cf._cauchy_dense(lam6, X, Y, 0.0) @ v
         scale = np.abs(cf._cauchy_dense(lam6, np.abs(X), np.abs(Y), 0.0)) @ np.abs(v)
-        got = cf._cauchy_apply(lam6, X, Y, v)
-        assert np.all(np.abs(got - want) <= 1e-15 * scale), (parity, rank)
+        assert np.all(np.abs(product(v) - want) <= 1e-15 * scale), (parity, rank)
 
 
 @pytest.mark.parametrize("M", [302, 1000])
 @pytest.mark.parametrize("rank", [2, 4])
-def test_cauchy_apply_with_the_kernel_keeps_the_streamed_bits(M, rank):
-    # M = 1000 ends in a 40-row block.  The kernel's blocks are C-contiguous
-    # views into one buffer, so each GEMM sees the operands it streamed.
+def test_cauchy_operator_keeps_its_bits(M, rank):
+    # Two builds from the same basis give the same bits, and a product
+    # changes nothing the next one reads.
     basis = build_basis(M)
-    lam6, X, Y = _kernel_form(basis, EV, rank)
-    kernel = cf._cauchy_kernel(lam6)
-    buffer = kernel[0][1].base
-    assert all(C.flags.c_contiguous and C.base is buffer for _, C in kernel)
-    assert buffer.size == sum(C.size for _, C in kernel)
-    assert [(rows, C.shape) for rows, C in kernel] == [
-        (rows, gap.shape) for rows, gap in cf._gap_rows(lam6, upper=True)]
+    product, again = (_kernel_product(basis, EV, rank)[3] for _ in range(2))
     rng = np.random.default_rng(M + rank)
     for v in (rng.standard_normal(M), rng.standard_normal(M) / np.arange(1, M + 1) ** 4):
-        got, want = cf._cauchy_apply(lam6, X, Y, v, kernel), cf._cauchy_apply(lam6, X, Y, v)
-        assert np.array_equal(got, want)
+        want = product(v)
+        assert np.array_equal(product(v), want)
+        assert np.array_equal(again(v), want)
 
 
-def test_cauchy_kernel_is_kept_all_or_nothing(monkeypatch):
-    lam6 = build_basis(302).lam_even[1:] ** 6
-    size = sum(gap.nbytes for _, gap in cf._gap_rows(lam6, upper=True))
-    for budget, kept in ((size, True), (size - 1, False)):
-        monkeypatch.setattr(cf, "_CAUCHY_KERNEL_BYTES", budget)
-        assert (cf._cauchy_kernel(lam6) is not None) == kept
-    # M = 2000 is kept under the shipped budget; M = 3000 is not.
-    monkeypatch.undo()
-    assert 8 * 2000 * 2064 // 2 <= cf._CAUCHY_KERNEL_BYTES < 8 * 3000 * 3064 // 2
+def test_cauchy_operator_holds_memory_linear_in_m():
+    # M = 2500 and MAX_MODES both have 40-mode leaves (64 and 256 of them):
+    # 3.25 and 13.3 MB measured, ~1300 bytes per mode at both, where the
+    # exact kernel took ~4 M bytes per mode.
+    for M in (2500, MAX_MODES):
+        basis = build_basis(M)
+        lam6, X, Y = _kernel_form(basis, EV, 4)
+        tracemalloc.start()
+        try:
+            product = cf._cauchy_operator(basis.lam_even[1:], lam6, X, Y)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held <= 1400 * M, M
+        del product
 
 
 def test_even_gamma_mean_row(basis60):

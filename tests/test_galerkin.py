@@ -298,7 +298,7 @@ def test_matrix_free_matvec_matches_the_dense_block(M, a2):
     spec = gk.BvpSpec(a6=1.0, a4=0.0, a2=a2, a0=-199584.0)
     A = gk._mode_block(spec, basis, "even")
     form = gk._block_form(spec, basis, "even")
-    matvec = gk._operator(form)
+    matvec = gk._operator(form, basis.lam_even[1:])
     assert np.array_equal(form[3], np.diag(A))
     rng = np.random.default_rng(M)
     # A decaying vector (like a solution) and a flat one, where the
@@ -311,43 +311,45 @@ def test_matrix_free_matvec_matches_the_dense_block(M, a2):
 
 @pytest.mark.parametrize("M", [_ABOVE, 1000])
 @pytest.mark.parametrize("a4", [0.0, -20.0])
-def test_operator_keeps_its_bits_on_both_sides_of_the_kernel_budget(M, a4, monkeypatch):
-    # Under the budget the kernel is formed once per operator; with the
-    # budget below its size every product forms it a block at a time.
+def test_operator_keeps_its_bits_across_builds_and_products(M, a4):
+    # The fast multipole setup depends on the basis alone: two builds give
+    # the same bits, a product changes nothing the next one reads, and two
+    # solves agree to the bit.
     basis = build_basis(M)
     spec = gk.manufactured_spec(1.0, a4, -5544.0, -199584.0)
     form = gk._block_form(spec, basis, "even")
     v = np.random.default_rng(M).standard_normal(M)
-    kept = gk._operator(form)
-    want, sol = kept(v), gk.solve_steady(spec, basis)
-    monkeypatch.setattr(cf, "_CAUCHY_KERNEL_BYTES", 8 * M)
-    assert cf._cauchy_kernel(form[0]) is None
-    assert np.array_equal(gk._operator(form)(v), want)
-    assert np.array_equal(kept(v), want)  # a kept kernel is not changed by use
-    streamed = gk.solve_steady(spec, basis)
-    assert sol.record["path"] == streamed.record["path"] == "gmres"
-    assert sol.record == streamed.record
-    assert np.array_equal(sol.uc, streamed.uc) and sol.u0c == streamed.u0c
+    matvec = gk._operator(form, basis.lam_even[1:])
+    want, sol = matvec(v), gk.solve_steady(spec, basis)
+    assert np.array_equal(matvec(v), want)
+    assert np.array_equal(gk._operator(form, basis.lam_even[1:])(v), want)
+    again = gk.solve_steady(spec, basis)
+    assert sol.record["path"] == again.record["path"] == "gmres"
+    assert sol.record == again.record
+    assert np.array_equal(sol.uc, again.uc) and sol.u0c == again.u0c
 
 
-def test_operator_holds_the_kernel_and_no_more_at_m2000():
-    M = 2000
+def test_operator_holds_linear_memory_at_max_modes():
+    M = MAX_MODES
+    basis = build_basis(M)
     spec = gk.manufactured_spec(1.0, -20.0, -5544.0, -199584.0)
-    form = gk._block_form(spec, build_basis(M), "even")
-    size = sum(gap.nbytes for _, gap in cf._gap_rows(form[0], upper=True))
+    form = gk._block_form(spec, basis, "even")
     tracemalloc.start()
     try:
-        matvec = gk._operator(form)
+        matvec = gk._operator(form, basis.lam_even[1:])
         held, peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
         matvec(np.ones(M))
-        after = tracemalloc.get_traced_memory()[0]
+        after, product_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # The kernel is ~M(M + 64)/2 doubles (16.5 MB); forming it takes one
-    # 64-row gap block more (1.2 MB measured in all), and a product keeps
-    # nothing.
-    assert size <= held <= min(size + 8 * M, cf._CAUCHY_KERNEL_BYTES)
-    assert peak <= held + 8 * (cf._CAUCHY_ROWS + 16) * M
+    # The near field (two 40 x 40 blocks per 40-mode leaf), the leaf
+    # interpolation and the far-field blocks: 13.3 MB measured, where the
+    # exact kernel would take 400 MB.  Setting up takes 1.6 MB more and a
+    # product 1.8 MB, and a product keeps nothing.
+    assert held <= 15e6
+    assert peak <= held + 3e6
+    assert product_peak <= held + 3e6
     assert after <= held + 8 * M
 
 
@@ -487,6 +489,26 @@ def test_gmres_failures_fall_back_to_lu(monkeypatch, module, name, value, spec):
     krylov = gk.solve_steady(spec, basis)
     assert np.max(np.abs(sol.uc - krylov.uc)) < 1e-15
     assert sol.u0c == pytest.approx(krylov.u0c, rel=1e-15)
+
+
+def test_gmres_failure_above_the_dense_bound_raises_in_linear_memory():
+    # This spec's GMRES does not converge at M = 3000 or 5001.  Above the
+    # bound a dense LU fallback would hold 400 MB (A and its copy), so the
+    # solve raises instead, with no warning, in the GMRES attempt's memory
+    # (11.0 MB traced measured).
+    spec = gk.manufactured_spec(1e-6, 1.0, 1.0, -1.0)
+    basis = build_basis(gk._DENSE_FALLBACK_MODES + 1)
+    tracemalloc.start()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ArithmeticError, match=r"block-Jacobi GMRES failed "
+                               r"\(no convergence\) at M = 5001"):
+                gk.solve_steady(spec, basis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6
 
 
 def _indefinite_spec(basis):
@@ -1269,8 +1291,9 @@ def test_large_basis_solve_under_overflow_traps():
 
 def test_model_ii_at_max_modes_solves_in_linear_memory():
     # Dense A alone would take 800 MB at MAX_MODES; the matrix-free path
-    # keeps one 64-row block of the Cauchy kernel, since the whole kernel
-    # (400 MB) is far above the budget under which it is formed once.
+    # holds the fast multipole operator (13.3 MB), the 64 x 64 block
+    # inverses and a few Krylov vectors: a 22.4 MB traced peak measured,
+    # the basis build included.
     tracemalloc.start()
     try:
         with np.errstate(over="raise", invalid="raise"):
@@ -1279,7 +1302,7 @@ def test_model_ii_at_max_modes_solves_in_linear_memory():
     finally:
         tracemalloc.stop()
     assert sol.record["path"] == "gmres"
-    assert peak < 100e6
+    assert peak < 30e6
     xs = np.linspace(-1.0, 1.0, 201)
     with np.errstate(over="raise", invalid="raise"):
         err = np.max(np.abs(cf.synthesize(sol, xs) - _exact_solution(xs)))
@@ -1287,10 +1310,10 @@ def test_model_ii_at_max_modes_solves_in_linear_memory():
 
 
 def test_manufactured_a4_solve_at_max_modes_in_linear_memory():
-    # Dense LU would take 800 MB for A alone at MAX_MODES; GMRES keeps one
-    # 64-row block of the Cauchy kernel (the whole kernel, 400 MB, is far
-    # above the budget under which it is formed once), the 64 x 64 block
-    # inverses and a few Krylov vectors.
+    # Dense LU would take 800 MB for A alone at MAX_MODES; GMRES holds the
+    # fast multipole operator (13.3 MB), the 64 x 64 block inverses and a
+    # few Krylov vectors: a 23.5 MB traced peak measured, the basis build
+    # included.
     spec = gk.manufactured_spec(1.0, -20.0, gk.MODEL_II.a2, gk.MODEL_II.a0)
     tracemalloc.start()
     try:
@@ -1300,7 +1323,7 @@ def test_manufactured_a4_solve_at_max_modes_in_linear_memory():
     finally:
         tracemalloc.stop()
     assert sol.record["path"] == "gmres"
-    assert peak < 100e6
+    assert peak < 30e6
     xs = np.linspace(-1.0, 1.0, 201)
     with np.errstate(over="raise", invalid="raise"):
         err = np.max(np.abs(cf.synthesize(sol, xs) - _exact_solution(xs)))
