@@ -64,7 +64,7 @@ _KRYLOV_CROSSOVER = 301
 _KRYLOV_RTOL = 1e-15        # stop when the least-squares residual <= this ||f||
 _GMRES_MAX_ITERATIONS = 30  # specs tried need 2-4; each holds one more M-vector
 _GMRES_ACCEPT = 1e-13       # largest ||A u - f|| / ||f|| a GMRES answer may keep
-_JACOBI_BLOCK = 64          # modes per diagonal block of the preconditioner
+_JACOBI_BLOCK = 64          # modes in the leading block of the preconditioner
 _SUBSTITUTION_BLOCK = 64
 _GUARD_BLOCK = 16           # evolve steps between divergence guards
 _INVERSE_LEAF = 64          # largest block _schur_inverse hands to LAPACK
@@ -306,35 +306,29 @@ def _operator(form, lam):
 
 
 def _block_jacobi(form):
-    """v -> P^{-1} v for P the 64 x 64 diagonal blocks of A, or None if one
-    is singular.
+    """v -> P^{-1} v for P the leading ``_JACOBI_BLOCK`` x ``_JACOBI_BLOCK`` block
+    of A and the diagonal after it, or None if that block is singular.
 
-    The blocks (``_JACOBI_BLOCK`` modes each) come straight from the
-    generators of the ``_block_form`` tuple and are inverted once, batched,
-    in O(64 M) memory; the last one is padded with the identity.
+    Past the leading block the diagonal a0 - a6 lam^6 outgrows the coupling
+    a4 lam^4 + a2 lam^2 (at mode 64, lam ~ 201: (6000 lam^2 + 30 lam^4) / lam^6
+    ~ 7e-4), so 1 x 1 blocks keep A P^{-1} close to the identity there.  The
+    leading block comes from the generators of the ``_block_form`` tuple and
+    is inverted once: O(64^2 + M) memory.
     """
     lam6, X, Y, d = form
-    M, n = len(d), _JACOBI_BLOCK
-    blocks = np.tile(np.eye(n), (-(-M // n), 1, 1))
-    for k, j in enumerate(range(0, M, n)):
-        b, size = slice(j, j + n), min(n, M - j)
-        blocks[k, :size, :size] = _cauchy_dense(lam6[b], X[:, b], Y[:, b], d[b])
+    n = _JACOBI_BLOCK
     try:
-        inv = np.linalg.inv(blocks)
+        inv = np.linalg.inv(_cauchy_dense(lam6[:n], X[:, :n], Y[:, :n], d[:n]))
     except np.linalg.LinAlgError:
         return None
-    padded = np.zeros(len(blocks) * n)
-
-    def apply(v):
-        padded[:M] = v
-        return (inv @ padded.reshape(-1, n, 1)).reshape(-1)[:M]
-    return apply
+    return lambda v: np.concatenate((inv @ v[:n], v[n:] / d[n:]))
 
 
 def _solve_gmres(spec: BvpSpec, basis: Basis, fc: np.ndarray):
     """(u, record) by block-Jacobi right-preconditioned GMRES on A u = f, or
-    None (a singular diagonal block, the iteration cap, or a final residual
-    above ``_GMRES_ACCEPT``).
+    None (a non-finite generator form, a singular preconditioner
+    (``_block_jacobi``), the iteration cap, or a final residual above
+    ``_GMRES_ACCEPT``).
 
     GMRES minimizes ||f - A P^{-1} y|| over the Krylov space, so its
     least-squares residual is that of A u = f with u = P^{-1} y.  It stops
@@ -344,6 +338,10 @@ def _solve_gmres(spec: BvpSpec, basis: Basis, fc: np.ndarray):
     singular values of the Arnoldi Hessenberg matrix of A P^{-1}.
     """
     form = _block_form(spec, basis, "even")
+    # An overflowed form may meet no check below (a zero forcing never runs
+    # a product), so it goes to the dense fallback and its non-finite check.
+    if not all(np.all(np.isfinite(a)) for a in form[1:]):
+        return None
     precondition = _block_jacobi(form)
     if precondition is None:
         return None

@@ -602,13 +602,15 @@ def test_numerical_failure_exits_2(capsys):
     assert "numerical failure" in err
 
 
-def test_gmres_failure_above_the_dense_bound_exits_2(capsys):
-    # GMRES does not converge on this spec at M = 5001, above the size up
-    # to which the dense fallback runs.
-    spec = gk.manufactured_spec(1e-6, 1.0, 1.0, -1.0)
+def test_gmres_failure_above_the_dense_bound_exits_2(capsys, monkeypatch):
+    # The iteration cap makes GMRES fail at M = 5001, above the size up to
+    # which the dense fallback runs; the solve runs in this interpreter.
+    monkeypatch.setattr(gk, "_GMRES_MAX_ITERATIONS", 2)
+    spec = gk.manufactured_spec(1.0, -20.0, gk.MODEL_II.a2, gk.MODEL_II.a0)
     forcing = ",".join(f"{p}:{c!r}" for p, c in spec.forcing)
-    code, _, err = run(capsys, ["solve", "--M", "5001", "--a6", "1e-6", "--a4", "1",
-                                "--a2", "1", "--a0", "-1", "--forcing", forcing])
+    code, _, err = run(capsys, ["solve", "--M", "5001", "--a6", "1", "--a4=-20",
+                                "--a2", f"{spec.a2!r}", "--a0", f"{spec.a0!r}",
+                                "--forcing", forcing])
     assert code == 2
     assert "numerical failure: block-Jacobi GMRES failed (no convergence)" in err
 

@@ -376,8 +376,9 @@ def test_gmres_solve_matches_the_dense_solve_at_m2000():
         assert 1 <= record["iterations"] <= 20
         assert record["residual"] <= 1e-14
         assert 1.0 <= record["cond_estimate"] < 2.0
-    # Model II's block-preconditioned matrix (64-mode blocks) has condition
-    # number ~1 + 1.9e-6 at every M (the Hessenberg matrix's singular values).
+    # Model II's preconditioned matrix (the leading 64-mode block inverted,
+    # the diagonal after it) has condition number ~1 + 1.9e-6 at every M
+    # (the Hessenberg matrix's singular values).
     assert gk.solve_steady(gk.MODEL_II, basis).record["cond_estimate"] == \
         pytest.approx(1.0000019, abs=1e-6)
 
@@ -423,24 +424,41 @@ def test_gmres_matches_lu_at_m2000(a4):
     assert 1.0 <= record["cond_estimate"] < 2.0
 
 
-def test_gmres_matches_lu_near_a_resonance_at_m2000():
+def _refined_solve(A, fc):
+    """np.linalg.solve(A, fc) after one step of iterative refinement whose
+    residual is formed in long double: a second step moves it by ~1e-35
+    (normwise, relative) at the near-resonant spec below, so it is a
+    reference far closer to the solution than LU's own answer."""
+    x = np.linalg.solve(A, fc)
+    r, xl = np.empty(len(fc)), x.astype(np.longdouble)
+    for j in range(0, len(fc), 256):  # 256 rows of A in long double at a time
+        rows = slice(j, j + 256)
+        r[rows] = fc[rows] - A[rows].astype(np.longdouble) @ xl
+    return x + np.linalg.solve(A, r)
+
+
+def test_gmres_matches_the_refined_solution_near_a_resonance_at_m2000():
     # Model II's a2, a0 and forcing with a4 = 30 put the smallest singular
     # value ~80 times below the next, which magnifies any rounding of the
-    # product (1.7e-15 measured; 9.5e-15 with the full-width product).
+    # product (9.5e-15 with the full-width product).  LU's own answer is
+    # 2.4e-15 from the refined one here (1.1e-15 without AVX2 and AVX-512),
+    # so the GMRES answer is measured against the refined one: 2.6e-15
+    # (1.1e-15).
     basis = build_basis(2000)
     spec = gk.BvpSpec(a6=1.0, a4=30.0, a2=gk.MODEL_II.a2, a0=gk.MODEL_II.a0,
                       forcing=gk.MODEL_II.forcing)
     sol = gk.solve_steady(spec, basis)
     assert sol.record["path"] == "gmres"
     A, fc, _ = gk.assemble_steady(spec, basis)
-    dense = np.linalg.solve(A, fc)
-    assert np.linalg.norm(sol.uc[1:] - dense) <= 4e-15 * np.linalg.norm(dense)
+    refined = _refined_solve(A, fc)
+    assert np.linalg.norm(sol.uc[1:] - refined) <= 4e-15 * np.linalg.norm(refined)
 
 
 @pytest.mark.parametrize("M", [_ABOVE, 500, 1000, 2000])
 def test_krylov_iteration_counts_on_bench_specs(M):
-    # Each iteration costs one matrix-free product; 64-mode blocks keep
-    # GMRES at 2-3 for a4 = 0 and 3-4 for a4 != 0 on the benchmark's ranges.
+    # Each iteration costs one matrix-free product; the leading 64-mode block
+    # and the diagonal after it keep GMRES at 2-3 for a4 = 0 and 3-4 for
+    # a4 != 0 on the benchmark's ranges.
     basis = build_basis(M)
     rng = np.random.default_rng([M, 13])
     for _ in range(4):
@@ -476,7 +494,7 @@ _A4_SPEC = gk.manufactured_spec(1.0, -20.0, gk.MODEL_II.a2, gk.MODEL_II.a0)
 @pytest.mark.parametrize("module, name, value, spec", [
     (gk, "_GMRES_MAX_ITERATIONS", 2, _A4_SPEC),     # the iteration cap
     (gk, "_GMRES_ACCEPT", 0.0, _A4_SPEC),           # a rejected final residual
-    (np.linalg, "inv", _singular, _A4_SPEC),        # a singular diagonal block
+    (np.linalg, "inv", _singular, _A4_SPEC),        # a singular leading block
     (gk, "_GMRES_MAX_ITERATIONS", 2, gk.MODEL_II),  # the cap, for a4 = 0
 ], ids=["cap", "rejected", "singular-block", "model-II-cap"])
 def test_gmres_failures_fall_back_to_lu(monkeypatch, module, name, value, spec):
@@ -491,12 +509,13 @@ def test_gmres_failures_fall_back_to_lu(monkeypatch, module, name, value, spec):
     assert sol.u0c == pytest.approx(krylov.u0c, rel=1e-15)
 
 
-def test_gmres_failure_above_the_dense_bound_raises_in_linear_memory():
-    # This spec's GMRES does not converge at M = 3000 or 5001.  Above the
-    # bound a dense LU fallback would hold 400 MB (A and its copy), so the
-    # solve raises instead, with no warning, in the GMRES attempt's memory
-    # (11.0 MB traced measured).
-    spec = gk.manufactured_spec(1e-6, 1.0, 1.0, -1.0)
+def test_gmres_failure_above_the_dense_bound_raises_in_linear_memory(monkeypatch):
+    # The iteration cap makes GMRES fail at M = 5001.  Above the bound a
+    # dense LU fallback would hold 400 MB (A and its copy), so the solve
+    # raises instead, with no warning, in the GMRES attempt's memory (8.3 MB
+    # traced measured).
+    monkeypatch.setattr(gk, "_GMRES_MAX_ITERATIONS", 2)
+    spec = _A4_SPEC
     basis = build_basis(gk._DENSE_FALLBACK_MODES + 1)
     tracemalloc.start()
     try:
@@ -509,6 +528,77 @@ def test_gmres_failure_above_the_dense_bound_raises_in_linear_memory():
     finally:
         tracemalloc.stop()
     assert peak < 20e6
+
+
+def test_small_a6_spec_solves_on_gmres():
+    # a6 = 1e-6 against a4 = a2 = 1: the coupling a4 lam^4 outweighs the
+    # diagonal a6 lam^6 up to lam ~ 1000 (mode ~300).  With every 64-mode
+    # block inverted GMRES did not converge here (a dense LU ran, with a
+    # warning); the leading block and the diagonal after it take 12
+    # iterations (cond_estimate ~240).
+    record = _assert_matches_the_dense_solve(gk.manufactured_spec(1e-6, 1.0, 1.0, -1.0),
+                                             build_basis(1000), "gmres")
+    assert record["iterations"] <= 15
+
+
+def _full_block_jacobi(form):
+    # The preconditioner this one replaced: every 64 x 64 diagonal block of A
+    # inverted, in O(64 M) memory, the last one padded with the identity.
+    lam6, X, Y, d = form
+    M, n = len(d), gk._JACOBI_BLOCK
+    blocks = np.tile(np.eye(n), (-(-M // n), 1, 1))
+    for k, j in enumerate(range(0, M, n)):
+        b, size = slice(j, j + n), min(n, M - j)
+        blocks[k, :size, :size] = cf._cauchy_dense(lam6[b], X[:, b], Y[:, b], d[b])
+    inv = np.linalg.inv(blocks)
+    padded = np.zeros(len(blocks) * n)
+
+    def apply(v):
+        padded[:M] = v
+        return (inv @ padded.reshape(-1, n, 1)).reshape(-1)[:M]
+    return apply
+
+
+def test_leading_block_preconditioner_matches_the_full_block_jacobi(monkeypatch):
+    # The benchmark's specs and wider ones (a6 in [0.1, 10], |a2| up to 1e5,
+    # |a4| up to 1e3): never more iterations than every 64-mode block
+    # inverted, and the same solution up to rounding (5.7e-15 the largest
+    # difference seen over 480 such specs).
+    rng = np.random.default_rng(28)
+    for M in (_ABOVE, 1000, 2000, 4000):
+        basis = build_basis(M)
+        for _ in range(6):
+            a4 = rng.uniform(-1e3, 1e3) if rng.random() < 0.7 else 0.0
+            spec = gk.manufactured_spec(rng.uniform(0.1, 10.0), a4, rng.uniform(-1e5, 1e5),
+                                        -rng.uniform(2.5e5, 4.0e5))
+            _, fc = gk.forcing_projection(spec, basis)
+            u, record = gk._solve_gmres(spec, basis, fc)
+            with monkeypatch.context() as m:
+                m.setattr(gk, "_block_jacobi", _full_block_jacobi)
+                full, full_record = gk._solve_gmres(spec, basis, fc)
+            assert record["iterations"] <= full_record["iterations"]
+            assert np.linalg.norm(u - full) <= 1e-14 * np.linalg.norm(full)
+
+
+def test_preconditioner_holds_the_leading_block_and_no_more_at_max_modes():
+    M, n = MAX_MODES, gk._JACOBI_BLOCK
+    form = gk._block_form(_A4_SPEC, build_basis(M), "even")
+    tracemalloc.start()
+    try:
+        precondition = gk._block_jacobi(form)
+        held, peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        precondition(np.ones(M))
+        after, apply_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # The inverse of the leading 64 x 64 block: 33 KB held against 5.2 MB
+    # for every 64-mode block, 134 KB to set up.  An application takes its
+    # input, its output and one M-vector temporary (274 KB) and keeps none.
+    assert held <= 8 * (n * n + M)
+    assert peak <= 2 * 8 * (n * n + M)
+    assert apply_peak <= held + 4 * 8 * M
+    assert after <= held + 1000
 
 
 def _indefinite_spec(basis):
