@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from fractions import Fraction
 
 import numpy as np
@@ -538,10 +538,14 @@ class SemiDiscreteSystem:
         """max_i |A u + f|_i / (|A||u| + |f|)_i over both blocks, 0/0 read as 0:
         the componentwise backward error of the single ``state`` as a steady state
         (Oettli & Prager, Numer. Math. 6 (1964) 405), at most 1 up to rounding.
-        A diagonal block reads its diagonal alone, with the dense rows' bits."""
+        A diagonal block reads its diagonal alone, with the dense rows' bits.
+        ValueError for a state with an inf or NaN coefficient."""
+        blocks = (("even", np.concatenate(([state.u0c], state.uc[1:]))),
+                  ("odd", state.us[1:]))
+        if not all(np.all(np.isfinite(u)) for _, u in blocks):
+            raise ValueError("steady_residual needs a finite state, got inf or NaN")
         worst = 0.0
-        for parity, u in (("even", np.concatenate(([state.u0c], state.uc[1:]))),
-                          ("odd", state.us[1:])):
+        for parity, u in blocks:
             f, diagonal, coupled = self._block(parity)
             if not (np.any(f) or np.any(u)):  # every row reads 0/0
                 continue
@@ -612,11 +616,11 @@ class Trajectory(CoefficientSet):
     ``record`` is ``{"even": path, "odd": path}``, each path one of
     ``"zero"`` (zero forcing and zero start: the block stays exactly 0 and is
     never factored or stepped), ``"diagonal"`` (no off-diagonal entry, as
-    B = T = 0 assembles: each mode steps on its own, the whole run at once)
-    or ``"step-map"`` (the dense one-step map).  ``stationary_from`` is the
-    first step k from which every later state equals state k bit for bit
-    (the stepping stopped there and copied it forward), or None if the last
-    step still moved the state.
+    B = T = 0 assembles: each mode steps on its own, an unforced block's
+    whole run at once) or ``"step-map"`` (the dense one-step map).
+    ``stationary_from`` is the first step k from which every later state
+    equals state k bit for bit (the stepping stopped there and copied it
+    forward), or None if the last step still moved the state.
     """
 
     record: dict = field(default_factory=dict)
@@ -647,8 +651,8 @@ def _block_path(system: SemiDiscreteSystem, parity: str, u0: np.ndarray) -> str:
 
 def _schur_inverse(L: np.ndarray) -> np.ndarray:
     """L^-1 for a strictly column diagonally dominant L, by recursive 2 x 2
-    Schur complements: ``_schur_complete`` of ``_schur_factor``, six matrix
-    products per level, ``np.linalg.inv`` on blocks of at most
+    Schur complements: six matrix products per level, two of them in
+    ``_schur_factor``, and ``np.linalg.inv`` on blocks of at most
     ``_INVERSE_LEAF``.
 
     Every Schur complement of such a matrix is again column dominant, so
@@ -657,7 +661,15 @@ def _schur_inverse(L: np.ndarray) -> np.ndarray:
     """
     if len(L) <= _INVERSE_LEAF:
         return np.linalg.inv(L)
-    return _schur_complete(L, *_schur_factor(L))
+    inv11, X, inv_s = _schur_factor(L)
+    h = len(inv11)
+    out = np.empty_like(L)
+    out[h:, h:] = inv_s
+    Y = L[h:, :h] @ inv11                        # L21 L11^-1
+    out[:h, h:] = Z = -(X @ inv_s)
+    out[h:, :h] = -(inv_s @ Y)
+    out[:h, :h] = inv11 - Z @ Y
+    return out
 
 
 def _schur_factor(L: np.ndarray):
@@ -671,18 +683,6 @@ def _schur_factor(L: np.ndarray):
     return inv11, X, _schur_inverse(S)
 
 
-def _schur_complete(L: np.ndarray, inv11, X, inv_s) -> np.ndarray:
-    """L^-1 from L's ``_schur_factor``: the other four products of the level."""
-    h = len(inv11)
-    out = np.empty_like(L)
-    out[h:, h:] = inv_s
-    Y = L[h:, :h] @ inv11                        # L21 L11^-1
-    out[:h, h:] = Z = -(X @ inv_s)
-    out[h:, :h] = -(inv_s @ Y)
-    out[:h, :h] = inv11 - Z @ Y
-    return out
-
-
 def _schur_solve(L: np.ndarray, factor, b: np.ndarray, out: np.ndarray) -> np.ndarray:
     """out = L^-1 b from L's ``_schur_factor``, in four matrix-vector products."""
     inv11, X, inv_s = factor
@@ -692,33 +692,6 @@ def _schur_solve(L: np.ndarray, factor, b: np.ndarray, out: np.ndarray) -> np.nd
     np.matmul(inv_s, b[h:] - L[h:, :h] @ x1, out=x2)
     x1 -= X @ x2
     return out
-
-
-def _dominant_step(lhs: np.ndarray, factor, theta: float):
-    """step(_, u, out): out = P u = (lhs^-1 u - (1 - theta) u) / theta.
-
-    The first ``_GUARD_BLOCK`` calls (``evolve``'s first guard block) solve
-    with the factor.  Only a run not stationary by then calls again; that
-    call completes lhs^-1 (the bits of ``_schur_inverse(lhs)``), forms P in
-    place and drops the rest, and each call is one matrix-vector product.
-    """
-    P, calls = None, 0
-
-    def step(_, u, out):
-        nonlocal P, calls, lhs, factor
-        if P is None:
-            calls += 1
-            if calls <= _GUARD_BLOCK:
-                _schur_solve(lhs, factor, u, out)
-                out -= (1.0 - theta) * u
-                out /= theta
-                return out
-            P, d = _schur_complete(lhs, *factor), np.arange(len(lhs))
-            lhs = factor = None
-            P[d, d] -= 1.0 - theta
-            P /= theta
-        return np.matmul(P, u, out=out)
-    return step
 
 
 def _diagonal_map(mu: np.ndarray, f: np.ndarray, dt: float, theta: float):
@@ -733,50 +706,42 @@ def _diagonal_map(mu: np.ndarray, f: np.ndarray, dt: float, theta: float):
 
 
 def _diagonal_run(mu: np.ndarray, f: np.ndarray, u: np.ndarray, dt: float,
-                  theta: float) -> np.ndarray:
-    """Fill rows 1.. of ``u`` (row 0 is the start) by u^{k+1} = P u^k + g,
-    with the bits of one step at a time, and return the view of the columns
-    it stepped.
+                  theta: float):
+    """(run, stepper) for a diagonal block mu whose start is row 0 of ``u``:
+    ``run`` is the view of the columns that move, and ``stepper`` is None
+    once rows 1.. of ``run`` are filled, or else their elementwise map in
+    ``_step_map``'s (step, g) form.
 
     A mode whose one step leaves its bits unchanged never moves, so only the
     columns from the first to the last mode that moves or is not +0.0 are
     stepped; the rest stay +0.0.  Adding a zero g (of either sign) to the
     product changes at most a zero's sign, and the product of a zero is a
     zero, so an unforced run is one ``np.multiply.accumulate`` over the step
-    axis with g added once; a forced one steps row by row until a guard
-    block's last step repeats, and copies that row forward.
+    axis with g added once, with the bits of one step at a time.
     """
     P, g = _diagonal_map(mu, f, dt, theta)
     with np.errstate(over="ignore", invalid="ignore"):
         first = P * u[0] + g
         live = np.flatnonzero((first.view(np.int64) != u[0].view(np.int64))
                               | (u[0].view(np.int64) != 0))
-        if not live.size:
-            return u[:, :0]
-        cols = slice(live[0], live[-1] + 1)
+        cols = slice(live[0], live[-1] + 1) if live.size else slice(0)
         run, P, g = u[:, cols], P[cols], g[cols]
-        if not np.any(g):
-            run[1:] = P
-            np.multiply.accumulate(run, axis=0, out=run)
-            run[1:] += g
-            return run
-        for j in range(1, len(run)):
-            np.multiply(P, run[j - 1], out=run[j])
-            run[j] += g
-            if j % _GUARD_BLOCK == 0 and _same_bits(run[j], run[j - 1]):
-                run[j + 1:] = run[j]
-                break
-    return run
+        if np.any(g):
+            return run, (partial(np.multiply, P), g)
+        run[1:] = P
+        np.multiply.accumulate(run, axis=0, out=run)
+        run[1:] += g
+    return run, None
 
 
 def _step_map(A: np.ndarray, f: np.ndarray, dt: float, theta: float):
-    """(step, P, g) with u^{k+1} = step(P, u^k) + g for a dense block.
+    """(step, g) with u^{k+1} = step(u^k, out) + g for a dense block.
 
     (I - theta dt A) u^{k+1} = (I + (1-theta) dt A) u^k + dt f.  With
     theta > 0 and a strictly column diagonally dominant lhs = I - theta dt A,
-    lhs is factored once (``_schur_factor``); g is one factored solve, and P
-    is None: ``_dominant_step`` carries the map.  Any other block takes P
-    and g from one pivoted solve.
+    lhs is factored once (``_schur_factor``), and g and every step are
+    solves with the factor.  Any other block takes P and g from one pivoted
+    solve and steps by P u.
     """
     # The operands are built in place, because transient M x M copies set a
     # run's peak memory.
@@ -784,18 +749,24 @@ def _step_map(A: np.ndarray, f: np.ndarray, dt: float, theta: float):
     lhs = (-theta * dt) * A  # I - theta dt A
     lhs[d, d] += 1.0
     if theta > 0.0 and np.all(2.0 * np.abs(lhs.diagonal()) > np.abs(lhs).sum(axis=0)):
-        # I + (1 - theta) dt A = (I - (1 - theta) lhs) / theta, so P needs
-        # no product with lhs^-1, which would cost accuracy.
         factor = _schur_factor(lhs)
-        g = _schur_solve(lhs, factor, dt * f, np.empty(n))
-        return _dominant_step(lhs, factor, theta), None, g
+
+        def step(u, out):
+            # I + (1 - theta) dt A = (I - (1 - theta) lhs) / theta, so
+            # P u = (lhs^-1 u - (1 - theta) u) / theta solves with u itself;
+            # forming (I + (1 - theta) dt A) u first would cost accuracy.
+            _schur_solve(lhs, factor, u, out)
+            out -= (1.0 - theta) * u
+            out /= theta
+            return out
+        return step, _schur_solve(lhs, factor, dt * f, np.empty(n))
     # Otherwise one pivoted solve gives [P | g].
     rhs = np.empty((n, n + 1))  # [I + (1 - theta) dt A | dt f]
     np.multiply((1.0 - theta) * dt, A, out=rhs[:, :n])
     rhs[d, d] += 1.0
     rhs[:, n] = dt * f
     Pg = np.linalg.solve(lhs, rhs)
-    return np.matmul, Pg[:, :-1], Pg[:, -1]
+    return partial(np.matmul, Pg[:, :-1]), Pg[:, -1]
 
 
 def _guard(moved: list, k: int, end: int, limit: float) -> int | None:
@@ -840,12 +811,13 @@ def evolve(system: SemiDiscreteSystem, initial: CoefficientSet, dt: float,
     """Integrate the semi-discrete system by the theta scheme.
 
     Each parity block moves by its own path (see ``Trajectory``): a zero
-    block is left at 0, a diagonal one runs every step at once over the
-    modes that move (``_diagonal_run``), and any other factors or solves
-    once for the step map u <- P u + g (``_step_map``) and steps one guard
-    block at a time.  Returns the trajectory as one stacked coefficient set
-    with a leading step axis of length steps + 1 (initial state included):
-    ``u0c[k]``, ``uc[k]``, ``us[k]``.
+    block is left at 0, an unforced diagonal one runs every step at once
+    over the modes that move (``_diagonal_run``), and every other block
+    steps by its (step, g) map, u <- step(u) + g (``_step_map``, or
+    ``_diagonal_run``'s elementwise one), one guard block at a time.
+    Returns the trajectory as one stacked coefficient set with a leading
+    step axis of length steps + 1 (initial state included): ``u0c[k]``,
+    ``uc[k]``, ``us[k]``.
     Once a step leaves the state bit-identical, stepping stops and that
     state fills the remaining rows (``Trajectory.stationary_from``).  Raises
     ArithmeticError at the first state whose max norm passes
@@ -876,22 +848,24 @@ def evolve(system: SemiDiscreteSystem, initial: CoefficientSet, dt: float,
             continue
         f, diagonal, _ = system._block(parity)
         if record[parity] == "diagonal":
-            moved.append(_diagonal_run(diagonal, f, u, dt, theta))
+            u, stepper = _diagonal_run(diagonal, f, u, dt, theta)
         else:
-            maps.append((*_step_map(system._dense(parity), f, dt, theta), u))
-            moved.append(u)
+            stepper = _step_map(system._dense(parity), f, dt, theta)
+        moved.append(u)
+        if stepper is not None:
+            maps.append((*stepper, u))
     scale0 = 1.0 + max(float(np.max(np.abs(even[0]))), float(np.max(np.abs(odd[0]))))
     limit, stationary_from, k = 1e12 * scale0, None, 0
     while k < steps and stationary_from is None:
-        # A diagonal block has run every step already, so without a dense
-        # map one guard reads the whole run.
+        # An unforced diagonal block has run every step already, so without
+        # a map one guard reads the whole run.
         end = min(k + _GUARD_BLOCK, steps) if maps else steps
         # Steps past a divergence overflow silently; the guard reports the
         # first row that crossed the limit, as a per-step check would.
         with np.errstate(over="ignore", invalid="ignore"):
             for j in range(k, end):
-                for step, P, g, u in maps:
-                    step(P, u[j], out=u[j + 1])
+                for step, g, u in maps:
+                    step(u[j], u[j + 1])
                     u[j + 1] += g
         stationary_from = _guard(moved, k, end, limit)
         if stationary_from is not None:

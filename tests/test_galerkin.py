@@ -3,6 +3,7 @@
 import itertools
 import tracemalloc
 import warnings
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -847,22 +848,23 @@ def _final_state(traj):
     return cf.CoefficientSet(traj.basis, traj.u0c[-1], traj.uc[-1], traj.us[-1])
 
 
-@pytest.mark.parametrize("B, T, reaction, path, schur", [
-    (0.0, 0.0, -3e5, "diagonal", False),
-    (3000.0, 20.0, -3e5, "step-map", True),                      # column dominant
-    (gk.MODEL_II.a2, 20.0, gk.MODEL_II.a0, "step-map", False),  # pivoted solve
-], ids=["diagonal", "schur-map", "pivoted-map"])
+@pytest.mark.parametrize("B, T, reaction, dt, path, schur", [
+    (0.0, 0.0, -3e5, 1e-4, "diagonal", False),
+    (3000.0, 20.0, -3e5, 1e-4, "step-map", True),                      # column dominant
+    (gk.MODEL_II.a2, 20.0, gk.MODEL_II.a0, 1e-4, "step-map", False),  # pivoted solve
+    (3000.0, 20.0, -3e5, 1e-5, "step-map", True),  # stationary past the first guard block
+], ids=["diagonal", "schur-map", "pivoted-map", "schur-map-past-guard"])
 def test_steady_residual_is_rounding_level_at_each_paths_fixed_point(
-        monkeypatch, B, T, reaction, path, schur):
+        monkeypatch, B, T, reaction, dt, path, schur):
     # The fixed point of each stepped path solves A u + f = 0 componentwise
     # to rounding (1.6e-16 to 2.1e-15 measured up to M = 2000).
     basis = build_basis(200)
     system = gk.model_ii_semi_discrete(basis, B=B, T=T, reaction=reaction)
-    inverses, inverse = [], gk._schur_inverse
-    monkeypatch.setattr(gk, "_schur_inverse", lambda L: inverses.append(L) or inverse(L))
-    traj = gk.evolve(system, cf.CoefficientSet.zeros(basis), 1e-4, 200, theta=1.0)
+    inverses = _spy_schur_inverse(monkeypatch)
+    traj = gk.evolve(system, cf.CoefficientSet.zeros(basis), dt, 200, theta=1.0)
     assert traj.record == {"even": path, "odd": "zero"}
     assert bool(inverses) == schur and traj.stationary_from is not None
+    assert dt == 1e-4 or traj.stationary_from > gk._GUARD_BLOCK
     assert system.steady_residual(_final_state(traj)) <= 1e-14
     # The start is as far from steady as a state can be: A 0 + f = f.
     assert system.steady_residual(cf.CoefficientSet.zeros(basis)) == 1.0
@@ -885,6 +887,23 @@ def test_steady_residual_is_the_componentwise_backward_error():
         want = max(want, np.max(np.abs(A @ u + f) / (np.abs(A) @ np.abs(u) + np.abs(f))))
     assert system.steady_residual(state) == pytest.approx(want, rel=1e-14)
     assert 0.0 < want <= 1.0
+
+
+@pytest.mark.parametrize("value", [np.inf, np.nan], ids=["inf", "nan"])
+@pytest.mark.parametrize("where", ["u0c", "uc", "us"])
+@pytest.mark.parametrize("B, T", [(0.0, 0.0), (-300.0, 20.0)], ids=["diagonal", "coupled"])
+def test_steady_residual_rejects_a_non_finite_state(B, T, where, value):
+    # inf / inf reads as NaN, and max(worst, nan) keeps worst: without the
+    # check such a state would read as a perfect steady state.
+    basis = build_basis(10)
+    system = gk.model_ii_semi_discrete(basis, B=B, T=T)
+    state = dict(u0c=0.5, uc=np.r_[0.0, np.linspace(1.0, 2.0, 10)], us=np.zeros(11))
+    if where == "u0c":
+        state["u0c"] = value
+    else:
+        state[where][4] = value
+    with pytest.raises(ValueError, match="finite"):
+        system.steady_residual(cf.CoefficientSet(basis, **state))
 
 
 def test_steady_residual_forms_abs_a_a_block_of_rows_at_a_time():
@@ -953,26 +972,6 @@ def _spy_schur_inverse(monkeypatch):
     return calls
 
 
-def _spy_completions(monkeypatch, M):
-    """A list that gets, per ``_schur_complete`` call on a whole parity block
-    of a basis of M modes (not on the halves ``_schur_inverse`` recurses
-    into), a copy of the inverse it returned and the array itself (which
-    ``_dominant_step`` turns into P)."""
-    calls, inner = [], gk._schur_complete
-
-    def spy(L, *factor):
-        out = inner(L, *factor)
-        if len(L) in (M, M + 1):
-            calls.append((out.copy(), out))
-        return out
-    monkeypatch.setattr(gk, "_schur_complete", spy)
-    return calls
-
-
-def _same_matrix_bits(a, b):
-    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
-
-
 # Evolve-long's steady ops: B in [-2000, 6000], reaction in [-4e5, -2.5e5].
 _DOMINANT = dict(B=3000.0, reaction=-3e5)
 
@@ -981,68 +980,45 @@ _DOMINANT = dict(B=3000.0, reaction=-3e5)
 @pytest.mark.parametrize("T", [0.0, 20.0])
 def test_dominant_step_map_has_a_rounding_level_residual(monkeypatch, M, T):
     # Column-dominant blocks on each side of the inverse's leaf size.
-    completions = _spy_completions(monkeypatch, M)
+    calls = _spy_schur_inverse(monkeypatch)
     sys_ = gk.model_ii_semi_discrete(build_basis(M), T=T, **_DOMINANT)
     rng = np.random.default_rng(M)
     for theta in (1.0, 0.5, 0.1):
         for A, f in ((sys_.A_even, sys_.f_even), (sys_.A_odd, sys_.f_odd)):
-            completions.clear()
-            step, P, g = gk._step_map(A, f, 1e-4, theta)
-            assert P is None
+            calls.clear()
+            step, g = gk._step_map(A, f, 1e-4, theta)
+            assert calls  # factored, not the pivoted solve
             lhs, rhs = _step_operands(A, f, 1e-4, theta)
-            # One guard block of factored steps from random states, each
+            # Two guard blocks of factored steps from random states, each
             # componentwise: |lhs u+ - R [u; 1]| <= 1e-14 (|lhs| |u+| + |R| |[u; 1]|).
-            for _ in range(gk._GUARD_BLOCK):
+            for _ in range(2 * gk._GUARD_BLOCK):
                 u = np.r_[rng.standard_normal(len(f)), 1.0]
-                nxt = step(P, u[:-1], out=np.empty(len(f))) + g
+                nxt = step(u[:-1], np.empty(len(f))) + g
                 scale = np.abs(lhs) @ np.abs(nxt) + np.abs(rhs) @ np.abs(u)
                 assert np.all(np.abs(lhs @ nxt - rhs @ u) <= 1e-14 * scale)
-            assert not completions
-            # The next step completes lhs^-1, with _schur_inverse's bits, and
-            # multiplies by P formed from it in place.
-            nxt = step(P, u[:-1], out=np.empty(len(f)))
-            ((inverse, P),) = completions
-            assert np.array_equal(nxt, P @ u[:-1])
-            X = np.column_stack((P, g))
-            # Componentwise: |lhs X - R| <= 1e-14 (|lhs| |X| + |R|).
-            err = np.abs(lhs @ X - rhs)
-            assert np.all(err <= 1e-14 * (np.abs(lhs) @ np.abs(X) + np.abs(rhs)))
-            step(P, u[:-1], out=nxt)
-            assert len(completions) == 1
-            assert _same_matrix_bits(inverse, gk._schur_inverse(lhs))
-    # In evolve, only a run that outlasts the first guard block completes.
-    basis, initial = sys_.basis, cf.CoefficientSet.zeros(sys_.basis)
-    completions.clear()
-    steady = gk.evolve(sys_, initial, 1e-4, 40, theta=1.0)
-    assert steady.stationary_from < gk._GUARD_BLOCK and not completions
-    transient = gk.evolve(sys_, initial, 1e-4, 40, theta=0.5)
-    assert transient.stationary_from is None and len(completions) == 1
-    assert gk.evolve(sys_, initial, 1e-4, gk._GUARD_BLOCK, theta=0.5).stationary_from is None
-    assert len(completions) == 1
 
 
-def test_evolve_long_corners_stop_within_the_first_guard_block(monkeypatch):
-    # The saving rests on this: evolve-long's steady ops (M = 500, theta = 1,
-    # dt, B, reaction and T at the corners of their ranges) reach their fixed
-    # point in the first guard block, so lhs^-1 is never completed.
-    completions = _spy_completions(monkeypatch, 500)
+def test_evolve_long_corners_stop_within_the_first_guard_block():
+    # Evolve-long's steady ops (M = 500, theta = 1, dt, B, reaction and T at
+    # the corners of their ranges) reach their fixed point in the first
+    # guard block.
     basis = build_basis(500)
     for dt, B, reaction, T in itertools.product((0.8e-4, 1.2e-4), (-2000.0, 6000.0),
                                                 (-4e5, -2.5e5), (0.0, 20.0)):
         system = gk.model_ii_semi_discrete(basis, B=B, T=T, reaction=reaction)
         traj = gk.evolve(system, cf.CoefficientSet.zeros(basis), dt, 1000, theta=1.0)
         assert traj.record == {"even": "step-map", "odd": "zero"}
-        assert traj.stationary_from <= 15 and not completions, (dt, B, reaction, T)
+        assert traj.stationary_from <= 15, (dt, B, reaction, T)
 
 
-def test_dominant_switch_does_not_depend_on_the_step_count(monkeypatch):
-    # Step 17 is the first after the switch, whether the run stops there or not.
-    completions = _spy_completions(monkeypatch, 65)
+def test_dominant_steps_do_not_depend_on_the_step_count():
+    # Steps 17 and 18, the first past the first guard block, whether the run
+    # stops there or not.
     basis = build_basis(65)
     system = gk.model_ii_semi_discrete(basis, T=20.0, **_DOMINANT)
     short, long_ = (gk.evolve(system, cf.CoefficientSet.zeros(basis), 1e-4, steps, theta=0.5)
                     for steps in (gk._GUARD_BLOCK + 1, 40))
-    assert len(completions) == 2 and short.stationary_from is None
+    assert short.record["even"] == "step-map" and short.stationary_from is None
     head = (long_.u0c[:gk._GUARD_BLOCK + 2], long_.uc[:gk._GUARD_BLOCK + 2],
             long_.us[:gk._GUARD_BLOCK + 2])
     _assert_same_trajectory(short, head)
@@ -1058,10 +1034,10 @@ def test_other_step_maps_keep_the_pivoted_solve_bits(monkeypatch, spec, theta):
     calls = _spy_schur_inverse(monkeypatch)
     sys_ = gk.model_ii_semi_discrete(build_basis(60), **spec)
     A, f = sys_.A_even, sys_.f_even
-    _, P, g = gk._step_map(A, f, 1e-4, theta)
+    step, g = gk._step_map(A, f, 1e-4, theta)
     want = np.linalg.solve(*_step_operands(A, f, 1e-4, theta))
-    assert not calls
-    assert np.array_equal(P, want[:, :-1]) and np.array_equal(g, want[:, -1])
+    assert not calls and step.func is np.matmul
+    assert np.array_equal(step.args[0], want[:, :-1]) and np.array_equal(g, want[:, -1])
 
 
 def test_dominant_evolution_stops_at_the_steady_solution():
@@ -1131,14 +1107,15 @@ def _per_step_evolve(system, initial, dt, steps, theta):
             record[parity] = "zero"
         elif np.count_nonzero(A) == np.count_nonzero(A.diagonal()):
             record[parity] = "diagonal"
-            maps.append((np.multiply, *gk._diagonal_map(A.diagonal(), f, dt, theta), u))
+            P, g = gk._diagonal_map(A.diagonal(), f, dt, theta)
+            maps.append((partial(np.multiply, P), g, u))
         else:
             record[parity] = "step-map"
             maps.append((*gk._step_map(A, f, dt, theta), u))
     scale0 = 1.0 + max(float(np.max(np.abs(even[0]))), float(np.max(np.abs(odd[0]))))
     for k in range(steps):
-        for step, P, g, u in maps:
-            step(P, u[k], out=u[k + 1])
+        for step, g, u in maps:
+            step(u[k], u[k + 1])
             u[k + 1] += g
         norm = float(max(np.max(np.abs(even[k + 1])), np.max(np.abs(odd[k + 1]))))
         if not np.isfinite(norm) or norm > 1e12 * scale0:
@@ -1195,6 +1172,17 @@ def test_decay_that_never_repeats_steps_to_the_end(basis30):
     assert traj.stationary_from is None
     assert traj.record == {"even": "zero", "odd": "diagonal"}
     _assert_same_trajectory(traj, _per_step_evolve(sys_, init, dt, 1000, 0.5))
+    # A dominant theta = 1/2 run never repeats either: both blocks step by
+    # their factor through every guard block.
+    basis = build_basis(65)
+    sys_ = gk.model_ii_semi_discrete(basis, T=20.0, **_DOMINANT)
+    us = np.zeros(66)
+    us[3] = 1.0
+    init = cf.CoefficientSet(basis=basis, u0c=0.0, uc=np.zeros(66), us=us)
+    traj = gk.evolve(sys_, init, 1e-4, 100, theta=0.5)
+    assert traj.stationary_from is None
+    assert traj.record == {"even": "step-map", "odd": "step-map"}
+    _assert_same_trajectory(traj, _per_step_evolve(sys_, init, 1e-4, 100, 0.5))
 
 
 def test_zero_step_and_zero_block_runs(basis30):
