@@ -506,38 +506,37 @@ class CoefficientSet:
 
 # synthesize and project evaluate psi_block on at most this many (mode, point)
 # entries at a time, and _synthesize_grid its boundary-layer mask: their
-# temporaries, not the result, set the peak memory.
-# They are a few real arrays, plus complex ones for at most 2**16 boundary-
-# layer entries at a time (M = 100's project peaks at ~16 MB; 201 points at
-# M = 10000 at ~35 MB in one block, ~10 MB in chunks).  Every synthesis at
-# M <= 2000 with <= 262 points is still one block.
-_SYNTHESIS_ENTRIES = 2 ** 19
+# temporaries, not the result, set the peak memory.  psi_block's are a few
+# real and complex arrays per entry (201 points at M = 10000 peak at ~19 MB
+# in chunks; M = 100's project at ~20 MB).  Every synthesis at M <= 1000
+# with <= 262 points is still one block.
+_SYNTHESIS_ENTRIES = 2 ** 18
 
 
 def _point_chunks(basis: Basis, n: int):
-    """Slices of at most ``_SYNTHESIS_ENTRIES // M`` of n points."""
-    step = _SYNTHESIS_ENTRIES // basis.M
+    """Slices of at most ``max(1, _SYNTHESIS_ENTRIES // M)`` of n points."""
+    step = max(1, _SYNTHESIS_ENTRIES // basis.M)
     return (slice(j, j + step) for j in range(0, n, step))
 
 
 def synthesize(coeffs: CoefficientSet, x, k: int = 0):
     """Evaluate the k-th derivative at x (scalar or array), one row per stacked state.
 
-    The points go through ``psi_block`` in chunks of at most
-    ``_SYNTHESIS_ENTRIES // M``, so memory stays O(states x points + 2**19).
+    The points, flattened, go through ``psi_block`` in chunks of at most
+    ``_SYNTHESIS_ENTRIES // M``, so memory stays O(states x points + 2**18).
+    The result has shape ``u0c.shape + x.shape``.
     """
     xa = _check_eval_args(x, k)
-    scalar = xa.ndim == 0
-    xa = np.atleast_1d(xa)
-    vals = np.zeros(np.shape(coeffs.u0c) + xa.shape)
+    flat = xa.reshape(-1)
+    vals = np.zeros(np.shape(coeffs.u0c) + flat.shape)
     if k == 0:
         vals += 0.5 * np.expand_dims(coeffs.u0c, -1)
     for parity, u in ((Parity.EVEN, coeffs.uc), (Parity.ODD, coeffs.us)):
         if np.any(u[..., 1:]):  # an all-zero parity needs no psi_block
-            for cols in _point_chunks(coeffs.basis, len(xa)):
+            for cols in _point_chunks(coeffs.basis, flat.size):
                 vals[..., cols] += u[..., 1:] @ psi_block(coeffs.basis, parity,
-                                                          xa[cols], int(k))
-    vals = vals[..., 0] if scalar else vals
+                                                          flat[cols], int(k))
+    vals = vals.reshape(np.shape(coeffs.u0c) + xa.shape)
     return float(vals) if vals.ndim == 0 else vals
 
 

@@ -340,19 +340,6 @@ def build_basis(M: int) -> Basis:
 # Eigenfunction evaluation
 # ---------------------------------------------------------------------------
 
-#: Entries whose trigonometric part is below this fraction of lam^k (near
-#: the zeros of cos/sin) always get their boundary layer.
-_NEAR_ZERO = 2.0 ** -20
-#: ln(2^54 / _NEAR_ZERO) + 1, the part of a row's reach common to all rows.
-_REACH_LN = 74.0 * np.log(2.0) + 1.0
-#: Below this many masked entries the mask costs more than the exponentials
-#: it saves, so the call evaluates the layer at every point.
-_MASK_MIN = 1024
-#: Entries of S evaluated at a time: their indices, gathered inputs and
-#: complex temporaries take ~150 bytes each.
-_LAYER_ENTRIES = 2 ** 16
-
-
 def _layer(z, half, wzk, x, sigma):
     """Re[w z^k Phi_k(x)], the boundary-layer term, at every point given."""
     zu = z * x
@@ -369,16 +356,6 @@ def _psi_core(parity: Parity, lam, c, w, x, k: int):
     where Phi_k(x) = e^{-s/2} * d^k/dx^k of cosh(zx) (even) or sinh(zx)
     (odd).  Both exponentials inside Phi_k have nonpositive real exponent for
     |x| <= 1, so the evaluation never overflows.
-
-    With h = s/2 the layer term L has |L| <= |w z^k| e^{h(|x| - 1)}
-    (1 + O(eps)).  Outside the set S of points with |x| >= a = 1 - reach/h,
-    reach = ln(|w z^k| / lam^k) + _REACH_LN (~55), or with
-    |trig| < _NEAR_ZERO lam^k, that is below 2^-54 |trig|: less than half an
-    ulp of trig, so trig + L rounds to trig exactly.  So a row may add L at
-    every point or only on S (NaN points included), entry by entry with the
-    same expression: every other entry is c * trig, and the bits are those
-    of L at every point either way.  Rows with a <= 0 (the low modes, which
-    lead in sorted order) and small calls take every point.
     """
     s = SQRT3 * lam
     lamk = lam ** k
@@ -394,21 +371,6 @@ def _psi_core(parity: Parity, lam, c, w, x, k: int):
     z = 0.5 * (s + 1j * lam)
     half = 0.5 * s
     wzk = w * z ** k   # in the caller's types: a Python complex for one mode
-    if trig.size >= _MASK_MIN:
-        edge = np.reshape(1.0 - (np.log(abs(wzk) / lamk) + _REACH_LN) / half, (-1, 1))
-        p = np.count_nonzero(edge <= 0.0)   # rows [:p] take every point
-        if (edge.size - p) * np.size(x) >= _MASK_MIN:
-            z, half, wzk, lamk, xs = (np.ravel(v) for v in (z, half, wzk, lamk, x))
-            rows = trig.reshape(edge.size, xs.size)   # one row per mode
-            rows[:p] += _layer(z[:p, None], half[:p, None], wzk[:p, None], xs, sigma)
-            near = abs(rows[p:]) < _NEAR_ZERO * lamk[p:, None]
-            near |= ~(abs(xs) < edge[p:])
-            flat = rows.reshape(-1)
-            i = np.flatnonzero(near) + p * xs.size   # S as indices into flat
-            for b in range(0, i.size, _LAYER_ENTRIES):
-                r, j = np.divmod(i[b:b + _LAYER_ENTRIES], xs.size)
-                flat[i[b:b + _LAYER_ENTRIES]] += _layer(z[r], half[r], wzk[r], xs[j], sigma)
-            return np.multiply(c, rows, out=rows).reshape(trig.shape)
     trig += _layer(z, half, wzk, x, sigma)
     trig *= c
     return trig
@@ -442,7 +404,8 @@ def eval_psi(basis: Basis, parity, m: int, x, k: int = 0):
 
 
 def psi_block(basis: Basis, parity, x, k: int = 0) -> np.ndarray:
-    """Matrix psi_m^{(k)}(x_j) for m = 1..M (rows) over sample points (cols)."""
+    """psi_m^{(k)}(x) for m = 1..M (rows) over the points x, of shape
+    ``(M,) + x.shape`` (``(M, 1)`` for a scalar x)."""
     parity = _parity(parity)
     xa = np.atleast_1d(_check_eval_args(x, k))
     if parity is Parity.EVEN:
@@ -450,4 +413,5 @@ def psi_block(basis: Basis, parity, x, k: int = 0) -> np.ndarray:
     else:
         lam, c, w = basis.lam_odd[1:], basis.c_odd[1:], basis.w_odd[1:]
     col = (slice(None), None)
-    return _psi_core(parity, lam[col], c[col], w[col], xa[None, :], int(k))
+    block = _psi_core(parity, lam[col], c[col], w[col], xa.reshape(1, -1), int(k))
+    return block.reshape((basis.M,) + xa.shape)

@@ -69,9 +69,11 @@ _SUBSTITUTION_BLOCK = 64
 _GUARD_BLOCK = 16           # evolve steps between divergence guards
 _INVERSE_LEAF = 64          # largest block _schur_inverse hands to LAPACK
 _RESIDUAL_ROWS = 128        # rows of |A| that steady_residual forms at a time
-# The dense LU fallback holds A and np.linalg.solve's copy of it, 16 M^2 bytes:
-# 400 MB at this many modes.  Above it a failed GMRES solve raises instead.
-_DENSE_FALLBACK_MODES = 5000
+# The largest M at which a dense mode block is formed.  The LU fallback holds
+# A and np.linalg.solve's copy of it, 16 M^2 bytes: 400 MB at this many modes.
+# Above it a failed GMRES solve raises instead, and so does evolve on a
+# coupled block, whose step map holds A and lhs and a pivoted solve's rhs.
+_DENSE_MODES = 5000
 
 
 @dataclass(frozen=True)
@@ -393,11 +395,11 @@ def _dense_fallback(method: str, reason: str, spec: BvpSpec, basis: Basis,
                     fc: np.ndarray, A: np.ndarray | None = None):
     """(uc_body, record) by dense LU after ``method`` failed, with a warning;
     ``A`` is the dense mode block if the failed method formed it.  Above
-    ``_DENSE_FALLBACK_MODES`` modes ArithmeticError, before forming A."""
-    if basis.M > _DENSE_FALLBACK_MODES:
+    ``_DENSE_MODES`` modes ArithmeticError, before forming A."""
+    if basis.M > _DENSE_MODES:
         raise ArithmeticError(
             f"{method} failed ({reason}) at M = {basis.M}, and the dense fallback "
-            f"runs only up to M = {_DENSE_FALLBACK_MODES} "
+            f"runs only up to M = {_DENSE_MODES} "
             f"({16 * basis.M ** 2 / 1e6:.0f} MB here)")
     warnings.warn(f"{method} failed ({reason}); falling back to a pivoted dense solve",
                   RuntimeWarning, stacklevel=4)
@@ -415,7 +417,7 @@ def _solve_modes(spec: BvpSpec, basis: Basis, fc: np.ndarray):
     the system and tests definiteness; a4 != 0 (Gamma is genuinely
     asymmetric) goes straight to LU.  When GMRES does not converge or s A
     is not definite a dense LU solve runs, with a warning, up to
-    ``_DENSE_FALLBACK_MODES`` modes; above them a failed GMRES solve raises.
+    ``_DENSE_MODES`` modes; above them a failed GMRES solve raises.
     """
     if basis.M > _KRYLOV_CROSSOVER:
         solved = _solve_gmres(spec, basis, fc)
@@ -437,7 +439,7 @@ def solve_steady(spec: BvpSpec, basis: Basis) -> SteadySolution:
     The spec and M pick the path: a diagonal solve when a4 = a2 = 0;
     otherwise matrix-free block-Jacobi GMRES above ``_KRYLOV_CROSSOVER``
     modes (falling back to LU, with a warning, if it does not converge, or
-    raising ArithmeticError above ``_DENSE_FALLBACK_MODES`` modes) and,
+    raising ArithmeticError above ``_DENSE_MODES`` modes) and,
     up to the crossover, Cholesky when a4 = 0 (falling back to LU, with a
     warning, if the matrix is not definite) or LU when a4 != 0 (Gamma is
     genuinely asymmetric).
@@ -532,6 +534,12 @@ class SemiDiscreteSystem:
                 len(X) > 0 or self._mean_row is not None)
 
     def _dense(self, parity: str) -> np.ndarray:
+        """One dense block; ValueError above ``_DENSE_MODES`` modes."""
+        if self.basis.M > _DENSE_MODES:
+            raise ValueError(
+                f"a coupled block (B or T nonzero) is formed densely only up to "
+                f"M = {_DENSE_MODES}, got M = {self.basis.M} "
+                f"({8 * self.basis.M ** 2 / 1e6:.0f} MB per block)")
         return self.A_even if parity == "even" else self.A_odd
 
     def steady_residual(self, state: CoefficientSet) -> float:
@@ -539,7 +547,8 @@ class SemiDiscreteSystem:
         the componentwise backward error of the single ``state`` as a steady state
         (Oettli & Prager, Numer. Math. 6 (1964) 405), at most 1 up to rounding.
         A diagonal block reads its diagonal alone, with the dense rows' bits.
-        ValueError for a state with an inf or NaN coefficient."""
+        ValueError for a state with an inf or NaN coefficient, and for a
+        coupled block above ``_DENSE_MODES`` modes."""
         blocks = (("even", np.concatenate(([state.u0c], state.uc[1:]))),
                   ("odd", state.us[1:]))
         if not all(np.all(np.isfinite(u)) for _, u in blocks):
@@ -821,7 +830,8 @@ def evolve(system: SemiDiscreteSystem, initial: CoefficientSet, dt: float,
     Once a step leaves the state bit-identical, stepping stops and that
     state fills the remaining rows (``Trajectory.stationary_from``).  Raises
     ArithmeticError at the first state whose max norm passes
-    1e12 (1 + the initial max norm) or is not finite.
+    1e12 (1 + the initial max norm) or is not finite, and ValueError for a
+    coupled block above ``_DENSE_MODES`` modes before forming it.
     """
     if not (dt > 0.0) or not math.isfinite(dt):
         raise ValueError(f"dt must be positive and finite, got {dt!r}")

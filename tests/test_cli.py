@@ -510,6 +510,13 @@ def test_evolve_instability_aborts_with_exit_2(capsys):
     assert "numerical failure" in err
 
 
+def test_evolve_above_the_dense_bound_exits_1(capsys):
+    code, out, err = run(capsys, ["evolve", "--M", "5001", "--forcing", "model-II",
+                                  "--steps", "3"])
+    assert code == 1 and out == ""
+    assert "only up to M = 5000, got M = 5001" in err and err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # Exit codes and argument errors
 # ---------------------------------------------------------------------------

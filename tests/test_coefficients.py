@@ -592,10 +592,45 @@ def test_chi_sign_alternates_property(m, p):
     assert (value > 0) == (m % 2 == 1)
 
 
+@pytest.mark.parametrize("M", [3, 5])
+def test_synthesize_keeps_the_shape_of_multidimensional_points(M):
+    # Each point's value is that of the flattened call, for one state and
+    # for a stack of two: shape u0c.shape + x.shape.
+    basis = build_basis(M)
+    n = np.arange(1, M + 1, dtype=float)
+    uc = np.concatenate(([0.0], 1.0 / n ** 2))
+    us = np.concatenate(([0.0], -0.5 / n ** 3))
+    xs = np.linspace(-1.0, 1.0, 12).reshape(3, 4)
+    for coeffs in (cf.CoefficientSet(basis, 0.5, uc, us),
+                   cf.CoefficientSet(basis, np.array([0.5, -1.0]),
+                                     np.stack((uc, 2.0 * uc)), np.stack((us, -us)))):
+        for k in (0, 2):
+            got = cf.synthesize(coeffs, xs, k)
+            flat = cf.synthesize(coeffs, xs.reshape(-1), k)
+            assert got.shape == np.shape(coeffs.u0c) + (3, 4)
+            assert np.array_equal(got.view(np.int64),
+                                  flat.reshape(got.shape).view(np.int64))
+
+
+@pytest.mark.parametrize("M", [2000, MAX_MODES])
+def test_grid_synthesis_keeps_its_bits_in_any_point_chunks(M, monkeypatch):
+    # Each point sums its layer terms in mode order whatever chunk holds it,
+    # so the chunk size (262, 131 and 2 points at M = 2000; 52, 26 and 1 at
+    # M = 10000) leaves every bit of the grid.
+    basis = build_basis(M)
+    n = np.arange(1, M + 1, dtype=float)
+    uc = np.concatenate(([0.0], (-1.0) ** n / n ** 2))
+    got = []
+    for entries in (2 ** 19, 2 ** 18, 2 ** 12):
+        monkeypatch.setattr(cf, "_SYNTHESIS_ENTRIES", entries)
+        got.append(cf._synthesize_grid(basis, 0.5, uc, 1000).view(np.int64))
+    assert np.array_equal(got[0], got[1]) and np.array_equal(got[0], got[2])
+
+
 def test_synthesize_at_max_modes_evaluates_in_chunks():
-    # One 201-point psi_block at M = 10000 peaks at ~35 MB (~161 MB while it
-    # evaluated every boundary-layer exponential); chunking the points keeps
-    # synthesize at ~10 MB and changes values at rounding level.
+    # One 201-point psi_block at M = 10000 peaks at ~145 MB with its layer
+    # at every entry; chunking the points keeps synthesize at ~19 MB and
+    # changes values at rounding level.
     basis = build_basis(MAX_MODES)
     n = np.arange(MAX_MODES + 1, dtype=float)
     decay = np.concatenate(([0.0], n[1:] ** -8.0))

@@ -179,6 +179,20 @@ def test_psi_block_matches_scalar_eval(basis30):
                     row, col, rtol=1e-13, atol=1e-14 * max(1.0, lam[m] ** k))
 
 
+@pytest.mark.parametrize("M", [3, 5])
+def test_psi_block_keeps_the_shape_of_multidimensional_points(M):
+    # Mode m is row m - 1 for every point, whatever x's shape: the block has
+    # shape (M,) + x.shape and the bits of the flattened call.
+    basis = build_basis(M)
+    xs = np.linspace(-1.0, 1.0, 12).reshape(3, 4)
+    for parity in Parity:
+        for k in (0, 3):
+            block = psi_block(basis, parity, xs, k)
+            flat = psi_block(basis, parity, xs.reshape(-1), k)
+            assert block.shape == (M, 3, 4)
+            assert _same_bits(block, flat.reshape(M, 3, 4)), (parity, k)
+
+
 def test_free_edge_boundary_conditions(basis60):
     # psi' = psi'' = psi^(5) = 0 at x = +-1, judged against the derivative's
     # natural magnitude lambda^k.
@@ -280,13 +294,12 @@ def test_no_overflow_for_large_basis():
 
 
 # ---------------------------------------------------------------------------
-# Boundary layer only where it does not underflow: the same bits
+# The boundary layer at every point: the bits of one expression
 # ---------------------------------------------------------------------------
 
 def _full_layer_psi_core(parity, lam, c, w, x, k):
-    """``eigenbasis._psi_core`` as it evaluated before the boundary layer was
-    limited to the points where it does not underflow: both exponentials over
-    every (mode, point).  The bit-for-bit reference for the tests below.
+    """An eigenfunction entry written out as one expression, both exponentials
+    over every (mode, point).  The bit-for-bit reference for the tests below.
     """
     s = SQRT3 * lam
     phase = lam * x + 0.5 * np.pi * k
@@ -323,13 +336,15 @@ def _same_bits(got, want) -> bool:
 def _layer_points(basis, seed=0) -> np.ndarray:
     """Unsorted points: the edges, signed zeros, the last double below 1,
     points closing in on the edges, where the layer lives.  For the first, a
-    middle and the last masked mode of each parity: the mask's edge
-    a = 1 - reach/h with its neighbours, and the doubles nearest the zeros
-    of cos(lam x) and sin(lam x) just inside a and near 1/2, where the mask
-    keeps the layer because trig is near zero.  And the edges of the bands
-    that the kernel used before the mask (exp(-760) underflows; 128-mode
-    blocks, each band sized by its smallest h), with their neighbours.
-    All mirrored."""
+    middle and the last high mode of each parity: the point a = 1 - reach/h
+    inside which the layer is below half an ulp of the trigonometric part
+    (reach = ln(|w z^k| / lam^k) + 74 ln 2 + 1, h = sqrt(3) lam / 2), with
+    its neighbours, and the doubles nearest the zeros of cos(lam x) and
+    sin(lam x) just inside a and near 1/2, where the layer is not small
+    against trig.  And the points where exp(-760) underflows in 128-mode
+    blocks, each sized by its smallest h, with their neighbours.  All
+    mirrored."""
+    reach_ln = 74.0 * np.log(2.0) + 1.0
     closing = 1.0 - np.geomspace(1e-6, 0.5, 12)
     special = [-1.0, 1.0, 0.0, -0.0, np.nextafter(1.0, 0.0), -np.nextafter(1.0, 0.0),
                *closing, *-closing]
@@ -345,9 +360,9 @@ def _layer_points(basis, seed=0) -> np.ndarray:
         edges = {}
         for k in (0, 6):
             z = 0.5 * (2.0 * half + 1j * lam)
-            edge = 1.0 - (np.log(np.abs(w * z ** k) / lam ** k) + eb._REACH_LN) / half
-            masked = np.flatnonzero(edge > 0.0)
-            for r in {masked[0], masked[masked.size // 2], masked[-1]} if masked.size else ():
+            edge = 1.0 - (np.log(np.abs(w * z ** k) / lam ** k) + reach_ln) / half
+            far = np.flatnonzero(edge > 0.0)
+            for r in {far[0], far[far.size // 2], far[-1]} if far.size else ():
                 edges.setdefault(r, set()).add(edge[r])
         for r, rs in edges.items():
             probes += [v for a in rs for v in (a, np.nextafter(a, 0.0), np.nextafter(a, 2.0))]
@@ -380,8 +395,8 @@ def test_psi_block_and_eval_psi_keep_the_full_layer_bits(M):
 
 def test_layer_bands_do_not_rely_on_sorted_modes():
     # The 256 largest modes alternate with 256 around h = 760, so adjacent
-    # rows have h ~760 and ~27000: a mask edge taken from any row but its
-    # own would drop or misplace that row's layer.
+    # rows have h ~760 and ~27000: a layer whose exponent is taken from any
+    # row but its own would underflow or misplace that row's layer.
     basis = build_basis(MAX_MODES)
     xs = _layer_points(basis, seed=1)
     order = np.empty(512, dtype=int)
@@ -394,9 +409,9 @@ def test_layer_bands_do_not_rely_on_sorted_modes():
 
 
 def test_masked_rows_keep_the_full_layer_bits_in_any_mode_order():
-    # The rows taking every point are as many as have a <= 0 and lead in
-    # sorted order.  Here 20 high modes lead and 20 low modes (a <= 0 for
-    # m <= 19) follow, so high modes take every point and low ones the mask.
+    # Rows whose layer reaches every point (a <= 0, m <= 19) lead in sorted
+    # order.  Here 20 high modes, whose layer is below half an ulp of trig
+    # inside a, lead and 20 low modes follow: each row keeps its own bits.
     basis = build_basis(400)
     xs = _layer_points(basis, seed=2)
     order = np.concatenate((np.arange(399, 379, -1), np.arange(20)))

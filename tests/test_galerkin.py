@@ -517,7 +517,7 @@ def test_gmres_failure_above_the_dense_bound_raises_in_linear_memory(monkeypatch
     # traced measured).
     monkeypatch.setattr(gk, "_GMRES_MAX_ITERATIONS", 2)
     spec = _A4_SPEC
-    basis = build_basis(gk._DENSE_FALLBACK_MODES + 1)
+    basis = build_basis(gk._DENSE_MODES + 1)
     tracemalloc.start()
     try:
         with warnings.catch_warnings():
@@ -722,6 +722,25 @@ def test_evolve_validation(basis30):
     stacked = gk.evolve(sys_, z, dt=1e-3, steps=2)
     with pytest.raises(ValueError):
         gk.evolve(sys_, stacked, dt=1e-3, steps=1)
+
+
+def test_evolve_refuses_a_coupled_block_above_the_dense_bound():
+    # At M = 5001 a coupled block would form an 8 M^2 = 200 MB matrix, and
+    # its step map two more of that size; evolve raises before any of them,
+    # in the memory of its two 11-row stacks.
+    basis = build_basis(gk._DENSE_MODES + 1)
+    sys_ = gk.assemble_semi_discrete(basis, B=1.0)
+    uc = np.zeros(basis.M + 1)
+    uc[2] = 1.0
+    start = cf.CoefficientSet(basis, 0.0, uc, np.zeros(basis.M + 1))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"only up to M = 5000, got M = 5001"):
+            gk.evolve(sys_, start, dt=1e-4, steps=10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5e6
 
 
 def test_evolve_zero_steps_echoes_initial(basis30):
