@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import itertools
 import json
 import math
@@ -525,6 +526,7 @@ def _ranged(flag: str, cast, ok, rule: str):
     return parse
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
     common.add_argument("--M", type=_ranged("--M", int, lambda v: v >= 1, "be >= 1"),
@@ -613,7 +615,7 @@ def _config_argv(args: argparse.Namespace) -> list:
 
 
 def _parse_args(argv: list) -> argparse.Namespace:
-    """Parse argv; the parser is freed before the command runs (~0.7 MB RSS)."""
+    """Parse argv with the parser built once per process and kept (~0.7 MB RSS)."""
     parser = _build_parser()
     args = parser.parse_args(argv)
     if args.config is not None:

@@ -185,9 +185,28 @@ _CHEBYSHEV_NODES = 22
 _CHEBYSHEV_ANGLES = (2 * np.arange(_CHEBYSHEV_NODES) + 1) * np.pi / (2 * _CHEBYSHEV_NODES)
 
 
-def _cauchy_form(basis: Basis, parity, kind: str, modes=slice(None)):
-    """(lam^6, X, Y, diagonal) of one table over ``modes`` (0-based, into 1..M)."""
+def _derived(basis: Basis, key, build):
+    """build(), made once per basis and kept in its derived-data slot."""
+    if key not in basis._derived:
+        basis._derived[key] = build()
+    return basis._derived[key]
+
+
+def _read_only(arrays: tuple) -> tuple:
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
+def _cauchy_form(basis: Basis, parity, kind: str, modes=None):
+    """(lam^6, X, Y, diagonal) of one table over ``modes`` (0-based, into 1..M).
+
+    Over all modes (None) the form is built once per basis, read-only.
+    """
     parity = _parity(parity)
+    if modes is None:
+        return _derived(basis, (parity, kind), lambda: _read_only(
+            _cauchy_form(basis, parity, kind, slice(None))))
     lam, c, q, e1 = (a[modes] for a in _family(basis, parity))
     psi, psi3, psi4 = _edge(basis, parity)[:, modes]
     lam6 = lam ** 6
@@ -258,9 +277,9 @@ def _far_kernel(target, source):
     return np.reciprocal(K, out=K)
 
 
-def _cauchy_operator(lam, lam6, X, Y):
-    """v -> T v for the off-diagonal part of T (see ``_cauchy_dense``) by a
-    Chebyshev fast multipole method in lam (``lam ** 6 == lam6``): O(p M)
+def _cauchy_plan(lam):
+    """(X, Y, v) -> T v for the off-diagonal part of T (see ``_cauchy_dense``,
+    with lam6 = lam ** 6) by a Chebyshev fast multipole method in lam: O(p M)
     time and memory per product, p = ``_CHEBYSHEV_NODES``.
 
     The modes split into a binary tree of boxes, box k of level l holding
@@ -277,9 +296,10 @@ def _cauchy_operator(lam, lam6, X, Y):
     A product gathers each leaf's sources onto its nodes, moves them up the
     tree, across the interaction lists and back down, each pass batched over
     one level, and interpolates onto each leaf's modes.  Up to two leaves
-    (M <= 128) there is no far field.  The setup depends on the basis alone.
+    (M <= 128) there is no far field.  The plan, everything but the product,
+    depends on lam alone; ``_basis_plan`` keeps one per basis and parity.
     """
-    M, rank = len(lam6), len(X)
+    lam6, M = lam ** 6, len(lam)
     levels = 0
     while _CAUCHY_ROWS << levels < M:
         levels += 1
@@ -309,7 +329,8 @@ def _cauchy_operator(lam, lam6, X, Y):
         two = {l: _far_kernel(nodes[l][:-2], nodes[l][2:]) for l in range(2, levels + 1)}
         three = {l: _far_kernel(nodes[l][:-3:2], nodes[l][3::2]) for l in range(2, levels + 1)}
 
-    def product(v):
+    def product(X, Y, v):
+        rank = len(X)
         padded = np.zeros((leaves * n, rank))
         padded[slot] = (Y * v).T
         W = padded.reshape(leaves, n, rank)
@@ -331,6 +352,12 @@ def _cauchy_operator(lam, lam6, X, Y):
             acc += leaf_map @ down
         return np.sum(X.T * acc.reshape(-1, rank)[slot], axis=1)
     return product
+
+
+def _basis_plan(basis: Basis, parity):
+    """``_cauchy_plan`` of one family's modes 1..M, built once per basis."""
+    parity = _parity(parity)
+    return _derived(basis, (parity, "plan"), lambda: _cauchy_plan(basis.lam(parity)[1:]))
 
 
 def _gamma_mean(basis: Basis, modes=slice(None)):

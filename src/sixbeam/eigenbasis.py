@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import enum
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -220,6 +220,9 @@ class Basis:
     w_odd: np.ndarray
     edge_even: np.ndarray
     edge_odd: np.ndarray
+    # What other modules derive from this basis alone (``coefficients``' full
+    # tables and fast multipole plans), built on first use and kept with it.
+    _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def lam(self, parity) -> np.ndarray:
         return self.lam_even if _parity(parity) is Parity.EVEN else self.lam_odd
@@ -305,10 +308,15 @@ def _edge_values(parity: Parity, lam, c, w):
 
 
 def build_basis(M: int) -> Basis:
-    """Construct the complete basis data for modes m <= M of both parities."""
+    """The complete basis data for modes m <= M of both parities, memoized
+    for the last four M (one object per M); its arrays are read-only."""
     if not _is_int(M) or not (1 <= M <= MAX_MODES):
         raise ValueError(f"M must be an integer in [1, {MAX_MODES}], got {M!r}")
-    M = int(M)
+    return _build_basis(int(M))
+
+
+@functools.lru_cache(maxsize=4)
+def _build_basis(M: int) -> Basis:
     data = {}
     for parity in (Parity.EVEN, Parity.ODD):
         lam, res = _solve_family(parity, M)
@@ -333,6 +341,8 @@ def build_basis(M: int) -> Basis:
         data[f"c_{key}"], data[f"q_{key}"] = c, q
         data[f"e1_{key}"], data[f"w_{key}"] = e1, w
         data[f"edge_{key}"] = edge
+    for array in data.values():
+        array.setflags(write=False)
     return Basis(M=M, **data)
 
 

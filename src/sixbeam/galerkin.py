@@ -32,7 +32,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .coefficients import (CoefficientSet, _cauchy_dense, _cauchy_form, _cauchy_operator,
+from .coefficients import (CoefficientSet, _basis_plan, _cauchy_dense, _cauchy_form,
                            _gamma_mean, chi_vector)
 from .eigenbasis import Basis, _is_int
 
@@ -297,14 +297,14 @@ def _solve_cholesky(s: float, A: np.ndarray, fc: np.ndarray):
     return s * _cho_solve(L, fc), record
 
 
-def _operator(form, lam):
-    """v -> A v for the block that the ``_block_form`` tuple describes, without
-    forming A; ``lam`` are its modes' eigenvalues.  The off-diagonal product
-    is ``_cauchy_operator``'s fast multipole method, set up once here and
-    applied at every Krylov step, both in O(M) time and memory."""
+def _operator(form, basis: Basis, parity: str):
+    """v -> A v for the block of ``parity`` that the ``_block_form`` tuple
+    describes, without forming A.  The off-diagonal product is the fast
+    multipole method of the basis's plan (``_basis_plan``, set up once per
+    basis), applied at every Krylov step in O(M) time and memory."""
     lam6, X, Y, d = form
-    off_diagonal = _cauchy_operator(lam, lam6, X, Y)
-    return lambda v: d * v + off_diagonal(v)
+    off_diagonal = _basis_plan(basis, parity)
+    return lambda v: d * v + off_diagonal(X, Y, v)
 
 
 def _block_jacobi(form):
@@ -351,7 +351,7 @@ def _solve_gmres(spec: BvpSpec, basis: Basis, fc: np.ndarray):
     if fnorm == 0.0:
         return np.zeros(basis.M), {"path": "gmres", "iterations": 0,
                                    "residual": 0.0, "cond_estimate": None}
-    matvec = _operator(form, basis.lam("even")[1:])
+    matvec = _operator(form, basis, "even")
     m = _GMRES_MAX_ITERATIONS
     V, rotations = [fc / fnorm], []
     R = np.zeros((m + 1, m))  # the Arnoldi Hessenberg matrix, Givens-rotated

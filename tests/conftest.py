@@ -2,7 +2,15 @@
 
 import pytest
 
+from sixbeam import eigenbasis as eb
 from sixbeam.eigenbasis import build_basis
+
+
+@pytest.fixture(autouse=True)
+def empty_basis_memo():
+    """Each test starts with an empty ``build_basis`` memo, so a basis that a
+    test builds under overflow traps or memory tracing is built there."""
+    eb._build_basis.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -15,6 +15,7 @@ import frozen_reference as ref
 from sixbeam import cli
 from sixbeam.cli import _table_text, main
 from sixbeam import coefficients as cf
+from sixbeam import eigenbasis as eb
 from sixbeam import galerkin as gk
 from sixbeam import oracle as oc
 from sixbeam.eigenbasis import Parity, build_basis
@@ -217,6 +218,49 @@ def test_solve_outputs_are_byte_identical(tmp_path, capsys):
         s.pop("timings_ms")
         s.pop("files")
     assert s1 == s2
+
+
+_A4ZERO_FORCING = ("0:-338400.0,2:2462400.0,4:-6607200.0,6:8345280.0,8:-5580000.0,"
+                   "10:2064000.0,12:-300000.0")
+_GMRES_FORCING = ("0:-154656.0,2:645984.0,4:-1078560.0,6:604800.0,8:-237600.0,"
+                  "10:465696.0,12:-199584.0")
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--model", "I", "--M", "100"],
+    ["solve", "--model", "II", "--M", "100"],
+    ["solve", "--M", "100", "--a6", "1", "--a4", "-20", "--a2", "-5544", "--a0", "-199584",
+     "--forcing", _GMRES_FORCING],
+    ["solve", "--M", "2000", "--a6", "1", "--a2", "2000", "--a0", "-300000",
+     "--forcing", _A4ZERO_FORCING],
+    ["solve", "--M", "2000", "--a6", "1", "--a4", "-20", "--a2", "-5544", "--a0", "-199584",
+     "--forcing", _GMRES_FORCING],
+    ["evolve", "--M", "500", "--forcing", "model-II", "--theta", "1", "--dt", "1e-4",
+     "--steps", "1000", "--T", "20", "--B", "3000", "--reaction=-300000"],
+    ["evolve", "--M", "500", "--forcing", "model-II", "--theta", "1", "--dt", "1e-4",
+     "--steps", "1000", "--T", "20"],
+], ids=["diagonal", "cholesky", "lu", "gmres-a4zero", "gmres", "bench-dominant",
+        "bench-evolve"])
+def test_warm_runs_write_the_bytes_of_cold_runs(tmp_path, capsys, argv):
+    # The first run builds the basis, its tables and its plan; the second, in
+    # the same process, reuses them.
+    eb._build_basis.cache_clear()
+    cli._build_parser.cache_clear()
+    for run_name in ("cold", "warm"):
+        code, _, _ = run(capsys, argv + ["--out", str(tmp_path / run_name)])
+        assert code == 0
+    cold = sorted(p.name[len("cold"):] for p in tmp_path.glob("cold.*"))
+    assert cold == sorted(p.name[len("warm"):] for p in tmp_path.glob("warm.*"))
+    for suffix in cold:
+        a, b = (tmp_path / f"{run_name}{suffix}" for run_name in ("cold", "warm"))
+        if suffix == ".summary.json":
+            a, b = (json.loads(p.read_text()) for p in (a, b))
+            for doc in (a, b):
+                doc.pop("timings_ms")
+                doc.pop("files")
+            assert a == b
+        else:
+            assert a.read_bytes() == b.read_bytes(), suffix
 
 
 def test_solve_solution_file_contents(tmp_path, capsys):

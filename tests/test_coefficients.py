@@ -1,5 +1,6 @@
 """Closed-form projection tables, forcing projection, and synthesis."""
 
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 import frozen_reference as ref
 from sixbeam import coefficients as cf
+from sixbeam import eigenbasis as eb
 from sixbeam import galerkin as gk
 from sixbeam.eigenbasis import (MAX_MODES, SQRT3, Parity, build_basis, eigenvalue_asymptotic,
                                 psi_block)
@@ -247,7 +249,8 @@ def test_cauchy_dense_keeps_its_bits(M):
 def _kernel_product(basis, parity, rank):
     """(lam6, X, Y, product): ``_kernel_form`` and its fast multipole product."""
     lam6, X, Y = _kernel_form(basis, parity, rank)
-    return lam6, X, Y, cf._cauchy_operator(basis.lam(parity)[1:], lam6, X, Y)
+    plan = cf._cauchy_plan(basis.lam(parity)[1:])
+    return lam6, X, Y, lambda v: plan(X, Y, v)
 
 
 @pytest.mark.parametrize("rank", [2, 4])
@@ -307,18 +310,48 @@ def test_cauchy_operator_keeps_its_bits(M, rank):
 def test_cauchy_operator_holds_memory_linear_in_m():
     # M = 2500 and MAX_MODES both have 40-mode leaves (64 and 256 of them):
     # 3.25 and 13.3 MB measured, ~1300 bytes per mode at both, where the
-    # exact kernel took ~4 M bytes per mode.
+    # exact kernel took ~4 M bytes per mode.  A basis fresh from a cleared
+    # memo has no plan yet, so the one it keeps is built while traced.
     for M in (2500, MAX_MODES):
+        eb._build_basis.cache_clear()
         basis = build_basis(M)
         lam6, X, Y = _kernel_form(basis, EV, 4)
         tracemalloc.start()
         try:
-            product = cf._cauchy_operator(basis.lam_even[1:], lam6, X, Y)
+            product = cf._basis_plan(basis, EV)
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
         assert held <= 1400 * M, M
         del product
+
+
+def test_forms_and_plans_are_built_once_per_basis():
+    M = 1000
+    basis = build_basis(M)
+    for kind in ("second_derivative", "fourth_derivative"):
+        form = cf._cauchy_form(basis, EV, kind)
+        assert cf._cauchy_form(basis, "even", kind) is form
+        for array in form:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+    assert cf._basis_plan(basis, "even") is cf._basis_plan(basis, EV)
+    spec = gk.manufactured_spec(1.0, -20.0, -5544.0, -199584.0)
+    v = np.random.default_rng(M).standard_normal(M)
+    cached = gk._operator(gk._block_form(spec, basis, "even"), basis, "even")(v)
+    # A replaced basis starts with an empty slot, so it derives its own forms
+    # and plan from its own eigenvalues.
+    other = dataclasses.replace(basis, lam_even=basis.lam_even * (1.0 + 1e-9))
+    for kind in ("second_derivative", "fourth_derivative"):
+        got = cf._cauchy_form(other, EV, kind)
+        for a, b in zip(got, cf._cauchy_form(other, EV, kind, slice(None))):
+            assert np.array_equal(a.view(np.int64), b.view(np.int64)), kind
+        assert not np.array_equal(got[3], cf._cauchy_form(basis, EV, kind)[3])
+    _, X, Y, d = form = gk._block_form(spec, other, "even")
+    got = gk._operator(form, other, "even")(v)
+    want = d * v + cf._cauchy_plan(other.lam_even[1:])(X, Y, v)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert not np.array_equal(got, cached)
 
 
 def test_even_gamma_mean_row(basis60):

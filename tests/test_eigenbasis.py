@@ -1,5 +1,7 @@
 """Eigenvalue solves, normalization, and eigenfunction evaluation."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -87,15 +89,41 @@ def test_high_mode_eigenvalues_are_one_newton_step_from_the_guess(parity):
 
 
 def test_basis_builds_keep_every_bit_with_memoized_low_roots():
+    # The second build runs again (the basis memo is cleared in between) but
+    # takes its low roots from their memo.
     eb._low_roots.cache_clear()
+    eb._build_basis.cache_clear()
     first = build_basis(40)
     assert eb._low_roots.cache_info().misses == 2   # once per parity
+    eb._build_basis.cache_clear()
     second = build_basis(40)
+    assert second is not first
     assert eb._low_roots.cache_info().misses == 2
-    for name, got in vars(second).items():
+    for f in dataclasses.fields(second):
+        got = getattr(second, f.name)
         if isinstance(got, np.ndarray):
-            want = getattr(first, name)
-            assert np.array_equal(got.view(np.int64), want.view(np.int64)), name
+            want = getattr(first, f.name)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), f.name
+
+
+def test_bases_are_memoized_read_only_for_the_last_four_sizes():
+    eb._build_basis.cache_clear()
+    first = build_basis(3)
+    assert build_basis(3) is first
+    assert build_basis(np.int64(3)) is first
+    for f in dataclasses.fields(first):
+        array = getattr(first, f.name)
+        if isinstance(array, np.ndarray):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+    kept = [build_basis(M) for M in (4, 5, 6)]
+    assert eb._build_basis.cache_info().currsize == 4
+    build_basis(7)   # a fifth size evicts the oldest, M = 3
+    assert eb._build_basis.cache_info().currsize == 4
+    assert all(a is b for a, b in zip(kept, (build_basis(M) for M in (4, 5, 6))))
+    again = build_basis(3)
+    assert again is not first
+    assert again.lam_even.tobytes() == first.lam_even.tobytes()
 
 
 def test_mode_zero_is_exact_zero():
