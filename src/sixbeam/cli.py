@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import itertools
 import json
 import math
 import sys
@@ -70,8 +69,7 @@ def _write_text(path: str, text: str) -> None:
         raise UsageError(f"cannot write {path!r}: {exc.strerror or exc}") from None
 
 
-def _table_text(header: list, columns: list, fmt: str,
-                stationary_from: int | None = None) -> str:
+def _table_text(header: list, columns: list, fmt: str) -> str:
     """The table with one 1-D array or list of cells per header name.
 
     In CSV a float array is a ``"%.17g"`` field and an integer array a
@@ -79,8 +77,9 @@ def _table_text(header: list, columns: list, fmt: str,
     every float), and a float array of +0.0 alone after the first column is
     the literal field ``0``; any other column enters as its cells' ``_cell``
     text.
-    The caller declares with ``stationary_from`` that every later row
-    repeats that row after the first cell, and those rows reuse its text.
+    The columns after the first may be shorter than it, all of one length:
+    every later row repeats their last row after the first cell, and reuses
+    its text.
     """
     if fmt != "csv":
         return _json_table(header, columns) + "\n"
@@ -101,9 +100,7 @@ def _table_text(header: list, columns: list, fmt: str,
         values.append(cells)
     head, tail, n = fields[0], "".join("," + f for f in fields[1:]), len(values[0])
     others = [cells for cells in values[1:] if cells is not None]
-    stop = None if stationary_from is None else stationary_from + 1
-    rows = zip(*others) if others else itertools.repeat((), n)
-    rests = [tail % row for row in itertools.islice(rows, stop)]
+    rests = [tail % row for row in zip(*others)] if others else [tail] * n
     rests += rests[-1:] * (n - len(rests))
     lines = [",".join(header), *(head % v + r for v, r in zip(values[0], rests))]
     return "\n".join(lines) + "\n"
@@ -129,8 +126,12 @@ def _json_table(header: list, columns: list, indent: str = "") -> str:
     """``json.dumps`` of the table as one object per row with ``indent=2``,
     every line after the first indented by ``indent`` more, from one row
     template and each column's cells encoded once (with an indent, ``json``
-    runs its pure-Python encoder)."""
-    rows = list(zip(*(map(_json_cell, cells) for cells in _cells(columns))))
+    runs its pure-Python encoder).  Short columns after the first are
+    padded as ``_table_text`` pads them."""
+    first, *others = (list(map(_json_cell, cells)) for cells in _cells(columns))
+    rests = list(zip(*others)) if others else [()] * len(first)
+    rests += rests[-1:] * (len(first) - len(rests))
+    rows = [(v, *rest) for v, rest in zip(first, rests)]
     if not rows:
         return "[]"
     keys = [encode_basestring_ascii(name).replace("%", "%%") for name in header]
@@ -155,8 +156,8 @@ def _emit(args: argparse.Namespace, stem: str, ext: str, text: str,
 
 
 def _emit_table(args: argparse.Namespace, stem: str, header: list, columns: list,
-                files: dict, stationary_from: int | None = None) -> None:
-    text = _table_text(header, columns, args.format, stationary_from)
+                files: dict) -> None:
+    text = _table_text(header, columns, args.format)
     _emit(args, stem, args.format, text, files)
 
 
@@ -456,7 +457,7 @@ def cmd_evolve(args: argparse.Namespace) -> int:
     t1 = time.perf_counter()
     traj = galerkin.evolve(system, initial, args.dt, args.steps, args.theta)
     t2 = time.perf_counter()
-    n_states = len(traj.u0c)
+    n_states = args.steps + 1
     final = coefficients.CoefficientSet(basis, traj.u0c[-1], traj.uc[-1], traj.us[-1])
     files: dict = {}
     if args.out is not None:
@@ -465,21 +466,13 @@ def cmd_evolve(args: argparse.Namespace) -> int:
                   + [f"uc_{n}" for n in range(1, k_track + 1)]
                   + [f"us_{n}" for n in range(1, k_track + 1)]
                   + [f"u_at_{x:g}" for x in _SAMPLE_X])
-        # The stacked product rounds a state by the stack's shape, so only the
-        # states up to the stationary one are synthesized and it is repeated:
-        # the rows then do not depend on how many steps followed it, and each
-        # later row repeats the stationary row after the t cell.
-        stop = n_states if traj.stationary_from is None else traj.stationary_from + 1
-        head = coefficients.CoefficientSet(basis, traj.u0c[:stop], traj.uc[:stop],
-                                           traj.us[:stop])
-        samples = coefficients.synthesize(head, np.asarray(_SAMPLE_X))[
-            np.minimum(np.arange(n_states), stop - 1)]
+        samples = coefficients.synthesize(traj, np.asarray(_SAMPLE_X))
         columns = [np.arange(n_states) * args.dt, traj.u0c,
                    *traj.uc[:, 1:k_track + 1].T, *traj.us[:, 1:k_track + 1].T,
                    *samples.T]
     t3 = time.perf_counter()
     if args.out is not None:
-        _emit_table(args, "trajectory", header, columns, files, traj.stationary_from)
+        _emit_table(args, "trajectory", header, columns, files)
     t4 = time.perf_counter()
     final_norm = float(np.max(np.abs(np.concatenate(([final.u0c], final.uc, final.us)))))
     summary = {

@@ -496,7 +496,7 @@ def operator_matrix(basis: Basis, parity, kind: str) -> OperatorMatrix:
 # Coefficient sets: projection and synthesis
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoefficientSet:
     """Spectral coefficients of a function in the eigenbasis.
 

@@ -183,7 +183,7 @@ def solve_eigenvalue(parity, m: int) -> Eigenvalue:
 # Basis construction
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Basis:
     """Eigenvalues plus scaled normalization/evaluation data for m <= M.
 

@@ -187,7 +187,7 @@ def forcing_projection(spec: BvpSpec, basis: Basis):
 # Steady solves
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SteadySolution(CoefficientSet):
     """Coefficients of a steady solve plus the solver's record of its path.
 
@@ -618,7 +618,7 @@ def model_ii_semi_discrete(basis: Basis, B: float = MODEL_II.a2, T: float = 0.0,
                                   reaction=reaction)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory(CoefficientSet):
     """The stacked states of ``evolve`` plus the path each parity block took.
 
@@ -628,8 +628,8 @@ class Trajectory(CoefficientSet):
     B = T = 0 assembles: each mode steps on its own, an unforced block's
     whole run at once) or ``"step-map"`` (the dense one-step map).
     ``stationary_from`` is the first step k from which every later state
-    equals state k bit for bit (the stepping stopped there and copied it
-    forward), or None if the last step still moved the state.
+    equals state k bit for bit (the stepping stopped there, and the stack
+    ends with state k), or None if the last step still moved the state.
     """
 
     record: dict = field(default_factory=dict)
@@ -825,10 +825,10 @@ def evolve(system: SemiDiscreteSystem, initial: CoefficientSet, dt: float,
     steps by its (step, g) map, u <- step(u) + g (``_step_map``, or
     ``_diagonal_run``'s elementwise one), one guard block at a time.
     Returns the trajectory as one stacked coefficient set with a leading
-    step axis of length steps + 1 (initial state included): ``u0c[k]``,
-    ``uc[k]``, ``us[k]``.
-    Once a step leaves the state bit-identical, stepping stops and that
-    state fills the remaining rows (``Trajectory.stationary_from``).  Raises
+    step axis, initial state included: ``u0c[k]``, ``uc[k]``, ``us[k]``.
+    Once a step leaves the state bit-identical, stepping stops and the
+    stack ends with that state, step ``Trajectory.stationary_from``, which
+    every later step repeats; otherwise it holds all steps + 1 states.  Raises
     ArithmeticError at the first state whose max norm passes
     1e12 (1 + the initial max norm) or is not finite, and ValueError for a
     coupled block above ``_DENSE_MODES`` modes before forming it.
@@ -846,7 +846,9 @@ def evolve(system: SemiDiscreteSystem, initial: CoefficientSet, dt: float,
     if np.ndim(initial.u0c) != 0:
         raise ValueError("initial coefficients must be a single state")
     dt, theta, steps = float(dt), float(theta), int(steps)
-    # Column 0 of the even stack holds u0c (A_even's constant mode) until the end.
+    # Column 0 of the even stack holds u0c (A_even's constant mode) until the
+    # end.  Rows that no step writes are never paged in, and only the rows
+    # up to the stationary state are returned.
     even = np.zeros((steps + 1, basis.M + 1))
     odd = np.zeros((steps + 1, basis.M + 1))
     even[0, 0], even[0, 1:] = initial.u0c, initial.uc[1:]
@@ -878,10 +880,9 @@ def evolve(system: SemiDiscreteSystem, initial: CoefficientSet, dt: float,
                     step(u[j], u[j + 1])
                     u[j + 1] += g
         stationary_from = _guard(moved, k, end, limit)
-        if stationary_from is not None:
-            for *_, u in maps:
-                u[end + 1:] = u[end]
         k = end
+    n = steps + 1 if stationary_from is None else stationary_from + 1
+    even, odd = even[:n], odd[:n]
     u0c = even[:, 0].copy()
     if np.any(u0c.view(np.int64)):  # else writing +0.0 would only touch every page
         even[:, 0] = 0.0

@@ -167,6 +167,14 @@ def _per_cell_table(header, rows, fmt):
     return json.dumps([dict(zip(header, row)) for row in rows], indent=2) + "\n"
 
 
+def _held(columns, stationary_from):
+    """The columns after the first cut after row ``stationary_from`` (None
+    keeps them whole): the writer repeats that row after the first cell."""
+    if stationary_from is None:
+        return columns
+    return [columns[0], *(c[:stationary_from + 1] for c in columns[1:])]
+
+
 def _as_columns(rows, width):
     """The columns of a list of rows, each a float array where it can be one."""
     columns = [[row[j] for row in rows] for j in range(width)]
@@ -476,17 +484,18 @@ def test_evolve_samples_are_those_of_the_first_stationary_state(tmp_path, capsys
                      1e-4, 200, theta=1.0)
     k = traj.stationary_from
     head = cf.CoefficientSet(basis, traj.u0c[:k + 1], traj.uc[:k + 1], traj.us[:k + 1])
-    want = cf.synthesize(head, np.array([-0.5, 0.0, 0.5])).view(np.int64)
+    # Each row k' is state min(k', k).
+    rows = np.minimum(np.arange(201), k)
+    want = cf.synthesize(head, np.array([-0.5, 0.0, 0.5])).view(np.int64)[rows]
     lines = (tmp_path / "ev.trajectory.csv").read_text().strip().split("\n")[1:]
     samples = np.array([[float(v) for v in line.split(",")[-3:]] for line in lines])
     bits = samples.view(np.int64)
     assert 0 < k < 200 and samples.shape == (201, 3)
-    assert np.array_equal(bits[:k + 1], want)
-    assert np.array_equal(bits[k:], np.broadcast_to(want[k], bits[k:].shape))
+    assert np.array_equal(bits, want)
     # The coefficient cells of every row, those reusing the stationary row's
     # text included, are the trajectory's own bits.
     coefs = np.array([[float(v) for v in line.split(",")[1:-3]] for line in lines])
-    want = np.column_stack([traj.u0c, traj.uc[:, 1:9], traj.us[:, 1:9]])
+    want = np.column_stack([traj.u0c, traj.uc[:, 1:9], traj.us[:, 1:9]])[rows]
     assert np.array_equal(coefs.view(np.int64), want.view(np.int64))
 
 
@@ -503,6 +512,29 @@ def test_evolve_rows_do_not_depend_on_the_steps_after_the_stationary_one(tmp_pat
         assert code == 0
         tables.append((tmp_path / f"ev{steps}.trajectory.csv").read_text().split("\n"))
     assert tables[0][:202] == tables[1][:202]   # the header and 201 data rows
+
+
+def test_a_stationary_evolve_holds_memory_independent_of_its_steps(tmp_path):
+    # Past its stationary step (20) an evolve steps, keeps and synthesizes no
+    # more states, so only the CSV text grows with --steps: the peak RSS of a
+    # fresh 20000-step run stays within 30 MB of a 1000-step run's (~9 MB
+    # apart measured; copying the stationary state into every later row
+    # grew it by ~95 MB).  Each run is the only child of its own interpreter,
+    # whose RUSAGE_CHILDREN peak is then that run's.
+    code = """
+import resource, subprocess, sys
+subprocess.run([sys.executable, "-m", "sixbeam.cli", *sys.argv[1:]], check=True)
+print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+"""
+    peaks = []
+    for steps in ("1000", "20000"):
+        stem = str(tmp_path / f"ev{steps}")
+        proc = _fresh("-c", code, "evolve", "--M", "500", "--forcing", "model-II",
+                      "--theta", "1", "--steps", steps, "--out", stem)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(Path(stem + ".summary.json").read_text())["stationary_from"] == 20
+        peaks.append(int(proc.stdout) * 1024)   # ru_maxrss is in KiB
+    assert peaks[1] - peaks[0] < 30e6, peaks
 
 
 def test_evolve_steady_residual_uses_the_evolved_spec(capsys):
@@ -870,7 +902,7 @@ def test_csv_floats_use_17_significant_digits(tmp_path, capsys):
 def test_float_table_repeated_rows_print_as_each_cell_would():
     # Rows 1-3 differ only in the sign of zeros, rows 4-6 in NaN payloads;
     # rows 6 and 7 repeat row 5 after the first cell.  Every row is written
-    # from its own cells unless the caller declares the stationary row.
+    # from its own cells unless the columns after the first end before it.
     quiet_nan = np.frombuffer(np.int64(0x7FF8000000000001).tobytes())[0]
     rows = np.array([[0.0, 0.0, 1.0, -0.0],
                      [1.0, -0.0, 1.0, -0.0],
@@ -886,15 +918,15 @@ def test_float_table_repeated_rows_print_as_each_cell_would():
     assert text.split("\n")[1:5] == ["0,0,1,-0", "1,-0,1,-0", "2,-0,1,0", "3,-0,1,0"]
     assert text.split("\n")[5:9] == ["4,nan,nan,2", "5,nan,nan,2", "6,nan,nan,2",
                                       "-0,nan,nan,2"]
-    # Rows from a declared stationary row on reuse its text after the first
+    # Rows past the last of shorter columns reuse its text after the first
     # cell, which is still written per row (-0 in the last one).
-    assert _table_text(header, list(rows.T), "csv", stationary_from=5) == text
+    assert _table_text(header, _held(list(rows.T), 5), "csv") == text
     held = np.array([[0.0, 1.0, 0.0, 3.0],
                      [1.0, -0.0, -np.nan, quiet_nan],
                      [2.0, -0.0, -np.nan, quiet_nan],
                      [-0.0, -0.0, -np.nan, quiet_nan]])
     for stationary_from in (None, 1, 2, 3):
-        held_text = _table_text(header, list(held.T), "csv", stationary_from)
+        held_text = _table_text(header, _held(list(held.T), stationary_from), "csv")
         assert held_text == _per_cell_table(header, held.tolist(), "csv")
     assert held_text.split("\n")[2:5] == ["1,-0,nan,nan", "2,-0,nan,nan", "-0,-0,nan,nan"]
     one_column = np.array([0.0, -0.0, -0.0])
@@ -902,14 +934,14 @@ def test_float_table_repeated_rows_print_as_each_cell_would():
     empty = [np.empty(0)] * 4
     assert _table_text(header, empty, "csv") == "t,a,b,c\n"
     assert _table_text(header, empty, "json") == "[]\n"
-    assert _table_text(header, empty, "csv", stationary_from=0) == "t,a,b,c\n"
+    assert _table_text(header, _held(empty, 0), "csv") == "t,a,b,c\n"
 
 
 def test_float_table_writes_columns_of_positive_zeros_as_a_literal():
     # A float column of +0.0 alone after the first is the literal field 0
     # ("%.17g" % 0.0); one -0.0 keeps the column formatted.  A zero first
-    # column, a declared stationary row and a table whose other columns are
-    # all literals keep the per-cell bytes.
+    # column, shorter columns after the first and a table whose other columns
+    # are all literals keep the per-cell bytes.
     rows = np.array([[0.0, 0.0, 1.5, 0.0, 0.0],
                      [0.0, 0.0, 2.5, -0.0, 0.0],
                      [0.0, 0.0, 2.5, 0.0, 0.0]])
@@ -917,10 +949,10 @@ def test_float_table_writes_columns_of_positive_zeros_as_a_literal():
     want = _per_cell_table(header, rows.tolist(), "csv")
     assert want.split("\n")[1:4] == ["0,0,1.5,0,0", "0,0,2.5,-0,0", "0,0,2.5,0,0"]
     for stationary_from in (None, 2):
-        assert _table_text(header, list(rows.T), "csv", stationary_from) == want
+        assert _table_text(header, _held(list(rows.T), stationary_from), "csv") == want
     zeros = np.zeros((4, 3))
     for stationary_from in (None, 0, 3):
-        assert _table_text(header[:3], list(zeros.T), "csv", stationary_from) == (
+        assert _table_text(header[:3], _held(list(zeros.T), stationary_from), "csv") == (
             _per_cell_table(header[:3], zeros.tolist(), "csv"))
     assert _table_text(["t", "m"], [np.zeros(2), ["a", None]], "csv") == "t,m\n0,a\n0,\n"
 
@@ -940,9 +972,9 @@ def test_float_table_fast_path_matches_the_per_cell_path():
 def test_mixed_table_matches_the_per_cell_path(fmt):
     # The cell types of the verify and eigenvalues tables: str, int, bool and
     # None next to floats.  Each row is written from its own cells, so -0
-    # after 0 and a new note after an old one come out as they are; rows after
-    # a declared stationary row (here the last three repeat row 4 after the
-    # first cell) reuse its text, and JSON ignores the declaration.
+    # after 0 and a new note after an old one come out as they are; rows past
+    # the last of shorter columns (here the last three repeat row 4 after the
+    # first cell) reuse its text, in JSON too.
     header = ["kind", "n", "closed", "passed", "note", "lam"]
     rows = [["beta", 1, 0.5, True, "", 0.0],
             ["beta", 2, 0.0, True, "", None],
@@ -962,16 +994,17 @@ def test_mixed_table_matches_the_per_cell_path(fmt):
     held_arrays = [make([row[j] for row in held]) for j, make in enumerate(kinds)]
     for held_columns in (held_arrays, _as_columns(held, len(header))):
         for stationary_from in (None, 4, 6):
-            assert _table_text(header, held_columns, fmt, stationary_from) == (
+            assert _table_text(header, _held(held_columns, stationary_from), fmt) == (
                 _per_cell_table(header, held, fmt))
     stationary = [["chi", 6, np.nan, False, "corrected", 2.5],
                   ["beta", 6, np.nan, False, "corrected", 2.5]]
-    assert _table_text(header, _as_columns(stationary, len(header)), fmt, 0) == (
+    assert _table_text(header, _held(_as_columns(stationary, len(header)), 0), fmt) == (
         _per_cell_table(header, stationary, fmt))
     # One text column, and an empty table of an int array and a list.
     one = [[None], ["a"], ["a"]]
     assert _table_text(["m"], [[None, "a", "a"]], fmt) == _per_cell_table(["m"], one, fmt)
-    assert _table_text(["m"], [[None, "a", "a"]], fmt, 1) == _per_cell_table(["m"], one, fmt)
+    assert _table_text(["m"], _held([[None, "a", "a"]], 1), fmt) == (
+        _per_cell_table(["m"], one, fmt))
     assert _table_text(header[:2], [np.arange(1, 1), []], fmt) == _per_cell_table(
         header[:2], [], fmt)
 

@@ -126,6 +126,24 @@ def test_bases_are_memoized_read_only_for_the_last_four_sizes():
     assert again.lam_even.tobytes() == first.lam_even.tobytes()
 
 
+def test_rebuilt_bases_and_solutions_compare_by_identity_and_hash():
+    # Field-wise == over their ndarray fields would be ambiguous (ValueError)
+    # and their hash would fail (TypeError): two of them are equal only if
+    # they are one object.
+    eb._build_basis.cache_clear()
+    first = build_basis(3)
+    eb._build_basis.cache_clear()
+    second = build_basis(3)
+    assert second is not first
+    solutions = [gk.solve_steady(gk.MODEL_I, basis) for basis in (first, second)]
+    states = [cf.CoefficientSet.zeros(basis) for basis in (first, second)]
+    runs = [gk.evolve(gk.model_ii_semi_discrete(basis), cf.CoefficientSet.zeros(basis),
+                      1e-4, 3) for basis in (first, second)]
+    for a, b in ((first, second), solutions, states, runs):
+        assert a == a and a != b and not (a == b)
+        assert len({a, b, a}) == 2 and hash(a) == hash(a)
+
+
 def test_mode_zero_is_exact_zero():
     basis = build_basis(5)
     assert basis.lam_even[0] == 0.0
