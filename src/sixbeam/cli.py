@@ -75,8 +75,11 @@ def _table_text(header: list, columns: list, fmt: str) -> str:
     In CSV a float array is a ``"%.17g"`` field and an integer array a
     ``"%d"`` field of one row template (``"%.17g" % x`` is ``_cell(x)`` for
     every float), and a float array of +0.0 alone after the first column is
-    the literal field ``0``; any other column enters as its cells' ``_cell``
-    text.
+    the literal field ``0``.  A float array after the first column with
+    the bits of ``np.abs`` of the column before it takes that column's cell
+    text with the leading ``-`` removed (``_is_abs_of``), the column before
+    formatted once per cell.  Any other column enters as its cells'
+    ``_cell`` text.
     The columns after the first may be shorter than it, all of one length:
     every later row repeats their last row after the first cell, and reuses
     its text.
@@ -89,6 +92,12 @@ def _table_text(header: list, columns: list, fmt: str) -> str:
         if i and kind == "f" and not (np.any(col) or np.any(np.signbit(col))):
             fields.append("0")  # "%.17g" % 0.0; -0.0 is "-0"
             values.append(None)
+            continue
+        if i and _is_abs_of(col, columns[i - 1]):
+            if fields[-1] != "%s":  # the column before: each cell formatted once
+                fields[-1], values[-1] = "%s", ["%.17g" % v for v in values[-1]]
+            fields.append("%s")
+            values.append(_unsigned(values[-1]))
             continue
         cells = col.tolist() if isinstance(col, np.ndarray) else list(col)
         if kind in "fiu":
@@ -104,6 +113,26 @@ def _table_text(header: list, columns: list, fmt: str) -> str:
     rests += rests[-1:] * (n - len(rests))
     lines = [",".join(header), *(head % v + r for v, r in zip(values[0], rests))]
     return "\n".join(lines) + "\n"
+
+
+def _is_abs_of(col, prev) -> bool:
+    """Whether float array ``col`` has exactly the bits of ``np.abs(prev)``.
+
+    Then each of its cells is that of ``prev`` with the sign bit cleared,
+    and its text, in ``"%.17g"`` and in ``_json_cell`` alike, is that of
+    ``prev`` with the leading ``-`` removed: both write -0.0, -inf and
+    negative numbers with a leading ``-`` and every NaN without one.  Only
+    a column with no sign bit set is compared, in O(rows).
+    """
+    return (isinstance(col, np.ndarray) and col.dtype.kind == "f"
+            and isinstance(prev, np.ndarray) and prev.dtype == col.dtype
+            and prev.shape == col.shape and not np.any(np.signbit(col))
+            and np.abs(prev).tobytes() == col.tobytes())
+
+
+def _unsigned(texts: list) -> list:
+    """Each cell text with its leading ``-`` removed."""
+    return [t.lstrip("-") for t in texts]
 
 
 def _json_cell(v) -> str:
@@ -127,8 +156,13 @@ def _json_table(header: list, columns: list, indent: str = "") -> str:
     every line after the first indented by ``indent`` more, from one row
     template and each column's cells encoded once (with an indent, ``json``
     runs its pure-Python encoder).  Short columns after the first are
-    padded as ``_table_text`` pads them."""
-    first, *others = (list(map(_json_cell, cells)) for cells in _cells(columns))
+    padded, and a column with the bits of ``np.abs`` of the one before it
+    takes that column's text unsigned, as ``_table_text`` does."""
+    texts = []
+    for i, (col, cells) in enumerate(zip(columns, _cells(columns))):
+        texts.append(_unsigned(texts[-1]) if i and _is_abs_of(col, columns[i - 1])
+                     else list(map(_json_cell, cells)))
+    first, *others = texts
     rests = list(zip(*others)) if others else [()] * len(first)
     rests += rests[-1:] * (len(first) - len(rests))
     rows = [(v, *rest) for v, rest in zip(first, rests)]

@@ -350,7 +350,7 @@ def _cauchy_plan(lam):
                 down[:-3:2] += three[l] @ w[3::2]
                 down[3::2] -= three[l].transpose(0, 2, 1) @ w[:-3:2]
             acc += leaf_map @ down
-        return np.sum(X.T * acc.reshape(-1, rank)[slot], axis=1)
+        return np.sum(X * acc.reshape(-1, rank)[slot].T, axis=0)
     return product
 
 
@@ -451,8 +451,10 @@ def chi(basis: Basis, p: int, m: int) -> float:
 
 
 def chi_vector(basis: Basis, p: int) -> np.ndarray:
-    """chi values for modes m = 1..M at one power (vectorized)."""
-    return _chi(basis, _check_power(p))
+    """chi values for modes m = 1..M at one power (vectorized), built once
+    per basis and power and kept with the basis, read-only."""
+    p = _check_power(p)
+    return _derived(basis, ("chi", p), lambda: _read_only((_chi(basis, p),))[0])
 
 
 # ---------------------------------------------------------------------------

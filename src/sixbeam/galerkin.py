@@ -338,6 +338,11 @@ def _solve_gmres(spec: BvpSpec, basis: Basis, fc: np.ndarray):
     longer halves it (rounding level); the true residual from one final
     product then decides.  ``cond_estimate`` is the ratio of the extreme
     singular values of the Arnoldi Hessenberg matrix of A P^{-1}.
+
+    GMRES runs on f 2^-e, with 2^(e-1) <= max|f| < 2^e, and scales u back
+    by 2^e, so ||f|| and the residual neither overflow nor underflow.  Every
+    step is homogeneous in f, so a solve whose f and u stay normal numbers
+    under the scaling keeps its bits.
     """
     form = _block_form(spec, basis, "even")
     # An overflowed form may meet no check below (a zero forcing never runs
@@ -347,6 +352,8 @@ def _solve_gmres(spec: BvpSpec, basis: Basis, fc: np.ndarray):
     precondition = _block_jacobi(form)
     if precondition is None:
         return None
+    e = int(np.frexp(np.max(np.abs(fc)))[1])
+    fc = np.ldexp(fc, -e)
     fnorm = float(np.linalg.norm(fc))
     if fnorm == 0.0:
         return np.zeros(basis.M), {"path": "gmres", "iterations": 0,
@@ -387,8 +394,8 @@ def _solve_gmres(spec: BvpSpec, basis: Basis, fc: np.ndarray):
     # The rotations are orthogonal: R[:k, :k] has the Hessenberg matrix's
     # singular values.
     sigma = np.linalg.svd(R[:k, :k], compute_uv=False)
-    return u, {"path": "gmres", "iterations": k,
-               "residual": residual, "cond_estimate": float(sigma[0] / sigma[-1])}
+    return np.ldexp(u, e), {"path": "gmres", "iterations": k, "residual": residual,
+                            "cond_estimate": float(sigma[0] / sigma[-1])}
 
 
 def _dense_fallback(method: str, reason: str, spec: BvpSpec, basis: Basis,
@@ -547,6 +554,10 @@ class SemiDiscreteSystem:
         the componentwise backward error of the single ``state`` as a steady state
         (Oettli & Prager, Numer. Math. 6 (1964) 405), at most 1 up to rounding.
         A diagonal block reads its diagonal alone, with the dense rows' bits.
+        Each block's u and f are scaled by one power of two, 2^-e with
+        2^(e-1) <= max(|u|, |f|) < 2^e, before the products: the ratio is
+        homogeneous, so a finite state's A u overflows only where A nearly
+        does, and a block whose u and f stay normal numbers keeps its bits.
         ValueError for a state with an inf or NaN coefficient, and for a
         coupled block above ``_DENSE_MODES`` modes."""
         blocks = (("even", np.concatenate(([state.u0c], state.uc[1:]))),
@@ -559,6 +570,8 @@ class SemiDiscreteSystem:
             if not (np.any(f) or np.any(u)):  # every row reads 0/0
                 continue
             A = self._dense(parity) if coupled else None
+            e = int(np.frexp(max(np.max(np.abs(u)), np.max(np.abs(f))))[1])
+            u, f = np.ldexp(u, -e), np.ldexp(f, -e)
             for j in range(0, len(f), _RESIDUAL_ROWS):
                 rows = slice(j, j + _RESIDUAL_ROWS)
                 if A is None:

@@ -969,6 +969,49 @@ def test_float_table_fast_path_matches_the_per_cell_path():
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_column_of_magnitudes_takes_the_text_of_the_column_before(monkeypatch, fmt):
+    # A float column with the bits of np.abs of the column before it is
+    # written from that column's cell text with the leading "-" removed:
+    # the per-cell bytes for zeros, infinities and NaNs of either sign and
+    # for subnormals, after an int column, after the first column, after
+    # another such column, and for shorter columns after the first.
+    u = np.array([1.5, -1.5, 0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324,
+                  -5e-324, -2.2250738585072014e-308, 1.0 / 3.0, -1e22, -7.0])
+    n = np.arange(len(u))
+    for header, columns in ((["n", "u", "abs_u"], [n, u, np.abs(u)]),
+                            (["u", "abs_u", "again"], [u, np.abs(u), np.abs(u)])):
+        assert cli._is_abs_of(columns[2], columns[1])
+        rows = [list(row) for row in zip(*cli._cells(columns))]
+        assert _table_text(header, columns, fmt) == _per_cell_table(header, rows, fmt)
+        for stationary_from in (0, 5):
+            held = _held(columns, stationary_from)
+            want = rows[:stationary_from + 1] + [
+                [row[0], *rows[stationary_from][1:]] for row in rows[stationary_from + 1:]]
+            assert _table_text(header, held, fmt) == _per_cell_table(header, want, fmt)
+    unsigned = []
+    monkeypatch.setattr(cli, "_unsigned", lambda texts: unsigned.append(texts) or [
+        t.lstrip("-") for t in texts])
+    _table_text(["n", "u", "abs_u"], [n, u, np.abs(u)], fmt)
+    assert len(unsigned) == 1 and len(unsigned[0]) == len(u)
+    monkeypatch.undo()
+    # A column that differs from |u| in one entry (a zero's sign, one ulp, a
+    # NaN payload) is not one, and neither is a shorter column after a full
+    # first one, nor |u| as another float type: each is formatted on its own.
+    payload = np.frombuffer(np.int64(0x7FF8000000000001).tobytes())[0]
+    for i, value in ((2, -0.0), (0, np.nextafter(1.5, 2.0)), (6, payload)):
+        near = np.abs(u)
+        near[i] = value
+        assert not cli._is_abs_of(near, u)
+        columns = [n, u, near]
+        rows = [list(row) for row in zip(*cli._cells(columns))]
+        assert _table_text(["n", "u", "a"], columns, fmt) == _per_cell_table(
+            ["n", "u", "a"], rows, fmt)
+    assert not cli._is_abs_of(np.abs(u)[:5], u)
+    assert not cli._is_abs_of(np.abs(u).astype(np.float32), u)
+    assert not cli._is_abs_of(list(np.abs(u)), u)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_mixed_table_matches_the_per_cell_path(fmt):
     # The cell types of the verify and eigenvalues tables: str, int, bool and
     # None next to floats.  Each row is written from its own cells, so -0

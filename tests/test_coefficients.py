@@ -307,6 +307,29 @@ def test_cauchy_operator_keeps_its_bits(M, rank):
         assert np.array_equal(again(v), want)
 
 
+@pytest.mark.parametrize("M", [129, 2000, 3000])
+@pytest.mark.parametrize("rank", [2, 4])
+def test_cauchy_apply_reduction_keeps_the_bits_of_the_row_sum(M, rank):
+    # A product ends with out[i] = sum_k X[k, i] acc[i, k], summed down the
+    # columns of X * acc.T; the row sums of X.T * acc gave the same bits.
+    # acc depends on Y and v alone, and X = e_k reads its column k exactly
+    # (the other terms are zeros).  Two columns in five of X are zeros of
+    # either sign, so those rows sum signed zeros (numpy sums from +0.0).
+    basis = build_basis(M)
+    _, X, Y = _kernel_form(basis, EV, rank)
+    plan = cf._cauchy_plan(basis.lam_even[1:])
+    v = np.random.default_rng(M + rank).standard_normal(M)
+    acc = np.stack([plan(np.eye(rank)[:, [k]] * np.ones(M), Y, v) for k in range(rank)],
+                   axis=1)
+    X = X.copy()
+    X[:, ::5] = np.where(np.arange(rank)[:, None] % 2, 0.0, -0.0)
+    X[:, 2::5] = -0.0
+    got, want = plan(X, Y, v), np.sum(X.T * acc, axis=1)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    zeros = np.r_[0:M:5, 2:M:5]
+    assert np.all((X.T * acc)[zeros] == 0.0) and np.any(np.signbit(X.T * acc)[zeros])
+
+
 def test_cauchy_operator_holds_memory_linear_in_m():
     # M = 2500 and MAX_MODES both have 40-mode leaves (64 and 256 of them):
     # 3.25 and 13.3 MB measured, ~1300 bytes per mode at both, where the
@@ -383,6 +406,31 @@ def test_chi_vector_matches_scalar(basis60):
         assert v.shape == (60,)
         for m in (1, 2, 5, 20, 60):
             assert v[m - 1] == cf.chi(basis60, p, m)
+
+
+def test_chi_vector_is_kept_once_per_basis_and_power():
+    # One read-only array per (basis, p), with the bits of _chi; a basis
+    # built again after the memo is cleared starts with an empty slot.
+    basis = build_basis(1000)
+    kept = {p: cf.chi_vector(basis, p) for p in cf.CHI_POWERS}
+    assert len({id(v) for v in kept.values()}) == len(cf.CHI_POWERS)
+    for p, v in kept.items():
+        assert cf.chi_vector(basis, p) is v
+        assert np.array_equal(v.view(np.int64), cf._chi(basis, p).view(np.int64))
+        with pytest.raises(ValueError, match="read-only"):
+            v[0] = 0.0
+    eb._build_basis.cache_clear()
+    rebuilt = build_basis(1000)
+    assert rebuilt is not basis and rebuilt._derived == {}
+    for p, v in kept.items():
+        again = cf.chi_vector(rebuilt, p)
+        assert again is not v
+        assert np.array_equal(again.view(np.int64), v.view(np.int64))
+    # A replaced basis derives its own from its own eigenvalues.
+    other = dataclasses.replace(basis, lam_even=basis.lam_even * (1.0 + 1e-9))
+    got = cf.chi_vector(other, 8)
+    assert np.array_equal(got.view(np.int64), cf._chi(other, 8).view(np.int64))
+    assert not np.array_equal(got, kept[8])
 
 
 def _bench_shaped_specs(count: int):

@@ -485,6 +485,26 @@ def test_gmres_mean_mode_takes_the_constant_mode_row():
     assert abs(sol.u0c - f0 / spec.a0) > 1e-3
 
 
+@pytest.mark.parametrize("M, e", [(302, -600), (6000, 990)])
+def test_gmres_solve_matches_its_power_of_two_scaled_forcing(M, e):
+    # GMRES runs on f scaled into [1/2, 1) by a power of two and scales u
+    # back, so forcing 2^e x^2 + 2^e x^4 gives the bits of the unit forcing's
+    # solve, times 2^e, and the same record.  Unscaled, ||f||^2 underflowed
+    # to 0 at 2^-600 (all-zero coefficients, "residual" 0.0) and overflowed
+    # at 2^990 (no convergence: LU up to M = 5000, ArithmeticError above).
+    basis = build_basis(M)
+    spec = gk.BvpSpec(a6=1.0, a4=0.0, a2=1.0, a0=-1.0, forcing=((2, 1.0), (4, 1.0)))
+    scaled = gk.BvpSpec(a6=1.0, a4=0.0, a2=1.0, a0=-1.0,
+                        forcing=((2, 2.0 ** e), (4, 2.0 ** e)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        want, got = gk.solve_steady(spec, basis), gk.solve_steady(scaled, basis)
+    assert want.record["path"] == "gmres" and want.record["iterations"] >= 1
+    assert got.record == want.record
+    assert np.array_equal(np.ldexp(got.uc, -e).view(np.int64), want.uc.view(np.int64))
+    assert np.ldexp(got.u0c, -e) == want.u0c
+
+
 def _singular(_):
     raise np.linalg.LinAlgError("Singular matrix")
 
@@ -923,6 +943,40 @@ def test_steady_residual_rejects_a_non_finite_state(B, T, where, value):
         state[where][4] = value
     with pytest.raises(ValueError, match="finite"):
         system.steady_residual(cf.CoefficientSet(basis, **state))
+
+
+@pytest.mark.parametrize("B, T", [(0.0, 0.0), (100.0, 20.0)], ids=["diagonal", "coupled"])
+def test_steady_residual_of_a_state_near_the_overflow_threshold(B, T):
+    # Each block's u and f are scaled by one power of two before the
+    # products, so a state and its forcing times 2^1000 give the unit
+    # state's bits.  Unscaled, A u overflowed, inf / inf read as NaN, and
+    # max(worst, nan) kept worst: such a state read as steady.
+    basis = build_basis(60)
+    rng = np.random.default_rng(60)
+    forcing = cf.CoefficientSet(basis, rng.standard_normal(),
+                                np.r_[0.0, rng.standard_normal(60)],
+                                np.r_[0.0, rng.standard_normal(60)])
+    system = gk.assemble_semi_discrete(basis, B=B, T=T, forcing=forcing, reaction=-5.0)
+    # The steady state, each coefficient moved by up to 0.1%.
+    even, odd = (np.linalg.solve(A, -f) * (1.0 + 1e-3 * rng.uniform(-1.0, 1.0, len(f)))
+                 for A, f in ((system.A_even, system.f_even), (system.A_odd, system.f_odd)))
+    state = cf.CoefficientSet(basis, even[0], np.r_[0.0, even[1:]], np.r_[0.0, odd])
+
+    def times(c, e):
+        return cf.CoefficientSet(basis, np.ldexp(c.u0c, e), np.ldexp(c.uc, e),
+                                 np.ldexp(c.us, e))
+
+    want = system.steady_residual(state)
+    big = gk.assemble_semi_discrete(basis, B=B, T=T, forcing=times(forcing, 1000),
+                                    reaction=-5.0)
+    assert 1e-5 < want < 1e-2
+    assert big.steady_residual(times(state, 1000)) == want
+    # An unforced single mode reads 1, at any finite amplitude.
+    system = gk.assemble_semi_discrete(basis, B=B, T=T)
+    for amp in (1.0, 1e300, 1e308, np.finfo(float).max):
+        single = cf.CoefficientSet(basis, 0.0, np.r_[0.0, 0.0, 0.0, 0.0, 0.0, amp,
+                                                     np.zeros(55)], np.zeros(61))
+        assert system.steady_residual(single) == 1.0, amp
 
 
 def test_steady_residual_forms_abs_a_a_block_of_rows_at_a_time():
