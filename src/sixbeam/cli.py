@@ -52,6 +52,10 @@ class UsageError(Exception):
 # Formatting and file emission
 # ---------------------------------------------------------------------------
 
+#: The CSV text of False and True, as ``_cell`` writes them.
+_BOOL_TEXT = np.array(["false", "true"], dtype=object)
+
+
 def _cell(v) -> str:
     """The CSV text of one Python value."""
     if v is None or isinstance(v, str):
@@ -78,8 +82,9 @@ def _table_text(header: list, columns: list, fmt: str) -> str:
     the literal field ``0``.  A float array after the first column with
     the bits of ``np.abs`` of the column before it takes that column's cell
     text with the leading ``-`` removed (``_is_abs_of``), the column before
-    formatted once per cell.  Any other column enters as its cells'
-    ``_cell`` text.
+    formatted once per cell.  A bool array takes ``_BOOL_TEXT`` by one
+    index, without a call per cell.  Any other column enters as its cells' ``_cell``
+    text.
     The columns after the first may be shorter than it, all of one length:
     every later row repeats their last row after the first cell, and reuses
     its text.
@@ -99,12 +104,15 @@ def _table_text(header: list, columns: list, fmt: str) -> str:
             fields.append("%s")
             values.append(_unsigned(values[-1]))
             continue
-        cells = col.tolist() if isinstance(col, np.ndarray) else list(col)
+        if kind == "b":  # _cell's two texts, shared by every cell
+            cells = _BOOL_TEXT[col.astype(np.intp)].tolist()
+        else:
+            cells = col.tolist() if isinstance(col, np.ndarray) else list(col)
         if kind in "fiu":
             fields.append("%.17g" if kind == "f" else "%d")
         else:
             fields.append("%s")
-            if kind != "U":  # a str array is its own text
+            if kind not in "Ub":  # a str array is its own text
                 cells = [_cell(v) for v in cells]
         values.append(cells)
     head, tail, n = fields[0], "".join("," + f for f in fields[1:]), len(values[0])

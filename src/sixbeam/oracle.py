@@ -69,11 +69,21 @@ _CORRECTED_NOTE = ("corrected closed form; a superseded variant is documented "
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Composite Gauss-Legendre rule on [-1, 1] with equal panels."""
+    """Composite Gauss-Legendre rule on [-1, 1] with equal panels.
+
+    Node ``p * PANEL_ORDER + q`` is ``left[p] + offsets[q]``, rounded once.
+    ``left`` rounds the panel edges -1 + 2p/panels and ``left_lo`` holds what
+    that rounding drops: the panels at ``left + left_lo`` tile [-1, 1]
+    exactly, while those at ``left`` leave gaps and overlaps of ~1e-16,
+    each an O(eps |integrand|) error that does not cancel.
+    """
 
     panels: int
     nodes: np.ndarray
     weights: np.ndarray
+    left: np.ndarray
+    left_lo: np.ndarray
+    offsets: np.ndarray
 
 
 @lru_cache(maxsize=4)
@@ -92,8 +102,12 @@ def make_rule(panels: int) -> QuadratureRule:
             f"({_MAX_POINTS // PANEL_ORDER} panels)")
     x0, w0 = _gauss_legendre(PANEL_ORDER)
     h = 2.0 / panels
-    left = -1.0 + h * np.arange(panels)
-    nodes = (left[:, None] + 0.5 * h * (x0[None, :] + 1.0)).ravel()
+    index = np.arange(panels)
+    left = -1.0 + h * index
+    edge, err = _two_product(float(panels), left)   # panels * left, exactly
+    left_lo = ((2.0 * index - panels - edge) - err) / panels
+    offsets = 0.5 * h * (x0 + 1.0)
+    nodes = (left[:, None] + offsets).ravel()
     weights = np.broadcast_to(0.5 * h * w0, (panels, PANEL_ORDER)).ravel().copy()
     # Build-time invariants: weights sum to the interval length and the rule
     # integrates an even power at half the panel order exactly.
@@ -102,7 +116,8 @@ def make_rule(panels: int) -> QuadratureRule:
     hi = math.fsum(weights * nodes ** PANEL_ORDER)
     if abs(hi - 2.0 / (PANEL_ORDER + 1)) > 1e-14 * (2.0 / (PANEL_ORDER + 1)):
         raise ArithmeticError("quadrature rule failed polynomial exactness check")
-    return QuadratureRule(panels=int(panels), nodes=nodes, weights=weights)
+    return QuadratureRule(panels=int(panels), nodes=nodes, weights=weights,
+                          left=left, left_lo=left_lo, offsets=offsets)
 
 
 def integrate(f: Callable[[np.ndarray], np.ndarray], rule: QuadratureRule) -> float:
@@ -170,36 +185,34 @@ def inner_product(f, g, tol: float = 1e-12, lam_hint: float = 0.0) -> float:
 # Reference eigenfunction evaluation (independent representation)
 # ---------------------------------------------------------------------------
 
-def _reference_coeffs(basis: Basis, parity: Parity, m: int):
+def _reference_coeffs(basis: Basis, parity: Parity, modes: np.ndarray):
     """(lam, c, t, v): coefficients of the real product representation.
 
     psi/c = t1*cos(lam x) + t2*sin(lam x)
             + v1*sin(lam x/2)*gs + v2*sin(lam x/2)*gc
             + v3*cos(lam x/2)*gs + v4*cos(lam x/2)*gc
 
-    with gs = e^{-s/2} sinh(s x/2), gc = e^{-s/2} cosh(s x/2), s = sqrt(3) lam.
+    with gs = e^{-s/2} sinh(s x/2), gc = e^{-s/2} cosh(s x/2), s = sqrt(3) lam,
+    entrywise over the mode indices ``modes`` (an integer array).
     """
-    if parity is Parity.EVEN:
-        lam = float(basis.lam_even[m])
-        q, e1, c = float(basis.q_even[m]), float(basis.e1_even[m]), float(basis.c_even[m])
-    else:
-        lam = float(basis.lam_odd[m])
-        q, e1, c = float(basis.q_odd[m]), float(basis.e1_odd[m]), float(basis.c_odd[m])
+    key = parity.value
+    lam = basis.lam(parity)[modes]
+    q, e1, c = (getattr(basis, f"{name}_{key}")[modes] for name in ("q", "e1", "c"))
     gg = 0.5 * (1.0 - e1)   # e^{-s/2} sinh(s/2)
     hh = 0.5 * (1.0 + e1)   # e^{-s/2} cosh(s/2)
-    sh, ch = math.sin(0.5 * lam), math.cos(0.5 * lam)
+    sh, ch = np.sin(0.5 * lam), np.cos(0.5 * lam)
     if parity is Parity.EVEN:
         t = (1.0, 0.0)
-        v = (8.0 * math.sin(lam) * ch * gg / q, 0.0,
-             0.0, -8.0 * math.sin(lam) * sh * hh / q)
+        v = (8.0 * np.sin(lam) * ch * gg / q, 0.0,
+             0.0, -8.0 * np.sin(lam) * sh * hh / q)
     else:
         t = (0.0, 1.0)
-        v = (0.0, -8.0 * math.cos(lam) * ch * hh / q,
-             8.0 * math.cos(lam) * sh * gg / q, 0.0)
+        v = (0.0, -8.0 * np.cos(lam) * ch * hh / q,
+             8.0 * np.cos(lam) * sh * gg / q, 0.0)
     return lam, c, t, v
 
 
-def _differentiate_coeffs(lam: float, t, v, k: int):
+def _differentiate_coeffs(lam, t, v, k: int):
     """Exact derivative recursion on the product-representation coefficients."""
     half_l, half_s = 0.5 * lam, 0.5 * SQRT3 * lam
     for _ in range(k):
@@ -209,6 +222,71 @@ def _differentiate_coeffs(lam: float, t, v, k: int):
              half_l * v[0] + half_s * v[3],
              half_l * v[1] + half_s * v[2])
     return t, v
+
+
+#: Veltkamp's splitter 2**27 + 1: it cuts a double into two 26-bit halves.
+_SPLITTER = 134217729.0
+
+#: The offsets of ``psi_reference``: every point is its own panel.
+_NO_OFFSETS = np.zeros(1)
+
+
+def _split(a):
+    """(hi, lo) with hi + lo = a exactly and at most 26 significant bits each."""
+    t = _SPLITTER * a
+    hi = t - (t - a)
+    return hi, a - hi
+
+
+def _two_product(a, b):
+    """(p, e) with p = fl(a*b) and p + e = a*b exactly (Dekker 1971, no FMA)."""
+    p = a * b
+    a_hi, a_lo = _split(a)
+    b_hi, b_lo = _split(b)
+    return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+
+
+def _product_factors(lam: np.ndarray, y, shift: float, y_lo=0.0) -> np.ndarray:
+    """The six product functions at the points y + y_lo, a (6, len(y)) block
+    per lam:
+
+        cos(lam y), sin(lam y), sin(lam y/2) r, cos(lam y/2) r,
+        sin(lam y/2) f, cos(lam y/2) f
+
+    with r = e^{s (y - shift)/2}, f = e^{-s (y + shift)/2}, s = sqrt(3) lam,
+    for ``lam`` a column of eigenvalues.  The half angle lam*y/2 is taken as
+    p + e exactly (``_two_product``, e gaining lam*y_lo/2), its sine and
+    cosine are corrected to first order in e, sin(p + e) = sin p + e cos p,
+    and the full angle's follow by the double-angle formulas.  The block is
+    filled in place, with p and e as its only scratch.
+    """
+    s, y = SQRT3 * lam, np.asarray(y, dtype=float)
+    p, e = _two_product(lam, y)
+    e += lam * y_lo
+    p *= 0.5
+    e *= 0.5
+    out = np.empty(lam.shape[:1] + (6, y.size))
+    cos, sin, sin_h, cos_h = out[:, 0], out[:, 1], out[:, 2], out[:, 3]
+    np.sin(p, out=sin_h)
+    np.cos(p, out=cos_h)
+    np.multiply(e, cos_h, out=cos)  # cos and sin are scratch here
+    np.multiply(e, sin_h, out=sin)
+    sin_h += cos
+    cos_h -= sin
+    np.multiply(sin_h, cos_h, out=sin)
+    sin *= 2.0
+    np.subtract(cos_h, sin_h, out=cos)
+    cos *= np.add(cos_h, sin_h, out=p)
+    for buf, sign in ((p, 1.0), (e, -1.0)):
+        np.subtract(y, sign * shift, out=buf)
+        buf += y_lo
+        buf *= 0.5 * sign * s
+        np.exp(buf, out=buf)
+    np.multiply(sin_h, e, out=out[:, 4])
+    np.multiply(cos_h, e, out=out[:, 5])
+    sin_h *= p
+    cos_h *= p
+    return out
 
 
 def psi_reference(basis: Basis, parity, m: int, x, k: int = 0):
@@ -221,30 +299,45 @@ def psi_reference(basis: Basis, parity, m: int, x, k: int = 0):
     if parity is Parity.EVEN and m == 0:
         out = np.ones_like(xa) if k == 0 else np.zeros_like(xa)
     else:
-        out = _reference_block(basis, parity, (m,), xa, (int(k),))[0, 0]
+        out = _reference_block(basis, parity, (m,), xa.ravel(), _NO_OFFSETS,
+                               (int(k),))[0, 0].reshape(xa.shape)
     return float(out[0]) if scalar else out
 
 
-def _reference_block(basis: Basis, parity: Parity, modes, x: np.ndarray,
-                     orders: tuple) -> np.ndarray:
-    """psi_m^{(k)}(x) for m in ``modes`` (rows), one block per k in ``orders``.
+def _reference_block(basis: Basis, parity: Parity, modes, left, offsets,
+                     orders: tuple, left_lo=0.0) -> np.ndarray:
+    """psi_m^{(k)}(left[p] + left_lo[p] + offsets[q]) for m in ``modes``
+    (rows), at column ``p * len(offsets) + q``, one block per k in ``orders``.
 
-    Each mode's six elementary functions are evaluated once for all orders.
+    By the angle-addition formulas each product function at left + offset
+    is a sum of its panel factors (``_product_factors`` at ``left``) times
+    offset factors (the same functions at ``offsets``), so each mode's rows
+    are the rank-6 product F @ K of its panel factors F (len(left) x 6) and
+    offset coefficients K (6 x len(offsets)) per order, the derivative
+    recursion folded into K.  That is O(len(left) + len(offsets)) sines,
+    cosines and exponentials per mode, and rows at the exact sums.
     """
-    blocks = np.empty((len(orders), len(modes)) + x.shape)
-    for i, m in enumerate(modes):
-        lam, c, t0, v0 = _reference_coeffs(basis, parity, m)
-        s = SQRT3 * lam
-        rise, fall = np.exp(0.5 * s * (x - 1.0)), np.exp(-0.5 * s * (x + 1.0))
-        gs, gc = 0.5 * (rise - fall), 0.5 * (rise + fall)
-        sin_h, cos_h = np.sin(0.5 * lam * x), np.cos(0.5 * lam * x)
-        cos_l, sin_l = np.cos(lam * x), np.sin(lam * x)
-        for block, k in zip(blocks, orders):
-            t, v = _differentiate_coeffs(lam, t0, v0, k)
-            block[i] = c * (t[0] * cos_l + t[1] * sin_l
-                            + v[0] * sin_h * gs + v[1] * sin_h * gc
-                            + v[2] * cos_h * gs + v[3] * cos_h * gc)
-    return blocks
+    lam, c, t0, v0 = _reference_coeffs(basis, parity, np.asarray(modes)[:, None])
+    # The rows before the factors: the factors' scratch is then freed above
+    # them, where the table products that follow reuse it.
+    rows = np.empty((len(orders), len(modes), np.size(left), np.size(offsets)))
+    panel = _product_factors(lam, left, 1.0, left_lo)
+    cos, sin, sin_rise, cos_rise, sin_fall, cos_fall = np.moveaxis(
+        _product_factors(lam, offsets, 0.0), 1, 0)
+    coupling = []
+    for k in orders:
+        (a, b), (v1, v2, v3, v4) = _differentiate_coeffs(lam, t0, v0, k)
+        a, b = c * a, c * b
+        # psi^(k)/c = a cos + b sin + rise (A sin_h + C cos_h)
+        #             + fall (B sin_h + D cos_h), with rise/fall = gc +- gs
+        A, B, C, D = (0.5 * c * w for w in (v1 + v2, v2 - v1, v3 + v4, v4 - v3))
+        coupling.append(np.stack([a * cos + b * sin, b * cos - a * sin,
+                                  A * cos_rise - C * sin_rise,
+                                  C * cos_rise + A * sin_rise,
+                                  B * cos_fall - D * sin_fall,
+                                  D * cos_fall + B * sin_fall], axis=-2))
+    np.matmul(panel.transpose(0, 2, 1), np.stack(coupling), out=rows)
+    return rows.reshape(len(orders), len(modes), -1)
 
 
 # ---------------------------------------------------------------------------
@@ -256,8 +349,8 @@ def gram_matrix(basis: Basis, parity, n_max: int, tol: float = 1e-12) -> np.ndar
     parity = _parity(parity)
 
     def gram(rule):
-        rows, = _reference_block(basis, parity, range(1, n_max + 1), rule.nodes,
-                                 (0,))
+        rows, = _reference_block(basis, parity, range(1, n_max + 1), rule.left,
+                                 rule.offsets, (0,), rule.left_lo)
         return (rows * rule.weights) @ rows.T
 
     return _refine(gram, _table_panels(basis, n_max),
@@ -332,7 +425,8 @@ def _sweep_tables(basis: Basis, parity: Parity, K: int, rule, powers) -> dict:
     """
     key = parity.value
     rows0, rows2, rows4 = _reference_block(basis, parity, range(1, K + 1),
-                                           rule.nodes, (0, 2, 4))
+                                           rule.left, rule.offsets, (0, 2, 4),
+                                           rule.left_lo)
     tables = {
         f"beta_{key}": (rows2 * rule.weights) @ rows0.T,
         f"gamma_{key}": (rows4 * rule.weights) @ rows0.T,

@@ -1043,7 +1043,19 @@ def test_mixed_table_matches_the_per_cell_path(fmt):
                   ["beta", 6, np.nan, False, "corrected", 2.5]]
     assert _table_text(header, _held(_as_columns(stationary, len(header)), 0), fmt) == (
         _per_cell_table(header, stationary, fmt))
-    # One text column, and an empty table of an int array and a list.
+    # Bool arrays of one value, after the first column and as it, written
+    # "true"/"false" as each bool cell would be.
+    flags = [np.array([False, True, False]), np.ones(3, bool), np.zeros(3, bool)]
+    bools = [[False, True, False], [True, True, False], [False, True, False]]
+    assert _table_text(["a", "b", "c"], flags, fmt) == _per_cell_table(
+        ["a", "b", "c"], bools, fmt)
+    assert _table_text(["a", "b", "c"], _held(flags, 0), fmt) == _per_cell_table(
+        ["a", "b", "c"], bools, fmt)
+    # One text column, and empty tables of an int array and a list, and of
+    # two bool arrays.
+    assert _table_text(["n", "ok", "ok2"], [np.arange(0), np.zeros(0, bool),
+                                            np.ones(0, bool)], fmt) == _per_cell_table(
+        ["n", "ok", "ok2"], [], fmt)
     one = [[None], ["a"], ["a"]]
     assert _table_text(["m"], [[None, "a", "a"]], fmt) == _per_cell_table(["m"], one, fmt)
     assert _table_text(["m"], _held([[None, "a", "a"]], 1), fmt) == (

@@ -1,9 +1,12 @@
 """Quadrature reference implementations used to cross-check closed forms."""
 
+import csv
+
 import numpy as np
 import pytest
 
 import frozen_reference as ref
+from sixbeam import cli
 from sixbeam import coefficients as cf
 from sixbeam import galerkin as gk
 from sixbeam import oracle as oc
@@ -118,7 +121,7 @@ def test_tables_match_sixth_derivative_diagonal(basis30):
 
         def sixth(rule, parity=parity):
             rows6, rows0 = oc._reference_block(basis30, parity, range(1, 7),
-                                              rule.nodes, (6, 0))
+                                              rule.left, rule.offsets, (6, 0))
             return (rows6 * rule.weights) @ rows0.T
 
         floor = 500.0 * np.finfo(float).eps * np.maximum(1.0, lam6)[:, None]
@@ -133,12 +136,106 @@ def test_reference_block_rows_are_single_mode_evaluations(basis30):
     # asked for, in the order asked, with the bits of psi_reference.
     x = oc.make_rule(3).nodes
     for parity in (EV, OD):
-        blocks = oc._reference_block(basis30, parity, range(1, 6), x, (4, 0, 2))
+        blocks = oc._reference_block(basis30, parity, range(1, 6), x, [0.0],
+                                     (4, 0, 2))
         for block, k in zip(blocks, (4, 0, 2)):
             for m in range(1, 6):
                 ref_row = oc.psi_reference(basis30, parity, m, x, k)
                 assert np.array_equal(block[m - 1].view(np.int64),
                                       ref_row.view(np.int64))
+
+
+def _long_double_rows(basis, parity, m, x, k):
+    """psi_m^(k) at the long double points x from the product representation
+    in long double: only lam, c and the order-0 coefficients are doubles."""
+    ld = np.longdouble
+    lam, c, t, v = oc._reference_coeffs(basis, parity, np.array(m))
+    lam, c = ld(lam), ld(c)
+    t, v = [ld(z) for z in t], [ld(z) for z in v]
+    half_l, half_s = lam / 2, np.sqrt(ld(3)) * lam / 2
+    for _ in range(k):
+        t = [lam * t[1], -lam * t[0]]
+        v = [half_s * v[1] - half_l * v[2], half_s * v[0] - half_l * v[3],
+             half_l * v[0] + half_s * v[3], half_l * v[1] + half_s * v[2]]
+    rise, fall = np.exp(half_s * (x - 1)), np.exp(-half_s * (x + 1))
+    gs, gc = (rise - fall) / 2, (rise + fall) / 2
+    sin_h, cos_h = np.sin(half_l * x), np.cos(half_l * x)
+    return c * (t[0] * np.cos(lam * x) + t[1] * np.sin(lam * x)
+                + v[0] * sin_h * gs + v[1] * sin_h * gc
+                + v[2] * cos_h * gs + v[3] * cos_h * gc)
+
+
+def test_reference_rows_match_a_long_double_evaluation(basis60):
+    # The rows are those at the exact sums left + offsets, and with left_lo
+    # at the exact panel edges -1 + 2p/P, to 2e-15 of the order's scale
+    # max(1, lam^k) (1.3e-15 seen); rounding lam * x costs ~2e-14 there.
+    ld, modes, orders = np.longdouble, (1, 7, 25, 50), (0, 2, 4, 6)
+    rule = oc.make_rule(201)
+    edges = (2 * np.arange(201, dtype=ld) - 201) / 201
+    points = np.random.default_rng(34).uniform(-1.0, 1.0, 300)
+    for parity in (EV, OD):
+        lam = basis60.lam(parity)
+        for left, left_lo in ((ld(rule.left), 0.0), (edges, rule.left_lo)):
+            x = left[:, None] + ld(rule.offsets)
+            blocks = oc._reference_block(basis60, parity, modes, rule.left,
+                                         rule.offsets, orders, left_lo)
+            for block, k in zip(blocks, orders):
+                for row, m in zip(block, modes):
+                    want = _long_double_rows(basis60, parity, m, x.ravel(), k)
+                    assert np.max(np.abs(row - want)) <= 2e-15 * max(1.0, lam[m] ** k)
+        for m in modes:
+            for k in orders:
+                want = _long_double_rows(basis60, parity, m, ld(points), k)
+                got = oc.psi_reference(basis60, parity, m, points, k)
+                assert np.max(np.abs(got - want)) <= 2e-15 * max(1.0, lam[m] ** k)
+
+
+def test_rule_panels_tile_the_interval_exactly():
+    # left + left_lo is each panel edge -1 + 2p/P to long double rounding,
+    # and the nodes keep the bits of the once-rounded sums left + offsets.
+    ld = np.longdouble
+    for panels in (3, 185, 201, 402, 1000):
+        rule = oc.make_rule(panels)
+        edges = (2 * np.arange(panels, dtype=ld) - panels) / panels
+        assert np.max(np.abs(ld(rule.left) + ld(rule.left_lo) - edges)) < 1e-19
+        assert np.max(np.abs(rule.left_lo)) < 2.3e-16
+        assert np.array_equal(rule.nodes, (rule.left[:, None] + rule.offsets).ravel())
+
+
+def test_psi_reference_keeps_the_shape_of_x(basis30):
+    x = np.linspace(-1.0, 1.0, 12)
+    for m in (0, 3):
+        flat = oc.psi_reference(basis30, EV, m, x, 2)
+        assert flat.shape == (12,)
+        grid = oc.psi_reference(basis30, EV, m, x.reshape(3, 4), 2)
+        assert grid.shape == (3, 4)
+        assert np.array_equal(grid.ravel(), flat)
+        one = oc.psi_reference(basis30, EV, m, 0.25, 2)
+        assert type(one) is float
+        assert one == oc.psi_reference(basis30, EV, m, np.array([0.25]), 2)[0]
+
+
+def test_verify_at_the_largest_index_passes_every_entry(tmp_path, capsys):
+    # verify --max-index 50 passes all 10,350 entries with its worst relative
+    # error more than 10x below REL_THRESHOLD.
+    stem = tmp_path / "check"
+    assert cli.main(["verify", "--max-index", "50", "--out", str(stem)]) == 0
+    capsys.readouterr()
+    with open(f"{stem}.report.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 10350
+    assert all(row["passed"] == "true" for row in rows)
+    assert max(float(row["rel_error"]) for row in rows) <= 1e-9
+    assert oc.REL_THRESHOLD == 1e-8
+
+
+def test_tables_pass_every_entry_at_every_index():
+    # Each --max-index has its own panel counts; the tiling error of the
+    # rounded panel edges failed beta_odd[46, 1] and [47, 1] at K = 46, 47.
+    for K in range(1, 51):
+        basis = build_basis(max(K, 2))
+        columns = cli._verify_columns(basis, K, oc.quadrature_tables(basis, K))
+        assert np.all(columns[7]), K
 
 
 def test_tables_match_mean_row_and_chi(basis30, tables6):
