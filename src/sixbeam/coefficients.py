@@ -534,11 +534,11 @@ class CoefficientSet:
 
 
 # synthesize and project evaluate psi_block on at most this many (mode, point)
-# entries at a time, and _synthesize_grid its boundary-layer mask: their
-# temporaries, not the result, set the peak memory.  psi_block's are a few
-# real and complex arrays per entry (201 points at M = 10000 peak at ~19 MB
-# in chunks; M = 100's project at ~20 MB).  Every synthesis at M <= 1000
-# with <= 262 points is still one block.
+# entries at a time: their temporaries, not the result, set the peak memory.
+# psi_block's are a few real and complex arrays per entry (201 points at
+# M = 10000 peak at ~19 MB in chunks; M = 100's project at ~20 MB).  Every
+# synthesis at M <= 1000 with <= 262 points is still one block.  A grid plan
+# keeps its boundary-layer values when there are at most this many (2.1 MB).
 _SYNTHESIS_ENTRIES = 2 ** 18
 
 
@@ -577,6 +577,111 @@ def synthesize(coeffs: CoefficientSet, x, k: int = 0):
 _PI_HI = 3.1415926814079285
 _PI_LO = -2.7818135228334233e-08
 
+#: Where h_m (1 - |x|) > _LAYER_BAND, h_m = sqrt(3) lam_m / 2, both
+#: exponentials of the layer term underflow to exactly 0 (e^-745.2 already
+#: does), so its band |x| >= 1 - _LAYER_BAND / h_m holds every nonzero value.
+_LAYER_BAND = 746.0
+_LAYER_BLOCK = 2 ** 12  # layer values evaluated at a time (about)
+
+
+@dataclass(frozen=True, eq=False)
+class _GridPlan:
+    """What ``_synthesize_grid`` needs of one basis at one sample count.
+
+    Every array is read-only.  ``band`` holds each mode's layer values
+    Re[w_m Phi_0(x_j)] on its band, the points before ``split`` (x < 0)
+    first, mode m's from ``offsets[m - 1]``; it is None when it would hold
+    more than ``_SYNTHESIS_ENTRIES`` values.
+    """
+
+    samples: int
+    x: np.ndarray        # np.linspace(-1, 1, samples)
+    split: int           # points with x < 0: |x| falls before, rises from here
+    cos6: np.ndarray     # cos(lam_m x) of modes 1..min(6, M)
+    fold: np.ndarray     # m mod N for the modes m >= 7
+    delta: np.ndarray    # lam_m - (m + 1/6) pi for the modes m >= 7
+    wrap: np.ndarray     # j mod N
+    phase: np.ndarray    # e^{i pi x / 6}
+    ix: np.ndarray       # i x
+    half: np.ndarray     # h_m
+    offsets: np.ndarray  # M + 1 band starts, the last its length
+    band: np.ndarray | None
+
+
+def _ranges(starts, lengths):
+    """The ranges [s, s + n) of each (start, length) pair, concatenated in order."""
+    return (np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+            + np.arange(np.sum(lengths)))
+
+
+def _band_ends(x, split: int, bound):
+    """Per mode, how many points lead the grid and how many end it with |x| >= bound."""
+    return (np.searchsorted(x[:split], -bound, "right"),
+            x.size - split - np.searchsorted(x[split:], bound, "left"))
+
+
+def _point_blocks(pre, post, samples: int):
+    """Bounds 0 = b_0 <= ... <= b_k = samples of point blocks that each hold about
+    ``_LAYER_BLOCK`` of the pairs (mode r, point j), j < pre_r or j >= samples - post_r
+    (more when one point holds more)."""
+    ends = np.bincount(pre, minlength=samples + 1)[:samples]
+    starts = np.bincount(samples - post, minlength=samples + 1)[:samples]
+    total = np.cumsum(pre.size - np.cumsum(ends) + np.cumsum(starts))
+    inner = np.searchsorted(total, np.arange(_LAYER_BLOCK, total[-1], _LAYER_BLOCK)) + 1
+    return np.concatenate(([0], inner, [samples]))
+
+
+def _pairs(pre, post, samples: int, c0: int, c1: int):
+    """The pairs (mode r, point j), c0 <= j < c1 and j < pre_r or j >= samples - post_r,
+    mode by mode: (lengths, j), lengths[r] the counts before and after the split."""
+    first = np.maximum(samples - post, c0)
+    lengths = np.stack((np.maximum(np.minimum(pre, c1) - c0, 0), np.maximum(c1 - first, 0)), 1)
+    return lengths, _ranges(np.stack((np.full(pre.size, c0), first), 1).ravel(), lengths.ravel())
+
+
+def _layer_z(basis: Basis):
+    """z_m = (sqrt(3) + i) lam_m / 2 of the even modes 1..M, as ``_psi_core`` forms it."""
+    lam = basis.lam_even[1:]
+    return 0.5 * (SQRT3 * lam + 1j * lam)
+
+
+def _build_grid_plan(basis: Basis, samples: int) -> _GridPlan:
+    x = np.linspace(-1.0, 1.0, samples)
+    n = samples - 1
+    lam = basis.lam_even[1:]
+    m = np.arange(7, basis.M + 1)
+    half = 0.5 * (SQRT3 * lam)
+    split = int(np.searchsorted(x, 0.0, "left"))
+    pre, post = _band_ends(x, split, 1.0 - _LAYER_BAND / half)
+    offsets = np.concatenate(([0], np.cumsum(pre + post)))
+    band = None
+    if offsets[-1] <= _SYNTHESIS_ENTRIES:
+        z, w = _layer_z(basis), basis.w_even[1:]
+        band = np.empty(offsets[-1])
+        r0 = 0
+        while r0 < basis.M:   # in blocks of rows of about _LAYER_BLOCK values
+            r1 = max(r0 + 1, int(np.searchsorted(offsets, offsets[r0] + _LAYER_BLOCK,
+                                                 "right")) - 1)
+            lengths, j = _pairs(pre[r0:r1], post[r0:r1], samples, 0, samples)
+            r = np.repeat(np.arange(r0, r1), lengths.sum(1))
+            band[offsets[r0]:offsets[r1]] = _layer(z[r], half[r], w[r], x[j], 1.0)
+            r0 = r1
+    arrays = dict(
+        x=x, cos6=np.cos(lam[:6, None] * x), fold=m % n,
+        delta=lam[6:] - m * _PI_HI - np.pi / 6.0 - m * _PI_LO,
+        wrap=np.arange(samples) % n, phase=np.exp(1j * np.pi / 6.0 * x), ix=1j * x,
+        half=half, offsets=offsets, band=band)
+    _read_only(tuple(a for a in arrays.values() if a is not None))
+    return _GridPlan(samples=samples, split=split, **arrays)
+
+
+def _grid_plan(basis: Basis, samples: int) -> _GridPlan:
+    """The basis's grid plan at ``samples`` points; a new count replaces the kept one."""
+    plan = basis._derived.get("grid")
+    if plan is None or plan.samples != samples:
+        plan = basis._derived["grid"] = _build_grid_plan(basis, samples)
+    return plan
+
 
 def _synthesize_grid(basis: Basis, u0c: float, uc: np.ndarray, samples: int) -> np.ndarray:
     """``synthesize`` of an even set (no ``us``) at ``np.linspace(-1, 1, samples)``.
@@ -595,33 +700,43 @@ def _synthesize_grid(basis: Basis, u0c: float, uc: np.ndarray, samples: int) -> 
     h_m = sqrt(3) lam_m / 2, is added only where |x| >= 1 - reach_m / h_m,
     reach_m = ln(|a_m c_m w_m| M / scale) + 40, scale = max |trig sum|.  Each
     term left out is below e^-40 scale / M, so together they stay below
-    4e-18 scale at every point.
+    4e-18 scale at every point.  Those points lead and end the grid, and
+    the ones past the band of nonzero values add nothing.  Each point sums
+    its terms in mode order from the plan's kept values, or, without them,
+    from _layer in point blocks: the same bits either way.
     """
     from numpy import fft  # here, not at load: only solve samples a grid
 
-    x = np.linspace(-1.0, 1.0, samples)
-    n = samples - 1
-    lam, w = basis.lam_even[1:], basis.w_even[1:]
+    plan = _grid_plan(basis, samples)
+    n, M = samples - 1, basis.M
     ac = uc[1:] * basis.c_even[1:]
-    u = 0.5 * u0c + ac[:6] @ np.cos(lam[:6, None] * x)
-    if basis.M >= 7:
-        m = np.arange(7, basis.M + 1)
-        signed = np.where(m % 2 == 0, ac[6:], -ac[6:])
-        delta = lam[6:] - m * _PI_HI - np.pi / 6.0 - m * _PI_LO
-        b = np.stack([np.bincount(m % n, weights=signed, minlength=n),
-                      np.bincount(m % n, weights=signed * delta, minlength=n)])
-        S, dS = np.conj(fft.fft(b))[:, np.arange(samples) % n]
-        u += np.real(np.exp(1j * np.pi / 6.0 * x) * (S + 1j * x * dS))
-    s = SQRT3 * lam
-    z, half = 0.5 * (s + 1j * lam), 0.5 * s
+    u = 0.5 * u0c + ac[:6] @ plan.cos6
+    if M >= 7:
+        signed = ac[6:].copy()
+        signed[::2] = -signed[::2]   # (-1)^m from m = 7
+        b = np.stack([np.bincount(plan.fold, weights=signed, minlength=n),
+                      np.bincount(plan.fold, weights=signed * plan.delta, minlength=n)])
+        S, dS = np.conj(fft.fft(b))[:, plan.wrap]
+        u += np.real(plan.phase * (S + plan.ix * dS))
     with np.errstate(divide="ignore", invalid="ignore"):   # a zero a_m or scale
-        reach = np.log(np.abs(ac * w) * basis.M / np.max(np.abs(u))) + 40.0
-    edge = 1.0 - reach / half
-    for cols in _point_chunks(basis, samples):
-        xc = x[cols]
-        r, j = np.divmod(np.flatnonzero(np.abs(xc) >= edge[:, None]), xc.size)
-        layer = ac[r] * _layer(z[r], half[r], w[r], xc[j], 1.0)
-        u[cols] += np.bincount(j, weights=layer, minlength=xc.size)
+        reach = np.log(np.abs(ac * basis.w_even[1:]) * M / np.max(np.abs(u))) + 40.0
+        edge = 1.0 - reach / plan.half
+    edge[np.isnan(edge)] = np.inf   # 0/0, a zero a_m and scale: no point
+    pre, post = _band_ends(plan.x, plan.split,
+                           np.maximum(edge, 1.0 - _LAYER_BAND / plan.half))
+    if plan.band is None:
+        bounds, z, w = _point_blocks(pre, post, samples), _layer_z(basis), basis.w_even[1:]
+    else:
+        bounds = [0, samples]
+    for c0, c1 in zip(bounds[:-1], bounds[1:]):
+        lengths, j = _pairs(pre, post, samples, c0, c1)
+        r = np.repeat(np.arange(M), lengths.sum(1))
+        if plan.band is None:
+            values = _layer(z[r], plan.half[r], w[r], plan.x[j], 1.0)
+        else:
+            values = plan.band[_ranges(np.stack((plan.offsets[:-1], plan.offsets[1:] - post),
+                                                1).ravel(), lengths.ravel())]
+        u[c0:c1] += np.bincount(j - c0, weights=ac[r] * values, minlength=c1 - c0)
     return u
 
 

@@ -168,19 +168,24 @@ def _f0_exact(spec: BvpSpec) -> Fraction:
     return total
 
 
+def _exact_projection(spec: BvpSpec, basis: Basis):
+    """(f0, fc) of ``forcing_projection`` with f0 the exact rational."""
+    fc = np.zeros(basis.M)
+    for p, c in spec.forcing:
+        if p == 0:
+            continue  # constants are orthogonal to every nonconstant mode
+        fc = fc + c * chi_vector(basis, p)
+    return _f0_exact(spec), fc
+
+
 def forcing_projection(spec: BvpSpec, basis: Basis):
     """(f0, fc): projections of the forcing onto the constant and even modes.
 
     f0 = <f, 1>; fc[i] = <f, psi_{i+1}^c> for i = 0..M-1.  Odd-mode
     projections vanish identically for even forcing.
     """
-    f0 = float(_f0_exact(spec))
-    fc = np.zeros(basis.M)
-    for p, c in spec.forcing:
-        if p == 0:
-            continue  # constants are orthogonal to every nonconstant mode
-        fc = fc + c * chi_vector(basis, p)
-    return f0, fc
+    f0, fc = _exact_projection(spec, basis)
+    return float(f0), fc
 
 
 # ---------------------------------------------------------------------------
@@ -202,12 +207,13 @@ class SteadySolution(CoefficientSet):
     record: dict
 
 
-def _u0c_from_row0(spec: BvpSpec, f0: float, corr: float) -> float:
-    """Solve the constant-mode balance a0 u0c + corr = f0."""
+def _u0c_from_row0(spec: BvpSpec, f0_exact: Fraction, corr: float) -> float:
+    """Solve the constant-mode balance a0 u0c + corr = f0 (f0 = <f, 1>, exact)."""
+    if spec.a0 != 0.0 and corr == 0.0:
+        # Exact-rational path: keeps u0c bit-exact for rational forcing.
+        return float(f0_exact / Fraction(spec.a0))
+    f0 = float(f0_exact)
     if spec.a0 != 0.0:
-        if corr == 0.0:
-            # Exact-rational path: keeps u0c bit-exact for rational forcing.
-            return float(_f0_exact(spec) / Fraction(spec.a0))
         return (f0 - corr) / spec.a0
     residual = f0 - corr
     if abs(residual) > 1e-8 * max(1.0, abs(f0), abs(corr)):
@@ -229,7 +235,7 @@ def _solve_diagonal(spec: BvpSpec, basis: Basis) -> SteadySolution:
         raise ArithmeticError(
             f"resonant diagonal: |a0 - a6 lam^6| at mode {m} is below "
             f"{_RESONANCE_GUARD:g} x |a6| lam^6")
-    f0, fc = forcing_projection(spec, basis)
+    f0, fc = _exact_projection(spec, basis)
     uc = np.concatenate(([0.0], (fc / s) / denom))
     u0c = _u0c_from_row0(spec, f0, 0.0)
     return SteadySolution(basis=basis, u0c=u0c, uc=uc,
@@ -456,7 +462,7 @@ def solve_steady(spec: BvpSpec, basis: Basis) -> SteadySolution:
         raise ValueError("basis must carry at least one mode")
     if spec.a4 == 0.0 and spec.a2 == 0.0:
         return _finite(_solve_diagonal(spec, basis))
-    f0, fc = forcing_projection(spec, basis)
+    f0, fc = _exact_projection(spec, basis)
     if spec.a4 != 0.0:
         uc_body, record = _solve_modes(spec, basis, fc)
         u0c = _u0c_from_row0(spec, f0, spec.a4 * float(_gamma_mean(basis) @ uc_body))

@@ -696,16 +696,124 @@ def test_synthesize_keeps_the_shape_of_multidimensional_points(M):
 @pytest.mark.parametrize("M", [2000, MAX_MODES])
 def test_grid_synthesis_keeps_its_bits_in_any_point_chunks(M, monkeypatch):
     # Each point sums its layer terms in mode order whatever chunk holds it,
-    # so the chunk size (262, 131 and 2 points at M = 2000; 52, 26 and 1 at
-    # M = 10000) leaves every bit of the grid.
+    # so the chunk size leaves every bit of the grid.  At 1000 points neither
+    # basis keeps its layer values, and the layer is evaluated in point
+    # blocks of about _LAYER_BLOCK (mode, point) pairs: 2**16 to 2**6 here,
+    # down to single points.
     basis = build_basis(M)
     n = np.arange(1, M + 1, dtype=float)
     uc = np.concatenate(([0.0], (-1.0) ** n / n ** 2))
     got = []
-    for entries in (2 ** 19, 2 ** 18, 2 ** 12):
+    for entries, block in ((2 ** 19, 2 ** 16), (2 ** 18, 2 ** 12), (2 ** 12, 2 ** 6)):
         monkeypatch.setattr(cf, "_SYNTHESIS_ENTRIES", entries)
+        monkeypatch.setattr(cf, "_LAYER_BLOCK", block)
         got.append(cf._synthesize_grid(basis, 0.5, uc, 1000).view(np.int64))
+    assert basis._derived["grid"].band is None
     assert np.array_equal(got[0], got[1]) and np.array_equal(got[0], got[2])
+
+
+def _grid_sets(M: int) -> dict:
+    """(u0c, uc) sets for the grid plan tests: decaying, flat, all-zero, and
+    one whose samples are ~1e-300 (max |u| near zero; the layer rule is
+    scale-free, so it selects what the decaying set does)."""
+    rng = np.random.default_rng(M)
+    n = np.arange(1, M + 1, dtype=float)
+    decaying = np.concatenate(([0.0], rng.standard_normal(M) / n ** 4))
+    return {"decaying": (0.7, decaying),
+            "flat": (-0.3, np.concatenate(([0.0], rng.standard_normal(M)))),
+            "zero": (0.0, np.zeros(M + 1)),
+            "near-zero": (1e-300, 1e-300 * decaying)}
+
+
+@pytest.mark.parametrize("M", [1, 6, 7, 40, 2000, MAX_MODES])
+def test_grid_synthesis_plan_serves_a_sequence_of_sets(M):
+    # One basis keeps one plan and serves every set, and a new sample count
+    # replaces the plan; each result has the bits of the same call on a
+    # freshly built basis, which builds its plan for that call alone.
+    basis = build_basis(M)
+    sets = _grid_sets(M)
+    for samples in (201, 2, 1000, 3, 201):
+        for name, (u0c, uc) in sets.items():
+            got = cf._synthesize_grid(basis, u0c, uc, samples)
+            plan = basis._derived["grid"]
+            assert plan.samples == samples
+            eb._build_basis.cache_clear()
+            fresh = build_basis(M)
+            assert fresh is not basis
+            want = cf._synthesize_grid(fresh, u0c, uc, samples)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), (samples, name)
+            assert cf._grid_plan(basis, samples) is plan
+        arrays = [getattr(plan, f.name) for f in dataclasses.fields(plan)]
+        arrays = [a for a in arrays if isinstance(a, np.ndarray)]
+        assert len(arrays) == 9 + (plan.band is not None)
+        assert not any(a.flags.writeable for a in arrays)
+        kept = plan.offsets[-1] <= cf._SYNTHESIS_ENTRIES
+        assert (plan.band is not None) == kept
+        assert kept or samples == 1000
+    assert not np.any(cf._synthesize_grid(basis, 0.0, sets["zero"][1], 201))
+
+
+@pytest.mark.parametrize("band", [cf._LAYER_BAND, 30.0])
+@pytest.mark.parametrize("M", [7, 40, 2000, MAX_MODES])
+def test_grid_synthesis_kept_band_matches_the_per_call_path(M, band, monkeypatch):
+    # With no room for the band (_SYNTHESIS_ENTRIES = 0) the layer is
+    # evaluated per call in point blocks, with the band kept it is gathered:
+    # the same bits at 201 samples.  A band of 30 makes every set's reach
+    # (~40 + ln M) pass the band of the high modes, so each selection is
+    # clamped to it on both paths.
+    monkeypatch.setattr(cf, "_LAYER_BAND", band)
+    got = {}
+    for entries in (cf._SYNTHESIS_ENTRIES, 0):
+        monkeypatch.setattr(cf, "_SYNTHESIS_ENTRIES", entries)
+        eb._build_basis.cache_clear()
+        basis = build_basis(M)
+        got[entries] = [cf._synthesize_grid(basis, u0c, uc, 201).view(np.int64)
+                        for u0c, uc in _grid_sets(M).values()]
+        assert (basis._derived["grid"].band is None) == (entries == 0)
+    kept, per_call = got.values()
+    assert all(np.array_equal(a, b) for a, b in zip(kept, per_call))
+
+
+@pytest.mark.parametrize("M,samples", [(2000, 201), (2000, 1000), (MAX_MODES, 201)])
+def test_grid_synthesis_layer_vanishes_outside_the_band(M, samples):
+    # Past h_m (1 - |x|) = _LAYER_BAND both exponentials of the layer term
+    # underflow to exactly 0, so a plan drops nothing by keeping the band.
+    basis = build_basis(M)
+    plan = cf._build_grid_plan(basis, samples)
+    z = cf._layer_z(basis)
+    w = basis.w_even[1:]
+    inside = np.abs(plan.x) >= 1.0 - cf._LAYER_BAND / plan.half[:, None]
+    assert np.array_equal(np.count_nonzero(inside, axis=1), np.diff(plan.offsets))
+    for rows in (slice(r, r + 500) for r in range(0, M, 500)):
+        r, j = np.nonzero(~inside[rows])
+        r += rows.start
+        assert not np.any(eb._layer(z[r], plan.half[r], w[r], plan.x[j], 1.0))
+
+
+def test_grid_synthesis_plan_memory():
+    # The kept plan at MAX_MODES with 201 samples: 261,810 layer values
+    # (2.1 MB) and four per-mode arrays.  At 10**5 samples the M = 2000
+    # band (~82 M values) is not kept and the layer is evaluated in point
+    # blocks, so the call peaks within synthesize's bound at MAX_MODES.
+    basis = build_basis(MAX_MODES)
+    tracemalloc.start()
+    try:
+        plan = cf._grid_plan(basis, 201)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert plan.band is not None and plan.band.size == 261810
+    assert held <= 2.5e6
+    basis = build_basis(2000)
+    uc = np.concatenate(([0.0], (-1.0) ** np.arange(1, 2001) / np.arange(1, 2001) ** 2))
+    tracemalloc.start()
+    try:
+        cf._synthesize_grid(basis, 0.5, uc, 10 ** 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert basis._derived["grid"].band is None
+    assert peak < 25e6
 
 
 def test_synthesize_at_max_modes_evaluates_in_chunks():

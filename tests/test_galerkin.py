@@ -3,6 +3,7 @@
 import itertools
 import tracemalloc
 import warnings
+from fractions import Fraction
 from functools import partial
 from pathlib import Path
 
@@ -233,6 +234,23 @@ def test_unsatisfiable_constant_mode_balance_fails_before_the_dense_solve():
                       forcing=gk.MODEL_II.forcing)
     with pytest.raises(ArithmeticError, match="constant-mode balance"):
         gk.solve_steady(spec, build_basis(10))
+
+
+@pytest.mark.parametrize("a4,a2,M", [(0.0, 0.0, 30), (0.0, -5544.0, 30),
+                                      (-20.0, -5544.0, 30), (0.0, -5544.0, 1000)])
+def test_steady_solve_forms_the_exact_forcing_mean_once(a4, a2, M, monkeypatch):
+    # <f, 1> as an exact rational serves both the projection and the
+    # exact-rational u0c, so each solve forms it once; u0c keeps the bits of
+    # <f, 1> / a0 in exact rationals whenever the constant row has no a4 term.
+    calls = []
+    f0_exact = gk._f0_exact
+    monkeypatch.setattr(gk, "_f0_exact", lambda spec: calls.append(spec) or f0_exact(spec))
+    spec = gk.BvpSpec(a6=1.0, a4=a4, a2=a2, a0=gk.MODEL_II.a0, forcing=gk.MODEL_II.forcing)
+    sol = gk.solve_steady(spec, build_basis(M))
+    assert calls == [spec]
+    if a4 == 0.0:
+        assert sol.u0c == float(f0_exact(spec) / Fraction(spec.a0))
+    assert gk.forcing_projection(spec, build_basis(M))[0] == float(f0_exact(spec))
 
 
 def test_indefinite_system_falls_back_with_warning(basis30):
