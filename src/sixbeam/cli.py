@@ -8,8 +8,10 @@ flags.  Each non-null value goes through the same parser as the flag's text;
 explicit flags override file values.
 
 Output contract: for a fixed configuration the emitted data files are
-byte-identical across runs.  CSV cells use 17-significant-digit decimal
-(``%.17g``); JSON uses Python's shortest round-trip float representation.
+byte-identical across runs.  One writer, ``_table_text``, serves both
+formats: CSV cells use 17-significant-digit decimal (``%.17g``); JSON has
+the bytes of ``json.dumps(rows, indent=2)``, Python's shortest round-trip
+float representation.
 Summaries carry wall-clock timings under the single key ``timings_ms``,
 which is excluded from the determinism contract.
 
@@ -52,7 +54,7 @@ class UsageError(Exception):
 # Formatting and file emission
 # ---------------------------------------------------------------------------
 
-#: The CSV text of False and True, as ``_cell`` writes them.
+#: The text of False and True, as ``_cell`` and ``_json_cell`` write them.
 _BOOL_TEXT = np.array(["false", "true"], dtype=object)
 
 
@@ -73,54 +75,72 @@ def _write_text(path: str, text: str) -> None:
         raise UsageError(f"cannot write {path!r}: {exc.strerror or exc}") from None
 
 
-def _table_text(header: list, columns: list, fmt: str) -> str:
-    """The table with one 1-D array or list of cells per header name.
+def _table_text(header: list, columns: list, fmt: str, indent: str = "") -> str:
+    """The table in ``fmt`` (``"csv"`` or ``"json"``), one 1-D array or list
+    of cells per header name; every JSON line after the first is indented
+    by ``indent`` more.
 
-    In CSV a float array is a ``"%.17g"`` field and an integer array a
-    ``"%d"`` field of one row template (``"%.17g" % x`` is ``_cell(x)`` for
-    every float), and a float array of +0.0 alone after the first column is
-    the literal field ``0``.  A float array after the first column with
-    the bits of ``np.abs`` of the column before it takes that column's cell
-    text with the leading ``-`` removed (``_is_abs_of``), the column before
-    formatted once per cell.  A bool array takes ``_BOOL_TEXT`` by one
-    index, without a call per cell.  Any other column enters as its cells' ``_cell``
-    text.
-    The columns after the first may be shorter than it, all of one length:
-    every later row repeats their last row after the first cell, and reuses
-    its text.
+    One pass classifies the columns for both formats.  A float array is a
+    ``"%.17g"`` or ``"%r"`` (``float.__repr__``) field of one row template
+    and an integer array a ``"%d"`` field: each cell's ``_cell`` or
+    ``_json_cell`` text, save in a JSON float array holding a non-finite
+    value.  After the first column a float array of +0.0 alone is a literal,
+    and one with the bits of ``np.abs`` of the column before it
+    (``_is_abs_of``) takes that column's text unsigned.  A bool array takes
+    ``_BOOL_TEXT`` by one index; any other column, its cells' text.  The
+    columns after the first may be shorter than it, all of one length: every
+    later row repeats their last row's text after its own first cell.
     """
-    if fmt != "csv":
-        return _json_table(header, columns) + "\n"
+    # The format's record: the float field, the +0.0 literal, the cell
+    # encoder, whether the float field writes finite floats only, the kinds
+    # that are their own text; each field's prefix and the row's end; the
+    # table's wrapper (top, row separator, bottom, or the empty table).
+    if fmt == "csv":
+        number, zero, cell, finite_only, own = "%.17g", "0", _cell, False, "Ub"
+        prefixes, end = ["", *[","] * (len(header) - 1)], ""
+        empty = top = ",".join(header) + "\n"
+        sep = bottom = "\n"
+    else:
+        number, zero, cell, finite_only, own = "%r", "0.0", _json_cell, True, "b"
+        key, *keys = (encode_basestring_ascii(name).replace("%", "%%") for name in header)
+        prefixes = [f"{indent}  {{\n{indent}    {key}: ",
+                    *(f",\n{indent}    {k}: " for k in keys)]
+        end, empty, top = f"\n{indent}  }}", "[]\n", "[\n"
+        sep, bottom = ",\n", f"\n{indent}]\n"
     fields, values = [], []
     for i, col in enumerate(columns):
         kind = col.dtype.kind if isinstance(col, np.ndarray) else "O"
         if i and kind == "f" and not (np.any(col) or np.any(np.signbit(col))):
-            fields.append("0")  # "%.17g" % 0.0; -0.0 is "-0"
+            fields.append(zero)  # number % 0.0; -0.0 is "-0" or "-0.0"
             values.append(None)
             continue
         if i and _is_abs_of(col, columns[i - 1]):
             if fields[-1] != "%s":  # the column before: each cell formatted once
-                fields[-1], values[-1] = "%s", ["%.17g" % v for v in values[-1]]
+                fields[-1], values[-1] = "%s", [number % v for v in values[-1]]
             fields.append("%s")
             values.append(_unsigned(values[-1]))
             continue
-        if kind == "b":  # _cell's two texts, shared by every cell
+        if kind == "f" and finite_only and not np.all(np.isfinite(col)):
+            kind = "O"  # NaN and +-Infinity, as _json_cell writes them
+        if kind == "b":  # the two texts of both formats, shared by every cell
             cells = _BOOL_TEXT[col.astype(np.intp)].tolist()
         else:
             cells = col.tolist() if isinstance(col, np.ndarray) else list(col)
         if kind in "fiu":
-            fields.append("%.17g" if kind == "f" else "%d")
+            fields.append(number if kind == "f" else "%d")
         else:
             fields.append("%s")
-            if kind not in "Ub":  # a str array is its own text
-                cells = [_cell(v) for v in cells]
+            if kind not in own:
+                cells = list(map(cell, cells))
         values.append(cells)
-    head, tail, n = fields[0], "".join("," + f for f in fields[1:]), len(values[0])
+    head = prefixes[0] + fields[0]
+    tail = "".join(p + f for p, f in zip(prefixes[1:], fields[1:])) + end
     others = [cells for cells in values[1:] if cells is not None]
-    rests = [tail % row for row in zip(*others)] if others else [tail] * n
+    n = len(values[0])
+    rests = [tail % row for row in zip(*others)] if others else [tail % ()] * n
     rests += rests[-1:] * (n - len(rests))
-    lines = [",".join(header), *(head % v + r for v, r in zip(values[0], rests))]
-    return "\n".join(lines) + "\n"
+    rows = [head % v + r for v, r in zip(values[0], rests)]
+    return top + sep.join(rows) + bottom if rows else empty
 
 
 def _is_abs_of(col, prev) -> bool:
@@ -159,34 +179,6 @@ def _json_cell(v) -> str:
     return "NaN" if v != v else "Infinity" if v > 0.0 else "-Infinity"
 
 
-def _json_table(header: list, columns: list, indent: str = "") -> str:
-    """``json.dumps`` of the table as one object per row with ``indent=2``,
-    every line after the first indented by ``indent`` more, from one row
-    template and each column's cells encoded once (with an indent, ``json``
-    runs its pure-Python encoder).  Short columns after the first are
-    padded, and a column with the bits of ``np.abs`` of the one before it
-    takes that column's text unsigned, as ``_table_text`` does."""
-    texts = []
-    for i, (col, cells) in enumerate(zip(columns, _cells(columns))):
-        texts.append(_unsigned(texts[-1]) if i and _is_abs_of(col, columns[i - 1])
-                     else list(map(_json_cell, cells)))
-    first, *others = texts
-    rests = list(zip(*others)) if others else [()] * len(first)
-    rests += rests[-1:] * (len(first) - len(rests))
-    rows = [(v, *rest) for v, rest in zip(first, rests)]
-    if not rows:
-        return "[]"
-    keys = [encode_basestring_ascii(name).replace("%", "%%") for name in header]
-    row = (f"{indent}  {{\n" + ",\n".join(f"{indent}    {key}: %s" for key in keys)
-           + f"\n{indent}  }}")
-    return "[\n" + ",\n".join(row % cells for cells in rows) + f"\n{indent}]"
-
-
-def _cells(columns: list) -> list:
-    """Each column as a list of Python values."""
-    return [c.tolist() if isinstance(c, np.ndarray) else list(c) for c in columns]
-
-
 def _emit(args: argparse.Namespace, stem: str, ext: str, text: str,
           files: dict) -> None:
     """Write ``text`` to ``{out}.{stem}.{ext}``, or to stdout without ``--out``."""
@@ -206,11 +198,11 @@ def _emit_table(args: argparse.Namespace, stem: str, header: list, columns: list
 def _emit_summary(args: argparse.Namespace, summary: dict, files: dict,
                   reports: str | None = None) -> None:
     """Write the summary as ``json.dumps(summary, indent=2)``; ``reports``, a
-    ``_json_table`` text indented one level, enters as its last key."""
+    JSON ``_table_text`` indented one level, enters as its last key."""
     # A numpy value (a float64 is already a float) enters as its Python value.
     text = json.dumps(summary, indent=2, default=lambda v: v.tolist())
     if reports is not None:
-        text = text[:-2] + ',\n  "reports": ' + reports + "\n}"
+        text = text[:-2] + ',\n  "reports": ' + reports + "}"
     _emit(args, "summary", "json", text + "\n", files)
 
 
@@ -317,8 +309,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
     t1 = time.perf_counter()
     sol = galerkin.solve_steady(spec, basis)
     t2 = time.perf_counter()
-    xs = np.linspace(-1.0, 1.0, args.samples)
     u = coefficients._synthesize_grid(basis, sol.u0c, sol.uc, args.samples)
+    xs = coefficients._grid_plan(basis, args.samples).x  # the grid u was sampled on
     has_exact = spec.name in _EXACT_MODEL_SOLUTION
     files: dict = {}
     if has_exact:
@@ -433,7 +425,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     reports = None
     if args.out is None:
         summary.pop("files")
-        reports = _json_table(_VERIFY_HEADER, columns, "  ")
+        reports = _table_text(_VERIFY_HEADER, columns, "json", "  ")
     else:
         _emit_table(args, "report", _VERIFY_HEADER, columns, files)
     timings.update(write=1e3 * (time.perf_counter() - t2),

@@ -167,6 +167,11 @@ def _per_cell_table(header, rows, fmt):
     return json.dumps([dict(zip(header, row)) for row in rows], indent=2) + "\n"
 
 
+def _cells(columns):
+    """Each column as a list of Python values."""
+    return [c.tolist() if isinstance(c, np.ndarray) else list(c) for c in columns]
+
+
 def _held(columns, stationary_from):
     """The columns after the first cut after row ``stationary_from`` (None
     keeps them whole): the writer repeats that row after the first cell."""
@@ -899,7 +904,8 @@ def test_csv_floats_use_17_significant_digits(tmp_path, capsys):
     assert len(u0c_text.replace("-", "").replace(".", "").lstrip("0")) >= 16
 
 
-def test_float_table_repeated_rows_print_as_each_cell_would():
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_float_table_repeated_rows_print_as_each_cell_would(fmt):
     # Rows 1-3 differ only in the sign of zeros, rows 4-6 in NaN payloads;
     # rows 6 and 7 repeat row 5 after the first cell.  Every row is written
     # from its own cells unless the columns after the first end before it.
@@ -913,48 +919,64 @@ def test_float_table_repeated_rows_print_as_each_cell_would():
                      [6.0, -np.nan, quiet_nan, 2.0],
                      [-0.0, -np.nan, quiet_nan, 2.0]])
     header = ["t", "a", "b", "c"]
-    text = _table_text(header, list(rows.T), "csv")
-    assert text == _per_cell_table(header, rows.tolist(), "csv")
-    assert text.split("\n")[1:5] == ["0,0,1,-0", "1,-0,1,-0", "2,-0,1,0", "3,-0,1,0"]
-    assert text.split("\n")[5:9] == ["4,nan,nan,2", "5,nan,nan,2", "6,nan,nan,2",
-                                      "-0,nan,nan,2"]
+    text = _table_text(header, list(rows.T), fmt)
+    assert text == _per_cell_table(header, rows.tolist(), fmt)
+    if fmt == "csv":
+        assert text.split("\n")[1:5] == ["0,0,1,-0", "1,-0,1,-0", "2,-0,1,0", "3,-0,1,0"]
+        assert text.split("\n")[5:9] == ["4,nan,nan,2", "5,nan,nan,2", "6,nan,nan,2",
+                                          "-0,nan,nan,2"]
     # Rows past the last of shorter columns reuse its text after the first
     # cell, which is still written per row (-0 in the last one).
-    assert _table_text(header, _held(list(rows.T), 5), "csv") == text
+    assert _table_text(header, _held(list(rows.T), 5), fmt) == text
     held = np.array([[0.0, 1.0, 0.0, 3.0],
                      [1.0, -0.0, -np.nan, quiet_nan],
                      [2.0, -0.0, -np.nan, quiet_nan],
                      [-0.0, -0.0, -np.nan, quiet_nan]])
     for stationary_from in (None, 1, 2, 3):
-        held_text = _table_text(header, _held(list(held.T), stationary_from), "csv")
-        assert held_text == _per_cell_table(header, held.tolist(), "csv")
-    assert held_text.split("\n")[2:5] == ["1,-0,nan,nan", "2,-0,nan,nan", "-0,-0,nan,nan"]
+        held_text = _table_text(header, _held(list(held.T), stationary_from), fmt)
+        assert held_text == _per_cell_table(header, held.tolist(), fmt)
+    if fmt == "csv":
+        assert held_text.split("\n")[2:5] == ["1,-0,nan,nan", "2,-0,nan,nan",
+                                              "-0,-0,nan,nan"]
     one_column = np.array([0.0, -0.0, -0.0])
-    assert _table_text(["t"], [one_column], "csv") == "t\n0\n-0\n-0\n"
+    assert _table_text(["t"], [one_column], fmt) == _per_cell_table(
+        ["t"], [[0.0], [-0.0], [-0.0]], fmt)
     empty = [np.empty(0)] * 4
-    assert _table_text(header, empty, "csv") == "t,a,b,c\n"
-    assert _table_text(header, empty, "json") == "[]\n"
-    assert _table_text(header, _held(empty, 0), "csv") == "t,a,b,c\n"
+    assert _table_text(header, empty, fmt) == _per_cell_table(header, [], fmt)
+    assert _table_text(header, _held(empty, 0), fmt) == _per_cell_table(header, [], fmt)
 
 
-def test_float_table_writes_columns_of_positive_zeros_as_a_literal():
-    # A float column of +0.0 alone after the first is the literal field 0
-    # ("%.17g" % 0.0); one -0.0 keeps the column formatted.  A zero first
-    # column, shorter columns after the first and a table whose other columns
-    # are all literals keep the per-cell bytes.
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_float_table_writes_columns_of_positive_zeros_as_a_literal(monkeypatch, fmt):
+    # A float column of +0.0 alone after the first is the literal field 0 or
+    # 0.0 ("%.17g" % 0.0, repr(0.0)); one -0.0 keeps the column formatted.
+    # A zero first column, shorter columns after the first and a table whose
+    # other columns are all literals (one named with a "%") keep the
+    # per-cell bytes.
     rows = np.array([[0.0, 0.0, 1.5, 0.0, 0.0],
                      [0.0, 0.0, 2.5, -0.0, 0.0],
                      [0.0, 0.0, 2.5, 0.0, 0.0]])
-    header = ["t", "a", "b", "c", "d"]
-    want = _per_cell_table(header, rows.tolist(), "csv")
-    assert want.split("\n")[1:4] == ["0,0,1.5,0,0", "0,0,2.5,-0,0", "0,0,2.5,0,0"]
+    header = ["t", "a", "b", "c", "d%"]
+    want = _per_cell_table(header, rows.tolist(), fmt)
+    if fmt == "csv":
+        assert want.split("\n")[1:4] == ["0,0,1.5,0,0", "0,0,2.5,-0,0", "0,0,2.5,0,0"]
+    else:
+        assert want.count('"a": 0.0') == 3 and want.count('"c": -0.0') == 1
     for stationary_from in (None, 2):
-        assert _table_text(header, _held(list(rows.T), stationary_from), "csv") == want
+        assert _table_text(header, _held(list(rows.T), stationary_from), fmt) == want
     zeros = np.zeros((4, 3))
     for stationary_from in (None, 0, 3):
-        assert _table_text(header[:3], _held(list(zeros.T), stationary_from), "csv") == (
-            _per_cell_table(header[:3], zeros.tolist(), "csv"))
-    assert _table_text(["t", "m"], [np.zeros(2), ["a", None]], "csv") == "t,m\n0,a\n0,\n"
+        assert _table_text(header[3:], _held(list(zeros[:, :2].T), stationary_from),
+                           fmt) == _per_cell_table(header[3:], zeros[:, :2].tolist(), fmt)
+        assert _table_text(header[:3], _held(list(zeros.T), stationary_from), fmt) == (
+            _per_cell_table(header[:3], zeros.tolist(), fmt))
+    assert _table_text(["t", "m"], [np.zeros(2), ["a", None]], fmt) == _per_cell_table(
+        ["t", "m"], [[0.0, "a"], [0.0, None]], fmt)
+    # The finite float columns and the literals are fields of the row
+    # template: no cell of them is written by a call of its own.
+    monkeypatch.setattr(cli, "_cell", None)
+    monkeypatch.setattr(cli, "_json_cell", None)
+    assert _table_text(header, list(rows.T), fmt) == want
 
 
 def test_float_table_fast_path_matches_the_per_cell_path():
@@ -981,7 +1003,7 @@ def test_a_column_of_magnitudes_takes_the_text_of_the_column_before(monkeypatch,
     for header, columns in ((["n", "u", "abs_u"], [n, u, np.abs(u)]),
                             (["u", "abs_u", "again"], [u, np.abs(u), np.abs(u)])):
         assert cli._is_abs_of(columns[2], columns[1])
-        rows = [list(row) for row in zip(*cli._cells(columns))]
+        rows = [list(row) for row in zip(*_cells(columns))]
         assert _table_text(header, columns, fmt) == _per_cell_table(header, rows, fmt)
         for stationary_from in (0, 5):
             held = _held(columns, stationary_from)
@@ -1003,7 +1025,7 @@ def test_a_column_of_magnitudes_takes_the_text_of_the_column_before(monkeypatch,
         near[i] = value
         assert not cli._is_abs_of(near, u)
         columns = [n, u, near]
-        rows = [list(row) for row in zip(*cli._cells(columns))]
+        rows = [list(row) for row in zip(*_cells(columns))]
         assert _table_text(["n", "u", "a"], columns, fmt) == _per_cell_table(
             ["n", "u", "a"], rows, fmt)
     assert not cli._is_abs_of(np.abs(u)[:5], u)
@@ -1066,7 +1088,7 @@ def test_mixed_table_matches_the_per_cell_path(fmt):
 
 def _records(header, columns):
     """The table as one JSON object per row: what json.dumps writes."""
-    return [dict(zip(header, row)) for row in zip(*cli._cells(columns))]
+    return [dict(zip(header, row)) for row in zip(*_cells(columns))]
 
 
 def test_json_tables_have_the_bytes_of_json_dumps():
@@ -1089,5 +1111,5 @@ def test_json_tables_have_the_bytes_of_json_dumps():
         _records(header, columns), indent=2) + "\n"
     assert _table_text(header, [np.empty(0)] * 3 + [[]] * 4, "json") == "[]\n"
     for cols in (columns, [np.empty(0)] * 3 + [[]] * 4):
-        nested = '{\n  "reports": ' + cli._json_table(header, cols, "  ") + "\n}"
+        nested = '{\n  "reports": ' + _table_text(header, cols, "json", "  ") + "}"
         assert nested == json.dumps({"reports": _records(header, cols)}, indent=2)
