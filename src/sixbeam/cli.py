@@ -87,9 +87,10 @@ def _table_text(header: list, columns: list, fmt: str, indent: str = "") -> str:
     value.  After the first column a float array of +0.0 alone is a literal,
     and one with the bits of ``np.abs`` of the column before it
     (``_is_abs_of``) takes that column's text unsigned.  A bool array takes
-    ``_BOOL_TEXT`` by one index; any other column, its cells' text.  The
-    columns after the first may be shorter than it, all of one length: every
-    later row repeats their last row's text after its own first cell.
+    ``_BOOL_TEXT`` by one index; any other column, its cells' text, with
+    one encoding per distinct value of a str array.  The columns after the
+    first may be shorter than it, all of one length: every later row
+    repeats their last row's text after its own first cell.
     """
     # The format's record: the float field, the +0.0 literal, the cell
     # encoder, whether the float field writes finite floats only, the kinds
@@ -131,7 +132,9 @@ def _table_text(header: list, columns: list, fmt: str, indent: str = "") -> str:
         else:
             fields.append("%s")
             if kind not in own:
-                cells = list(map(cell, cells))
+                # Each distinct str once; as dict keys 0.0 and -0.0 would merge.
+                encode = {v: cell(v) for v in set(cells)}.get if kind == "U" else cell
+                cells = list(map(encode, cells))
         values.append(cells)
     head = prefixes[0] + fields[0]
     tail = "".join(p + f for p, f in zip(prefixes[1:], fields[1:])) + end

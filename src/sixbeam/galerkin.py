@@ -26,14 +26,15 @@ from __future__ import annotations
 
 import math
 import warnings
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from fractions import Fraction
 
 import numpy as np
 
-from .coefficients import (CoefficientSet, _basis_plan, _cauchy_dense, _cauchy_form,
-                           _gamma_mean, chi_vector)
+from .coefficients import (CHI_POWERS, CoefficientSet, _basis_plan, _cauchy_dense,
+                           _cauchy_form, _gamma_mean, chi_vector)
 from .eigenbasis import Basis, _is_int
 
 __all__ = [
@@ -107,7 +108,7 @@ class BvpSpec:
             except (TypeError, ValueError):
                 raise ValueError(
                     f"forcing entries must be (power, coefficient) pairs, got {item!r}")
-            if not _is_int(p) or p % 2 != 0 or not (0 <= p <= 12):
+            if not _is_int(p) or not (p == 0 or p in CHI_POWERS):
                 raise ValueError(
                     f"forcing powers must be even integers in [0, 12], got {p!r}")
             combined[int(p)] = combined.get(int(p), 0.0) + float(c)
@@ -503,8 +504,9 @@ class SemiDiscreteSystem:
     Each block is held in generator form: the ``_block_form`` tuple of its
     mode rows, and for the even block the constant-mode row -T gamma_n0 (None
     when T = 0).  ``A_even`` and ``A_odd`` form the dense block on first read
-    and keep it; a block with no off-diagonal generator (B = T = 0) is never
-    formed by ``evolve`` or ``steady_residual``.
+    and keep it.  Whether a block is coupled is read off that form
+    (``_block``), so ``evolve`` and ``steady_residual`` never form a block
+    with no off-diagonal generator (B = T = 0, or a 1 x 1 mode block).
     """
 
     basis: Basis
@@ -539,12 +541,15 @@ class SemiDiscreteSystem:
 
     def _block(self, parity: str):
         """(f, diagonal, coupled) of one block: its forcing, its diagonal, and
-        whether its generator form has an entry off the diagonal."""
+        whether its generator form has an entry off the diagonal: a generator
+        term over more than one mode (a 1 x 1 table has none), or the even
+        block's constant-mode row."""
         _, X, _, d = self._forms[parity]
+        coupled = len(X) > 0 and len(d) > 1
         if parity == "odd":
-            return self.f_odd, d, len(X) > 0
+            return self.f_odd, d, coupled
         return (self.f_even, np.concatenate(([self.reaction], d)),
-                len(X) > 0 or self._mean_row is not None)
+                coupled or self._mean_row is not None)
 
     def _dense(self, parity: str) -> np.ndarray:
         """One dense block; ValueError above ``_DENSE_MODES`` modes."""
@@ -643,9 +648,11 @@ class Trajectory(CoefficientSet):
 
     ``record`` is ``{"even": path, "odd": path}``, each path one of
     ``"zero"`` (zero forcing and zero start: the block stays exactly 0 and is
-    never factored or stepped), ``"diagonal"`` (no off-diagonal entry, as
-    B = T = 0 assembles: each mode steps on its own, an unforced block's
-    whole run at once) or ``"step-map"`` (the dense one-step map).
+    never factored or stepped), ``"diagonal"`` (no off-diagonal generator,
+    as B = T = 0 or a 1 x 1 mode block assembles: each mode steps on its
+    own, an unforced block's whole run at once) or ``"step-map"`` (the
+    dense one-step map), each told from the block's generator form
+    (``SemiDiscreteSystem._block``) without forming it.
     ``stationary_from`` is the first step k from which every later state
     equals state k bit for bit (the stepping stopped there, and the stack
     ends with state k), or None if the last step still moved the state.
@@ -653,28 +660,6 @@ class Trajectory(CoefficientSet):
 
     record: dict = field(default_factory=dict)
     stationary_from: int | None = None
-
-
-def _same_bits(rows: np.ndarray, row: np.ndarray):
-    """Whether each of ``rows`` (or the single row) has exactly the bits of ``row``."""
-    return np.all(rows.view(np.int64) == row.view(np.int64), axis=-1)
-
-
-def _block_path(system: SemiDiscreteSystem, parity: str, u0: np.ndarray) -> str:
-    """Which ``Trajectory.record`` path a parity block takes, from its own data.
-
-    A zero block and a block whose generator form is diagonal are told
-    without forming the block; any other is formed (its step map needs it)
-    and its entries are counted."""
-    f, _, coupled = system._block(parity)
-    if not np.any(f) and not np.any(u0):
-        return "zero"
-    if not coupled:
-        return "diagonal"
-    A = system._dense(parity)
-    if np.count_nonzero(A) == np.count_nonzero(A.diagonal()):
-        return "diagonal"
-    return "step-map"
 
 
 def _schur_inverse(L: np.ndarray) -> np.ndarray:
@@ -799,20 +784,21 @@ def _step_map(A: np.ndarray, f: np.ndarray, dt: float, theta: float):
 
 def _guard(moved: list, k: int, end: int, limit: float) -> int | None:
     """The divergence guard and fixed-point exit over rows k..end of the
-    stepped columns ``moved``, as if read every ``_GUARD_BLOCK`` steps.
+    stepped columns ``moved``; every other column stays +0.0 past row 0.
 
-    Finds the first guard block's last step, from k + ``_GUARD_BLOCK`` on,
-    that left every column's bits unchanged; raises ArithmeticError at the
-    first row up to there whose max norm passes ``limit`` or is not finite;
-    returns the first step of that block from which the state repeats, or
-    None if no block repeats.  Every other column stays +0.0 past row 0.
+    Returns the first step j in [k, end) whose next state repeats it bit for
+    bit, by bisection, or None if the last step still moved the state: the
+    step maps are deterministic, so once a state repeats, every later state
+    repeats it.  Raises ArithmeticError instead at the first row from k + 1
+    to j + 1 (or ``end``) whose max norm passes ``limit`` or is not finite.
     """
-    ends = np.array([*range(k + _GUARD_BLOCK, end, _GUARD_BLOCK), end])
-    repeats = np.ones(len(ends), dtype=bool)
-    for u in moved:
-        repeats &= _same_bits(u[ends], u[ends - 1])
-    stop = int(ends[np.argmax(repeats)]) if repeats.any() else None
-    last = end if stop is None else stop
+    def repeats(j):
+        return all(np.array_equal(u[j + 1].view(np.int64), u[j].view(np.int64))
+                   for u in moved)
+    # Most guard blocks still move, so their last step is read first.
+    stop = (k + bisect_left(range(k, end - 1), True, key=repeats)
+            if repeats(end - 1) else None)
+    last = end if stop is None else stop + 1
     with np.errstate(over="ignore", invalid="ignore"):
         norms = np.zeros(last - k)
         for u in moved:
@@ -823,31 +809,25 @@ def _guard(moved: list, k: int, end: int, limit: float) -> int | None:
         raise ArithmeticError(
             f"time integration diverged (state norm {norms[bad[0]]:.3e}); "
             "reduce dt or use theta >= 1/2")
-    if stop is None:
-        return None
-    # The step maps are deterministic: once a state repeats bit for bit,
-    # every later state is that state.
-    start = (stop - 1) // _GUARD_BLOCK * _GUARD_BLOCK
-    at_stop = np.ones(stop + 1 - start, dtype=bool)
-    for u in moved:
-        at_stop &= _same_bits(u[start:stop + 1], u[stop])
-    return start + int(np.argmax(at_stop))
+    return stop
 
 
 def evolve(system: SemiDiscreteSystem, initial: CoefficientSet, dt: float,
            steps: int, theta: float = 0.5) -> Trajectory:
     """Integrate the semi-discrete system by the theta scheme.
 
-    Each parity block moves by its own path (see ``Trajectory``): a zero
-    block is left at 0, an unforced diagonal one runs every step at once
-    over the modes that move (``_diagonal_run``), and every other block
-    steps by its (step, g) map, u <- step(u) + g (``_step_map``, or
+    Each parity block moves by the path its generator form names (see
+    ``Trajectory``): a zero block is left at 0, an unforced diagonal one
+    runs every step at once over the modes that move (``_diagonal_run``),
+    and every other block steps by its (step, g) map, u <- step(u) + g
+    (``_step_map``, which alone forms the dense block, or
     ``_diagonal_run``'s elementwise one), one guard block at a time.
     Returns the trajectory as one stacked coefficient set with a leading
     step axis, initial state included: ``u0c[k]``, ``uc[k]``, ``us[k]``.
-    Once a step leaves the state bit-identical, stepping stops and the
-    stack ends with that state, step ``Trajectory.stationary_from``, which
-    every later step repeats; otherwise it holds all steps + 1 states.  Raises
+    Once a step leaves the state bit-identical (``_guard`` bisects each
+    guard block for the first such step), stepping stops and the stack
+    ends with that state, step ``Trajectory.stationary_from``, which every
+    later step repeats; otherwise it holds all steps + 1 states.  Raises
     ArithmeticError at the first state whose max norm passes
     1e12 (1 + the initial max norm) or is not finite, and ValueError for a
     coupled block above ``_DENSE_MODES`` modes before forming it.
@@ -874,14 +854,15 @@ def evolve(system: SemiDiscreteSystem, initial: CoefficientSet, dt: float,
     odd[0, 1:] = initial.us[1:]
     record, maps, moved = {}, [], []
     for parity, u in (("even", even), ("odd", odd[:, 1:])):
-        record[parity] = _block_path(system, parity, u[0])
+        f, diagonal, coupled = system._block(parity)
+        record[parity] = ("zero" if not (np.any(f) or np.any(u[0]))
+                          else "step-map" if coupled else "diagonal")
         if not steps or record[parity] == "zero":
             continue
-        f, diagonal, _ = system._block(parity)
-        if record[parity] == "diagonal":
-            u, stepper = _diagonal_run(diagonal, f, u, dt, theta)
-        else:
+        if coupled:
             stepper = _step_map(system._dense(parity), f, dt, theta)
+        else:
+            u, stepper = _diagonal_run(diagonal, f, u, dt, theta)
         moved.append(u)
         if stepper is not None:
             maps.append((*stepper, u))

@@ -979,6 +979,24 @@ def test_float_table_writes_columns_of_positive_zeros_as_a_literal(monkeypatch, 
     assert _table_text(header, list(rows.T), fmt) == want
 
 
+def test_json_str_column_encodes_each_distinct_value_once(monkeypatch):
+    # verify's kind, parity and note columns repeat a few values over
+    # thousands of rows: each distinct value of a str array is encoded once,
+    # with the per-cell bytes, also for escaped and non-ASCII text.
+    kinds = np.array(["beta", "gamma", 'q"\u00e9', "beta", "", "gamma"] * 40)
+    header = ["kind", "n", "note"]
+    columns = [kinds, np.arange(len(kinds)), kinds[::-1].copy()]
+    want = _per_cell_table(header, [list(r) for r in zip(*_cells(columns))], "json")
+    calls = []
+
+    def counted(v, encode=cli._json_cell):
+        calls.append(v)
+        return encode(v)
+    monkeypatch.setattr(cli, "_json_cell", counted)
+    assert _table_text(header, columns, "json") == want
+    assert sorted(calls) == sorted([*set(kinds.tolist())] * 2)
+
+
 def test_float_table_fast_path_matches_the_per_cell_path():
     specials = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, np.inf, -np.inf,
                 np.nan, 1.0 / 3.0, 1e22, 12345.0, -7.0]

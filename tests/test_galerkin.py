@@ -30,10 +30,13 @@ def _exact_solution(x):
 def test_spec_validation():
     with pytest.raises(ValueError):
         gk.BvpSpec(a6=0.0, a4=0.0, a2=0.0, a0=1.0, forcing=())
-    with pytest.raises(ValueError):
-        gk.BvpSpec(a6=1.0, a4=0.0, a2=0.0, a0=0.0, forcing=((3, 1.0),))
-    with pytest.raises(ValueError):
-        gk.BvpSpec(a6=1.0, a4=0.0, a2=0.0, a0=0.0, forcing=((14, 1.0),))
+    message = r"^forcing powers must be even integers in \[0, 12\], got "
+    for p in (3, 14, -2, 2.0, True):
+        with pytest.raises(ValueError, match=message):
+            gk.BvpSpec(a6=1.0, a4=0.0, a2=0.0, a0=0.0, forcing=((p, 1.0),))
+    spec = gk.BvpSpec(a6=1.0, a4=0.0, a2=0.0, a0=0.0,
+                      forcing=((np.int64(12), 1.0), (0, 2.0), (6, 3.0)))
+    assert spec.forcing == ((0, 2.0), (6, 3.0), (12, 1.0))
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
@@ -1363,6 +1366,20 @@ def _diagonal_case(name):
         # theta = 0 with |R| = 10 at mode 1: the norm passes 2e12 at step 13.
         return (gk.assemble_semi_discrete(_B12), _coefficients(0.0, [1.0], [1e-6]),
                 11.0 / _LAM6_1, 0.0)
+    if name in ("repeat-at-block-end", "repeat-before-block-end"):
+        # At theta = 1 a unit even mode underflows to a stationary 0, while a
+        # forced odd mode reaches its fixed point at step 1 and steps by its
+        # map one guard block at a time: the state first repeats at the first
+        # guard block's last step (15 -> 16) or at the step before it.
+        dt_lam6 = 1e22 if name == "repeat-at-block-end" else 2e23
+        return (gk.assemble_semi_discrete(_B12, forcing=_coefficients(us=[1.0])),
+                _coefficients(0.0, [1.0]), dt_lam6 / _LAM6_1, 1.0)
+    if name == "stationary-start":
+        # u0c (P = 1) beside a forced odd mode that starts at its fixed point.
+        system = gk.assemble_semi_discrete(_B12, forcing=_coefficients(us=[1.0]))
+        dt = 1e22 / _LAM6_1
+        _, g = gk._diagonal_map(system._block("odd")[1], system.f_odd, dt, 1.0)
+        return system, _coefficients(0.7, [], g), dt, 1.0
     assert name == "forced-model-II"
     return gk.model_ii_semi_discrete(_B12, B=0.0, T=0.0), _coefficients(), 1e-4, 1.0
 
@@ -1371,7 +1388,8 @@ def _diagonal_case(name):
 @pytest.mark.parametrize("steps", [0, 1, 15, 16, 17, 1000])
 @pytest.mark.parametrize("name", ["negative-zero-start", "negative-zero-forcing",
                                   "negative-P", "underflow", "explicit-divergence",
-                                  "forced-model-II"])
+                                  "forced-model-II", "stationary-start",
+                                  "repeat-at-block-end", "repeat-before-block-end"])
 def test_diagonal_runs_match_per_step_stepping_bit_for_bit(name, steps):
     system, initial, dt, theta = _diagonal_case(name)
     try:
@@ -1389,9 +1407,10 @@ def test_diagonal_runs_match_per_step_stepping_bit_for_bit(name, steps):
 
 @pytest.mark.parametrize("theta, steps, dt", [(0.5, 100, 1e-2), (1.0, 1000, 1e-1)])
 def test_a_diagonal_block_beside_a_dense_map_matches_per_step_stepping(theta, steps, dt):
-    # At M = 1 the odd block of a B != 0 system is 1 x 1: formed, its entries
-    # counted, and run at once, while T != 0 couples the even block to the
-    # constant mode, which steps by its dense map one guard block at a time.
+    # At M = 1 the odd block of a B != 0 system is 1 x 1: its generator term
+    # puts no entry off its diagonal, so it runs at once, while T != 0 couples
+    # the even block to the constant mode, which steps by its dense map one
+    # guard block at a time.
     basis = build_basis(1)
     system = gk.model_ii_semi_discrete(basis, B=3.0, T=2.0, reaction=-5.0)
     initial = cf.CoefficientSet(basis, 0.3, np.r_[0.0, 1.0], np.r_[0.0, -2.0])
@@ -1418,6 +1437,12 @@ def test_diagonal_cases_reach_their_corners():
     gone = run("underflow")
     assert gone.stationary_from is not None
     assert not np.any(gone.uc[-1]) and not np.any(gone.us[-1])
+    assert run("stationary-start").stationary_from == 0
+    for name, first in (("repeat-at-block-end", gk._GUARD_BLOCK - 1),
+                        ("repeat-before-block-end", gk._GUARD_BLOCK - 2)):
+        repeat = run(name)
+        assert repeat.record == {"even": "diagonal", "odd": "diagonal"}
+        assert repeat.stationary_from == first and repeat.uc[first - 1, 1] > 0.0
     with pytest.raises(ArithmeticError, match="diverged"):
         run("explicit-divergence")
     forced = run("forced-model-II")
@@ -1547,6 +1572,28 @@ def test_zero_and_diagonal_blocks_are_never_formed(monkeypatch):
     assert traj.record == {"even": "diagonal", "odd": "diagonal"}
     assert 0.0 < system.steady_residual(last) <= 1.0  # the odd modes still decay
     assert not calls and not {"A_even", "A_odd"} & set(vars(system))
+
+
+def test_path_choice_forms_no_zero_or_diagonal_block(monkeypatch):
+    # Each path is named from the block's generator form: a zero or diagonal
+    # block is never formed, not even to be told apart from a coupled one.
+    def refuse(self, parity):
+        raise AssertionError(f"the {parity} block was formed")
+    monkeypatch.setattr(gk.SemiDiscreteSystem, "_dense", refuse)
+    # At M = 1 both mode blocks are 1 x 1, so B != 0 puts no entry off
+    # their diagonals, and T = 0 leaves the constant-mode row out.
+    basis = build_basis(1)
+    system = gk.model_ii_semi_discrete(basis, B=3.0, T=0.0, reaction=-5.0)
+    initial = cf.CoefficientSet(basis, 0.3, np.r_[0.0, 1.0], np.r_[0.0, -2.0])
+    traj = gk.evolve(system, initial, 1e-2, 100, theta=0.5)
+    assert traj.record == {"even": "diagonal", "odd": "diagonal"}
+    assert 0.0 < system.steady_residual(_final_state(traj)) <= 1.0
+    # A forced B = T = 0 system at MAX_MODES: one diagonal and one zero block.
+    basis = build_basis(MAX_MODES)
+    system = gk.model_ii_semi_discrete(basis, B=0.0, T=0.0)
+    traj = gk.evolve(system, cf.CoefficientSet.zeros(basis), 1e-4, 20, theta=1.0)
+    assert traj.record == {"even": "diagonal", "odd": "zero"}
+    assert 0.0 <= system.steady_residual(_final_state(traj)) <= 1.0
 
 
 def test_diagonal_steady_residual_keeps_the_dense_rows_bits():
