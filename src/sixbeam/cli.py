@@ -89,8 +89,11 @@ def _table_text(header: list, columns: list, fmt: str, indent: str = "") -> str:
     (``_is_abs_of``) takes that column's text unsigned.  A bool array takes
     ``_BOOL_TEXT`` by one index; any other column, its cells' text, with
     one encoding per distinct value of a str array.  The columns after the
-    first may be shorter than it, all of one length: every later row
-    repeats their last row's text after its own first cell.
+    first share one length from 1 to its own (``ValueError`` otherwise):
+    the cells of the rows they reach, interleaved, fill the row template
+    repeated over those rows in one ``%``, and every later row is its own
+    first cell then their last row's text, in one ``str.join``.  Each float
+    field's own formatting is the only work left per cell.
     """
     # The format's record: the float field, the +0.0 literal, the cell
     # encoder, whether the float field writes finite floats only, the kinds
@@ -108,16 +111,23 @@ def _table_text(header: list, columns: list, fmt: str, indent: str = "") -> str:
                     *(f",\n{indent}    {k}: " for k in keys)]
         end, empty, top = f"\n{indent}  }}", "[]\n", "[\n"
         sep, bottom = ",\n", f"\n{indent}]\n"
+    n = len(columns[0])
+    held = len(columns[1]) if len(columns) > 1 else n  # the later columns' length
     fields, values = [], []
     for i, col in enumerate(columns):
+        if i and (len(col) != held or held > n or not held and n):
+            raise ValueError(f"column {header[i]!r} has {len(col)} cells: the columns after "
+                             f"the first must share one length, from 1 to the first's {n}")
         kind = col.dtype.kind if isinstance(col, np.ndarray) else "O"
-        if i and kind == "f" and not (np.any(col) or np.any(np.signbit(col))):
+        # count_nonzero, since np.any warns on a signaling NaN
+        if i and kind == "f" and not (np.count_nonzero(col) or np.any(np.signbit(col))):
             fields.append(zero)  # number % 0.0; -0.0 is "-0" or "-0.0"
             values.append(None)
             continue
         if i and _is_abs_of(col, columns[i - 1]):
             if fields[-1] != "%s":  # the column before: each cell formatted once
-                fields[-1], values[-1] = "%s", [number % v for v in values[-1]]
+                fields[-1], values[-1] = "%s", ("\n".join([number] * len(values[-1]))
+                                                % tuple(values[-1])).split("\n")
             fields.append("%s")
             values.append(_unsigned(values[-1]))
             continue
@@ -136,14 +146,20 @@ def _table_text(header: list, columns: list, fmt: str, indent: str = "") -> str:
                 encode = {v: cell(v) for v in set(cells)}.get if kind == "U" else cell
                 cells = list(map(encode, cells))
         values.append(cells)
+    if not n:
+        return empty
     head = prefixes[0] + fields[0]
     tail = "".join(p + f for p, f in zip(prefixes[1:], fields[1:])) + end
-    others = [cells for cells in values[1:] if cells is not None]
-    n = len(values[0])
-    rests = [tail % row for row in zip(*others)] if others else [tail % ()] * n
-    rests += rests[-1:] * (n - len(rests))
-    rows = [head % v + r for v, r in zip(values[0], rests)]
-    return top + sep.join(rows) + bottom if rows else empty
+    values = [cells for cells in values if cells is not None]
+    k = len(values)
+    flat = [None] * (k * held)  # row-major: the cells of each row in turn
+    for j, cells in enumerate(values):
+        flat[j::k] = cells[:held]
+    text = sep.join([head + tail] * held) % tuple(flat)
+    if held < n:  # each held row: its first cell, then the last row's rest
+        rest = tail % tuple(flat[len(flat) + 1 - k:])
+        bottom = rest.join([*map((sep + head).__mod__, values[0][held:]), bottom])
+    return "".join((top, text, bottom))
 
 
 def _is_abs_of(col, prev) -> bool:
@@ -162,8 +178,9 @@ def _is_abs_of(col, prev) -> bool:
 
 
 def _unsigned(texts: list) -> list:
-    """Each cell text with its leading ``-`` removed."""
-    return [t.lstrip("-") for t in texts]
+    """Each cell text with its leading ``-`` removed, by one replace over the
+    texts joined by newlines (no float's text holds one)."""
+    return ("\n" + "\n".join(texts)).replace("\n-", "\n").split("\n")[1:] if texts else []
 
 
 def _json_cell(v) -> str:

@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import frozen_reference as ref
 from sixbeam import cli
@@ -1102,6 +1104,82 @@ def test_mixed_table_matches_the_per_cell_path(fmt):
         _per_cell_table(["m"], one, fmt))
     assert _table_text(header[:2], [np.arange(1, 1), []], fmt) == _per_cell_table(
         header[:2], [], fmt)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("columns, name", [
+    ([np.arange(3.0), np.empty(0)], "b"),
+    ([np.arange(3.0), []], "b"),
+    ([np.arange(3.0), np.arange(4.0)], "b"),
+    ([np.arange(3.0), np.arange(2.0), np.arange(1.0)], "c"),
+], ids=["empty-float", "empty-list", "longer", "unequal"])
+def test_later_columns_out_of_shape_are_refused(fmt, columns, name):
+    # The columns after the first share one length from 1 to the first's
+    # (0 in an empty table); any other shape names the column that breaks it.
+    with pytest.raises(ValueError, match=f"column '{name}' has {len(columns[-1])} cells"):
+        _table_text(["a", "b", "c"][:len(columns)], columns, fmt)
+
+
+_NAN_BITS = [0x7FF8000000000001, 0xFFF8000000000000, 0x7FF4000000000000, 0xFFFFFFFFFFFFFFFF]
+_FLOATS = st.one_of(st.sampled_from([
+    0.0, -0.0, np.inf, -np.inf, 5e-324, -2.2250738585072014e-308, 1e22, 1.0 / 3.0,
+    *np.array(_NAN_BITS, dtype=np.uint64).view(np.float64).tolist()]), st.floats())
+_TEXTS = st.one_of(
+    st.sampled_from(["%", "%%", "%s", ",", "\n", ",\n", '"', "été ≤ \U0001d70b", ""]),
+    st.text(st.characters(exclude_characters="\x00"), max_size=3))
+_CELLS = st.one_of(st.none(), _FLOATS, st.integers(-10**20, 10**20), st.booleans(), _TEXTS)
+
+
+@st.composite
+def _tables(draw):
+    """A header, columns of every kind the writer tells apart (each later one
+    of the held length) and the rows they stand for."""
+    n = draw(st.integers(0, 8))
+    held = draw(st.integers(min(n, 1), n))
+    kinds = draw(st.lists(st.sampled_from(
+        ["float", "int", "bool", "str", "list", "abs", "zeros"]), min_size=1, max_size=6))
+    columns = []
+    for j, kind in enumerate(kinds):
+        size = held if j else n
+        prev = columns[-1] if columns else None
+        if kind == "abs" and isinstance(prev, np.ndarray) and prev.dtype.kind == "f":
+            col = np.abs(prev[:size])
+        elif kind in ("float", "abs"):
+            wide = draw(st.booleans())
+            col = np.array(draw(st.lists(_FLOATS if wide else st.floats(width=32),
+                                         min_size=size, max_size=size)),
+                           dtype=np.float64 if wide else np.float32)
+        elif kind == "int":
+            col = np.array(draw(st.lists(st.integers(0, 2**15), min_size=size, max_size=size)),
+                           dtype=draw(st.sampled_from([np.int64, np.uint16])))
+        elif kind == "bool":
+            col = np.array(draw(st.lists(st.booleans(), min_size=size, max_size=size)), bool)
+        elif kind == "str":
+            col = np.array(draw(st.lists(_TEXTS, min_size=size, max_size=size)), dtype=str)
+        elif kind == "list":
+            col = draw(st.lists(_CELLS, min_size=size, max_size=size))
+        else:
+            col = np.zeros(size)
+        columns.append(col)
+    cells = _cells(columns)
+    rows = [[cells[0][i], *(c[min(i, held - 1)] for c in cells[1:])] for i in range(n)]
+    header = [draw(st.sampled_from(["c", "%", "%s", 'q"%', "ü%"])) + str(j)
+              for j in range(len(columns))]
+    return header, columns, rows
+
+
+@settings(max_examples=100, deadline=None)
+@given(table=_tables())
+def test_table_text_matches_the_per_cell_writer_on_random_tables(table):
+    # Mixed columns with every float class, |column| twins and chains of
+    # them, +0.0 literals and held later columns of any length: both formats,
+    # and JSON one level deeper, give the per-cell bytes.
+    header, columns, rows = table
+    assert _table_text(header, columns, "csv") == _per_cell_table(header, rows, "csv")
+    assert _table_text(header, columns, "json") == _per_cell_table(header, rows, "json")
+    records = [dict(zip(header, row)) for row in rows]
+    nested = '{\n  "reports": ' + _table_text(header, columns, "json", "  ") + "}"
+    assert nested == json.dumps({"reports": records}, indent=2)
 
 
 def _records(header, columns):
