@@ -538,7 +538,7 @@ class CoefficientSet:
 # psi_block's are a few real and complex arrays per entry (201 points at
 # M = 10000 peak at ~19 MB in chunks; M = 100's project at ~20 MB).  Every
 # synthesis at M <= 1000 with <= 262 points is still one block.  A grid plan
-# keeps its boundary-layer values when there are at most this many (2.1 MB).
+# keeps up to this many boundary-layer values (2.1 MB); a call reads them in one.
 _SYNTHESIS_ENTRIES = 2 ** 18
 
 
@@ -581,7 +581,7 @@ _PI_LO = -2.7818135228334233e-08
 #: exponentials of the layer term underflow to exactly 0 (e^-745.2 already
 #: does), so its band |x| >= 1 - _LAYER_BAND / h_m holds every nonzero value.
 _LAYER_BAND = 746.0
-_LAYER_BLOCK = 2 ** 12  # layer values evaluated at a time (about)
+_LAYER_BLOCK = 2 ** 12  # layer values evaluated at a time (at most)
 
 
 @dataclass(frozen=True, eq=False)
@@ -589,9 +589,9 @@ class _GridPlan:
     """What ``_synthesize_grid`` needs of one basis at one sample count.
 
     Every array is read-only.  ``band`` holds each mode's layer values
-    Re[w_m Phi_0(x_j)] on its band, the points before ``split`` (x < 0)
-    first, mode m's from ``offsets[m - 1]``; it is None when it would hold
-    more than ``_SYNTHESIS_ENTRIES`` values.
+    Re[w_m Phi_0(x_j)] on its band in ``_pairs`` order, mode m's from
+    ``offsets[m - 1]`` (x < 0 first); it is None when it would hold more than
+    ``_SYNTHESIS_ENTRIES`` values.
     """
 
     samples: int
@@ -608,35 +608,25 @@ class _GridPlan:
     band: np.ndarray | None
 
 
-def _ranges(starts, lengths):
-    """The ranges [s, s + n) of each (start, length) pair, concatenated in order."""
-    return (np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
-            + np.arange(np.sum(lengths)))
-
-
 def _band_ends(x, split: int, bound):
     """Per mode, how many points lead the grid and how many end it with |x| >= bound."""
     return (np.searchsorted(x[:split], -bound, "right"),
             x.size - split - np.searchsorted(x[split:], bound, "left"))
 
 
-def _point_blocks(pre, post, samples: int):
-    """Bounds 0 = b_0 <= ... <= b_k = samples of point blocks that each hold about
-    ``_LAYER_BLOCK`` of the pairs (mode r, point j), j < pre_r or j >= samples - post_r
-    (more when one point holds more)."""
-    ends = np.bincount(pre, minlength=samples + 1)[:samples]
-    starts = np.bincount(samples - post, minlength=samples + 1)[:samples]
-    total = np.cumsum(pre.size - np.cumsum(ends) + np.cumsum(starts))
-    inner = np.searchsorted(total, np.arange(_LAYER_BLOCK, total[-1], _LAYER_BLOCK)) + 1
-    return np.concatenate(([0], inner, [samples]))
-
-
-def _pairs(pre, post, samples: int, c0: int, c1: int):
-    """The pairs (mode r, point j), c0 <= j < c1 and j < pre_r or j >= samples - post_r,
-    mode by mode: (lengths, j), lengths[r] the counts before and after the split."""
-    first = np.maximum(samples - post, c0)
-    lengths = np.stack((np.maximum(np.minimum(pre, c1) - c0, 0), np.maximum(c1 - first, 0)), 1)
-    return lengths, _ranges(np.stack((np.full(pre.size, c0), first), 1).ravel(), lengths.ravel())
+def _pairs(pre, post, samples: int, block: int):
+    """The pairs (mode r, point j), j < pre_r or j >= samples - post_r, mode by
+    mode and j in order, ``block`` at a time (the last block fewer): (k, s, j) with
+    k the block's slice of that sequence and s = 2 r + (j >= samples - post_r)."""
+    lengths = np.ravel((pre, post), "F")
+    ends = lengths.cumsum()
+    shift = np.ravel((0 * pre, samples - post), "F") - ends + lengths   # j - k
+    for k0 in range(0, ends[-1], block):
+        k1 = min(k0 + block, ends[-1])
+        s0, s1 = np.searchsorted(ends, (k0, k1 - 1), "right") + (0, 1)
+        counts = np.minimum(ends[s0:s1], k1) - np.maximum(ends[s0:s1] - lengths[s0:s1], k0)
+        yield (slice(k0, k1), np.arange(s0, s1).repeat(counts),
+               shift[s0:s1].repeat(counts) + np.arange(k0, k1))
 
 
 def _layer_z(basis: Basis):
@@ -658,14 +648,9 @@ def _build_grid_plan(basis: Basis, samples: int) -> _GridPlan:
     if offsets[-1] <= _SYNTHESIS_ENTRIES:
         z, w = _layer_z(basis), basis.w_even[1:]
         band = np.empty(offsets[-1])
-        r0 = 0
-        while r0 < basis.M:   # in blocks of rows of about _LAYER_BLOCK values
-            r1 = max(r0 + 1, int(np.searchsorted(offsets, offsets[r0] + _LAYER_BLOCK,
-                                                 "right")) - 1)
-            lengths, j = _pairs(pre[r0:r1], post[r0:r1], samples, 0, samples)
-            r = np.repeat(np.arange(r0, r1), lengths.sum(1))
-            band[offsets[r0]:offsets[r1]] = _layer(z[r], half[r], w[r], x[j], 1.0)
-            r0 = r1
+        for k, s, j in _pairs(pre, post, samples, _LAYER_BLOCK):
+            r = s >> 1
+            band[k] = _layer(z[r], half[r], w[r], x[j], 1.0)
     arrays = dict(
         x=x, cos6=np.cos(lam[:6, None] * x), fold=m % n,
         delta=lam[6:] - m * _PI_HI - np.pi / 6.0 - m * _PI_LO,
@@ -702,8 +687,9 @@ def _synthesize_grid(basis: Basis, u0c: float, uc: np.ndarray, samples: int) -> 
     term left out is below e^-40 scale / M, so together they stay below
     4e-18 scale at every point.  Those points lead and end the grid, and
     the ones past the band of nonzero values add nothing.  Each point sums
-    its terms in mode order from the plan's kept values, or, without them,
-    from _layer in point blocks: the same bits either way.
+    its terms in mode order, from the plan's kept values in one block of
+    (mode, point) pairs or from _layer in blocks of ``_LAYER_BLOCK``: np.add.at
+    adds in index order, as one np.bincount would, wherever the blocks cut.
     """
     from numpy import fft  # here, not at load: only solve samples a grid
 
@@ -724,19 +710,18 @@ def _synthesize_grid(basis: Basis, u0c: float, uc: np.ndarray, samples: int) -> 
     edge[np.isnan(edge)] = np.inf   # 0/0, a zero a_m and scale: no point
     pre, post = _band_ends(plan.x, plan.split,
                            np.maximum(edge, 1.0 - _LAYER_BAND / plan.half))
-    if plan.band is None:
-        bounds, z, w = _point_blocks(pre, post, samples), _layer_z(basis), basis.w_even[1:]
-    else:
-        bounds = [0, samples]
-    for c0, c1 in zip(bounds[:-1], bounds[1:]):
-        lengths, j = _pairs(pre, post, samples, c0, c1)
-        r = np.repeat(np.arange(M), lengths.sum(1))
+    z, w, acs = _layer_z(basis), basis.w_even[1:], np.repeat(ac, 2)
+    base = np.ravel((plan.offsets[:-1], plan.offsets[1:] - samples), "F")   # band place - j
+    layer = np.zeros(samples)
+    block = _LAYER_BLOCK if plan.band is None else plan.band.size
+    for _, s, j in _pairs(pre, post, samples, block):
         if plan.band is None:
+            r = s >> 1
             values = _layer(z[r], plan.half[r], w[r], plan.x[j], 1.0)
         else:
-            values = plan.band[_ranges(np.stack((plan.offsets[:-1], plan.offsets[1:] - post),
-                                                1).ravel(), lengths.ravel())]
-        u[c0:c1] += np.bincount(j - c0, weights=ac[r] * values, minlength=c1 - c0)
+            values = plan.band[base[s] + j]
+        np.add.at(layer, j, acs[s] * values)
+    u += layer
     return u
 
 

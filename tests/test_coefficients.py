@@ -695,21 +695,34 @@ def test_synthesize_keeps_the_shape_of_multidimensional_points(M):
 
 @pytest.mark.parametrize("M", [2000, MAX_MODES])
 def test_grid_synthesis_keeps_its_bits_in_any_point_chunks(M, monkeypatch):
-    # Each point sums its layer terms in mode order whatever chunk holds it,
-    # so the chunk size leaves every bit of the grid.  At 1000 points neither
-    # basis keeps its layer values, and the layer is evaluated in point
-    # blocks of about _LAYER_BLOCK (mode, point) pairs: 2**16 to 2**6 here,
-    # down to single points.
+    # np.add.at sums each block of (mode, point) pairs into one zeroed array
+    # in index order, so each point sums its layer terms in mode order and no
+    # block size changes a bit of the grid, also where blocks cut one mode's
+    # pairs.  At 1000 points neither basis keeps its layer values, and the
+    # layer is evaluated per call in blocks of _LAYER_BLOCK pairs: 2**16 down
+    # to 7 here.  At 201 and 3 points both keep them, built in blocks of
+    # _LAYER_BLOCK to the same bytes and read in one block; at 3 points the
+    # blocks go down to single pairs, and so does the per-call layer.
     basis = build_basis(M)
     n = np.arange(1, M + 1, dtype=float)
     uc = np.concatenate(([0.0], (-1.0) ** n / n ** 2))
-    got = []
-    for entries, block in ((2 ** 19, 2 ** 16), (2 ** 18, 2 ** 12), (2 ** 12, 2 ** 6)):
-        monkeypatch.setattr(cf, "_SYNTHESIS_ENTRIES", entries)
-        monkeypatch.setattr(cf, "_LAYER_BLOCK", block)
-        got.append(cf._synthesize_grid(basis, 0.5, uc, 1000).view(np.int64))
-    assert basis._derived["grid"].band is None
-    assert np.array_equal(got[0], got[1]) and np.array_equal(got[0], got[2])
+    runs = {1000: ((2 ** 19, 2 ** 16), (2 ** 18, 2 ** 12), (2 ** 12, 2 ** 6),
+                   (2 ** 18, 201), (2 ** 18, 7)),
+            201: ((2 ** 18, 4096), (2 ** 18, 7)),
+            3: ((2 ** 18, 4096), (2 ** 18, 7), (2 ** 18, 1), (0, 1))}
+    for samples, settings in runs.items():
+        got, bands = [], []
+        for entries, block in settings:
+            monkeypatch.setattr(cf, "_SYNTHESIS_ENTRIES", entries)
+            monkeypatch.setattr(cf, "_LAYER_BLOCK", block)
+            basis._derived.pop("grid", None)   # a plan built at these settings
+            got.append(cf._synthesize_grid(basis, 0.5, uc, samples).view(np.int64))
+            band = basis._derived["grid"].band
+            assert (band is None) == (samples == 1000 or entries == 0)
+            if band is not None:
+                bands.append(band.view(np.int64))
+        assert all(np.array_equal(got[0], g) for g in got[1:]), samples
+        assert all(np.array_equal(bands[0], b) for b in bands[1:]), samples
 
 
 def _grid_sets(M: int) -> dict:
