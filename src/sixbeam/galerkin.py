@@ -224,7 +224,8 @@ def _u0c_from_row0(spec: BvpSpec, f0_exact: Fraction, corr: float) -> float:
     return 0.0  # constant mode undetermined when a0 = 0; fix the mean to 0
 
 
-def _solve_diagonal(spec: BvpSpec, basis: Basis) -> SteadySolution:
+def _solve_diagonal(spec: BvpSpec, basis: Basis, fc: np.ndarray):
+    """(uc_body, record) for a4 = a2 = 0, where each mode row stands alone."""
     # Rows with |a6| >= 1 are divided by a6, so neither a6 lam^6 nor a0/a6
     # overflows the quotient (lam^6 < 1e28 up to MAX_MODES).
     s = spec.a6 if abs(spec.a6) >= 1.0 else 1.0
@@ -236,11 +237,7 @@ def _solve_diagonal(spec: BvpSpec, basis: Basis) -> SteadySolution:
         raise ArithmeticError(
             f"resonant diagonal: |a0 - a6 lam^6| at mode {m} is below "
             f"{_RESONANCE_GUARD:g} x |a6| lam^6")
-    f0, fc = _exact_projection(spec, basis)
-    uc = np.concatenate(([0.0], (fc / s) / denom))
-    u0c = _u0c_from_row0(spec, f0, 0.0)
-    return SteadySolution(basis=basis, u0c=u0c, uc=uc,
-                          us=np.zeros(basis.M + 1), record={"path": "diagonal"})
+    return (fc / s) / denom, {"path": "diagonal"}
 
 
 def _block_form(spec: BvpSpec, basis: Basis, parity: str):
@@ -249,28 +246,28 @@ def _block_form(spec: BvpSpec, basis: Basis, parity: str):
     block[l-1, n-1] multiplies u_n in the equation projected onto psi_l:
     block = a4 Gamma^T + a2 Beta^T + diag(a0 - a6 lam^6).  A table's
     transpose swaps its generators, (X, Y) -> (-Y, X), so the two tables
-    stack into one numerator of rank <= 4.
+    stack into one numerator of rank <= 4.  A form with an inf or NaN in d
+    or X (an overflowed assembly) raises ArithmeticError naming the block.
     """
     lam6 = basis.lam(parity)[1:] ** 6
-    d = spec.a0 - spec.a6 * lam6
     X, Y = [], []
-    for a, kind in ((spec.a2, "second_derivative"), (spec.a4, "fourth_derivative")):
-        if a != 0.0:
-            _, Xk, Yk, diagonal = _cauchy_form(basis, parity, kind)
-            d = d + a * diagonal
-            X.append(-a * Yk)
-            Y.append(Xk)
-    return lam6, np.reshape(X, (-1, basis.M)), np.reshape(Y, (-1, basis.M)), d
-
-
-def _mode_block(spec: BvpSpec, basis: Basis, parity: str) -> np.ndarray:
-    """One parity's dense block (see ``_block_form``)."""
-    return _cauchy_dense(*_block_form(spec, basis, parity))
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = spec.a0 - spec.a6 * lam6
+        for a, kind in ((spec.a2, "second_derivative"), (spec.a4, "fourth_derivative")):
+            if a != 0.0:
+                _, Xk, Yk, diagonal = _cauchy_form(basis, parity, kind)
+                d = d + a * diagonal
+                X.append(-a * Yk)
+                Y.append(Xk)
+    X = np.reshape(X, (-1, basis.M))
+    if not (np.isfinite(d).all() and np.isfinite(X).all()):
+        raise ArithmeticError(f"the {parity} mode block overflows double precision")
+    return lam6, X, np.reshape(Y, (-1, basis.M)), d
 
 
 def assemble_steady(spec: BvpSpec, basis: Basis):
     """(A, fc, f0): dense even-mode system A u = fc plus the row-0 data."""
-    A = _mode_block(spec, basis, "even")
+    A = _cauchy_dense(*_block_form(spec, basis, "even"))
     f0, fc = forcing_projection(spec, basis)
     return A, fc, f0
 
@@ -333,41 +330,36 @@ def _block_jacobi(form):
     return lambda v: np.concatenate((inv @ v[:n], v[n:] / d[n:]))
 
 
-def _solve_gmres(spec: BvpSpec, basis: Basis, fc: np.ndarray):
-    """(u, record) by block-Jacobi right-preconditioned GMRES on A u = f, or
-    None (a non-finite generator form, a singular preconditioner
-    (``_block_jacobi``), the iteration cap, or a final residual above
-    ``_GMRES_ACCEPT``).
+def _solve_gmres(form, basis: Basis, parity: str, b: np.ndarray):
+    """(u, record) by block-Jacobi right-preconditioned GMRES on A u = b, A
+    the ``parity`` block of the ``_block_form`` tuple ``form`` (sigma I + s A
+    is (lam6, s X, Y, sigma + s d)), or None: a singular preconditioner, the
+    iteration cap, or a final residual above ``_GMRES_ACCEPT``.
 
-    GMRES minimizes ||f - A P^{-1} y|| over the Krylov space, so its
-    least-squares residual is that of A u = f with u = P^{-1} y.  It stops
-    when that residual reaches ``_KRYLOV_RTOL`` ||f||, or when a step no
+    GMRES minimizes ||b - A P^{-1} y|| over the Krylov space, so its
+    least-squares residual is that of A u = b with u = P^{-1} y.  It stops
+    when that residual reaches ``_KRYLOV_RTOL`` ||b||, or when a step no
     longer halves it (rounding level); the true residual from one final
     product then decides.  ``cond_estimate`` is the ratio of the extreme
     singular values of the Arnoldi Hessenberg matrix of A P^{-1}.
 
-    GMRES runs on f 2^-e, with 2^(e-1) <= max|f| < 2^e, and scales u back
-    by 2^e, so ||f|| and the residual neither overflow nor underflow.  Every
-    step is homogeneous in f, so a solve whose f and u stay normal numbers
+    GMRES runs on b 2^-e, with 2^(e-1) <= max|b| < 2^e, and scales u back
+    by 2^e, so ||b|| and the residual neither overflow nor underflow.  Every
+    step is homogeneous in b, so a solve whose b and u stay normal numbers
     under the scaling keeps its bits.
     """
-    form = _block_form(spec, basis, "even")
-    # An overflowed form may meet no check below (a zero forcing never runs
-    # a product), so it goes to the dense fallback and its non-finite check.
-    if not all(np.all(np.isfinite(a)) for a in form[1:]):
-        return None
     precondition = _block_jacobi(form)
     if precondition is None:
         return None
-    e = int(np.frexp(np.max(np.abs(fc)))[1])
-    fc = np.ldexp(fc, -e)
-    fnorm = float(np.linalg.norm(fc))
+    e = int(np.frexp(np.max(np.abs(b)))[1])
+    f = np.ldexp(b, -e)
+    fnorm = float(np.linalg.norm(f))
     if fnorm == 0.0:
-        return np.zeros(basis.M), {"path": "gmres", "iterations": 0,
-                                   "residual": 0.0, "cond_estimate": None}
-    matvec = _operator(form, basis, "even")
+        return np.zeros(len(f)), {"path": "gmres", "iterations": 0,
+                                  "residual": 0.0, "cond_estimate": None}
+    matvec = _operator(form, basis, parity)
     m = _GMRES_MAX_ITERATIONS
-    V, rotations = [fc / fnorm], []
+    V, rotations = [f / fnorm], []
     R = np.zeros((m + 1, m))  # the Arnoldi Hessenberg matrix, Givens-rotated
     g = np.zeros(m + 1)       # ||f|| e_1, rotated alike: |g[j + 1]| is the LS residual
     g[0] = fnorm
@@ -395,7 +387,7 @@ def _solve_gmres(spec: BvpSpec, basis: Basis, fc: np.ndarray):
         return None
     y = np.linalg.solve(R[:k, :k], g[:k])
     u = precondition(y @ np.array(V))
-    residual = float(np.linalg.norm(matvec(u) - fc)) / fnorm
+    residual = float(np.linalg.norm(matvec(u) - f)) / fnorm
     if not residual <= _GMRES_ACCEPT:
         return None
     # The rotations are orthogonal: R[:k, :k] has the Hessenberg matrix's
@@ -405,46 +397,48 @@ def _solve_gmres(spec: BvpSpec, basis: Basis, fc: np.ndarray):
                             "cond_estimate": float(sigma[0] / sigma[-1])}
 
 
-def _dense_fallback(method: str, reason: str, spec: BvpSpec, basis: Basis,
-                    fc: np.ndarray, A: np.ndarray | None = None):
-    """(uc_body, record) by dense LU after ``method`` failed, with a warning;
-    ``A`` is the dense mode block if the failed method formed it.  Above
-    ``_DENSE_MODES`` modes ArithmeticError, before forming A."""
-    if basis.M > _DENSE_MODES:
+def _dense_fallback(method: str, reason: str, form, fc: np.ndarray,
+                    A: np.ndarray | None = None):
+    """(uc_body, record) by dense LU on the block of ``form`` after ``method``
+    failed, with a warning; ``A`` is that block if the failed method formed
+    it.  Above ``_DENSE_MODES`` modes ArithmeticError, before forming A."""
+    M = len(fc)
+    if M > _DENSE_MODES:
         raise ArithmeticError(
-            f"{method} failed ({reason}) at M = {basis.M}, and the dense fallback "
-            f"runs only up to M = {_DENSE_MODES} "
-            f"({16 * basis.M ** 2 / 1e6:.0f} MB here)")
+            f"{method} failed ({reason}) at M = {M}, and the dense fallback "
+            f"runs only up to M = {_DENSE_MODES} ({16 * M ** 2 / 1e6:.0f} MB here)")
     warnings.warn(f"{method} failed ({reason}); falling back to a pivoted dense solve",
                   RuntimeWarning, stacklevel=4)
     if A is None:
-        A = _mode_block(spec, basis, "even")
+        A = _cauchy_dense(*form)
     return np.linalg.solve(A, fc), {"path": "lu", "reason": reason}
 
 
 def _solve_modes(spec: BvpSpec, basis: Basis, fc: np.ndarray):
     """(uc_body, record) for a coupled spec (a2 or a4 nonzero).
 
-    Above the crossover block-Jacobi GMRES runs, whatever a4 is.  Up to it,
-    a4 = 0 makes the matrix symmetric and, for a well-posed spec, definite
-    with the sign of -a6, so with s = -sign a6 Cholesky of s A both solves
-    the system and tests definiteness; a4 != 0 (Gamma is genuinely
-    asymmetric) goes straight to LU.  When GMRES does not converge or s A
-    is not definite a dense LU solve runs, with a warning, up to
-    ``_DENSE_MODES`` modes; above them a failed GMRES solve raises.
+    Every path reads the even block's one ``_block_form``.  Above the
+    crossover GMRES runs, whatever a4 is.  Up to it, a4 = 0 makes the matrix
+    symmetric and, for a well-posed spec, definite with the sign of -a6, so
+    with s = -sign a6 Cholesky of s A both solves the system and tests
+    definiteness; a4 != 0 (Gamma is genuinely asymmetric) goes straight to
+    LU.  When GMRES does not converge or s A is not definite a dense LU
+    solve runs, with a warning, up to ``_DENSE_MODES`` modes; above them a
+    failed GMRES solve raises.
     """
+    form = _block_form(spec, basis, "even")
     if basis.M > _KRYLOV_CROSSOVER:
-        solved = _solve_gmres(spec, basis, fc)
+        solved = _solve_gmres(form, basis, "even", fc)
         if solved is not None:
             return solved
-        return _dense_fallback("block-Jacobi GMRES", "no convergence", spec, basis, fc)
-    A = _mode_block(spec, basis, "even")
+        return _dense_fallback("block-Jacobi GMRES", "no convergence", form, fc)
+    A = _cauchy_dense(*form)
     if spec.a4 != 0.0:
         return np.linalg.solve(A, fc), {"path": "lu", "reason": "matrix not symmetric"}
     solved = _solve_cholesky(-math.copysign(1.0, spec.a6), A, fc)
     if solved is not None:
         return solved
-    return _dense_fallback("Cholesky factorization", "not definite", spec, basis, fc, A)
+    return _dense_fallback("Cholesky factorization", "not definite", form, fc, A)
 
 
 def solve_steady(spec: BvpSpec, basis: Basis) -> SteadySolution:
@@ -456,13 +450,11 @@ def solve_steady(spec: BvpSpec, basis: Basis) -> SteadySolution:
     raising ArithmeticError above ``_DENSE_MODES`` modes) and,
     up to the crossover, Cholesky when a4 = 0 (falling back to LU, with a
     warning, if the matrix is not definite) or LU when a4 != 0 (Gamma is
-    genuinely asymmetric).
-    The result's ``record`` says which path ran.
+    genuinely asymmetric); an overflowed block raises ArithmeticError at
+    assembly.  The result's ``record`` says which path ran.
     """
     if basis.M < 1:
         raise ValueError("basis must carry at least one mode")
-    if spec.a4 == 0.0 and spec.a2 == 0.0:
-        return _finite(_solve_diagonal(spec, basis))
     f0, fc = _exact_projection(spec, basis)
     if spec.a4 != 0.0:
         uc_body, record = _solve_modes(spec, basis, fc)
@@ -471,7 +463,8 @@ def solve_steady(spec: BvpSpec, basis: Basis) -> SteadySolution:
         # The constant-mode balance needs no mode coefficients here, so an
         # unsatisfiable one fails before the mode solve.
         u0c = _u0c_from_row0(spec, f0, 0.0)
-        uc_body, record = _solve_modes(spec, basis, fc)
+        solve = _solve_modes if spec.a2 != 0.0 else _solve_diagonal
+        uc_body, record = solve(spec, basis, fc)
     uc = np.concatenate(([0.0], uc_body))
     return _finite(SteadySolution(basis=basis, u0c=u0c, uc=uc,
                                   us=np.zeros(basis.M + 1), record=record))
@@ -605,7 +598,8 @@ def assemble_semi_discrete(basis: Basis, B: float = 0.0, T: float = 0.0,
     (None means zero forcing).  ``reaction`` is an optional zeroth-order
     coefficient; it is what makes the dense steady problems (a0 != 0)
     realizable as long-time limits.  The blocks are kept in generator form,
-    so B = T = 0 assembles in O(M) time and memory.
+    so B = T = 0 assembles in O(M) time and memory, and a B or T that
+    overflows a block raises ArithmeticError naming it (``_block_form``).
     """
     B, T, reaction = float(B), float(T), float(reaction)
     M = basis.M

@@ -139,6 +139,21 @@ def test_solve_summary_reports_the_gmres_record(capsys, a4):
         assert doc["error_tier"] == "stretch"
 
 
+def test_unforced_gmres_solve_reports_zero_iterations_and_no_decay_fit(tmp_path, capsys):
+    # With no forcing GMRES returns before its first product, and every
+    # coefficient is 0, so the decay fit (5 nonzero coefficients or more)
+    # has nothing to fit.
+    code, out, err = run(capsys, ["solve", "--a6", "1", "--a2", "1000", "--a0", "-300000",
+                                  "--M", "400", "--out", str(tmp_path / "z")])
+    assert (code, out, err) == (0, "", "")
+    doc = json.loads((tmp_path / "z.summary.json").read_text())
+    assert doc["solver"] == {"path": "gmres", "iterations": 0, "residual": 0.0,
+                             "cond_estimate": None}
+    assert doc["decay_fit"] is None and doc["u0c"] == 0.0
+    rows = (tmp_path / "z.coefficients.csv").read_text().split("\n")[1:-1]
+    assert rows == [f"{n},0,0" for n in range(401)]
+
+
 def test_solve_summary_reports_stage_timings(tmp_path, capsys):
     code, out, _ = run(capsys, ["solve", "--model", "II", "--M", "40",
                                 "--out", str(tmp_path / "s")])
@@ -709,16 +724,27 @@ def test_gmres_failure_above_the_dense_bound_exits_2(capsys, monkeypatch):
     ["--a6", "-1", "--a2", "1e300", "--a0", "1", "--M", "40"],
     ["--a6", "-1", "--a2", "1e300", "--a0", "1", "--M", "400"],
     ["--a6", "1", "--a4", "1e300", "--a0", "-1", "--M", "40"],
-], ids=["cholesky-to-lu", "gmres-to-lu", "lu"])
+], ids=["a2-cholesky-range", "a2-gmres-range", "a4-lu-range"])
 def test_overflowing_solve_exits_2_and_writes_nothing(tmp_path, argv):
-    # Finite coefficients whose assembly overflows leave NaN coefficients.
-    # A fresh interpreter, because the suite's error::RuntimeWarning filter
-    # would raise numpy's overflow warning before the solve ends.
+    # Finite coefficients whose generator form overflows are refused at
+    # assembly, before the path of their range runs: one stderr line and no
+    # numpy warning, which a fresh interpreter would print on stderr.
     proc = _fresh("-m", "sixbeam.cli", "solve", *argv, "--forcing", "0:1",
                   "--out", str(tmp_path / "x"))
     assert proc.returncode == 2, proc.stderr
-    assert "numerical failure: " in proc.stderr
+    assert proc.stderr == "numerical failure: the even mode block overflows double precision\n"
     assert list(tmp_path.iterdir()) == []
+
+
+def test_overflowing_evolve_exits_2_at_assembly(capsys):
+    # B = 1e300 overflows the blocks' generator form, so the run stops at
+    # assembly, with no warning under the suite's error::RuntimeWarning
+    # filter: a divergence report would advise a smaller dt or a larger
+    # theta, and neither could mend it.
+    code, out, err = run(capsys, ["evolve", "--M", "60", "--B", "1e300", "--forcing",
+                                  "model-II", "--theta", "1"])
+    assert (code, out) == (2, "")
+    assert err == "numerical failure: the even mode block overflows double precision\n"
 
 
 def test_diagonal_solve_beyond_the_double_range_matches_its_scaled_spec(tmp_path):
