@@ -233,14 +233,17 @@ def _gap_rows(lam6):
         yield rows, gap
 
 
-def _cauchy_dense(lam6, X, Y, diagonal):
-    """T[i, j] = sum_k X[k, i] Y[k, j] / (lam6[j] - lam6[i]), T[i, i] = diagonal[i]."""
+def _cauchy_dense(lam6, X, Y, diagonal, out=None):
+    """T[i, j] = sum_k X[k, i] Y[k, j] / (lam6[j] - lam6[i]), T[i, i] = diagonal[i],
+    written into ``out`` if given: an M x M float array with unit column
+    stride, such as the view A[1:, 1:], which gets the bits of a new array."""
+    table = np.empty((len(lam6), len(lam6))) if out is None else out
     if len(X) == 0:  # a rank-0 numerator: nothing off the diagonal
-        return np.diag(diagonal)
-    table = np.empty((len(lam6), len(lam6)))
-    for rows, gap in _gap_rows(lam6):
-        np.matmul(X[:, rows].T, Y, out=table[rows])
-        table[rows] /= gap
+        table[...] = 0.0
+    else:
+        for rows, gap in _gap_rows(lam6):
+            np.matmul(X[:, rows].T, Y, out=table[rows])
+            table[rows] /= gap
     np.fill_diagonal(table, diagonal)
     return table
 

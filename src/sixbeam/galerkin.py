@@ -410,7 +410,8 @@ def _dense_fallback(method: str, reason: str, form, fc: np.ndarray,
     warnings.warn(f"{method} failed ({reason}); falling back to a pivoted dense solve",
                   RuntimeWarning, stacklevel=4)
     if A is None:
-        A = _cauchy_dense(*form)
+        with np.errstate(over="ignore", invalid="ignore"):  # as in _solve_modes
+            A = _cauchy_dense(*form)
     return np.linalg.solve(A, fc), {"path": "lu", "reason": reason}
 
 
@@ -432,7 +433,10 @@ def _solve_modes(spec: BvpSpec, basis: Basis, fc: np.ndarray):
         if solved is not None:
             return solved
         return _dense_fallback("block-Jacobi GMRES", "no convergence", form, fc)
-    A = _cauchy_dense(*form)
+    # A finite form whose block overflows holds inf or NaN with no numpy
+    # warning, and ``_finite`` refuses the solve.
+    with np.errstate(over="ignore", invalid="ignore"):
+        A = _cauchy_dense(*form)
     if spec.a4 != 0.0:
         return np.linalg.solve(A, fc), {"path": "lu", "reason": "matrix not symmetric"}
     solved = _solve_cholesky(-math.copysign(1.0, spec.a6), A, fc)
@@ -520,12 +524,12 @@ class SemiDiscreteSystem:
 
     @cached_property
     def A_even(self) -> np.ndarray:
-        M = self.basis.M
-        A = np.zeros((M + 1, M + 1))
-        A[0, 0] = self.reaction
-        A[1:, 1:] = _cauchy_dense(*self._forms["even"])
-        if self._mean_row is not None:
-            A[0, 1:] = self._mean_row
+        # The mode block is formed in place, with no zero-filled (M + 1)^2
+        # block under it and no second M^2 block to copy from.
+        A = np.empty((self.basis.M + 1,) * 2)
+        A[0, 0], A[1:, 0] = self.reaction, 0.0
+        A[0, 1:] = 0.0 if self._mean_row is None else self._mean_row
+        _cauchy_dense(*self._forms["even"], out=A[1:, 1:])
         return A
 
     @cached_property
@@ -712,33 +716,22 @@ def _diagonal_map(mu: np.ndarray, f: np.ndarray, dt: float, theta: float):
     return (1.0 + ((1.0 - theta) * dt) * mu) * inv, (dt * f) * inv
 
 
-def _diagonal_run(mu: np.ndarray, f: np.ndarray, u: np.ndarray, dt: float,
+def _diagonal_run(mu: np.ndarray, f: np.ndarray, u0: np.ndarray, dt: float,
                   theta: float):
-    """(run, stepper) for a diagonal block mu whose start is row 0 of ``u``:
-    ``run`` is the view of the columns that move, and ``stepper`` is None
-    once rows 1.. of ``run`` are filled, or else their elementwise map in
-    ``_step_map``'s (step, g) form.
+    """(cols, P, g) for a diagonal block mu that starts at ``u0``: the slice of
+    the columns that move, and their elementwise map u <- P u + g.
 
     A mode whose one step leaves its bits unchanged never moves, so only the
     columns from the first to the last mode that moves or is not +0.0 are
-    stepped; the rest stay +0.0.  Adding a zero g (of either sign) to the
-    product changes at most a zero's sign, and the product of a zero is a
-    zero, so an unforced run is one ``np.multiply.accumulate`` over the step
-    axis with g added once, with the bits of one step at a time.
+    stepped; the rest stay +0.0.
     """
     P, g = _diagonal_map(mu, f, dt, theta)
     with np.errstate(over="ignore", invalid="ignore"):
-        first = P * u[0] + g
-        live = np.flatnonzero((first.view(np.int64) != u[0].view(np.int64))
-                              | (u[0].view(np.int64) != 0))
-        cols = slice(live[0], live[-1] + 1) if live.size else slice(0)
-        run, P, g = u[:, cols], P[cols], g[cols]
-        if np.any(g):
-            return run, (partial(np.multiply, P), g)
-        run[1:] = P
-        np.multiply.accumulate(run, axis=0, out=run)
-        run[1:] += g
-    return run, None
+        first = P * u0 + g
+    live = np.flatnonzero((first.view(np.int64) != u0.view(np.int64))
+                          | (u0.view(np.int64) != 0))
+    cols = slice(live[0], live[-1] + 1) if live.size else slice(0)
+    return cols, P[cols], g[cols]
 
 
 def _step_map(A: np.ndarray, f: np.ndarray, dt: float, theta: float):
@@ -821,7 +814,11 @@ def evolve(system: SemiDiscreteSystem, initial: CoefficientSet, dt: float,
     Once a step leaves the state bit-identical (``_guard`` bisects each
     guard block for the first such step), stepping stops and the stack
     ends with that state, step ``Trajectory.stationary_from``, which every
-    later step repeats; otherwise it holds all steps + 1 states.  Raises
+    later step repeats; otherwise it holds all steps + 1 states.  The
+    stacks are allocated for the rows stepped, doubling from two guard
+    blocks, so a run that stops early allocates few rows whatever ``steps``
+    is; only an unforced diagonal run, filled at once, takes all steps + 1
+    from the start.  Raises
     ArithmeticError at the first state whose max norm passes
     1e12 (1 + the initial max norm) or is not finite, and ValueError for a
     coupled block above ``_DENSE_MODES`` modes before forming it.
@@ -839,44 +836,67 @@ def evolve(system: SemiDiscreteSystem, initial: CoefficientSet, dt: float,
     if np.ndim(initial.u0c) != 0:
         raise ValueError("initial coefficients must be a single state")
     dt, theta, steps = float(dt), float(theta), int(steps)
-    # Column 0 of the even stack holds u0c (A_even's constant mode) until the
-    # end.  Rows that no step writes are never paged in, and only the rows
-    # up to the stationary state are returned.
-    even = np.zeros((steps + 1, basis.M + 1))
-    odd = np.zeros((steps + 1, basis.M + 1))
-    even[0, 0], even[0, 1:] = initial.u0c, initial.uc[1:]
-    odd[0, 1:] = initial.us[1:]
-    record, maps, moved = {}, [], []
-    for parity, u in (("even", even), ("odd", odd[:, 1:])):
+    # Row 0 of the even and the odd stack.  Column 0 of the even one holds
+    # u0c (A_even's constant mode) until the end; that of the odd one is 0.
+    start = np.zeros((2, basis.M + 1))
+    start[0, 0], start[0, 1:], start[1, 1:] = initial.u0c, initial.uc[1:], initial.us[1:]
+    record, maps, runs = {}, [], []
+    for i, parity in enumerate(("even", "odd")):
         f, diagonal, coupled = system._block(parity)
-        record[parity] = ("zero" if not (np.any(f) or np.any(u[0]))
+        record[parity] = ("zero" if not (np.any(f) or np.any(start[i]))
                           else "step-map" if coupled else "diagonal")
         if not steps or record[parity] == "zero":
             continue
         if coupled:
-            stepper = _step_map(system._dense(parity), f, dt, theta)
+            cols, (step, g) = slice(i, None), _step_map(system._dense(parity), f, dt, theta)
         else:
-            u, stepper = _diagonal_run(diagonal, f, u, dt, theta)
-        moved.append(u)
-        if stepper is not None:
-            maps.append((*stepper, u))
-    scale0 = 1.0 + max(float(np.max(np.abs(even[0]))), float(np.max(np.abs(odd[0]))))
-    limit, stationary_from, k = 1e12 * scale0, None, 0
+            cols, P, g = _diagonal_run(diagonal, f, start[i, i:], dt, theta)
+            cols, step = slice(cols.start + i, cols.stop + i), partial(np.multiply, P)
+        if coupled or np.any(g):
+            maps.append((i, cols, step, g))
+        else:
+            runs.append((i, cols, P, g))
+    # The stacks hold only the rows stepped: an unforced diagonal run fills
+    # all steps + 1 at once, and the maps start with two guard blocks' rows
+    # and double them as they step on.  Unwritten rows are not free: once a
+    # process has freed a large block, glibc serves np.zeros from its heap
+    # and zero-fills every row (its dynamic mmap threshold).
+    rows = steps + 1 if runs else min(steps + 1, 2 * _GUARD_BLOCK + 1)
+    stack = np.zeros((2, rows, basis.M + 1))
+    stack[:, 0] = start
+    for i, cols, P, g in runs:
+        # Adding a zero g (of either sign) to the product changes at most a
+        # zero's sign, and the product of a zero is a zero, so an unforced
+        # run is one np.multiply.accumulate over the step axis with g added
+        # once, with the bits of one step at a time.
+        run = stack[i][:, cols]
+        with np.errstate(over="ignore", invalid="ignore"):
+            run[1:] = P
+            np.multiply.accumulate(run, axis=0, out=run)
+            run[1:] += g
+    scale0 = 1.0 + float(np.max(np.abs(start)))
+    limit, stationary_from, k, views = 1e12 * scale0, None, 0, None
     while k < steps and stationary_from is None:
-        # An unforced diagonal block has run every step already, so without
-        # a map one guard reads the whole run.
+        # Every run is filled already, so without a map one guard reads it whole.
         end = min(k + _GUARD_BLOCK, steps) if maps else steps
+        if maps and end >= len(stack[0]):
+            grown = np.zeros((2, min(steps + 1, 2 * len(stack[0])), basis.M + 1))
+            grown[:, :k + 1] = stack[:, :k + 1]
+            stack, views = grown, None
+        if views is None:  # each block's view of the stacks, once per allocation
+            views = [(step, g, stack[i][:, cols]) for i, cols, step, g in maps]
+            moved = [stack[i][:, cols] for i, cols, *_ in maps + runs]
         # Steps past a divergence overflow silently; the guard reports the
         # first row that crossed the limit, as a per-step check would.
         with np.errstate(over="ignore", invalid="ignore"):
             for j in range(k, end):
-                for step, g, u in maps:
+                for step, g, u in views:
                     step(u[j], u[j + 1])
                     u[j + 1] += g
         stationary_from = _guard(moved, k, end, limit)
         k = end
     n = steps + 1 if stationary_from is None else stationary_from + 1
-    even, odd = even[:n], odd[:n]
+    even, odd = stack[0, :n], stack[1, :n]
     u0c = even[:, 0].copy()
     if np.any(u0c.view(np.int64)):  # else writing +0.0 would only touch every page
         even[:, 0] = 0.0

@@ -736,6 +736,19 @@ def test_overflowing_solve_exits_2_and_writes_nothing(tmp_path, argv):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_a_dense_block_that_overflows_from_a_finite_form_exits_2_without_a_warning(tmp_path):
+    # a4 = 1e300 at M = 30 leaves the generator form finite, but its dense
+    # block overflows, and the LU solve gives inf or NaN coefficients.  The
+    # block is formed with numpy's overflow warnings off, so a fresh
+    # interpreter prints the one failure line.
+    proc = _fresh("-m", "sixbeam.cli", "solve", "--a6", "1", "--a4", "1e300", "--a0", "-1",
+                  "--M", "30", "--forcing", "0:1", "--out", str(tmp_path / "x"))
+    assert proc.returncode == 2
+    assert proc.stderr == ("numerical failure: steady solve (dense LU, matrix not symmetric) "
+                           "gave non-finite coefficients: the spec overflows double precision\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_overflowing_evolve_exits_2_at_assembly(capsys):
     # B = 1e300 overflows the blocks' generator form, so the run stops at
     # assembly, with no warning under the suite's error::RuntimeWarning

@@ -246,6 +246,26 @@ def test_cauchy_dense_keeps_its_bits(M):
             assert np.array_equal(got.view(np.int64), want.view(np.int64)), (parity, kind)
 
 
+@pytest.mark.parametrize("rank", [0, 2, 4])
+def test_cauchy_dense_into_a_strided_view_keeps_its_bits(rank):
+    # SemiDiscreteSystem.A_even forms its mode block in place, in the view
+    # A[1:, 1:] whose rows are M + 1 apart; M = 300 ends with a partial
+    # block of gap rows.
+    basis = build_basis(300)
+    for parity in (EV, OD):
+        if rank:
+            lam6, X, Y = _kernel_form(basis, parity, rank)
+        else:  # a rank-0 numerator: the diagonal alone
+            lam6, X, Y = basis.lam(parity)[1:] ** 6, np.empty((0, 300)), np.empty((0, 300))
+        diagonal = -lam6
+        A = np.full((301, 301), np.nan)
+        got = cf._cauchy_dense(lam6, X, Y, diagonal, out=A[1:, 1:])
+        want = cf._cauchy_dense(lam6, X, Y, diagonal)
+        assert got.base is A
+        assert np.array_equal(A[1:, 1:].view(np.int64), want.view(np.int64)), parity
+        assert np.isnan(A[0]).all() and np.isnan(A[:, 0]).all()  # left as they were
+
+
 def _kernel_product(basis, parity, rank):
     """(lam6, X, Y, product): ``_kernel_form`` and its fast multipole product."""
     lam6, X, Y = _kernel_form(basis, parity, rank)

@@ -1156,6 +1156,38 @@ def test_dominant_step_map_has_a_rounding_level_residual(monkeypatch, M, T):
                 assert np.all(np.abs(lhs @ nxt - rhs @ u) <= 1e-14 * scale)
 
 
+def test_a_stationary_evolve_allocates_the_rows_it_steps():
+    # The stacks grow with the rows stepped, so a run that stops within its
+    # first guard block holds a few rows whatever its step count: 2 x 100001
+    # x 501 doubles (806.5 MB traced) when they were sized to steps + 1.
+    basis = build_basis(500)
+    system = gk.model_ii_semi_discrete(basis, T=20.0, **_DOMINANT)
+    system.A_even  # formed on first read and kept: not evolve's
+    tracemalloc.start()
+    try:
+        traj = gk.evolve(system, cf.CoefficientSet.zeros(basis), 1e-4, 10**5, theta=1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert traj.stationary_from is not None and traj.stationary_from < gk._GUARD_BLOCK
+    # Its step map (lhs and the Schur factor) is ~4 MB (4.9 MB measured).
+    assert peak <= 20e6
+
+
+def test_a_run_whose_stacks_grow_matches_per_step_stepping():
+    # A dominant theta = 1/2 run from an odd start never repeats, so the
+    # stacks double several times from their first two guard blocks, and
+    # the last guard block is a partial one.
+    steps = 20 * gk._GUARD_BLOCK + 5
+    basis = build_basis(65)
+    system = gk.model_ii_semi_discrete(basis, T=20.0, **_DOMINANT)
+    init = cf.CoefficientSet(basis, 0.0, np.zeros(66), np.r_[0.0, 0.0, 0.0, 1.0, np.zeros(62)])
+    traj = gk.evolve(system, init, 1e-4, steps, theta=0.5)
+    assert traj.stationary_from is None
+    assert traj.record == {"even": "step-map", "odd": "step-map"}
+    _assert_same_trajectory(traj, _per_step_evolve(system, init, 1e-4, steps, 0.5))
+
+
 def test_evolve_long_corners_stop_within_the_first_guard_block():
     # Evolve-long's steady ops (M = 500, theta = 1, dt, B, reaction and T at
     # the corners of their ranges) reach their fixed point in the first
@@ -1608,11 +1640,24 @@ def test_diagonal_system_at_max_modes_assembles_in_linear_memory():
     assert "A_even" not in vars(system) and "A_odd" not in vars(system)
 
 
+@pytest.mark.parametrize("T", [0.0, 20.0])
+def test_a_even_keeps_the_bits_of_a_zeroed_block_with_its_parts_assigned(T):
+    # A_even writes its mode block in place and its row and column 0 apart.
+    system = gk.model_ii_semi_discrete(build_basis(300), T=T)
+    want = np.zeros((301, 301))
+    want[0, 0] = system.reaction
+    want[1:, 1:] = cf._cauchy_dense(*system._forms["even"])
+    if T:
+        want[0, 1:] = system._mean_row
+    assert np.array_equal(system.A_even.view(np.int64), want.view(np.int64))
+    assert np.any(system.A_even[0, 1:]) == bool(T)
+
+
 def _spy_cauchy_dense(monkeypatch):
     """A list that gets one entry per ``_cauchy_dense`` call from galerkin."""
     calls, inner = [], gk._cauchy_dense
     monkeypatch.setattr(gk, "_cauchy_dense",
-                        lambda *form: calls.append(len(form[0])) or inner(*form))
+                        lambda *form, **kw: calls.append(len(form[0])) or inner(*form, **kw))
     return calls
 
 
