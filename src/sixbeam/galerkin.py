@@ -57,11 +57,11 @@ _RESONANCE_GUARD = 1e-6
 
 # Coupled solves (a2 or a4 nonzero) with more than this many modes run
 # matrix-free right-preconditioned block-Jacobi GMRES, whatever a4 is, instead
-# of dense Cholesky or LU (ladder in CHANGES.md).
-# Cholesky keeps M <= 301, where its pivot record is part of the documented
-# output (criterion 4 prints it at M = 100); LU keeps the same range, where
-# it is as fast as GMRES or faster.
-_KRYLOV_CROSSOVER = 301
+# of dense Cholesky or LU (ladder in CHANGES.md).  GMRES's bytes do not depend
+# on the BLAS thread count at any M; Cholesky's do not up to here, where its
+# pivot record is part of the documented output (criterion 4 prints it at
+# M = 100), and differ from M ~ 128, where GMRES is already the faster path.
+_KRYLOV_CROSSOVER = 100
 _KRYLOV_RTOL = 1e-15        # stop when the least-squares residual <= this ||f||
 _GMRES_MAX_ITERATIONS = 30  # specs tried need 2-4; each holds one more M-vector
 _GMRES_ACCEPT = 1e-13       # largest ||A u - f|| / ||f|| a GMRES answer may keep
@@ -260,9 +260,23 @@ def _block_form(spec: BvpSpec, basis: Basis, parity: str):
                 X.append(-a * Yk)
                 Y.append(Xk)
     X = np.reshape(X, (-1, basis.M))
-    if not (np.isfinite(d).all() and np.isfinite(X).all()):
-        raise ArithmeticError(f"the {parity} mode block overflows double precision")
+    _refuse_overflow(parity, d, X)
     return lam6, X, np.reshape(Y, (-1, basis.M)), d
+
+
+def _refuse_overflow(parity: str, *arrays):
+    """ArithmeticError naming the block if an array holds an inf or NaN."""
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise ArithmeticError(f"the {parity} mode block overflows double precision")
+
+
+def _dense_block(form, parity: str) -> np.ndarray:
+    """The dense block of the ``_block_form`` tuple ``form``, formed with numpy's
+    overflow warnings off; one with an inf or NaN is refused like its form."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        A = _cauchy_dense(*form)
+    _refuse_overflow(parity, A)
+    return A
 
 
 def assemble_steady(spec: BvpSpec, basis: Basis):
@@ -311,9 +325,10 @@ def _operator(form, basis: Basis, parity: str):
     return lambda v: d * v + off_diagonal(X, Y, v)
 
 
-def _block_jacobi(form):
+def _block_jacobi(form, parity: str):
     """v -> P^{-1} v for P the leading ``_JACOBI_BLOCK`` x ``_JACOBI_BLOCK`` block
-    of A and the diagonal after it, or None if that block is singular.
+    of A and the diagonal after it, or None if that block is singular; an
+    overflowed leading block raises ArithmeticError (``_dense_block``).
 
     Past the leading block the diagonal a0 - a6 lam^6 outgrows the coupling
     a4 lam^4 + a2 lam^2 (at mode 64, lam ~ 201: (6000 lam^2 + 30 lam^4) / lam^6
@@ -324,7 +339,7 @@ def _block_jacobi(form):
     lam6, X, Y, d = form
     n = _JACOBI_BLOCK
     try:
-        inv = np.linalg.inv(_cauchy_dense(lam6[:n], X[:, :n], Y[:, :n], d[:n]))
+        inv = np.linalg.inv(_dense_block((lam6[:n], X[:, :n], Y[:, :n], d[:n]), parity))
     except np.linalg.LinAlgError:
         return None
     return lambda v: np.concatenate((inv @ v[:n], v[n:] / d[n:]))
@@ -348,7 +363,7 @@ def _solve_gmres(form, basis: Basis, parity: str, b: np.ndarray):
     step is homogeneous in b, so a solve whose b and u stay normal numbers
     under the scaling keeps its bits.
     """
-    precondition = _block_jacobi(form)
+    precondition = _block_jacobi(form, parity)
     if precondition is None:
         return None
     e = int(np.frexp(np.max(np.abs(b)))[1])
@@ -407,11 +422,10 @@ def _dense_fallback(method: str, reason: str, form, fc: np.ndarray,
         raise ArithmeticError(
             f"{method} failed ({reason}) at M = {M}, and the dense fallback "
             f"runs only up to M = {_DENSE_MODES} ({16 * M ** 2 / 1e6:.0f} MB here)")
+    if A is None:
+        A = _dense_block(form, "even")
     warnings.warn(f"{method} failed ({reason}); falling back to a pivoted dense solve",
                   RuntimeWarning, stacklevel=4)
-    if A is None:
-        with np.errstate(over="ignore", invalid="ignore"):  # as in _solve_modes
-            A = _cauchy_dense(*form)
     return np.linalg.solve(A, fc), {"path": "lu", "reason": reason}
 
 
@@ -419,13 +433,18 @@ def _solve_modes(spec: BvpSpec, basis: Basis, fc: np.ndarray):
     """(uc_body, record) for a coupled spec (a2 or a4 nonzero).
 
     Every path reads the even block's one ``_block_form``.  Above the
-    crossover GMRES runs, whatever a4 is.  Up to it, a4 = 0 makes the matrix
-    symmetric and, for a well-posed spec, definite with the sign of -a6, so
-    with s = -sign a6 Cholesky of s A both solves the system and tests
-    definiteness; a4 != 0 (Gamma is genuinely asymmetric) goes straight to
-    LU.  When GMRES does not converge or s A is not definite a dense LU
-    solve runs, with a warning, up to ``_DENSE_MODES`` modes; above them a
-    failed GMRES solve raises.
+    crossover GMRES runs, whatever a4 is: on bench-shaped specs at M =
+    128-301 it takes 0.5-0.6 ms where Cholesky (a4 = 0) takes 0.7-2.3 ms,
+    a4 != 0 specs pay up to ~0.4 ms against LU up to M ~ 200 (ladder in
+    CHANGES.md), and its bytes do not depend on the BLAS thread count.  Up
+    to it, a4 = 0 makes the matrix symmetric and, for a well-posed spec,
+    definite with the sign of -a6, so with s = -sign a6 Cholesky of s A both
+    solves the system and tests definiteness; a4 != 0 (Gamma is genuinely
+    asymmetric) goes straight to LU.  When GMRES does not converge or s A is
+    not definite a dense LU solve runs, with a warning, up to
+    ``_DENSE_MODES`` modes; above them a failed GMRES solve raises.  A
+    formed block (dense, or GMRES's leading one) with an inf or NaN is
+    refused like an overflowed form, before anything is factored.
     """
     form = _block_form(spec, basis, "even")
     if basis.M > _KRYLOV_CROSSOVER:
@@ -433,10 +452,7 @@ def _solve_modes(spec: BvpSpec, basis: Basis, fc: np.ndarray):
         if solved is not None:
             return solved
         return _dense_fallback("block-Jacobi GMRES", "no convergence", form, fc)
-    # A finite form whose block overflows holds inf or NaN with no numpy
-    # warning, and ``_finite`` refuses the solve.
-    with np.errstate(over="ignore", invalid="ignore"):
-        A = _cauchy_dense(*form)
+    A = _dense_block(form, "even")
     if spec.a4 != 0.0:
         return np.linalg.solve(A, fc), {"path": "lu", "reason": "matrix not symmetric"}
     solved = _solve_cholesky(-math.copysign(1.0, spec.a6), A, fc)
@@ -449,13 +465,14 @@ def solve_steady(spec: BvpSpec, basis: Basis) -> SteadySolution:
     """Solve the steady BVP by Galerkin projection onto the even modes.
 
     The spec and M pick the path: a diagonal solve when a4 = a2 = 0;
-    otherwise matrix-free block-Jacobi GMRES above ``_KRYLOV_CROSSOVER``
+    otherwise matrix-free block-Jacobi GMRES above ``_KRYLOV_CROSSOVER`` = 100
     modes (falling back to LU, with a warning, if it does not converge, or
-    raising ArithmeticError above ``_DENSE_MODES`` modes) and,
-    up to the crossover, Cholesky when a4 = 0 (falling back to LU, with a
-    warning, if the matrix is not definite) or LU when a4 != 0 (Gamma is
-    genuinely asymmetric); an overflowed block raises ArithmeticError at
-    assembly.  The result's ``record`` says which path ran.
+    raising ArithmeticError above ``_DENSE_MODES`` modes) and, up to it,
+    Cholesky when a4 = 0 (falling back to LU, with a warning, if the matrix
+    is not definite) or LU when a4 != 0.  GMRES and Cholesky write the same
+    bytes at any BLAS thread count; LU may not.  A block that overflows, as
+    a form or formed densely, raises ArithmeticError before any path solves
+    it.  The result's ``record`` says which path ran.
     """
     if basis.M < 1:
         raise ValueError("basis must carry at least one mode")

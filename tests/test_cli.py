@@ -108,7 +108,8 @@ def test_solve_summary_reports_the_path_the_solver_took(capsys):
     # A warning would mean the solver fell back to LU behind the summary.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        code, out, err = run(capsys, ["solve", "--model", "II", "--M", "300"])
+        code, out, err = run(capsys, ["solve", "--model", "II",
+                                      "--M", str(gk._KRYLOV_CROSSOVER)])
     assert code == 0 and err == ""
     solver = json.loads(out)["solver"]
     assert solver["path"] == "cholesky" and solver["pivots_all_negative"]
@@ -738,14 +739,33 @@ def test_overflowing_solve_exits_2_and_writes_nothing(tmp_path, argv):
 
 def test_a_dense_block_that_overflows_from_a_finite_form_exits_2_without_a_warning(tmp_path):
     # a4 = 1e300 at M = 30 leaves the generator form finite, but its dense
-    # block overflows, and the LU solve gives inf or NaN coefficients.  The
-    # block is formed with numpy's overflow warnings off, so a fresh
+    # block overflows.  The block is formed with numpy's overflow warnings
+    # off and refused like an overflowed form before LU runs, so a fresh
     # interpreter prints the one failure line.
     proc = _fresh("-m", "sixbeam.cli", "solve", "--a6", "1", "--a4", "1e300", "--a0", "-1",
                   "--M", "30", "--forcing", "0:1", "--out", str(tmp_path / "x"))
     assert proc.returncode == 2
-    assert proc.stderr == ("numerical failure: steady solve (dense LU, matrix not symmetric) "
-                           "gave non-finite coefficients: the spec overflows double precision\n")
+    assert proc.stderr == "numerical failure: the even mode block overflows double precision\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("forcing", ["0:1", "2:1"], ids=["no-mode-forcing", "mode-forcing"])
+@pytest.mark.parametrize("argv", [
+    ["--a2", "1e300", "--M", "30"],
+    ["--a4", "1e290", "--M", "200"],
+    ["--a4", "1e290", "--M", "400"],
+], ids=["cholesky-range", "gmres-range-200", "gmres-range-400"])
+def test_a_block_that_overflows_from_a_finite_form_is_refused_in_every_range(
+        tmp_path, argv, forcing):
+    # Each generator form is finite, but the dense block (Cholesky range) or
+    # GMRES's leading block overflows.  Either is refused before a
+    # factorization runs or the zero-forcing return is taken: one failure
+    # line, no numpy warning or fallback warning (a fresh interpreter prints
+    # them on stderr) and no file.
+    proc = _fresh("-m", "sixbeam.cli", "solve", "--a6", "1", "--a0", "-1", *argv,
+                  "--forcing", forcing, "--out", str(tmp_path / "x"))
+    assert proc.returncode == 2
+    assert proc.stderr == "numerical failure: the even mode block overflows double precision\n"
     assert list(tmp_path.iterdir()) == []
 
 

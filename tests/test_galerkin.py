@@ -202,12 +202,13 @@ def test_model_ii_record_has_negative_pivots(basis60):
     assert record["pivot_min"] <= record["pivot_max"] < 0.0
 
 
-def test_symmetric_solve_at_m300_takes_cholesky_path_without_warning():
+def test_symmetric_solve_at_the_crossover_takes_cholesky_path_without_warning():
     # Pivots span O(lam_1^6) to O(lam_M^6); no pivot threshold may reject
-    # them once M outgrows a fixed ratio (here 1e-13).
+    # them once M outgrows a fixed ratio (here 1e-13).  The crossover is the
+    # top of the Cholesky range.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        record = gk.solve_steady(gk.MODEL_II, build_basis(300)).record
+        record = gk.solve_steady(gk.MODEL_II, build_basis(gk._KRYLOV_CROSSOVER)).record
     assert record["path"] == "cholesky" and record["pivots_all_negative"]
 
 
@@ -286,13 +287,16 @@ def test_diagonal_solve_is_invariant_under_scaling_the_spec(basis30, a6, a0, sca
     assert sol.u0c == pytest.approx(want.u0c, rel=1e-15)
 
 
-def test_overflowing_assembly_raises_naming_the_path(basis30):
-    # a4 = 1e300 overflows the assembled matrix; the LU solve then returns
-    # NaN coefficients, which must not pass as a solution.
+def test_a_dense_block_that_overflows_is_refused_before_lu(basis30):
+    # a4 = 1e300 leaves the generator form finite at M = 30 but overflows the
+    # dense block, which is refused like an overflowed form, with no numpy
+    # warning, before the LU solve could return NaN coefficients.
     spec = gk.BvpSpec(a6=1.0, a4=1e300, a2=0.0, a0=-1.0, forcing=((0, 1.0),))
-    with np.errstate(all="ignore"), pytest.raises(
-            ArithmeticError, match=r"\(dense LU, matrix not symmetric\) gave non-finite"):
-        gk.solve_steady(spec, basis30)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ArithmeticError,
+                           match="^the even mode block overflows double precision$"):
+            gk.solve_steady(spec, basis30)
 
 
 @pytest.mark.parametrize("M", [40, 400, 6000])
@@ -345,7 +349,7 @@ def test_zero_mean_consistency_without_reaction(basis30):
 _ABOVE = gk._KRYLOV_CROSSOVER + 1
 
 
-@pytest.mark.parametrize("M", [_ABOVE, 1000])
+@pytest.mark.parametrize("M", [_ABOVE, 302, 1000])
 @pytest.mark.parametrize("a2", [-5544.0, 3000.0])
 def test_matrix_free_matvec_matches_the_dense_block(M, a2):
     basis = build_basis(M)
@@ -363,7 +367,7 @@ def test_matrix_free_matvec_matches_the_dense_block(M, a2):
         assert np.linalg.norm(matvec(v) - ref) <= 1e-15 * np.linalg.norm(ref)
 
 
-@pytest.mark.parametrize("M", [_ABOVE, 1000])
+@pytest.mark.parametrize("M", [_ABOVE, 302, 1000])
 @pytest.mark.parametrize("a4", [0.0, -20.0])
 def test_operator_keeps_its_bits_across_builds_and_products(M, a4):
     # The fast multipole setup depends on the basis alone: two builds give
@@ -457,7 +461,7 @@ def _assert_matches_the_dense_solve(spec, basis, path):
 
 # M = 2000 is covered by test_gmres_solve_matches_the_dense_solve_at_m2000 (a4 = 0)
 # and test_gmres_matches_lu_at_m2000 (a4 != 0).
-@pytest.mark.parametrize("M", [_ABOVE, 500])
+@pytest.mark.parametrize("M", [_ABOVE, 200, 301, 302, 500])
 @pytest.mark.parametrize("coupled", [False, True], ids=["a4=0", "a4!=0"])
 def test_krylov_solves_match_the_dense_solve_above_the_crossover(M, coupled):
     basis = build_basis(M)
@@ -508,7 +512,7 @@ def test_gmres_matches_the_refined_solution_near_a_resonance_at_m2000():
     assert np.linalg.norm(sol.uc[1:] - refined) <= 4e-15 * np.linalg.norm(refined)
 
 
-@pytest.mark.parametrize("M", [_ABOVE, 500, 1000, 2000])
+@pytest.mark.parametrize("M", [_ABOVE, 200, 301, 302, 500, 1000, 2000])
 def test_krylov_iteration_counts_on_bench_specs(M):
     # Each iteration costs one matrix-free product; the leading 64-mode block
     # and the diagonal after it keep GMRES at 2-3 for a4 = 0 and 3-4 for
@@ -637,7 +641,7 @@ def test_small_a6_spec_solves_on_gmres():
     assert record["iterations"] <= 15
 
 
-def _full_block_jacobi(form):
+def _full_block_jacobi(form, parity):
     # The preconditioner this one replaced: every 64 x 64 diagonal block of A
     # inverted, in O(64 M) memory, the last one padded with the identity.
     lam6, X, Y, d = form
@@ -682,7 +686,7 @@ def test_preconditioner_holds_the_leading_block_and_no_more_at_max_modes():
     form = gk._block_form(_A4_SPEC, build_basis(M), "even")
     tracemalloc.start()
     try:
-        precondition = gk._block_jacobi(form)
+        precondition = gk._block_jacobi(form, "even")
         held, peak = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
         precondition(np.ones(M))
