@@ -5,11 +5,12 @@ accuracy diagnostics.
 All three share the exact solution u(x) = (x^2 - 1)^6, so the script
 reports the max pointwise error on a uniform grid, the achieved accuracy
 tier, the mean-mode coefficient (exactly 2048/3003), and for the coupled
-specs the solver's own record: the LDL^T pivot range, or above the Krylov
-crossover (M > 100) the block-Jacobi GMRES iteration count, residual and
-condition estimate, or the reason dense LU ran.  With a4 != 0 the error
-falls only like |a4| M^-4 (the boundary term of the fourth derivative), so
-that spec reaches the required tier by M = 400.
+specs the solver's own record: the LDL^T pivot range (model II up to
+M = 100), the block-Jacobi GMRES iteration count, residual and condition
+estimate (model II above M = 100, and the a4 = -20 spec at every M), or the
+reason the dense LU fallback ran (only after GMRES fails).  With a4 != 0
+the error falls only like |a4| M^-4 (the boundary term of the fourth
+derivative), so that spec reaches the required tier by M = 400.
 """
 
 import argparse

@@ -55,10 +55,9 @@ __all__ = [
 
 _RESONANCE_GUARD = 1e-6
 
-# Coupled solves (a2 or a4 nonzero) with more than this many modes run
-# matrix-free right-preconditioned block-Jacobi GMRES, whatever a4 is, instead
-# of dense Cholesky or LU (ladder in CHANGES.md).  GMRES's bytes do not depend
-# on the BLAS thread count at any M; Cholesky's do not up to here, where its
+# Coupled a4 = 0 solves with at most this many modes try dense Cholesky
+# before GMRES, which runs every other coupled solve (ladder in CHANGES.md).
+# Cholesky's bytes do not depend on the BLAS thread count up to here, where its
 # pivot record is part of the documented output (criterion 4 prints it at
 # M = 100), and differ from M ~ 128, where GMRES is already the faster path.
 _KRYLOV_CROSSOVER = 100
@@ -199,10 +198,10 @@ class SteadySolution(CoefficientSet):
 
     ``record["path"]`` names the path that ran: ``"diagonal"``; ``"cholesky"``,
     with ``pivots_all_negative``, ``pivot_min`` and ``pivot_max`` (pivots of
-    A = L diag(D) L^T); ``"lu"``, with the ``reason`` dense LU ran; or
-    ``"gmres"`` (matrix-free block-Jacobi GMRES), with ``iterations``,
-    ``residual`` (||A u - f|| / ||f|| from one final product) and
-    ``cond_estimate`` (of the block-preconditioned matrix).
+    A = L diag(D) L^T); ``"gmres"`` (matrix-free block-Jacobi GMRES), with
+    ``iterations``, ``residual`` (||A u - f|| / ||f|| from one final product)
+    and ``cond_estimate`` (of the block-preconditioned matrix); or ``"lu"``,
+    the dense fallback after GMRES failed, with ``reason`` "no convergence".
     """
 
     record: dict
@@ -270,18 +269,20 @@ def _refuse_overflow(parity: str, *arrays):
         raise ArithmeticError(f"the {parity} mode block overflows double precision")
 
 
-def _dense_block(form, parity: str) -> np.ndarray:
-    """The dense block of the ``_block_form`` tuple ``form``, formed with numpy's
-    overflow warnings off; one with an inf or NaN is refused like its form."""
+def _dense_block(form, parity: str, out=None) -> np.ndarray:
+    """The dense block of the ``_block_form`` tuple ``form`` (written into
+    ``out`` if given, as ``_cauchy_dense`` does), formed with numpy's overflow
+    warnings off; one with an inf or NaN is refused like its form."""
     with np.errstate(over="ignore", invalid="ignore"):
-        A = _cauchy_dense(*form)
+        A = _cauchy_dense(*form, out=out)
     _refuse_overflow(parity, A)
     return A
 
 
 def assemble_steady(spec: BvpSpec, basis: Basis):
-    """(A, fc, f0): dense even-mode system A u = fc plus the row-0 data."""
-    A = _cauchy_dense(*_block_form(spec, basis, "even"))
+    """(A, fc, f0): dense even-mode system A u = fc plus the row-0 data.  A
+    block that overflows raises ArithmeticError naming it (``_dense_block``)."""
+    A = _dense_block(_block_form(spec, basis, "even"), "even")
     f0, fc = forcing_projection(spec, basis)
     return A, fc, f0
 
@@ -412,67 +413,57 @@ def _solve_gmres(form, basis: Basis, parity: str, b: np.ndarray):
                             "cond_estimate": float(sigma[0] / sigma[-1])}
 
 
-def _dense_fallback(method: str, reason: str, form, fc: np.ndarray,
-                    A: np.ndarray | None = None):
-    """(uc_body, record) by dense LU on the block of ``form`` after ``method``
-    failed, with a warning; ``A`` is that block if the failed method formed
-    it.  Above ``_DENSE_MODES`` modes ArithmeticError, before forming A."""
-    M = len(fc)
+def _dense_fallback(form, fc: np.ndarray):
+    """(uc_body, record) by dense LU on the block of ``form`` after GMRES
+    failed, with a warning.  Above ``_DENSE_MODES`` modes ArithmeticError,
+    before forming the block."""
+    M, failed = len(fc), "block-Jacobi GMRES failed (no convergence)"
     if M > _DENSE_MODES:
         raise ArithmeticError(
-            f"{method} failed ({reason}) at M = {M}, and the dense fallback "
-            f"runs only up to M = {_DENSE_MODES} ({16 * M ** 2 / 1e6:.0f} MB here)")
-    if A is None:
-        A = _dense_block(form, "even")
-    warnings.warn(f"{method} failed ({reason}); falling back to a pivoted dense solve",
+            f"{failed} at M = {M}, and the dense fallback runs only up to "
+            f"M = {_DENSE_MODES} ({16 * M ** 2 / 1e6:.0f} MB here)")
+    A = _dense_block(form, "even")
+    warnings.warn(f"{failed}; falling back to a pivoted dense solve",
                   RuntimeWarning, stacklevel=4)
-    return np.linalg.solve(A, fc), {"path": "lu", "reason": reason}
+    return np.linalg.solve(A, fc), {"path": "lu", "reason": "no convergence"}
 
 
 def _solve_modes(spec: BvpSpec, basis: Basis, fc: np.ndarray):
     """(uc_body, record) for a coupled spec (a2 or a4 nonzero).
 
-    Every path reads the even block's one ``_block_form``.  Above the
-    crossover GMRES runs, whatever a4 is: on bench-shaped specs at M =
-    128-301 it takes 0.5-0.6 ms where Cholesky (a4 = 0) takes 0.7-2.3 ms,
-    a4 != 0 specs pay up to ~0.4 ms against LU up to M ~ 200 (ladder in
-    CHANGES.md), and its bytes do not depend on the BLAS thread count.  Up
-    to it, a4 = 0 makes the matrix symmetric and, for a well-posed spec,
+    Every path reads the even block's one ``_block_form``.  Up to the
+    crossover, a4 = 0 makes the matrix symmetric and, for a well-posed spec,
     definite with the sign of -a6, so with s = -sign a6 Cholesky of s A both
-    solves the system and tests definiteness; a4 != 0 (Gamma is genuinely
-    asymmetric) goes straight to LU.  When GMRES does not converge or s A is
-    not definite a dense LU solve runs, with a warning, up to
-    ``_DENSE_MODES`` modes; above them a failed GMRES solve raises.  A
+    solves the system and tests definiteness.  Every other coupled solve,
+    and one whose s A is not definite, runs GMRES: at M <= 64 its
+    preconditioner is the block's own inverse, and above the crossover it
+    beats Cholesky (ladder in CHANGES.md).  Its bytes do not depend on the
+    BLAS thread count.  When GMRES fails a dense LU solve runs, with a
+    warning, up to ``_DENSE_MODES`` modes; above them the solve raises.  A
     formed block (dense, or GMRES's leading one) with an inf or NaN is
     refused like an overflowed form, before anything is factored.
     """
     form = _block_form(spec, basis, "even")
-    if basis.M > _KRYLOV_CROSSOVER:
-        solved = _solve_gmres(form, basis, "even", fc)
+    if spec.a4 == 0.0 and basis.M <= _KRYLOV_CROSSOVER:
+        solved = _solve_cholesky(-math.copysign(1.0, spec.a6), _dense_block(form, "even"), fc)
         if solved is not None:
             return solved
-        return _dense_fallback("block-Jacobi GMRES", "no convergence", form, fc)
-    A = _dense_block(form, "even")
-    if spec.a4 != 0.0:
-        return np.linalg.solve(A, fc), {"path": "lu", "reason": "matrix not symmetric"}
-    solved = _solve_cholesky(-math.copysign(1.0, spec.a6), A, fc)
-    if solved is not None:
-        return solved
-    return _dense_fallback("Cholesky factorization", "not definite", form, fc, A)
+    solved = _solve_gmres(form, basis, "even", fc)
+    return solved if solved is not None else _dense_fallback(form, fc)
 
 
 def solve_steady(spec: BvpSpec, basis: Basis) -> SteadySolution:
     """Solve the steady BVP by Galerkin projection onto the even modes.
 
     The spec and M pick the path: a diagonal solve when a4 = a2 = 0;
-    otherwise matrix-free block-Jacobi GMRES above ``_KRYLOV_CROSSOVER`` = 100
-    modes (falling back to LU, with a warning, if it does not converge, or
-    raising ArithmeticError above ``_DENSE_MODES`` modes) and, up to it,
-    Cholesky when a4 = 0 (falling back to LU, with a warning, if the matrix
-    is not definite) or LU when a4 != 0.  GMRES and Cholesky write the same
-    bytes at any BLAS thread count; LU may not.  A block that overflows, as
-    a form or formed densely, raises ArithmeticError before any path solves
-    it.  The result's ``record`` says which path ran.
+    otherwise Cholesky when a4 = 0 and M <= ``_KRYLOV_CROSSOVER`` = 100 and
+    the matrix is definite, and matrix-free block-Jacobi GMRES for every
+    other coupled solve (falling back to dense LU, with a warning, if it
+    does not converge, or raising ArithmeticError above ``_DENSE_MODES``
+    modes).  GMRES and Cholesky write the same bytes at any BLAS thread
+    count; the LU fallback may not.  A block that overflows, as a form or
+    formed densely, raises ArithmeticError before any path solves it.  The
+    result's ``record`` says which path ran.
     """
     if basis.M < 1:
         raise ValueError("basis must carry at least one mode")
@@ -518,9 +509,10 @@ class SemiDiscreteSystem:
     Each block is held in generator form: the ``_block_form`` tuple of its
     mode rows, and for the even block the constant-mode row -T gamma_n0 (None
     when T = 0).  ``A_even`` and ``A_odd`` form the dense block on first read
-    and keep it.  Whether a block is coupled is read off that form
-    (``_block``), so ``evolve`` and ``steady_residual`` never form a block
-    with no off-diagonal generator (B = T = 0, or a 1 x 1 mode block).
+    and keep it; one that overflows raises ArithmeticError (``_dense_block``).
+    Whether a block is coupled is read off that form (``_block``), so
+    ``evolve`` and ``steady_residual`` never form a block with no
+    off-diagonal generator (B = T = 0, or a 1 x 1 mode block).
     """
 
     basis: Basis
@@ -546,12 +538,12 @@ class SemiDiscreteSystem:
         A = np.empty((self.basis.M + 1,) * 2)
         A[0, 0], A[1:, 0] = self.reaction, 0.0
         A[0, 1:] = 0.0 if self._mean_row is None else self._mean_row
-        _cauchy_dense(*self._forms["even"], out=A[1:, 1:])
+        _dense_block(self._forms["even"], "even", out=A[1:, 1:])
         return A
 
     @cached_property
     def A_odd(self) -> np.ndarray:
-        return _cauchy_dense(*self._forms["odd"])
+        return _dense_block(self._forms["odd"], "odd")
 
     def _block(self, parity: str):
         """(f, diagonal, coupled) of one block: its forcing, its diagonal, and
@@ -837,8 +829,9 @@ def evolve(system: SemiDiscreteSystem, initial: CoefficientSet, dt: float,
     is; only an unforced diagonal run, filled at once, takes all steps + 1
     from the start.  Raises
     ArithmeticError at the first state whose max norm passes
-    1e12 (1 + the initial max norm) or is not finite, and ValueError for a
-    coupled block above ``_DENSE_MODES`` modes before forming it.
+    1e12 (1 + the initial max norm) or is not finite (or at a dense block
+    that overflows, before a step), and ValueError for a coupled block above
+    ``_DENSE_MODES`` modes before forming it.
     """
     if not (dt > 0.0) or not math.isfinite(dt):
         raise ValueError(f"dt must be positive and finite, got {dt!r}")

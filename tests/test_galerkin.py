@@ -220,14 +220,15 @@ def _negative_diagonal_spec(basis):
                       forcing=((2, 1.0),))
 
 
-def test_lu_paths_record_their_reason(basis30):
-    spec = gk.BvpSpec(a6=1.0, a4=-2.0, a2=-5.0, a0=7.0, forcing=((2, 1.0),))
-    sol = gk.solve_steady(spec, basis30)
-    assert sol.record == {"path": "lu", "reason": "matrix not symmetric"}
-    spec = _negative_diagonal_spec(basis30)
-    with pytest.warns(RuntimeWarning):
-        sol = gk.solve_steady(spec, basis30)
-    assert sol.record == {"path": "lu", "reason": "not definite"}
+def test_a4_and_not_definite_solves_below_the_crossover_run_gmres(basis30):
+    # Neither an asymmetric block (a4 != 0) nor an a4 = 0 block that is not
+    # definite runs a dense LU solve: both go to GMRES, with no warning.
+    for spec in (gk.BvpSpec(a6=1.0, a4=-2.0, a2=-5.0, a0=7.0, forcing=((2, 1.0),)),
+                 _negative_diagonal_spec(basis30)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = gk.solve_steady(spec, basis30)
+        assert sol.record["path"] == "gmres"
 
 
 def test_unsatisfiable_constant_mode_balance_fails_before_the_dense_solve():
@@ -257,11 +258,12 @@ def test_steady_solve_forms_the_exact_forcing_mean_once(a4, a2, M, monkeypatch):
     assert gk.forcing_projection(spec, build_basis(M))[0] == float(f0_exact(spec))
 
 
-def test_indefinite_system_falls_back_with_warning(basis30):
+def test_indefinite_system_solves_without_warning(basis30):
     # A reaction term large enough to flip some diagonal signs makes the
-    # matrix indefinite; the solver must warn and use a pivoted factorization.
+    # matrix indefinite; Cholesky fails and GMRES solves it, with no warning.
     spec = _negative_diagonal_spec(basis30)
-    with pytest.warns(RuntimeWarning):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         sol = gk.solve_steady(spec, basis30)
     A, fc, _ = gk.assemble_steady(spec, basis30)
     res = A @ sol.uc[1:] - fc
@@ -329,6 +331,27 @@ def test_overflowed_semi_discrete_block_is_refused_at_assembly(given):
         with pytest.raises(ArithmeticError,
                            match="^the even mode block overflows double precision$"):
             gk.assemble_semi_discrete(build_basis(60), **given)
+
+
+@pytest.mark.parametrize("parity, form", [
+    ("even", lambda basis: gk.assemble_steady(
+        gk.BvpSpec(a6=1.0, a4=1e300, a2=0.0, a0=-1.0), basis)),
+    ("even", lambda basis: gk.evolve(gk.model_ii_semi_discrete(basis, B=1e300),
+                                     gk.solve_steady(gk.MODEL_I, basis), 1e-4, 10, 1.0)),
+    ("even", lambda basis: gk.evolve(gk.model_ii_semi_discrete(basis, T=1e295),
+                                     gk.solve_steady(gk.MODEL_I, basis), 1e-4, 10, 1.0)),
+    ("odd", lambda basis: gk.assemble_semi_discrete(basis, B=1e300).A_odd),
+], ids=["assemble_steady", "evolve-B", "evolve-T", "A_odd"])
+def test_a_dense_block_that_overflows_from_a_finite_form_is_refused(basis30, parity, form):
+    # At M = 30 these forms are finite but their dense blocks overflow.
+    # Each is refused where it is formed, with no numpy warning, rather than
+    # returned with inf entries or stepped into a state that reads as
+    # diverged.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ArithmeticError,
+                           match=f"^the {parity} mode block overflows double precision$"):
+            form(basis30)
 
 
 def test_zero_mean_consistency_without_reaction(basis30):
@@ -470,6 +493,23 @@ def test_krylov_solves_match_the_dense_solve_above_the_crossover(M, coupled):
         # The benchmark's a4 range, +-[1, 100], when coupled.
         a4 = rng.uniform(1.0, 100.0) * rng.choice([-1.0, 1.0]) if coupled else 0.0
         _assert_matches_the_dense_solve(_random_bench_spec(rng, a4), basis, "gmres")
+
+
+@pytest.mark.parametrize("M", [1, 2, 7, 64, 65, 100])
+def test_a4_solves_up_to_the_crossover_run_gmres_and_match_the_dense_solve(M):
+    # Up to 64 modes the preconditioner is the block's own inverse; at 65 and
+    # 100 one or 36 modes lie past it.  No a4 != 0 solve runs a dense LU.
+    basis = build_basis(M)
+    rng = np.random.default_rng([M, 4])
+    for _ in range(4):
+        spec = _random_bench_spec(rng, rng.uniform(1.0, 100.0) * rng.choice([-1.0, 1.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = gk.solve_steady(spec, basis)
+        assert sol.record["path"] == "gmres"
+        A, fc, _ = gk.assemble_steady(spec, basis)
+        dense = np.linalg.solve(A, fc)
+        assert np.max(np.abs(sol.uc[1:] - dense)) <= 1e-14 * np.max(np.abs(dense))
 
 
 @pytest.mark.parametrize("a4", [-30.0, -5.0, 5.0, 30.0, 100.0])
@@ -711,11 +751,12 @@ def _indefinite_spec(basis):
     return gk.BvpSpec(a6=1.0, a4=0.0, a2=-5544.0, a0=a0, forcing=((2, 1.0),))
 
 
-def test_indefinite_a4_zero_specs_solve_on_gmres_above_the_crossover():
-    # Definiteness decides nothing above the crossover: negative diagonal
-    # entries of -A (which send Cholesky to LU at M = 30) and an indefinite
-    # -A with a positive diagonal both solve by GMRES, with no warning.
-    basis = build_basis(_ABOVE)
+@pytest.mark.parametrize("M", [30, 100, _ABOVE])
+def test_indefinite_a4_zero_specs_solve_on_gmres_above_the_crossover(M):
+    # Negative diagonal entries of -A and an indefinite -A with a positive
+    # diagonal both solve by GMRES, with no warning: up to the crossover
+    # after Cholesky finds the block not definite, above it at once.
+    basis = build_basis(M)
     for spec in (_negative_diagonal_spec(basis), _indefinite_spec(basis)):
         _assert_matches_the_dense_solve(spec, basis, "gmres")
 
@@ -726,9 +767,7 @@ def _fallback_warning(spec, basis):
     return caught[0]
 
 
-def test_fallback_warnings_name_the_caller_of_solve_steady(monkeypatch, basis30):
-    spec = _negative_diagonal_spec(basis30)
-    assert _fallback_warning(spec, basis30).filename == __file__  # Cholesky
+def test_fallback_warnings_name_the_caller_of_solve_steady(monkeypatch):
     monkeypatch.setattr(gk, "_GMRES_MAX_ITERATIONS", 2)
     assert _fallback_warning(gk.MODEL_II, build_basis(_ABOVE)).filename == __file__
 
@@ -1762,8 +1801,8 @@ def test_decay_factor_property(m, theta, steps):
        basis=st.sampled_from([_B20, _B_ABOVE]))
 def test_steady_solve_satisfies_modal_equations_property(c2, c4, a2, a4, basis):
     # a4 <= 0 keeps the operator away from resonance (a4 ~ +10 makes it
-    # singular at M = 20); the draws cover the diagonal, Cholesky, LU and
-    # GMRES paths.
+    # singular at M = 20); the draws cover the diagonal, Cholesky and GMRES
+    # paths.
     spec = gk.BvpSpec(a6=1.0, a4=a4, a2=a2, a0=7.0,
                       forcing=((2, c2), (4, c4)))
     sol = gk.solve_steady(spec, basis)
@@ -1774,5 +1813,5 @@ def test_steady_solve_satisfies_modal_equations_property(c2, c4, a2, a4, basis):
     if sol.record["path"] == "gmres":
         assert sol.record["residual"] <= 1e-13
     dense = basis.M <= gk._KRYLOV_CROSSOVER
-    assert sol.record["path"] == ("diagonal" if a4 == a2 == 0.0 else "gmres" if not dense
-                                  else "cholesky" if a4 == 0.0 else "lu")
+    assert sol.record["path"] == ("diagonal" if a4 == a2 == 0.0
+                                  else "cholesky" if a4 == 0.0 and dense else "gmres")
