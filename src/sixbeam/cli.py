@@ -85,8 +85,9 @@ def _table_text(header: list, columns: list, fmt: str, indent: str = "") -> str:
     and an integer array a ``"%d"`` field: each cell's ``_cell`` or
     ``_json_cell`` text, save in a JSON float array holding a non-finite
     value.  After the first column a float array of +0.0 alone is a literal,
-    and one with the bits of ``np.abs`` of the column before it
-    (``_is_abs_of``) takes that column's text unsigned.  A bool array takes
+    and one with the bits of an earlier one, their negation or their
+    absolute value (``_shared_text``) takes its text, each cell formatted
+    once, with signs flipped or stripped to match.  A bool array takes
     ``_BOOL_TEXT`` by one index; any other column, its cells' text, with
     one encoding per distinct value of a str array.  The columns after the
     first share one length from 1 to its own (``ValueError`` otherwise):
@@ -113,7 +114,7 @@ def _table_text(header: list, columns: list, fmt: str, indent: str = "") -> str:
         sep, bottom = ",\n", f"\n{indent}]\n"
     n = len(columns[0])
     held = len(columns[1]) if len(columns) > 1 else n  # the later columns' length
-    fields, values = [], []
+    fields, values, floats = [], [], {}
     for i, col in enumerate(columns):
         if i and (len(col) != held or held > n or not held and n):
             raise ValueError(f"column {header[i]!r} has {len(col)} cells: the columns after "
@@ -124,12 +125,14 @@ def _table_text(header: list, columns: list, fmt: str, indent: str = "") -> str:
             fields.append(zero)  # number % 0.0; -0.0 is "-0" or "-0.0"
             values.append(None)
             continue
-        if i and _is_abs_of(col, columns[i - 1]):
-            if fields[-1] != "%s":  # the column before: each cell formatted once
-                fields[-1], values[-1] = "%s", ("\n".join([number] * len(values[-1]))
-                                                % tuple(values[-1])).split("\n")
+        shared = _shared_text(i, columns, floats)
+        if shared is not None:
+            j, sign = shared
+            if fields[j] != "%s":  # the earlier column: each cell formatted once
+                fields[j], values[j] = "%s", ("\n".join([number] * len(values[j]))
+                                              % tuple(values[j])).split("\n")
             fields.append("%s")
-            values.append(_unsigned(values[-1]))
+            values.append(_resigned(values[j], sign))
             continue
         if kind == "f" and finite_only and not np.all(np.isfinite(col)):
             kind = "O"  # NaN and +-Infinity, as _json_cell writes them
@@ -162,25 +165,37 @@ def _table_text(header: list, columns: list, fmt: str, indent: str = "") -> str:
     return "".join((top, text, bottom))
 
 
-def _is_abs_of(col, prev) -> bool:
-    """Whether float array ``col`` has exactly the bits of ``np.abs(prev)``.
+def _shared_text(i: int, columns: list, floats: dict):
+    """(j, sign) if float64 array ``columns[i]`` has the bits of an earlier one
+    of its length, ``columns[j]`` (sign ``""``), their negation (``"-"``) or
+    their absolute value (``"abs"``); else None, and ``columns[i]`` joins the
+    candidates, which ``floats`` keys by length and end cells' magnitudes."""
+    col, sign_bit = columns[i], np.int64(-2 ** 63)
+    if not (isinstance(col, np.ndarray) and col.dtype == np.float64 and col.size):
+        return None
+    bits = col.view(np.int64)
+    seen = floats.setdefault((len(col), *(bits[[0, -1]] & ~sign_bit).tolist()), [])
+    for j in seen:
+        diff = bits ^ columns[j].view(np.int64)  # 0 or the sign bit where magnitudes match
+        if not np.any(diff & ~sign_bit):
+            for sign, match in (("", not np.any(diff)), ("-", np.all(diff)),
+                                ("abs", not np.any(bits < 0))):
+                if match:
+                    return j, sign
+    seen.append(i)
 
-    Then each of its cells is that of ``prev`` with the sign bit cleared,
-    and its text, in ``"%.17g"`` and in ``_json_cell`` alike, is that of
-    ``prev`` with the leading ``-`` removed: both write -0.0, -inf and
-    negative numbers with a leading ``-`` and every NaN without one.  Only
-    a column with no sign bit set is compared, in O(rows).
-    """
-    return (isinstance(col, np.ndarray) and col.dtype.kind == "f"
-            and isinstance(prev, np.ndarray) and prev.dtype == col.dtype
-            and prev.shape == col.shape and not np.any(np.signbit(col))
-            and np.abs(prev).tobytes() == col.tobytes())
 
-
-def _unsigned(texts: list) -> list:
-    """Each cell text with its leading ``-`` removed, by one replace over the
-    texts joined by newlines (no float's text holds one)."""
-    return ("\n" + "\n".join(texts)).replace("\n-", "\n").split("\n")[1:] if texts else []
+def _resigned(texts: list, sign: str) -> list:
+    """``texts`` with each leading ``-`` flipped (``sign`` ``"-"``) or removed
+    (``"abs"``), by replaces over their newline-joined text.  ``"%.17g"`` and
+    ``_json_cell`` alike give -0.0, -inf and negative numbers a leading ``-``
+    and a NaN (``nan``, ``NaN``) none."""
+    if not (sign and texts):
+        return texts
+    text = "\n" + "\n".join(texts)
+    text = (text.replace("\n-", "\n") if sign == "abs" else text.replace("\n", "\n-")
+            .replace("\n--", "\n").replace("\n-n", "\nn").replace("\n-N", "\nN"))
+    return text.split("\n")[1:]
 
 
 def _json_cell(v) -> str:

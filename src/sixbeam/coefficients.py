@@ -556,18 +556,25 @@ def synthesize(coeffs: CoefficientSet, x, k: int = 0):
 
     The points, flattened, go through ``psi_block`` in chunks of at most
     ``_SYNTHESIS_ENTRIES // M``, so memory stays O(states x points + 2**18).
-    The result has shape ``u0c.shape + x.shape``.
+    The result has shape ``u0c.shape + x.shape``.  Each parity sums the
+    modes of a ``galerkin.Trajectory``'s ``modes`` range, or else all M (none
+    if all are +-0.0).  One mode gives u0c/2 + a_m psi_m(x), the bits of the
+    sum over all M; several short of M may round otherwise (BLAS blocks the
+    sum by its length).
     """
     xa = _check_eval_args(x, k)
     flat = xa.reshape(-1)
     vals = np.zeros(np.shape(coeffs.u0c) + flat.shape)
     if k == 0:
         vals += 0.5 * np.expand_dims(coeffs.u0c, -1)
+    stepped = getattr(coeffs, "modes", None) or {}
     for parity, u in ((Parity.EVEN, coeffs.uc), (Parity.ODD, coeffs.us)):
-        if np.any(u[..., 1:]):  # an all-zero parity needs no psi_block
-            for cols in _point_chunks(coeffs.basis, flat.size):
-                vals[..., cols] += u[..., 1:] @ psi_block(coeffs.basis, parity,
-                                                          flat[cols], int(k))
+        modes = stepped.get(parity.value)
+        if modes is None:  # np.any on the strided view, with no copy
+            modes = range(1, coeffs.basis.M + 1) if np.any(u[..., 1:]) else range(0)
+        for cols in _point_chunks(coeffs.basis, flat.size) if modes else ():
+            vals[..., cols] += u[..., modes.start:modes.stop] @ psi_block(
+                coeffs.basis, parity, flat[cols], int(k), modes)
     vals = vals.reshape(np.shape(coeffs.u0c) + xa.shape)
     return float(vals) if vals.ndim == 0 else vals
 

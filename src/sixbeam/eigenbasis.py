@@ -413,15 +413,20 @@ def eval_psi(basis: Basis, parity, m: int, x, k: int = 0):
     return float(out[0]) if scalar else out
 
 
-def psi_block(basis: Basis, parity, x, k: int = 0) -> np.ndarray:
-    """psi_m^{(k)}(x) for m = 1..M (rows) over the points x, of shape
-    ``(M,) + x.shape`` (``(M, 1)`` for a scalar x)."""
+def psi_block(basis: Basis, parity, x, k: int = 0, modes: range | None = None) -> np.ndarray:
+    """psi_m^{(k)}(x) for m in ``modes`` (rows; default 1..M) over the points x,
+    of shape ``(len(modes),) + x.shape`` (``(len(modes), 1)`` for a scalar x).
+    Each row has the bits of the same row of the default block."""
     parity = _parity(parity)
     xa = np.atleast_1d(_check_eval_args(x, k))
+    rows = range(1, basis.M + 1) if modes is None else modes
+    if not (rows.step == 1 and 1 <= rows.start <= rows.stop <= basis.M + 1):
+        raise ValueError(f"modes must be a unit-step range in [1, {basis.M}], got {rows!r}")
+    r = slice(rows.start, rows.stop)
     if parity is Parity.EVEN:
-        lam, c, w = basis.lam_even[1:], basis.c_even[1:], basis.w_even[1:]
+        lam, c, w = basis.lam_even[r], basis.c_even[r], basis.w_even[r]
     else:
-        lam, c, w = basis.lam_odd[1:], basis.c_odd[1:], basis.w_odd[1:]
+        lam, c, w = basis.lam_odd[r], basis.c_odd[r], basis.w_odd[r]
     col = (slice(None), None)
     block = _psi_core(parity, lam[col], c[col], w[col], xa.reshape(1, -1), int(k))
-    return block.reshape((basis.M,) + xa.shape)
+    return block.reshape((len(lam),) + xa.shape)

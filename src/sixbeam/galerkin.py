@@ -66,7 +66,7 @@ _GMRES_MAX_ITERATIONS = 30  # specs tried need 2-4; each holds one more M-vector
 _GMRES_ACCEPT = 1e-13       # largest ||A u - f|| / ||f|| a GMRES answer may keep
 _JACOBI_BLOCK = 64          # modes in the leading block of the preconditioner
 _SUBSTITUTION_BLOCK = 64
-_GUARD_BLOCK = 16           # evolve steps between divergence guards
+_GUARD_BLOCK = 16           # evolve steps between guards, or fewer for a dense map
 _INVERSE_LEAF = 64          # largest block _schur_inverse hands to LAPACK
 _RESIDUAL_ROWS = 128        # rows of |A| that steady_residual forms at a time
 # The largest M at which a dense mode block is formed.  The LU fallback holds
@@ -441,12 +441,20 @@ def _solve_modes(spec: BvpSpec, basis: Basis, fc: np.ndarray):
     BLAS thread count.  When GMRES fails a dense LU solve runs, with a
     warning, up to ``_DENSE_MODES`` modes; above them the solve raises.  A
     formed block (dense, or GMRES's leading one) with an inf or NaN is
-    refused like an overflowed form, before anything is factored.
+    refused like an overflowed form, before anything is factored.  A form
+    that overflows is retried over 2^e, a power of four near |a6|, whose
+    Cholesky factor scales exactly: ``pivot_scale`` = 2^e times a pivot is A's.
     """
-    form = _block_form(spec, basis, "even")
+    try:
+        form, e = _block_form(spec, basis, "even"), 0
+    except ArithmeticError:
+        e = 2 * (math.frexp(spec.a6)[1] // 2)
+        spec = BvpSpec(*(math.ldexp(a, -e) for a in (spec.a6, spec.a4, spec.a2, spec.a0)))
+        form, fc = _block_form(spec, basis, "even"), np.ldexp(fc, -e)
     if spec.a4 == 0.0 and basis.M <= _KRYLOV_CROSSOVER:
         solved = _solve_cholesky(-math.copysign(1.0, spec.a6), _dense_block(form, "even"), fc)
         if solved is not None:
+            solved[1].update({"pivot_scale": math.ldexp(1.0, e)} if e else {})
             return solved
     solved = _solve_gmres(form, basis, "even", fc)
     return solved if solved is not None else _dense_fallback(form, fc)
@@ -663,10 +671,15 @@ class Trajectory(CoefficientSet):
     ``stationary_from`` is the first step k from which every later state
     equals state k bit for bit (the stepping stopped there, and the stack
     ends with state k), or None if the last step still moved the state.
+    ``modes`` is ``{"even": range, "odd": range}``, the modes each block
+    stepped (none for a zero block, 1..M for a step map, the moving ones of
+    a diagonal block); every other mode is +0.0 in every state, so
+    ``synthesize`` sums these alone (all M, or none, when ``modes`` is None).
     """
 
     record: dict = field(default_factory=dict)
     stationary_from: int | None = None
+    modes: dict | None = None
 
 
 def _schur_inverse(L: np.ndarray) -> np.ndarray:
@@ -739,7 +752,7 @@ def _diagonal_run(mu: np.ndarray, f: np.ndarray, u0: np.ndarray, dt: float,
         first = P * u0 + g
     live = np.flatnonzero((first.view(np.int64) != u0.view(np.int64))
                           | (u0.view(np.int64) != 0))
-    cols = slice(live[0], live[-1] + 1) if live.size else slice(0)
+    cols = slice(live[0], live[-1] + 1) if live.size else slice(0, 0)
     return cols, P[cols], g[cols]
 
 
@@ -821,16 +834,17 @@ def evolve(system: SemiDiscreteSystem, initial: CoefficientSet, dt: float,
     Returns the trajectory as one stacked coefficient set with a leading
     step axis, initial state included: ``u0c[k]``, ``uc[k]``, ``us[k]``.
     Once a step leaves the state bit-identical (``_guard`` bisects each
-    guard block for the first such step), stepping stops and the stack
+    guard block for the first such step; dense maps end a block where the
+    coefficient of each one's mode 1 repeats), stepping stops and the stack
     ends with that state, step ``Trajectory.stationary_from``, which every
-    later step repeats; otherwise it holds all steps + 1 states.  The
-    stacks are allocated for the rows stepped, doubling from two guard
-    blocks, so a run that stops early allocates few rows whatever ``steps``
-    is; only an unforced diagonal run, filled at once, takes all steps + 1
-    from the start.  Raises
-    ArithmeticError at the first state whose max norm passes
-    1e12 (1 + the initial max norm) or is not finite (or at a dense block
-    that overflows, before a step), and ValueError for a coupled block above
+    later step repeats; otherwise it holds all steps + 1 states.  The stacks are
+    allocated for the rows stepped, doubling from two guard blocks, so a
+    run that stops early allocates few rows whatever ``steps`` is; only an
+    unforced diagonal run, filled at once, takes all steps + 1 from the
+    start.  ``Trajectory.modes`` names the modes each block stepped.
+    Raises ArithmeticError at the first state whose max norm passes 1e12
+    (1 + the initial max norm) or is not finite (or at a dense block that
+    overflows, before a step), and ValueError for a coupled block above
     ``_DENSE_MODES`` modes before forming it.
     """
     if not (dt > 0.0) or not math.isfinite(dt):
@@ -850,11 +864,12 @@ def evolve(system: SemiDiscreteSystem, initial: CoefficientSet, dt: float,
     # u0c (A_even's constant mode) until the end; that of the odd one is 0.
     start = np.zeros((2, basis.M + 1))
     start[0, 0], start[0, 1:], start[1, 1:] = initial.u0c, initial.uc[1:], initial.us[1:]
-    record, maps, runs = {}, [], []
+    record, modes, maps, runs = {}, {}, [], []
     for i, parity in enumerate(("even", "odd")):
         f, diagonal, coupled = system._block(parity)
         record[parity] = ("zero" if not (np.any(f) or np.any(start[i]))
                           else "step-map" if coupled else "diagonal")
+        modes[parity] = range(0) if record[parity] == "zero" else range(1, basis.M + 1)
         if not steps or record[parity] == "zero":
             continue
         if coupled:
@@ -862,10 +877,14 @@ def evolve(system: SemiDiscreteSystem, initial: CoefficientSet, dt: float,
         else:
             cols, P, g = _diagonal_run(diagonal, f, start[i, i:], dt, theta)
             cols, step = slice(cols.start + i, cols.stop + i), partial(np.multiply, P)
+            modes[parity] = range(max(cols.start, 1), max(cols.stop, 1))
         if coupled or np.any(g):
             maps.append((i, cols, step, g))
         else:
             runs.append((i, cols, P, g))
+    # A dense block's lowest mode, 1, settles last: a guard block ends where
+    # it repeats.  A test per elementwise step would cost ~10% of the step.
+    watch = "diagonal" not in record.values()
     # The stacks hold only the rows stepped: an unforced diagonal run fills
     # all steps + 1 at once, and the maps start with two guard blocks' rows
     # and double them as they step on.  Unwritten rows are not free: once a
@@ -896,6 +915,7 @@ def evolve(system: SemiDiscreteSystem, initial: CoefficientSet, dt: float,
         if views is None:  # each block's view of the stacks, once per allocation
             views = [(step, g, stack[i][:, cols]) for i, cols, step, g in maps]
             moved = [stack[i][:, cols] for i, cols, *_ in maps + runs]
+            lowest = [stack[i, :, 1].view(np.int64) for i, *_ in maps]  # mode 1
         # Steps past a divergence overflow silently; the guard reports the
         # first row that crossed the limit, as a per-step check would.
         with np.errstate(over="ignore", invalid="ignore"):
@@ -903,6 +923,9 @@ def evolve(system: SemiDiscreteSystem, initial: CoefficientSet, dt: float,
                 for step, g, u in views:
                     step(u[j], u[j + 1])
                     u[j + 1] += g
+                if watch and all(c[j + 1] == c[j] for c in lowest):
+                    end = j + 1
+                    break
         stationary_from = _guard(moved, k, end, limit)
         k = end
     n = steps + 1 if stationary_from is None else stationary_from + 1
@@ -911,4 +934,4 @@ def evolve(system: SemiDiscreteSystem, initial: CoefficientSet, dt: float,
     if np.any(u0c.view(np.int64)):  # else writing +0.0 would only touch every page
         even[:, 0] = 0.0
     return Trajectory(basis=basis, u0c=u0c, uc=even, us=odd, record=record,
-                      stationary_from=stationary_from)
+                      stationary_from=stationary_from, modes=modes)

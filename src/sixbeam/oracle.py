@@ -93,13 +93,19 @@ def _gauss_legendre(order: int):
 
 
 def make_rule(panels: int) -> QuadratureRule:
-    """Build a composite rule and verify its basic integration invariants."""
+    """A composite rule, its basic integration invariants verified; the last
+    few are built once per process and kept (read-only), for reuse."""
     if not _is_int(panels) or panels < 1:
         raise ValueError(f"panel count must be a positive integer, got {panels!r}")
     if panels * PANEL_ORDER > _MAX_POINTS:
         raise ValueError(
             f"panel count {panels} exceeds the node budget "
             f"({_MAX_POINTS // PANEL_ORDER} panels)")
+    return _composite_rule(int(panels))
+
+
+@lru_cache(maxsize=4)
+def _composite_rule(panels: int) -> QuadratureRule:
     x0, w0 = _gauss_legendre(PANEL_ORDER)
     h = 2.0 / panels
     index = np.arange(panels)
@@ -116,7 +122,9 @@ def make_rule(panels: int) -> QuadratureRule:
     hi = math.fsum(weights * nodes ** PANEL_ORDER)
     if abs(hi - 2.0 / (PANEL_ORDER + 1)) > 1e-14 * (2.0 / (PANEL_ORDER + 1)):
         raise ArithmeticError("quadrature rule failed polynomial exactness check")
-    return QuadratureRule(panels=int(panels), nodes=nodes, weights=weights,
+    for array in (nodes, weights, left, left_lo, offsets):
+        array.flags.writeable = False
+    return QuadratureRule(panels=panels, nodes=nodes, weights=weights,
                           left=left, left_lo=left_lo, offsets=offsets)
 
 

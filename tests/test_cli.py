@@ -812,6 +812,25 @@ def test_diagonal_solve_beyond_the_double_range_matches_its_scaled_spec(tmp_path
     assert np.all(np.abs(big - small) <= 1e-12 * np.abs(small))
 
 
+def test_a_coupled_solve_beyond_the_double_range_matches_its_scaled_spec(tmp_path):
+    # a6 lam^6 passes the double range from mode ~7, so the unscaled even
+    # form overflows; its rows divided by 4^498 near a6 solve, with the
+    # coefficient bytes of the spec scaled so, and no warning.
+    scale = 2.0 ** -996
+    texts = []
+    for stem, argv in (("big", ["--a6", "1e300", "--a2", "1", "--a0=-1", "--forcing", "2:1"]),
+                       ("small", [f"--a6={1e300 * scale!r}", f"--a2={scale!r}",
+                                  f"--a0={-scale!r}", "--forcing", f"2:{scale!r}"])):
+        proc = _fresh("-m", "sixbeam.cli", "solve", *argv, "--M", "40",
+                      "--out", str(tmp_path / stem))
+        assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+        texts.append((tmp_path / f"{stem}.coefficients.csv").read_text())
+        summary = json.loads((tmp_path / f"{stem}.summary.json").read_text())
+        assert summary["solver"]["path"] == "cholesky"
+        assert summary["solver"].get("pivot_scale") == (2.0 ** 996 if stem == "big" else None)
+    assert texts[0] == texts[1] and texts[0].count("\n") == 42
+
+
 def test_config_file_errors(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{nope")
@@ -1094,9 +1113,12 @@ def test_a_column_of_magnitudes_takes_the_text_of_the_column_before(monkeypatch,
     u = np.array([1.5, -1.5, 0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324,
                   -5e-324, -2.2250738585072014e-308, 1.0 / 3.0, -1e22, -7.0])
     n = np.arange(len(u))
-    for header, columns in ((["n", "u", "abs_u"], [n, u, np.abs(u)]),
-                            (["u", "abs_u", "again"], [u, np.abs(u), np.abs(u)])):
-        assert cli._is_abs_of(columns[2], columns[1])
+    # A twin of a shared column shares the column that one shares.
+    for header, columns, twin in ((["n", "u", "abs_u"], [n, u, np.abs(u)], (1, "abs")),
+                                  (["u", "abs_u", "again"], [u, np.abs(u), np.abs(u)],
+                                   (0, "abs"))):
+        assert cli._shared_text(2, columns, {}) is None  # not a candidate yet
+        assert cli._shared_text(2, columns, _candidates(columns, 2)) == twin
         rows = [list(row) for row in zip(*_cells(columns))]
         assert _table_text(header, columns, fmt) == _per_cell_table(header, rows, fmt)
         for stationary_from in (0, 5):
@@ -1105,10 +1127,10 @@ def test_a_column_of_magnitudes_takes_the_text_of_the_column_before(monkeypatch,
                 [row[0], *rows[stationary_from][1:]] for row in rows[stationary_from + 1:]]
             assert _table_text(header, held, fmt) == _per_cell_table(header, want, fmt)
     unsigned = []
-    monkeypatch.setattr(cli, "_unsigned", lambda texts: unsigned.append(texts) or [
+    monkeypatch.setattr(cli, "_resigned", lambda texts, sign: unsigned.append(sign) or [
         t.lstrip("-") for t in texts])
     _table_text(["n", "u", "abs_u"], [n, u, np.abs(u)], fmt)
-    assert len(unsigned) == 1 and len(unsigned[0]) == len(u)
+    assert unsigned == ["abs"]
     monkeypatch.undo()
     # A column that differs from |u| in one entry (a zero's sign, one ulp, a
     # NaN payload) is not one, and neither is a shorter column after a full
@@ -1117,14 +1139,64 @@ def test_a_column_of_magnitudes_takes_the_text_of_the_column_before(monkeypatch,
     for i, value in ((2, -0.0), (0, np.nextafter(1.5, 2.0)), (6, payload)):
         near = np.abs(u)
         near[i] = value
-        assert not cli._is_abs_of(near, u)
         columns = [n, u, near]
+        assert cli._shared_text(2, columns, _candidates(columns, 2)) is None
         rows = [list(row) for row in zip(*_cells(columns))]
         assert _table_text(["n", "u", "a"], columns, fmt) == _per_cell_table(
             ["n", "u", "a"], rows, fmt)
-    assert not cli._is_abs_of(np.abs(u)[:5], u)
-    assert not cli._is_abs_of(np.abs(u).astype(np.float32), u)
-    assert not cli._is_abs_of(list(np.abs(u)), u)
+    for other in (np.abs(u)[:5], np.abs(u).astype(np.float32), list(np.abs(u))):
+        assert cli._shared_text(1, [u, other], _candidates([u], 1)) is None
+
+
+def _candidates(columns, i):
+    """``_table_text``'s candidate map after its first i columns."""
+    floats = {}
+    for j in range(i):
+        cli._shared_text(j, columns, floats)
+    return floats
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_mirrored_columns_share_the_text_of_an_earlier_column(monkeypatch, fmt):
+    # evolve's sample columns at x = -0.5 and 0.5 have the same bits for an
+    # even state and negated ones for an odd state.  A float column with
+    # the bits of any earlier column of its length, their negation or their
+    # absolute value is written from that column's texts with each sign
+    # flipped or stripped, formatted once: the per-cell bytes, for zeros,
+    # infinities and NaNs of either sign, with a column between them, for
+    # held columns and after the first column.
+    u = np.array([1.5, -1.5, 0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324,
+                  -5e-324, -2.2250738585072014e-308, 1.0 / 3.0, -1e22, -7.0])
+    other = np.linspace(-1.0, 1.0, len(u))
+    header = ["n", "u", "v", "w", "same", "neg", "abs", "neg_neg"]
+    columns = [np.arange(len(u)), u, other, np.zeros(len(u)), u.copy(), -u, np.abs(u),
+               -(-u)]
+    rows = [list(row) for row in zip(*_cells(columns))]
+    assert _table_text(header, columns, fmt) == _per_cell_table(header, rows, fmt)
+    # u's cells are formatted once; each twin takes their texts re-signed.
+    assert [cli._shared_text(i, columns, _candidates(columns, i)) for i in (4, 5, 6, 7)] == [
+        (1, ""), (1, "-"), (1, "abs"), (1, "")]
+    signs = []
+    monkeypatch.setattr(cli, "_resigned", lambda texts, sign, resign=cli._resigned: (
+        signs.append(sign) or resign(texts, sign)))
+    assert _table_text(header, columns, fmt) == _per_cell_table(header, rows, fmt)
+    assert signs == ["", "-", "abs", ""]
+    monkeypatch.undo()
+    for stationary_from in (0, 5):
+        held = _held(columns, stationary_from)
+        want = rows[:stationary_from + 1] + [
+            [row[0], *rows[stationary_from][1:]] for row in rows[stationary_from + 1:]]
+        assert _table_text(header, held, fmt) == _per_cell_table(header, want, fmt)
+    # -0.0 against +0.0 and one ulp apart are other bits (the negation of
+    # such a column shares its text).
+    n = np.arange(len(u))
+    for near in (np.where(u == 0.0, -u, u), np.nextafter(u, 0.0)):
+        cols = [n, u, near, -near]
+        table = [list(row) for row in zip(*_cells(cols))]
+        assert cli._shared_text(2, cols, _candidates(cols, 2)) is None
+        assert cli._shared_text(3, cols, _candidates(cols, 3)) == (2, "-")
+        assert _table_text(["n", "u", "a", "b"], cols, fmt) == _per_cell_table(
+            ["n", "u", "a", "b"], table, fmt)
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -1211,14 +1283,18 @@ def _tables(draw):
     n = draw(st.integers(0, 8))
     held = draw(st.integers(min(n, 1), n))
     kinds = draw(st.lists(st.sampled_from(
-        ["float", "int", "bool", "str", "list", "abs", "zeros"]), min_size=1, max_size=6))
+        ["float", "int", "bool", "str", "list", "abs", "neg", "same", "zeros"]),
+        min_size=1, max_size=6))
     columns = []
     for j, kind in enumerate(kinds):
         size = held if j else n
-        prev = columns[-1] if columns else None
-        if kind == "abs" and isinstance(prev, np.ndarray) and prev.dtype.kind == "f":
-            col = np.abs(prev[:size])
-        elif kind in ("float", "abs"):
+        # Twins of any earlier float column: its bits, their negation or their
+        # absolute value, of the held length (shorter than a longer first one).
+        floats = [c for c in columns if isinstance(c, np.ndarray) and c.dtype.kind == "f"]
+        if kind in ("abs", "neg", "same") and floats:
+            prev = draw(st.sampled_from(floats))[:size]
+            col = np.abs(prev) if kind == "abs" else -prev if kind == "neg" else prev.copy()
+        elif kind in ("float", "abs", "neg", "same"):
             wide = draw(st.booleans())
             col = np.array(draw(st.lists(_FLOATS if wide else st.floats(width=32),
                                          min_size=size, max_size=size)),
@@ -1245,8 +1321,10 @@ def _tables(draw):
 @settings(max_examples=100, deadline=None)
 @given(table=_tables())
 def test_table_text_matches_the_per_cell_writer_on_random_tables(table):
-    # Mixed columns with every float class, |column| twins and chains of
-    # them, +0.0 literals and held later columns of any length: both formats,
+    # Mixed columns with every float class (+-0.0, +-inf and NaNs of either
+    # sign among them), twins of earlier columns (the same bits, negated or
+    # absolute) and chains of them, +0.0 literals and held later columns of
+    # any length: both formats,
     # and JSON one level deeper, give the per-cell bytes.
     header, columns, rows = table
     assert _table_text(header, columns, "csv") == _per_cell_table(header, rows, "csv")

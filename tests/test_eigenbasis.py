@@ -368,9 +368,11 @@ def _mode_columns(basis, parity):
     return tuple(getattr(basis, f"{name}_{p}")[1:, None] for name in ("lam", "c", "w"))
 
 
-def _full_layer_psi_block(basis, parity, x, k=0):
+def _full_layer_psi_block(basis, parity, x, k=0, modes=None):
     xa = np.atleast_1d(np.asarray(x, dtype=float))
-    return _full_layer_psi_core(parity, *_mode_columns(basis, parity), xa[None, :], k)
+    rows = slice(None) if modes is None else slice(modes.start - 1, modes.stop - 1)
+    return _full_layer_psi_core(parity, *(v[rows] for v in _mode_columns(basis, parity)),
+                                xa[None, :], k)
 
 
 def _same_bits(got, want) -> bool:
@@ -437,6 +439,24 @@ def test_psi_block_and_eval_psi_keep_the_full_layer_bits(M):
                                             complex(w[m - 1]), xs, k)
                 assert _same_bits(eval_psi(basis, parity, m, xs, k), want), (parity, k, m)
                 assert _same_bits(eval_psi(basis, parity, m, xs[0], k), want[0])
+
+
+def test_psi_block_mode_ranges_keep_the_bits_of_the_full_block():
+    # synthesize evaluates a trajectory's stepped modes alone: each row of a
+    # range has the bits of that row of the block over 1..M, one mode and
+    # the ends included, at the layer's points and at evolve's samples.
+    basis = build_basis(500)
+    for xs in (_layer_points(basis, seed=2), np.array([-0.5, 0.0, 0.5])):
+        for parity in Parity:
+            for k in (0, 3, 6):
+                full = psi_block(basis, parity, xs, k)
+                for modes in (range(1, 2), range(3, 4), range(500, 501), range(17, 90),
+                              range(1, 501)):
+                    rows = full[modes.start - 1:modes.stop - 1]
+                    assert _same_bits(psi_block(basis, parity, xs, k, modes), rows)
+    for bad in (range(0, 3), range(2, 502), range(1, 9, 2), range(5, 4)):
+        with pytest.raises(ValueError, match="modes must be a unit-step range"):
+            psi_block(basis, "even", 0.5, 0, bad)
 
 
 def test_layer_bands_do_not_rely_on_sorted_modes():

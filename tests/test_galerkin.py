@@ -1,5 +1,6 @@
 """Steady Galerkin solves, their solver paths, and time stepping."""
 
+import dataclasses
 import itertools
 import tracemalloc
 import warnings
@@ -16,7 +17,7 @@ import frozen_reference as ref
 from sixbeam import coefficients as cf
 from sixbeam import galerkin as gk
 from sixbeam import oracle as oc
-from sixbeam.eigenbasis import MAX_MODES, build_basis
+from sixbeam.eigenbasis import MAX_MODES, build_basis, psi_block
 
 
 def _exact_solution(x):
@@ -320,6 +321,30 @@ def test_overflowed_form_is_refused_at_assembly(M):
     finally:
         tracemalloc.stop()
     assert peak < 20e6
+
+
+@pytest.mark.parametrize("M, a4, path", [(40, 0.0, "cholesky"), (140, 0.0, "gmres"),
+                                         (40, 1.0, "gmres")])
+def test_a_coupled_spec_past_the_double_range_solves_as_its_scaled_spec(M, a4, path):
+    # a6 lam^6 passes the double range from mode ~7, so the even block's form
+    # overflows.  The rows divided by 4^498, the power of four nearest a6 =
+    # 1e300 from below, are finite: the solve keeps the coefficients of the
+    # spec scaled so bit for bit, with no numpy warning, and Cholesky
+    # records the pivots of the scaled rows with their scale.
+    scale = 2.0 ** -996
+    spec = gk.BvpSpec(a6=1e300, a4=a4, a2=1.0, a0=-1.0, forcing=((2, 1.0),))
+    scaled = gk.BvpSpec(a6=1e300 * scale, a4=a4 * scale, a2=scale, a0=-scale,
+                        forcing=((2, scale),))
+    basis = build_basis(M)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sol = gk.solve_steady(spec, basis)
+    want = gk.solve_steady(scaled, basis)
+    assert sol.record["path"] == path
+    assert np.array_equal(sol.uc.view(np.int64), want.uc.view(np.int64))
+    assert sol.u0c == want.u0c
+    extra = {"pivot_scale": 2.0 ** 996} if path == "cholesky" else {}
+    assert sol.record == {**want.record, **extra}
 
 
 @pytest.mark.parametrize("given", [{"B": 1e300}, {"T": 1e300}], ids=["B", "T"])
@@ -1613,6 +1638,130 @@ def test_guard_raises_diverged_under_strict_floating_point(M, T, dt):
     with np.errstate(all="raise"):
         with pytest.raises(ArithmeticError, match="diverged"):
             gk.evolve(sys_, init, dt, 50, theta=0.0)
+
+
+def _counted_step_maps(monkeypatch):
+    """A list that gets one entry per step of any ``_step_map`` made after."""
+    calls, inner = [], gk._step_map
+
+    def counted(*args):
+        step, g = inner(*args)
+        return (lambda u, out: calls.append(1) or step(u, out)), g
+    monkeypatch.setattr(gk, "_step_map", counted)
+    return calls
+
+
+@pytest.mark.parametrize("M, T, theta", [(60, 0.0, 1.0), (60, 20.0, 1.0), (500, 0.0, 1.0),
+                                         (500, 20.0, 1.0), (500, "dominant", 1.0)])
+def test_a_stationary_dense_run_stops_at_the_step_after_its_fixed_point(
+        monkeypatch, M, T, theta):
+    # Each dense block's lowest coefficient is compared with its previous
+    # value after every step, and the guard block ends when it repeats: the
+    # step map runs stationary_from + 1 times, not to the end of its guard
+    # block, with the states and stationary step of per-step stepping.
+    calls = _counted_step_maps(monkeypatch)
+    basis = build_basis(M)
+    spec = dict(T=20.0, **_DOMINANT) if T == "dominant" else dict(T=T)
+    system = gk.model_ii_semi_discrete(basis, **spec)
+    init = cf.CoefficientSet.zeros(basis)
+    traj = gk.evolve(system, init, 1e-4, 300, theta)
+    assert traj.record == {"even": "step-map", "odd": "zero"}
+    k = traj.stationary_from
+    assert k is not None and k % gk._GUARD_BLOCK != gk._GUARD_BLOCK - 1
+    assert len(calls) == k + 1
+    reference = _per_step_evolve(system, init, 1e-4, 300, theta)
+    _assert_same_trajectory(traj, reference)
+    assert k == _guarded_stationary_from(reference, 300)
+
+
+@pytest.mark.parametrize("case", ["half-T20", "dominant-odd", "explicit", "explicit-inf"])
+def test_dense_runs_match_per_step_stepping_state_for_state(monkeypatch, case):
+    # Runs that never become stationary step to their end, and diverging
+    # ones fail with the per-step message, also when the state overflows to
+    # inf and its lowest coefficient repeats.
+    calls = _counted_step_maps(monkeypatch)
+    basis = build_basis(65)
+    us = np.zeros(66)
+    us[3] = 1.0
+    system, init, dt, steps, theta = {
+        "half-T20": (gk.model_ii_semi_discrete(basis, T=20.0), cf.CoefficientSet.zeros(basis),
+                     1e-4, 200, 0.5),
+        "dominant-odd": (gk.model_ii_semi_discrete(basis, T=20.0, **_DOMINANT),
+                         cf.CoefficientSet(basis, 0.0, np.zeros(66), us), 1e-4, 100, 0.5),
+        "explicit": (gk.model_ii_semi_discrete(basis, T=20.0), cf.CoefficientSet.zeros(basis),
+                     1e-3, 50, 0.0),
+        "explicit-inf": (gk.model_ii_semi_discrete(basis, T=20.0),
+                         cf.CoefficientSet.zeros(basis), 1e30, 50, 0.0),
+    }[case]
+    try:
+        reference = _per_step_evolve(system, init, dt, steps, theta)
+    except ArithmeticError as exc:
+        with pytest.raises(ArithmeticError) as got:
+            gk.evolve(system, init, dt, steps, theta)
+        assert str(got.value) == str(exc) and "diverged" in str(exc)
+        return
+    calls.clear()
+    traj = gk.evolve(system, init, dt, steps, theta)
+    assert traj.stationary_from is None and "step-map" in traj.record.values()
+    assert len(calls) == steps * list(traj.record.values()).count("step-map")
+    _assert_same_trajectory(traj, reference)
+
+
+def test_a_moving_dense_run_beside_a_constant_mode_keeps_its_guard_blocks(monkeypatch):
+    # With B != 0 and no reaction or forcing, u0c stays 0 while the even
+    # block's modes decay at theta = 1/2 without repeating: the watched mode
+    # 1 never repeats, so the guard runs once per _GUARD_BLOCK steps, not
+    # after every step.
+    calls, inner = [], gk._guard
+    monkeypatch.setattr(gk, "_guard", lambda *args: calls.append(1) or inner(*args))
+    basis = build_basis(30)
+    uc = np.zeros(31)
+    uc[2] = 1.0
+    traj = gk.evolve(gk.assemble_semi_discrete(basis, B=100.0),
+                     cf.CoefficientSet(basis, 0.0, uc, np.zeros(31)), 1e-6, 1000, 0.5)
+    assert traj.record == {"even": "step-map", "odd": "zero"}
+    assert traj.stationary_from is None and not np.any(traj.u0c)
+    assert len(calls) == -(-1000 // gk._GUARD_BLOCK)
+
+
+@pytest.mark.parametrize("parity, m, u0c", [("even", 1, 0.7), ("even", 2, 0.0),
+                                            ("even", 3, 0.0), ("odd", 3, 0.0),
+                                            ("odd", 1, -0.7)])
+def test_a_one_mode_trajectory_synthesizes_its_single_products(parity, m, u0c):
+    # An unforced diagonal run moves one mode (and u0c, which stays put at
+    # reaction = 0): synthesis sums over that mode alone, giving
+    # u0c/2 + a_m psi_m(x) and the bits of the sum over all M modes.
+    basis = build_basis(500)
+    coefs = {"even": np.zeros(501), "odd": np.zeros(501)}
+    coefs[parity][m] = 1.3
+    init = cf.CoefficientSet(basis, u0c, coefs["even"], coefs["odd"])
+    dt = 0.1 / basis.lam(parity)[m] ** 6
+    traj = gk.evolve(gk.assemble_semi_discrete(basis), init, dt, 1000, 0.5)
+    other = "odd" if parity == "even" else "even"
+    assert traj.modes == {parity: range(m, m + 1), other: range(0)}
+    xs = np.array([-0.5, 0.0, 0.5, -1.0, 1.0, 0.123])
+    got = cf.synthesize(traj, xs)
+    a = (traj.uc if parity == "even" else traj.us)[:, m]
+    want = 0.5 * traj.u0c[:, None] + a[:, None] * psi_block(basis, parity, xs)[m - 1]
+    full = cf.synthesize(dataclasses.replace(traj, modes=None), xs)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert np.array_equal(got.view(np.int64), full.view(np.int64))
+
+
+def test_trajectory_modes_name_the_stepped_range_of_each_block(basis30):
+    # A step map steps every mode, a zero block none, and a diagonal one the
+    # modes from the first to the last that moves or starts nonzero.
+    traj = gk.evolve(gk.model_ii_semi_discrete(basis30, T=20.0),
+                     cf.CoefficientSet.zeros(basis30), 1e-4, 40, 1.0)
+    assert traj.modes == {"even": range(1, 31), "odd": range(0)}
+    uc, us = np.zeros(31), np.zeros(31)
+    uc[[4, 9]], us[30] = (1.0, -0.0), 2.0
+    traj = gk.evolve(gk.assemble_semi_discrete(basis30), cf.CoefficientSet(
+        basis30, 0.0, uc, us), 1e-8, 20, 1.0)
+    assert traj.modes == {"even": range(4, 10), "odd": range(30, 31)}
+    xs = np.linspace(-1.0, 1.0, 7)
+    assert np.array_equal(cf.synthesize(traj, xs), cf.synthesize(
+        dataclasses.replace(traj, modes=None), xs))
 
 
 # ---------------------------------------------------------------------------

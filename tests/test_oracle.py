@@ -36,6 +36,23 @@ def test_rule_validation():
         oc.make_rule(10 ** 9)  # exceeds the node budget
 
 
+def test_quadrature_tables_build_each_rule_once():
+    # verify's sweep asks for the same 201- and 402-panel rules for each
+    # parity: each is built, and its invariants checked, once per process,
+    # and its arrays are read-only, since every caller shares them.
+    oc._composite_rule.cache_clear()
+    oc.quadrature_tables(build_basis(50), 50)
+    info = oc._composite_rule.cache_info()
+    assert (info.misses, info.hits) == (2, 2)
+    rule = oc.make_rule(201)
+    assert oc._composite_rule.cache_info().misses == 2
+    for array in (rule.nodes, rule.weights, rule.left, rule.left_lo, rule.offsets):
+        assert not array.flags.writeable
+    with pytest.raises(ValueError):
+        oc.make_rule(True)  # a kept rule of 1 panel does not answer for True
+    assert oc.make_rule(np.int64(201)) is rule
+
+
 def test_inner_product_oscillatory():
     val = oc.inner_product(np.cos, np.cos)
     exact = 1.0 + np.sin(2.0) / 2.0
